@@ -70,7 +70,7 @@ def _routed_probabilities(
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     idx = bernoulli_index_samples(event, n_draws, rng)
     u = qsim.ansatz_unitary(state.ansatz)
-    probs = np.abs(u) ** 2  # probs[z, x] = |<z|U|x>|**2
+    probs = u * u  # probs[z, x] = <z|U|x>**2
     support_idx = state.hamiltonian.basis_indices
     on_support = probs[support_idx][:, idx].T if support_idx.size else np.zeros((n_draws, 0))
     off_mass = 1.0 - on_support.sum(axis=1)
@@ -245,7 +245,7 @@ def site_entropy_profile(
         rho[idx, idx] = weight
     if mode == "dressed":
         u = qsim.ansatz_unitary(ansatz)
-        rho = u @ rho @ u.conj().T
+        rho = u @ rho @ u.T
 
     entropies = np.empty(n_qubits - 1)
     for pair in range(n_qubits - 1):

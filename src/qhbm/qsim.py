@@ -2,15 +2,21 @@
 
 Bit convention is big-endian throughout: qubit 0 is the most significant
 bit of the basis index, so for a 4-qubit register the bits (0, 1, 0, 1)
-address amplitude index 5.  Registers are capped at 10 qubits; everything
-is a dense complex128 vector of length 2**n.
+address amplitude index 5.  Registers are capped at 10 qubits.
 
 The variational circuit is a staircase of two-qubit blocks.  Within one
 layer, blocks act on qubit pairs (0,1), (1,2), ..., (n-2, n-1) in order;
 each block applies RY(a) to the lower-index qubit, RY(b) to the
 higher-index qubit, then a CNOT with the lower-index qubit as control.
-Every angle parametrises exactly one RY gate, which makes the two-point
-parameter-shift rule exact.
+Every angle parametrises exactly one RY gate.
+
+RY and CNOT are real, so the circuit matrix U is orthogonal and the
+engine works on real float64 arrays: ``ansatz_unitary`` returns U as a
+real matrix, and a gate updates an array of shape (2**n, ...) in place
+through a (2**q, 2, rest) view that exposes qubit q as the middle axis.
+The same gate-list walker applies U and its inverse U^T (the reversed
+gate list with negated angles).  ``StateVector`` stays complex128 at the
+API edge; the real gates act on its real and imaginary parts alike.
 """
 
 from __future__ import annotations
@@ -145,52 +151,43 @@ def prepare_basis_state(config: SpinConfig) -> StateVector:
     return StateVector(config.n_qubits, amps)
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def circuit_gates(ansatz: CircuitAnsatz, adjoint: bool = False) -> list[tuple[int, int, float]]:
+    """(qubit, angle index, angle) triples in application order.
+
+    A triple with angle index k >= 0 is RY(angle) on ``qubit``, where
+    angle is angles[k]; index -1 is the CNOT with ``qubit`` as control
+    and ``qubit + 1`` as target.  With ``adjoint`` the list describes
+    U^T: the gates in reverse order with negated angles.
+    """
+    gates: list[tuple[int, int, float]] = []
+    for q, ia, ib in ansatz.blocks():
+        gates += [(q, ia, ansatz.angles[ia]), (q + 1, ib, ansatz.angles[ib]), (q, -1, 0.0)]
+    if adjoint:
+        gates = [(q, k, -angle) for q, k, angle in reversed(gates)]
+    return gates
 
 
-def _apply_single(arr: np.ndarray, n_qubits: int, qubit: int, gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to ``qubit`` of ``arr`` shaped (2**n,) or (2**n, m)."""
-    batched = arr.ndim == 2
-    m = arr.shape[1] if batched else 1
-    work = arr.reshape([2] * n_qubits + [m])
-    work = np.moveaxis(work, qubit, 0)
-    shape = work.shape
-    work = gate @ work.reshape(2, -1)
-    work = np.moveaxis(work.reshape(shape), 0, qubit)
-    out = work.reshape(2**n_qubits, m)
-    return out if batched else out.reshape(-1)
+def apply_gate(arr: np.ndarray, qubit: int, k: int, angle: float) -> None:
+    """Apply one ``circuit_gates`` triple in place to a C-contiguous (2**n, ...) array.
 
-
-def _apply_cnot(arr: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
-    """Apply CNOT(control -> target); operates on a fresh copy."""
-    batched = arr.ndim == 2
-    m = arr.shape[1] if batched else 1
-    work = arr.reshape([2] * n_qubits + [m]).copy()
-    sel: list = [slice(None)] * work.ndim
-    sel[control] = 1
-    sel_t = tuple(sel)
-    # Dropping the control axis shifts later axes down by one.
-    flip_axis = target if target < control else target - 1
-    work[sel_t] = np.flip(work[sel_t], axis=flip_axis)
-    out = work.reshape(2**n_qubits, m)
-    return out if batched else out.reshape(-1)
+    Viewing the array as (2**qubit, 2, rest) puts ``qubit`` on the middle
+    axis, so RY is one stacked 2x2 product written back through the view
+    and CNOT a swap of two slabs.  Applying (qubit, k, -angle) undoes
+    (qubit, k, angle).
+    """
+    if k < 0:
+        # CNOT swaps the target's two halves inside the control-1 half.
+        v = arr.reshape(2**qubit, 2, 2, -1, copy=False)
+        v[:, 1, [0, 1]] = v[:, 1, [1, 0]]
+        return
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    v = arr.reshape(2**qubit, 2, -1, copy=False)
+    v[...] = np.array([[c, -s], [s, c]]) @ v
 
 
 def _apply_circuit(arr: np.ndarray, ansatz: CircuitAnsatz, adjoint: bool = False) -> np.ndarray:
-    n = ansatz.n_qubits
-    block_list = list(ansatz.blocks())
-    if not adjoint:
-        for q, ia, ib in block_list:
-            arr = _apply_single(arr, n, q, _ry(ansatz.angles[ia]))
-            arr = _apply_single(arr, n, q + 1, _ry(ansatz.angles[ib]))
-            arr = _apply_cnot(arr, n, q, q + 1)
-    else:
-        for q, ia, ib in reversed(block_list):
-            arr = _apply_cnot(arr, n, q, q + 1)
-            arr = _apply_single(arr, n, q, _ry(-ansatz.angles[ia]))
-            arr = _apply_single(arr, n, q + 1, _ry(-ansatz.angles[ib]))
+    for gate in circuit_gates(ansatz, adjoint):
+        apply_gate(arr, *gate)
     return arr
 
 
@@ -204,19 +201,20 @@ def _check_match(state: StateVector, ansatz: CircuitAnsatz) -> None:
 def apply_ansatz(state: StateVector, ansatz: CircuitAnsatz) -> StateVector:
     """Return U(angles) |state>; the input state is left untouched."""
     _check_match(state, ansatz)
-    return StateVector(state.n_qubits, _apply_circuit(state.amplitudes, ansatz))
+    return StateVector(state.n_qubits, _apply_circuit(state.amplitudes.copy(), ansatz))
 
 
 def apply_adjoint_ansatz(state: StateVector, ansatz: CircuitAnsatz) -> StateVector:
     """Return U(angles)^dagger |state>; exact inverse of ``apply_ansatz``."""
     _check_match(state, ansatz)
-    return StateVector(state.n_qubits, _apply_circuit(state.amplitudes, ansatz, adjoint=True))
+    return StateVector(
+        state.n_qubits, _apply_circuit(state.amplitudes.copy(), ansatz, adjoint=True)
+    )
 
 
 def ansatz_unitary(ansatz: CircuitAnsatz) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of the circuit (column x = U |x>)."""
-    dim = 2**ansatz.n_qubits
-    return _apply_circuit(np.eye(dim, dtype=np.complex128), ansatz)
+    """Real orthogonal 2**n x 2**n matrix of the circuit (column x = U |x>)."""
+    return _apply_circuit(np.eye(2**ansatz.n_qubits), ansatz)
 
 
 def diagonal_expectation(state: StateVector, ham: "ModularHamiltonian") -> float:
@@ -249,28 +247,6 @@ def circuit_expectation(
     state = prepare_basis_state(config)
     rotated = apply_adjoint_ansatz(state, ansatz) if adjoint else apply_ansatz(state, ansatz)
     return diagonal_expectation(rotated, ham)
-
-
-def parameter_shift_gradient(
-    config: SpinConfig,
-    ansatz: CircuitAnsatz,
-    ham: "ModularHamiltonian",
-    adjoint: bool = False,
-) -> np.ndarray:
-    """Exact gradient of ``circuit_expectation`` w.r.t. every angle.
-
-    Component k is (f(angle_k + pi/2) - f(angle_k - pi/2)) / 2, which is
-    exact for RY rotations.
-    """
-    grad = np.zeros(ansatz.n_parameters)
-    if ham.basis_indices.size == 0:
-        return grad
-    half_pi = np.pi / 2.0
-    for k in range(ansatz.n_parameters):
-        up = circuit_expectation(config, ansatz.shifted(k, +half_pi), ham, adjoint)
-        down = circuit_expectation(config, ansatz.shifted(k, -half_pi), ham, adjoint)
-        grad[k] = 0.5 * (up - down)
-    return grad
 
 
 def evolve_diagonal(

@@ -6,11 +6,11 @@ persistent Metropolis chain, evaluates the bound
     loss = beta * mean <K> + k_beta * log Z
 
 over a batch of embedded events, and applies one Adam update to both
-parameter sets: circuit angles through the parameter-shift rule (scaled
-by beta), model parameters through the analytic gradient with the
-support held fixed.  The loss is bounded below by the von Neumann
-entropy of the data's mixed state, reached when the model matches the
-data.
+parameter sets: circuit angles through an adjoint-mode sweep of the
+real-valued circuit (scaled by beta), model parameters through the
+analytic gradient with the support held fixed.  The loss is bounded
+below by the von Neumann entropy of the data's mixed state, reached
+when the model matches the data.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ebm, qsim
 from .embed import DensityMatrix, PixelProbabilities, bernoulli_index_samples
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .rng import substream
 
 
@@ -202,6 +202,17 @@ def _group_distribution(group: Sequence[qsim.SpinConfig] | np.ndarray, dim: int)
     return np.bincount(idx, minlength=dim) / idx.size
 
 
+def _batch_distribution(groups: Batch | Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Mean over events of each event's empirical distribution over the basis."""
+    if len(groups) == 0:
+        raise ValueError("batch must not be empty")
+    q = np.zeros(dim)
+    for group in groups:
+        q += _group_distribution(group, dim)
+    q /= len(groups)
+    return q
+
+
 def _distribution_expectation(
     ansatz: qsim.CircuitAnsatz,
     ham: ebm.ModularHamiltonian,
@@ -216,8 +227,8 @@ def _distribution_expectation(
     """
     u = qsim.ansatz_unitary(ansatz)
     if adjoint:
-        u = u.conj().T
-    routed = np.abs(u) ** 2 @ q
+        u = u.T
+    routed = (u * u) @ q
     if ham.basis_indices.size == 0:
         return 0.0, routed
     return float(ham.energies @ routed[ham.basis_indices]), routed
@@ -235,13 +246,14 @@ def batch_objective(
     are the routed basis probabilities averaged the same way, so that
     sum_z w_z E(z) reproduces the mean expectation exactly.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must not be empty")
-    dim = 2**config.n_qubits
-    q = np.zeros(dim)
-    for group in batch:
-        q += _group_distribution(group, dim)
-    q /= len(batch)
+    q = _batch_distribution(batch, 2**config.n_qubits)
+    return _objective(state, q, config)
+
+
+def _objective(
+    state: TrainState, q: np.ndarray, config: TrainConfig
+) -> tuple[float, float, dict[qsim.SpinConfig, float]]:
+    """``batch_objective`` for a batch already reduced to its distribution ``q``."""
     mean_exp, routed = _distribution_expectation(
         state.ansatz, state.hamiltonian, q, config.adjoint_convention
     )
@@ -259,15 +271,38 @@ def _phi_gradient(
     q: np.ndarray,
     adjoint: bool,
 ) -> np.ndarray:
-    """Parameter-shift gradient of the batch-mean expectation."""
+    """Adjoint-mode gradient of the batch-mean expectation over every angle.
+
+    The expectation is f = tr(Phi^T K Phi) with Phi = V diag(sqrt(q)),
+    where V is the circuit matrix (U, or U^T in the adjoint orientation)
+    and only the columns with q > 0 are kept.  After one forward sweep
+    and Lambda = K Phi, a backward sweep un-applies each gate from Phi
+    and Lambda together.  Taking both just before an RY gate with
+    applied angle a, df/da = 2 <Lambda, dRY/da Phi> reduces to
+    <Lambda, J Phi> with J = [[0, -1], [1, 0]] on the gate's qubit
+    (Jones & Gacon, arXiv:2009.02823).
+    """
     grad = np.zeros(ansatz.n_parameters)
-    if ham.basis_indices.size == 0:
+    cols = np.flatnonzero(q > 0)
+    if ham.basis_indices.size == 0 or cols.size == 0:
         return grad
-    half_pi = np.pi / 2.0
-    for k in range(ansatz.n_parameters):
-        up, _ = _distribution_expectation(ansatz.shifted(k, +half_pi), ham, q, adjoint)
-        down, _ = _distribution_expectation(ansatz.shifted(k, -half_pi), ham, q, adjoint)
-        grad[k] = 0.5 * (up - down)
+    m = cols.size
+    # pair[:, 0] holds Phi and pair[:, 1] holds Lambda, so each gate is one call.
+    pair = np.zeros((2**ansatz.n_qubits, 2, m))
+    pair[cols, 0, np.arange(m)] = np.sqrt(q[cols])
+    gates = qsim.circuit_gates(ansatz, adjoint)
+    for gate in gates:
+        qsim.apply_gate(pair, *gate)
+    pair[ham.basis_indices, 1] = ham.energies[:, None] * pair[ham.basis_indices, 0]
+    # The adjoint orientation applies -angles[k], which flips the chain rule.
+    sign = -1.0 if adjoint else 1.0
+    for qubit, k, angle in reversed(gates):
+        qsim.apply_gate(pair, qubit, k, -angle)
+        if k >= 0:
+            v = pair.reshape(2**qubit, 2, -1, 2, m)
+            phi_0, phi_1 = v[:, 0, :, 0], v[:, 1, :, 0]
+            lam_0, lam_1 = v[:, 0, :, 1], v[:, 1, :, 1]
+            grad[k] = sign * (np.vdot(lam_1, phi_0) - np.vdot(lam_0, phi_1))
     return grad
 
 
@@ -277,6 +312,8 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
     The persistent chain continues from its previous position, the
     support is rebuilt from the fresh samples, and both parameter sets
     receive one Adam update at the shared current learning rate.
+    Raises NumericError when the update leaves non-finite parameters or
+    free energies.
     """
     samples, chain = ebm.metropolis_sample(
         state.energy_model,
@@ -299,14 +336,8 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
         best_validation_loss=state.best_validation_loss,
         lr_current=state.lr_current,
     )
-    _, _, weights = batch_objective(working, batch, config)
-
-    dim = 2**config.n_qubits
-    q = np.zeros(dim)
-    for group in batch:
-        q += _group_distribution(group, dim)
-    q /= len(batch)
-
+    q = _batch_distribution(batch, 2**config.n_qubits)
+    _, _, weights = _objective(working, q, config)
     phi_grad = config.beta * _phi_gradient(
         working.ansatz, ham, q, config.adjoint_convention
     )
@@ -335,9 +366,17 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
         config.adam_eps,
     )
 
+    updated = {"angles": new_angles, **new_theta}
+    blown = [name for name, values in updated.items() if not np.all(np.isfinite(values))]
+    if blown:
+        raise NumericError(f"update left non-finite {', '.join(blown)}")
     working.energy_model = ebm.EnergyModel(
         new_theta["weights"], new_theta["visible_bias"], new_theta["hidden_bias"]
     )
+    # Finite parameters can still overflow the free energies that the next
+    # step's sampler and Hamiltonian are built from.
+    if not np.all(np.isfinite(ebm.free_energy_table(working.energy_model))):
+        raise NumericError("updated model has non-finite free energies")
     working.ansatz = working.ansatz.with_angles(new_angles)
     return working
 
@@ -361,14 +400,8 @@ def _dataset_loss(
     groups: Sequence[np.ndarray],
     config: TrainConfig,
 ) -> float:
-    dim = 2**config.n_qubits
-    q = np.zeros(dim)
-    for group in groups:
-        q += _group_distribution(group, dim)
-    q /= len(groups)
-    mean_exp, _ = _distribution_expectation(
-        state.ansatz, ham, q, config.adjoint_convention
-    )
+    q = _batch_distribution(groups, 2**config.n_qubits)
+    mean_exp, _ = _distribution_expectation(state.ansatz, ham, q, config.adjoint_convention)
     return config.beta * mean_exp + config.k_beta * ham.log_partition
 
 
@@ -415,7 +448,8 @@ def fit(
     ``lr_halve_patience`` epochs without improvement (counter resets on
     each halving) and training stops early after
     ``early_stop_patience`` epochs without improvement.  Passing
-    ``initial`` resumes training, continuing the epoch numbering.
+    ``initial`` resumes training, continuing the epoch numbering.  A
+    numeric blow-up raises NumericError naming the epoch and step.
     """
     config.validate()
     if not train_events or not valid_events:
@@ -441,10 +475,13 @@ def fit(
             )
         order = substream(config.seed, "shuffle", epoch).permutation(len(train_events))
         epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch_idx = order[start : start + config.batch_size]
             batch = [train_groups[i] for i in batch_idx]
-            state = train_step(state, batch, config)
+            try:
+                state = train_step(state, batch, config)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch + 1} step {step}: {exc}") from exc
             loss, _, _ = batch_objective(state, batch, config)
             epoch_losses.append(loss)
         valid_loss = _validation_loss(state, valid_groups, config, epoch)
@@ -484,17 +521,17 @@ def model_density_matrix(state: TrainState, latent_mode: str = "thermal") -> Den
     n = state.ansatz.n_qubits
     ham = state.hamiltonian
     if latent_mode == "thermal":
-        latent = ebm.thermal_state(ham, n).entries
+        latent = ebm.thermal_state(ham, n).diagonal()
     elif latent_mode == "maximally_mixed":
         if not ham.support:
             raise ValueError("hamiltonian support is empty")
-        diag = np.zeros(2**n)
-        diag[ham.basis_indices] = 1.0 / len(ham.support)
-        latent = np.diag(diag.astype(np.complex128))
+        latent = np.zeros(2**n)
+        latent[ham.basis_indices] = 1.0 / len(ham.support)
     else:
         raise ValueError(f"unknown latent_mode {latent_mode!r}")
     u = qsim.ansatz_unitary(state.ansatz)
-    return DensityMatrix(u @ latent @ u.conj().T)
+    # U diag(latent) U^T with U real orthogonal.
+    return DensityMatrix((u * latent) @ u.T)
 
 
 def generate(
@@ -523,8 +560,8 @@ def generate(
     else:
         raise ValueError(f"unknown latent_mode {latent_mode!r}")
     u = qsim.ansatz_unitary(state.ansatz)
-    # Column x of |U|**2 is the output distribution for latent state x.
-    out_cum = np.cumsum(np.abs(u) ** 2, axis=0).T[ham.basis_indices]
+    # Column x of U**2 is the output distribution for latent state x.
+    out_cum = np.cumsum(u * u, axis=0).T[ham.basis_indices]
     latent_draws = rng.choice(len(ham.support), size=n_events, p=latent_probs)
     uniforms = rng.random(n_events)
     configs: list[qsim.SpinConfig] = []

@@ -259,6 +259,20 @@ class TestTrain:
             outdirs[1] / "history.csv"
         ).read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_blowup_exit_4(self, pipeline, tmp_path, capsys):
+        code = run(
+            "train",
+            "--train-data", str(pipeline["train"]),
+            "--valid-data", str(pipeline["valid"]),
+            "--outdir", str(tmp_path / "out"),
+            "--n-qubits", "4", "--max-epochs", "1", "--n-mc-samples", "30",
+            "--n-embed-samples", "20", "--batch-size", "4", "--seed", "5",
+            "--learning-rate", "1e308",
+        )
+        assert code == 4
+        assert "epoch 1 step 1:" in capsys.readouterr().err
+
     def test_resume_extends_history(self, pipeline, tmp_path):
         outdir = tmp_path / "resumed"
         assert run(

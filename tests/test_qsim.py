@@ -133,13 +133,19 @@ class TestApplyAnsatz:
 
 
 class TestAnsatzUnitary:
-    def test_matches_dense_oracle_and_is_unitary(self, rng):
-        for n_qubits, n_layers in [(2, 1), (3, 2), (4, 1)]:
-            ansatz = random_ansatz(n_qubits, n_layers, rng)
-            u = qsim.ansatz_unitary(ansatz)
-            dense = oracles.staircase_unitary(n_qubits, n_layers, ansatz.angles)
-            np.testing.assert_allclose(u, dense, atol=1e-10)
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(2**n_qubits), atol=1e-10)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_dense_oracle_and_is_unitary(self, n_qubits, n_layers, seed):
+        # The circuit is real, so U is a real orthogonal matrix.
+        ansatz = random_ansatz(n_qubits, n_layers, np.random.default_rng(seed), scale=3.0)
+        u = qsim.ansatz_unitary(ansatz)
+        assert u.dtype == np.float64
+        dense = oracles.staircase_unitary(n_qubits, n_layers, ansatz.angles)
+        np.testing.assert_allclose(u, dense, atol=1e-12)
+        np.testing.assert_allclose(u.T @ u, np.eye(2**n_qubits), atol=1e-12)
 
     def test_adjoint_application_matches_conjugate_transpose(self, rng):
         ansatz = random_ansatz(3, 2, rng)
@@ -202,7 +208,7 @@ class TestCircuitExpectation:
 class TestParameterShiftGradient:
     def test_empty_hamiltonian_gives_zero_vector(self, rng):
         ansatz = random_ansatz(3, 2, rng)
-        grad = qsim.parameter_shift_gradient(
+        grad = oracles.parameter_shift_gradient(
             qsim.SpinConfig((0, 0, 0)), ansatz, ModularHamiltonian.empty(3)
         )
         np.testing.assert_array_equal(grad, np.zeros(8))
@@ -217,7 +223,7 @@ class TestParameterShiftGradient:
             indices = rng.choice(dim, size=m, replace=False)
             ham = make_ham(n_qubits, indices, rng.normal(size=m))
             config = qsim.SpinConfig.from_index(int(rng.integers(dim)), n_qubits)
-            grad = qsim.parameter_shift_gradient(config, ansatz, ham)
+            grad = oracles.parameter_shift_gradient(config, ansatz, ham)
             for k in range(ansatz.n_parameters):
                 up = qsim.circuit_expectation(config, ansatz.shifted(k, step), ham)
                 down = qsim.circuit_expectation(config, ansatz.shifted(k, -step), ham)
@@ -236,7 +242,7 @@ class TestParameterShiftGradient:
         for _ in range(10):
             a, b = rng.uniform(-np.pi, np.pi, size=2)
             ansatz = qsim.CircuitAnsatz(2, 1, np.array([a, b]))
-            grad = qsim.parameter_shift_gradient(config, ansatz, ham)
+            grad = oracles.parameter_shift_gradient(config, ansatz, ham)
             expected_a = -0.5 * e0 * np.sin(a) * np.cos(b / 2) ** 2
             expected_b = -0.5 * e0 * np.cos(a / 2) ** 2 * np.sin(b)
             np.testing.assert_allclose(grad, [expected_a, expected_b], atol=1e-12)
@@ -244,7 +250,7 @@ class TestParameterShiftGradient:
     def test_stationary_at_zero_angles(self):
         ham = make_ham(2, [0], [3.0])
         ansatz = qsim.CircuitAnsatz(2, 1, np.zeros(2))
-        grad = qsim.parameter_shift_gradient(qsim.SpinConfig((0, 0)), ansatz, ham)
+        grad = oracles.parameter_shift_gradient(qsim.SpinConfig((0, 0)), ansatz, ham)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 

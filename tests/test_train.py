@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qhbm import ebm, qsim
 from qhbm.embed import PixelProbabilities
-from qhbm.errors import ConfigError
+from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
     AdamState,
     TrainConfig,
@@ -23,7 +24,11 @@ from qhbm.train import (
 )
 from qhbm.rng import substream
 
-from oracles import diagonal_hamiltonian_matrix, staircase_unitary
+from oracles import (
+    batch_parameter_shift_gradient,
+    diagonal_hamiltonian_matrix,
+    staircase_unitary,
+)
 
 
 def small_config(**overrides):
@@ -293,6 +298,58 @@ class TestPhiGradient:
         grad = _phi_gradient(ansatz, ebm.ModularHamiltonian.empty(2), np.ones(4) / 4, False)
         assert np.array_equal(grad, np.zeros(2))
 
+    @staticmethod
+    def random_case(n, n_layers, support_mask, q_mask, rng):
+        """Ansatz, Hamiltonian on the masked support, and q zero off ``q_mask``."""
+        angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * n_layers)
+        ansatz = qsim.CircuitAnsatz(n, n_layers, angles)
+        support = np.flatnonzero(support_mask)
+        if support.size:
+            ham = ebm.ModularHamiltonian.from_energies(
+                [qsim.SpinConfig.from_index(int(i), n) for i in support],
+                rng.standard_normal(support.size),
+            )
+        else:
+            ham = ebm.ModularHamiltonian.empty(n)
+        q = np.where(q_mask, rng.uniform(0.1, 1.0, size=2**n), 0.0)
+        if q.sum() > 0:
+            q /= q.sum()
+        return ansatz, ham, q
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.booleans(), min_size=2**n, max_size=2**n),
+                st.lists(st.booleans(), min_size=2**n, max_size=2**n),
+            )
+        ),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_parameter_shift_oracle(self, masks, n_layers, adjoint, seed):
+        n, support_mask, q_mask = masks
+        ansatz, ham, q = self.random_case(
+            n, n_layers, support_mask, q_mask, np.random.default_rng(seed)
+        )
+        grad = _phi_gradient(ansatz, ham, q, adjoint)
+        oracle = batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
+        assert grad.shape == (ansatz.n_parameters,)
+        np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_eight_qubits_three_layers_match_parameter_shift_oracle(self, adjoint):
+        rng = np.random.default_rng(88)
+        support_mask = np.zeros(256, dtype=bool)
+        support_mask[rng.choice(256, size=60, replace=False)] = True
+        q_mask = np.zeros(256, dtype=bool)
+        q_mask[rng.choice(256, size=40, replace=False)] = True
+        ansatz, ham, q = self.random_case(8, 3, support_mask, q_mask, rng)
+        grad = _phi_gradient(ansatz, ham, q, adjoint)
+        oracle = batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
+        np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
+
 
 class TestTrainStep:
     def test_deterministic(self):
@@ -405,6 +462,12 @@ class TestFit:
             fit(cfg, [], self.events(2, 2, 0))
         with pytest.raises(ValueError):
             fit(cfg, self.events(2, 2, 0), [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_blowup_raises_numeric_error_with_context(self):
+        cfg = small_config(learning_rate=1e308)
+        with pytest.raises(NumericError, match=r"^epoch 1 step 1: .*non-finite"):
+            fit(cfg, self.events(4, 2, 12), self.events(2, 2, 13))
 
 
 class TestModelDensityMatrix:
