@@ -69,7 +69,7 @@ def main(argv=None):
                 n_qubits=4, n_mc_samples=args.n_mc_samples, n_embed_samples=n_embed,
                 batch_size=1, max_epochs=1, seed=seed, adjoint_convention=True,
             )
-            draws = embed.bernoulli_embed(
+            draws = embed.bernoulli_index_samples(
                 event, n_embed, substream(seed, "embedding", "sweep", 0)
             )
             state = train_on_draws(event, config, draws, args.steps, anneal)

@@ -71,8 +71,7 @@ def _routed_probabilities(
     idx = bernoulli_index_samples(event, n_draws, rng)
     u = qsim.ansatz_unitary(state.ansatz)
     probs = u * u  # probs[z, x] = <z|U|x>**2
-    support_idx = state.hamiltonian.basis_indices
-    on_support = probs[support_idx][:, idx].T if support_idx.size else np.zeros((n_draws, 0))
+    on_support = probs[state.hamiltonian.support][:, idx].T
     off_mass = 1.0 - on_support.sum(axis=1)
     return on_support, off_mass
 
@@ -140,8 +139,6 @@ def expectation_score(
 ) -> float:
     """Mean <K> of the routed event at t = 0; empty support scores 0."""
     on_support, _ = _routed_probabilities(state, event, n_draws, rng)
-    if state.hamiltonian.basis_indices.size == 0:
-        return 0.0
     return float(on_support.mean(axis=0) @ state.hamiltonian.energies)
 
 
@@ -227,7 +224,7 @@ def site_entropy_profile(
     """
     if n_qubits != ham.n_qubits:
         raise ValueError(f"requested {n_qubits} qubits but hamiltonian has {ham.n_qubits}")
-    if not ham.support:
+    if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
     if mode == "auto":
         mode = "dressed" if ansatz is not None else "diagonal"
@@ -237,7 +234,7 @@ def site_entropy_profile(
         raise ValueError("dressed mode needs the circuit ansatz")
 
     minimal = ham.energies.min()
-    ground_idx = ham.basis_indices[ham.energies <= minimal + tie_tol]
+    ground_idx = ham.support[ham.energies <= minimal + tie_tol]
     dim = 2**n_qubits
     rho = np.zeros((dim, dim), dtype=np.complex128)
     weight = 1.0 / ground_idx.size

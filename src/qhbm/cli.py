@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, anomaly, ebm, embed, io, metrics, train
+from . import __version__, anomaly, embed, io, metrics, qsim, train
 from .errors import ConfigError, DataError, NumericError
 from .rng import substream
 
@@ -201,25 +201,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_snapshot(
-    state: train.TrainState,
-    config: train.TrainConfig,
+def _model_vs_data(
+    rho: embed.DensityMatrix,
+    generated: np.ndarray,
     events: list[embed.PixelProbabilities],
 ) -> dict:
-    """Model-vs-data measures on one event set (exact data mixed state)."""
+    """Model state and generated indices against the exact embedded state of ``events``."""
     sigma = embed.exact_mixed_state(events)
-    rho = train.model_density_matrix(state, config.latent_mode)
     mean_probs = np.mean([e.probs for e in events], axis=0)
-    generated, _ = train.generate(
-        state, 2000, substream(config.seed, "generation"), config.latent_mode
-    )
-    emitted = np.array([c.bits for c in generated], dtype=np.float64)
+    emitted = qsim.index_bits(generated, rho.n_qubits)
     return {
         "fidelity": metrics.fidelity(sigma, rho),
         "trace_distance": metrics.trace_distance(sigma, rho),
         "quantum_relative_entropy": metrics.quantum_relative_entropy(sigma, rho),
         "pixel_kl": metrics.bernoulli_marginal_kl(mean_probs, emitted.mean(axis=0)),
         "data_entropy": metrics.von_neumann_entropy(sigma),
+    }
+
+
+def _metric_snapshot(
+    state: train.TrainState,
+    config: train.TrainConfig,
+    events: list[embed.PixelProbabilities],
+) -> dict:
+    """Model-vs-data measures on one event set (exact data mixed state)."""
+    rho = train.model_density_matrix(state, config.latent_mode)
+    generated = train.generate(
+        state, 2000, substream(config.seed, "generation"), config.latent_mode
+    )
+    return _model_vs_data(rho, generated, events) | {
         "model_entropy": metrics.von_neumann_entropy(rho),
         "n_events": len(events),
     }
@@ -238,17 +248,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     per_metric: dict[str, list[float]] = {}
     for start in range(0, len(events), args.batch_size):
         batch = events[start : start + args.batch_size]
-        sigma = embed.exact_mixed_state(batch)
-        generated, _ = train.generate(state, args.generation_samples, gen_rng, config.latent_mode)
-        emitted = np.array([c.bits for c in generated], dtype=np.float64)
-        mean_probs = np.mean([e.probs for e in batch], axis=0)
-        values = {
-            "fidelity": metrics.fidelity(sigma, rho),
-            "trace_distance": metrics.trace_distance(sigma, rho),
-            "quantum_relative_entropy": metrics.quantum_relative_entropy(sigma, rho),
-            "pixel_kl": metrics.bernoulli_marginal_kl(mean_probs, emitted.mean(axis=0)),
-            "data_entropy": metrics.von_neumann_entropy(sigma),
-        }
+        generated = train.generate(state, args.generation_samples, gen_rng, config.latent_mode)
+        values = _model_vs_data(rho, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
         for k, v in values.items():
             per_metric.setdefault(k, []).append(v)
@@ -280,10 +281,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     rng = substream(args.seed, "generation")
-    configs, _ = train.generate(state, args.n_events, rng, config.latent_mode)
+    indices = train.generate(state, args.n_events, rng, config.latent_mode)
+    bits = qsim.index_bits(indices, config.n_qubits).astype(np.int64)
     rows = (
-        [i, "".join(str(b) for b in c.bits), c.index]
-        for i, c in enumerate(configs)
+        [i, "".join(map(str, row)), index]
+        for i, (row, index) in enumerate(zip(bits, indices))
     )
     io.write_csv_with_provenance(
         args.out, ["event", "bits", "basis_index"], rows, config.as_dict()

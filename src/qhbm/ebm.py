@@ -12,14 +12,14 @@ diagonal modular Hamiltonian K = sum_z F(z) |z><z|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
 from .embed import DensityMatrix
-from .qsim import MAX_QUBITS, SpinConfig
+from .qsim import MAX_QUBITS, index_bits
 
 
 @dataclass
@@ -73,45 +73,23 @@ class EnergyModel:
         return cls(weights, np.zeros(n_visible), np.zeros(n_hidden))
 
 
-def _as_bit_matrix(v: np.ndarray | Sequence[float]) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    return arr
-
-
-def free_energy(model: EnergyModel, config: SpinConfig | np.ndarray) -> float:
-    """F(v) with the hidden layer summed out analytically."""
-    v = config.as_array() if isinstance(config, SpinConfig) else _as_bit_matrix(config)
-    activation = v @ model.weights + model.hidden_bias
-    return float(-model.visible_bias @ v - np.sum(np.logaddexp(0.0, activation)))
-
-
-def free_energy_table(model: EnergyModel) -> np.ndarray:
-    """F(v) for all 2**n_visible configurations, indexed big-endian."""
-    n = model.n_visible
-    idx = np.arange(2**n)
-    shifts = np.arange(n - 1, -1, -1)
-    bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+def free_energies(model: EnergyModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """F(v) for each basis index in ``indices``, hidden layer summed out analytically."""
+    bits = index_bits(indices, model.n_visible)
     activation = bits @ model.weights + model.hidden_bias
-    return -(bits @ model.visible_bias) - np.sum(np.logaddexp(0.0, activation), axis=1)
+    return -(bits @ model.visible_bias) - np.sum(np.logaddexp(0.0, activation), axis=-1)
 
 
-def conditional_hidden_prob(model: EnergyModel, config: SpinConfig | np.ndarray) -> np.ndarray:
-    """p(h_j = 1 | v) = sigmoid((v W + b_hid)_j)."""
-    v = config.as_array() if isinstance(config, SpinConfig) else _as_bit_matrix(config)
-    return expit(v @ model.weights + model.hidden_bias)
-
-
-def conditional_visible_prob(model: EnergyModel, hidden: np.ndarray) -> np.ndarray:
-    """p(v_i = 1 | h) = sigmoid((h W^T + b_vis)_i)."""
-    h = _as_bit_matrix(hidden)
-    return expit(h @ model.weights.T + model.visible_bias)
+def _check_indices(indices: np.ndarray, n_qubits: int, what: str) -> None:
+    if indices.size and (indices.min() < 0 or indices.max() >= 2**n_qubits):
+        raise ValueError(f"{what} indices must lie in [0, {2**n_qubits}) for {n_qubits} qubits")
 
 
 @dataclass
 class MarkovChainState:
-    """Position of a persistent Metropolis chain, including its RNG."""
+    """Position of a persistent Metropolis chain (a basis index), including its RNG."""
 
-    current: SpinConfig
+    current: int
     current_energy: float
     rng: np.random.Generator
 
@@ -119,16 +97,13 @@ class MarkovChainState:
 def initial_chain(
     model: EnergyModel,
     rng: np.random.Generator,
-    start: SpinConfig | None = None,
+    start: int | None = None,
 ) -> MarkovChainState:
     """Fresh chain; by default it starts from the all-ones configuration."""
     if start is None:
-        start = SpinConfig((1,) * model.n_visible)
-    if start.n_qubits != model.n_visible:
-        raise ValueError(
-            f"start has {start.n_qubits} bits but model has {model.n_visible} visible units"
-        )
-    return MarkovChainState(start, free_energy(model, start), rng)
+        start = 2**model.n_visible - 1
+    _check_indices(np.array([start]), model.n_visible, "start")
+    return MarkovChainState(int(start), float(free_energies(model, [start])[0]), rng)
 
 
 def metropolis_sample(
@@ -137,15 +112,15 @@ def metropolis_sample(
     burn_in: int,
     n_collect: int,
     proposal: str = "uniform",
-) -> tuple[list[SpinConfig], MarkovChainState]:
-    """Run the chain and record one state per post-burn-in step.
+) -> tuple[np.ndarray, MarkovChainState]:
+    """Run the chain and record one basis index per post-burn-in step.
 
     Proposals are fresh configurations drawn uniformly over all 2**n
     states ("uniform", default) or single uniformly chosen bit flips
     ("single_flip"); both are symmetric, so a move from v to v' is
     accepted with probability min(exp(F(v) - F(v')), 1).  Proposing the
     current state is possible and always accepted.  Exactly ``n_collect``
-    configurations are returned, duplicates included, and the returned
+    int64 indices are returned, duplicates included, and the returned
     chain state continues from the final accepted state.
     """
     if burn_in < 0 or n_collect < 0:
@@ -153,10 +128,10 @@ def metropolis_sample(
     if proposal not in ("uniform", "single_flip"):
         raise ValueError(f"unknown proposal kind {proposal!r}")
     n = model.n_visible
-    table = free_energy_table(model)
+    table = free_energies(model, np.arange(2**n))
     rng = chain.rng
     steps = burn_in + n_collect
-    current = chain.current.index
+    current = int(chain.current)
     current_energy = table[current]
 
     if proposal == "uniform":
@@ -179,68 +154,64 @@ def metropolis_sample(
         if i >= burn_in:
             collected[i - burn_in] = current
 
-    samples = [SpinConfig.from_index(int(c), n) for c in collected]
-    new_chain = MarkovChainState(
-        SpinConfig.from_index(current, n), float(current_energy), rng
-    )
-    return samples, new_chain
+    return collected, MarkovChainState(current, float(current_energy), rng)
 
 
 @dataclass(eq=False)
 class ModularHamiltonian:
     """Diagonal operator K = sum_z E(z) |z><z| over a sampled support.
 
-    ``log_partition`` is log sum_z exp(-E(z)).  With the default
-    support-only convention the sum runs over the stored support;
-    ``build_hamiltonian`` can instead include every absent basis state
-    at energy zero ("full" partition mode).
+    ``support`` holds distinct int64 basis indices and ``energies`` the
+    aligned E(z).  ``log_partition`` is log sum_z exp(-E(z)).  With the
+    default support-only convention the sum runs over the stored
+    support; ``build_hamiltonian`` can instead include every absent
+    basis state at energy zero ("full" partition mode).
     """
 
     n_qubits: int
-    support: tuple[SpinConfig, ...]
+    support: np.ndarray
     energies: np.ndarray
     log_partition: float
-    basis_indices: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        self.support = np.asarray(self.support, dtype=np.int64)
         self.energies = np.asarray(self.energies, dtype=np.float64)
-        if self.energies.shape != (len(self.support),):
+        if self.support.ndim != 1 or self.energies.shape != self.support.shape:
             raise ValueError(
-                f"{len(self.support)} support states but energy shape "
-                f"{self.energies.shape}"
+                f"support shape {self.support.shape} and energy shape "
+                f"{self.energies.shape} do not match"
             )
-        if self.energies.size and not np.all(np.isfinite(self.energies)):
+        if not np.all(np.isfinite(self.energies)):
             raise ValueError("energies must be finite")
-        idx = np.array([c.index for c in self.support], dtype=np.int64)
-        if idx.size and (len(set(idx.tolist())) != idx.size):
+        _check_indices(self.support, self.n_qubits, "support")
+        if np.unique(self.support).size != self.support.size:
             raise ValueError("support states must be unique")
-        if any(c.n_qubits != self.n_qubits for c in self.support):
-            raise ValueError("support states must match n_qubits")
-        self.basis_indices = idx
 
     @classmethod
     def empty(cls, n_qubits: int) -> "ModularHamiltonian":
-        return cls(n_qubits, (), np.zeros(0), -np.inf)
+        return cls(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0), -np.inf)
 
     @classmethod
     def from_energies(
         cls,
-        configs: Sequence[SpinConfig],
+        n_qubits: int,
+        support: Sequence[int] | np.ndarray,
         energies: Sequence[float],
         partition: str = "support",
     ) -> "ModularHamiltonian":
-        """Build directly from (state, energy) pairs, computing log Z."""
-        if not configs:
+        """Build directly from basis indices and their energies, computing log Z."""
+        if len(support) == 0:
             raise ValueError("need at least one support state")
-        n = configs[0].n_qubits
         energies = np.asarray(energies, dtype=np.float64)
-        log_z = _log_partition(energies, n, partition)
-        return cls(n, tuple(configs), energies, log_z)
+        log_z = _log_partition(energies, n_qubits, partition)
+        return cls(n_qubits, support, energies, log_z)
 
     def energy_vector(self) -> np.ndarray:
         """Dense length-2**n energy diagonal (zero off support)."""
         vec = np.zeros(2**self.n_qubits)
-        vec[self.basis_indices] = self.energies
+        vec[self.support] = self.energies
         return vec
 
 
@@ -257,37 +228,29 @@ def _log_partition(energies: np.ndarray, n_qubits: int, partition: str) -> float
 
 def build_hamiltonian(
     model: EnergyModel,
-    samples: Sequence[SpinConfig],
+    samples: Sequence[int] | np.ndarray,
     duplicates: str = "dedupe",
     partition: str = "support",
 ) -> ModularHamiltonian:
-    """Modular Hamiltonian from Monte Carlo samples of ``model``.
+    """Modular Hamiltonian from Monte Carlo samples (basis indices) of ``model``.
 
-    The support keeps unique configurations in first-appearance order.
-    With ``duplicates="dedupe"`` (default) each state enters at its free
+    The support keeps unique indices in first-appearance order.  With
+    ``duplicates="dedupe"`` (default) each state enters at its free
     energy once; ``duplicates="multiplicity"`` scales each energy by the
     state's sample count instead.
     """
-    if not samples:
+    samples = np.asarray(samples, dtype=np.int64)
+    if samples.size == 0:
         raise ValueError("need at least one sample")
     if duplicates not in ("dedupe", "multiplicity"):
         raise ValueError(f"unknown duplicate mode {duplicates!r}")
-    counts: dict[int, int] = {}
-    order: dict[int, SpinConfig] = {}
-    for s in samples:
-        if s.n_qubits != model.n_visible:
-            raise ValueError(
-                f"sample has {s.n_qubits} bits but model has {model.n_visible}"
-            )
-        counts[s.index] = counts.get(s.index, 0) + 1
-        order.setdefault(s.index, s)
-    support = tuple(order.values())
-    bits = np.array([c.bits for c in support], dtype=np.float64)
-    activation = bits @ model.weights + model.hidden_bias
-    energies = -(bits @ model.visible_bias) - np.sum(np.logaddexp(0.0, activation), axis=1)
+    _check_indices(samples, model.n_visible, "sample")
+    unique, first, counts = np.unique(samples, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    support = unique[order]
+    energies = free_energies(model, support)
     if duplicates == "multiplicity":
-        mult = np.array([counts[c.index] for c in support], dtype=np.float64)
-        energies = energies * mult
+        energies = energies * counts[order].astype(np.float64)
     log_z = _log_partition(energies, model.n_visible, partition)
     return ModularHamiltonian(model.n_visible, support, energies, log_z)
 
@@ -304,22 +267,24 @@ class ThetaGradient:
 def theta_gradient(
     model: EnergyModel,
     ham: ModularHamiltonian,
-    support_weights: Mapping[SpinConfig, float],
+    support_weights: Sequence[float] | np.ndarray,
     beta: float = 1.0,
     k_beta: float = 1.0,
 ) -> ThetaGradient:
     """Analytic gradient of beta * sum_z w_z F(z) + k_beta * log Z.
 
-    The support is treated as fixed.  ``support_weights`` maps support
-    states to their data weights w_z; missing states count as zero.  The
-    partition term contributes through the Boltzmann distribution over
-    the support, so the gradient vanishes when the weights equal
-    softmax(-E) and beta == k_beta.
+    The support is treated as fixed.  ``support_weights`` holds the data
+    weights w_z aligned with ``ham.support``.  The partition term
+    contributes through the Boltzmann distribution over the support, so
+    the gradient vanishes when the weights equal softmax(-E) and
+    beta == k_beta.
     """
-    if not ham.support:
+    if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    bits = np.array([c.bits for c in ham.support], dtype=np.float64)
-    w = np.array([support_weights.get(c, 0.0) for c in ham.support])
+    w = np.asarray(support_weights, dtype=np.float64)
+    if w.shape != ham.support.shape:
+        raise ValueError(f"{ham.support.size} support states but weight shape {w.shape}")
+    bits = index_bits(ham.support, ham.n_qubits)
     boltzmann = softmax(-ham.energies)
     coef = beta * w - k_beta * boltzmann
     hidden = expit(bits @ model.weights + model.hidden_bias)
@@ -337,16 +302,16 @@ def thermal_state(ham: ModularHamiltonian, n_qubits: int) -> DensityMatrix:
     support-only sum), absent basis states enter at energy zero so the
     trace stays one under either convention.
     """
-    if not ham.support:
+    if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
     if n_qubits != ham.n_qubits:
         raise ValueError(
             f"requested {n_qubits} qubits but hamiltonian has {ham.n_qubits}"
         )
     diag = np.zeros(2**n_qubits)
-    diag[ham.basis_indices] = np.exp(-ham.energies - ham.log_partition)
+    diag[ham.support] = np.exp(-ham.energies - ham.log_partition)
     support_log_z = float(logsumexp(-ham.energies))
     if ham.log_partition - support_log_z > 1e-12:
-        absent = np.setdiff1d(np.arange(2**n_qubits), ham.basis_indices)
+        absent = np.setdiff1d(np.arange(2**n_qubits), ham.support)
         diag[absent] = np.exp(-ham.log_partition)
     return DensityMatrix(np.diag(diag.astype(np.complex128)))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericError
-from .qsim import MAX_QUBITS, SpinConfig
+from .qsim import MAX_QUBITS
 
 PROB_FLOOR = 1e-6
 LABELS = ("signal", "background", "unlabelled")
@@ -226,28 +226,13 @@ def probabilities_to_intensities(probs: PixelProbabilities) -> np.ndarray:
     return np.log(p / (1.0 - p))
 
 
-def _bernoulli_bits(
-    probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    draws = rng.random((n_samples, probs.n_qubits))
-    return (draws < probs.probs).astype(np.int64)
-
-
-def bernoulli_embed(
-    probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
-) -> list[SpinConfig]:
-    """Draw ``n_samples`` basis states, bit k set with probability probs[k]."""
-    bits = _bernoulli_bits(probs, n_samples, rng)
-    return [SpinConfig(tuple(int(b) for b in row)) for row in bits]
-
-
 def bernoulli_index_samples(
     probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Same draws as ``bernoulli_embed`` but returned as basis indices."""
-    bits = _bernoulli_bits(probs, n_samples, rng)
+    """Draw ``n_samples`` basis indices (int64), bit k set with probability probs[k]."""
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    bits = (rng.random((n_samples, probs.n_qubits)) < probs.probs).astype(np.int64)
     shifts = np.arange(probs.n_qubits - 1, -1, -1)
     return (bits << shifts).sum(axis=1)
 

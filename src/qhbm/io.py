@@ -24,6 +24,7 @@ Checkpoint layout:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import struct
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__, ebm, qsim, train
 from .embed import LABELS, PixelImage
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import generator_state, restore_generator
 
 IMAGE_MAGIC = b"QHBIMG1"
@@ -205,7 +206,7 @@ def save_checkpoint(
         "visible_bias": state.energy_model.visible_bias,
         "hidden_bias": state.energy_model.hidden_bias,
         "angles": state.ansatz.angles,
-        "support_indices": state.hamiltonian.basis_indices.astype(np.float64),
+        "support_indices": state.hamiltonian.support.astype(np.float64),
         "support_energies": state.hamiltonian.energies,
         "log_partition": np.array([state.hamiltonian.log_partition]),
     }
@@ -220,7 +221,7 @@ def save_checkpoint(
         "lr_current": state.lr_current,
         "adam_t": {"theta": state.adam_theta.t, "phi": state.adam_phi.t},
         "chain": {
-            "current_index": state.chain.current.index,
+            "current_index": int(state.chain.current),
             "current_energy": state.chain.current_energy,
             "rng_state": generator_state(state.chain.rng),
         },
@@ -238,7 +239,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConfig, list[dict]]:
-    """Rebuild a training state; rejects unknown format versions."""
+    """Rebuild a training state.
+
+    Raises DataError for a missing file, bad magic, an unknown format
+    version, bad framing, and for contents that do not rebuild a valid
+    state (missing keys or payloads, wrong types, out-of-range indices).
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
@@ -258,7 +264,18 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt metadata block") from exc
     offset += meta_len
+    # A well-framed file can still hold missing keys, wrong types or
+    # out-of-range values (the stored config included); rebuilding the
+    # state raises those as KeyError/TypeError/ValueError/ConfigError.
+    try:
+        return _rebuild_state(path, raw, offset, metadata)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint contents: {exc!r}") from exc
 
+
+def _rebuild_state(
+    path: Path, raw: bytes, offset: int, metadata: dict
+) -> tuple[train.TrainState, train.TrainConfig, list[dict]]:
     arrays: dict[str, np.ndarray] = {}
     for entry in metadata["payloads"]:
         shape = tuple(entry["shape"])
@@ -276,17 +293,20 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
         arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"]
     )
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, arrays["angles"])
-    support = tuple(
-        qsim.SpinConfig.from_index(int(i), config.n_qubits)
-        for i in arrays["support_indices"]
-    )
     ham = ebm.ModularHamiltonian(
-        config.n_qubits, support, arrays["support_energies"], float(arrays["log_partition"][0])
+        config.n_qubits,
+        arrays["support_indices"].astype(np.int64),
+        arrays["support_energies"],
+        float(arrays["log_partition"][0]),
     )
-    chain = ebm.MarkovChainState(
-        qsim.SpinConfig.from_index(int(metadata["chain"]["current_index"]), config.n_qubits),
-        float(metadata["chain"]["current_energy"]),
-        restore_generator(metadata["chain"]["rng_state"]),
+    # initial_chain checks the index; the stored energy is kept as saved.
+    chain = dataclasses.replace(
+        ebm.initial_chain(
+            model,
+            restore_generator(metadata["chain"]["rng_state"]),
+            int(metadata["chain"]["current_index"]),
+        ),
+        current_energy=float(metadata["chain"]["current_energy"]),
     )
     adam_states = {}
     for tag in ("theta", "phi"):

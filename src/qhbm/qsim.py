@@ -65,11 +65,16 @@ class SpinConfig:
         _check_n_qubits(n_qubits)
         if not 0 <= index < 2**n_qubits:
             raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-        bits = tuple((index >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits))
-        return cls(bits)
+        return cls(tuple(int(b) for b in index_bits(index, n_qubits)))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.bits, dtype=np.float64)
+
+
+def index_bits(indices: int | Sequence[int] | np.ndarray, n_qubits: int) -> np.ndarray:
+    """0/1 float64 bits of basis indices, qubit 0 first: shape (..., n_qubits)."""
+    shifts = np.arange(n_qubits - 1, -1, -1)
+    return ((np.asarray(indices, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.float64)
 
 
 @dataclass
@@ -105,12 +110,6 @@ class CircuitAnsatz:
 
     def with_angles(self, angles: Sequence[float]) -> "CircuitAnsatz":
         return CircuitAnsatz(self.n_qubits, self.n_layers, np.asarray(angles))
-
-    def shifted(self, k: int, delta: float) -> "CircuitAnsatz":
-        """Copy with angle ``k`` shifted by ``delta``."""
-        angles = self.angles.copy()
-        angles[k] += delta
-        return self.with_angles(angles)
 
     def blocks(self) -> Iterator[tuple[int, int, int]]:
         """Yield (lower_qubit, angle_index_lower, angle_index_upper) in order."""
@@ -226,10 +225,7 @@ def diagonal_expectation(state: StateVector, ham: "ModularHamiltonian") -> float
         raise ValueError(
             f"state has {state.n_qubits} qubits but operator has {ham.n_qubits}"
         )
-    if ham.basis_indices.size == 0:
-        return 0.0
-    probs = state.probabilities()
-    return float(ham.energies @ probs[ham.basis_indices])
+    return float(ham.energies @ state.probabilities()[ham.support])
 
 
 def circuit_expectation(
@@ -273,6 +269,5 @@ def evolve_diagonal(
     n_steps = int(round(total_time / dt))
     actual_time = n_steps * dt
     amps = state.amplitudes.copy()
-    if ham.basis_indices.size:
-        amps[ham.basis_indices] *= np.exp(-1j * actual_time * ham.energies)
+    amps[ham.support] *= np.exp(-1j * actual_time * ham.energies)
     return StateVector(state.n_qubits, amps), actual_time

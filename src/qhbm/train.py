@@ -16,7 +16,8 @@ when the model matches the data.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, asdict
+import dataclasses
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
@@ -188,81 +189,62 @@ def _theta_params(model: ebm.EnergyModel) -> dict[str, np.ndarray]:
     }
 
 
-Batch = Sequence[Sequence[qsim.SpinConfig]]
+Batch = Sequence[np.ndarray]
 
 
-def _group_distribution(group: Sequence[qsim.SpinConfig] | np.ndarray, dim: int) -> np.ndarray:
-    """Empirical distribution of one event's embedded draws over the basis."""
-    if isinstance(group, np.ndarray):
-        idx = group
-    else:
-        idx = np.array([c.index for c in group], dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("each batch group needs at least one embedded sample")
-    return np.bincount(idx, minlength=dim) / idx.size
+def _batch_distribution(groups: Batch, dim: int) -> np.ndarray:
+    """Mean over events of each event's empirical distribution over the basis.
 
-
-def _batch_distribution(groups: Batch | Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Mean over events of each event's empirical distribution over the basis."""
+    Each group holds one event's embedded draws as basis indices.
+    """
     if len(groups) == 0:
         raise ValueError("batch must not be empty")
     q = np.zeros(dim)
-    for group in groups:
-        q += _group_distribution(group, dim)
+    for idx in groups:
+        if len(idx) == 0:
+            raise ValueError("each batch group needs at least one embedded sample")
+        q += np.bincount(idx, minlength=dim) / len(idx)
     q /= len(groups)
     return q
 
 
-def _distribution_expectation(
+def _loss(
     ansatz: qsim.CircuitAnsatz,
     ham: ebm.ModularHamiltonian,
     q: np.ndarray,
-    adjoint: bool,
-) -> tuple[float, np.ndarray]:
-    """Mean <K> over basis draws distributed as ``q``, plus the routed probabilities.
+    config: TrainConfig,
+) -> tuple[float, float, np.ndarray]:
+    """Loss, mean <K> and support weights for basis draws distributed as ``q``.
 
     Routing every basis state through the circuit at once gives the
-    output distribution P @ q with P[z, x] = |<z| U |x>|**2 (or U^dag for
-    the adjoint orientation); the expectation is then a support lookup.
+    output distribution P @ q with P[z, x] = |<z| V |x>|**2, where V is
+    U (or U^dag in the adjoint orientation).  The support weights are
+    that distribution read off at ``ham.support``, so the mean
+    expectation is sum_z w_z E(z).
     """
     u = qsim.ansatz_unitary(ansatz)
-    if adjoint:
+    if config.adjoint_convention:
         u = u.T
-    routed = (u * u) @ q
-    if ham.basis_indices.size == 0:
-        return 0.0, routed
-    return float(ham.energies @ routed[ham.basis_indices]), routed
+    weights = ((u * u) @ q)[ham.support]
+    mean_exp = float(ham.energies @ weights)
+    return config.beta * mean_exp + config.k_beta * ham.log_partition, mean_exp, weights
 
 
 def batch_objective(
     state: TrainState,
     batch: Batch,
     config: TrainConfig,
-) -> tuple[float, float, dict[qsim.SpinConfig, float]]:
-    """Loss, mean expectation and per-support data weights for one batch.
+) -> tuple[float, float, np.ndarray]:
+    """Loss, mean expectation and support weights for one batch.
 
     Every event's expectation is the mean over its embedded draws; the
-    batch expectation averages events uniformly.  The support weights
-    are the routed basis probabilities averaged the same way, so that
-    sum_z w_z E(z) reproduces the mean expectation exactly.
+    batch expectation averages events uniformly.  The support weights,
+    aligned with ``state.hamiltonian.support``, are the routed basis
+    probabilities averaged the same way, so that sum_z w_z E(z)
+    reproduces the mean expectation exactly.
     """
     q = _batch_distribution(batch, 2**config.n_qubits)
-    return _objective(state, q, config)
-
-
-def _objective(
-    state: TrainState, q: np.ndarray, config: TrainConfig
-) -> tuple[float, float, dict[qsim.SpinConfig, float]]:
-    """``batch_objective`` for a batch already reduced to its distribution ``q``."""
-    mean_exp, routed = _distribution_expectation(
-        state.ansatz, state.hamiltonian, q, config.adjoint_convention
-    )
-    loss = config.beta * mean_exp + config.k_beta * state.hamiltonian.log_partition
-    weights = {
-        c: float(routed[i])
-        for c, i in zip(state.hamiltonian.support, state.hamiltonian.basis_indices)
-    }
-    return loss, mean_exp, weights
+    return _loss(state.ansatz, state.hamiltonian, q, config)
 
 
 def _phi_gradient(
@@ -284,7 +266,7 @@ def _phi_gradient(
     """
     grad = np.zeros(ansatz.n_parameters)
     cols = np.flatnonzero(q > 0)
-    if ham.basis_indices.size == 0 or cols.size == 0:
+    if ham.support.size == 0 or cols.size == 0:
         return grad
     m = cols.size
     # pair[:, 0] holds Phi and pair[:, 1] holds Lambda, so each gate is one call.
@@ -293,7 +275,7 @@ def _phi_gradient(
     gates = qsim.circuit_gates(ansatz, adjoint)
     for gate in gates:
         qsim.apply_gate(pair, *gate)
-    pair[ham.basis_indices, 1] = ham.energies[:, None] * pair[ham.basis_indices, 0]
+    pair[ham.support, 1] = ham.energies[:, None] * pair[ham.support, 0]
     # The adjoint orientation applies -angles[k], which flips the chain rule.
     sign = -1.0 if adjoint else 1.0
     for qubit, k, angle in reversed(gates):
@@ -325,60 +307,38 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
     ham = ebm.build_hamiltonian(
         state.energy_model, samples, config.duplicate_mode, config.partition_mode
     )
-    working = TrainState(
-        energy_model=state.energy_model,
-        ansatz=state.ansatz,
-        hamiltonian=ham,
-        chain=chain,
-        adam_theta=state.adam_theta,
-        adam_phi=state.adam_phi,
-        epoch=state.epoch,
-        best_validation_loss=state.best_validation_loss,
-        lr_current=state.lr_current,
-    )
     q = _batch_distribution(batch, 2**config.n_qubits)
-    _, _, weights = _objective(working, q, config)
+    _, _, weights = _loss(state.ansatz, ham, q, config)
     phi_grad = config.beta * _phi_gradient(
-        working.ansatz, ham, q, config.adjoint_convention
+        state.ansatz, ham, q, config.adjoint_convention
     )
     theta_grad = ebm.theta_gradient(
-        working.energy_model, ham, weights, config.beta, config.k_beta
+        state.energy_model, ham, weights, config.beta, config.k_beta
     )
-
-    new_angles = working.adam_phi.update(
-        {"angles": working.ansatz.angles},
-        {"angles": phi_grad},
-        working.lr_current,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
+    adam = (state.lr_current, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    new_angles = state.adam_phi.update(
+        {"angles": state.ansatz.angles}, {"angles": phi_grad}, *adam
     )["angles"]
-    new_theta = working.adam_theta.update(
-        _theta_params(working.energy_model),
-        {
-            "weights": theta_grad.weights,
-            "visible_bias": theta_grad.visible_bias,
-            "hidden_bias": theta_grad.hidden_bias,
-        },
-        working.lr_current,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
+    new_theta = state.adam_theta.update(
+        _theta_params(state.energy_model), vars(theta_grad), *adam
     )
 
     updated = {"angles": new_angles, **new_theta}
     blown = [name for name, values in updated.items() if not np.all(np.isfinite(values))]
     if blown:
         raise NumericError(f"update left non-finite {', '.join(blown)}")
-    working.energy_model = ebm.EnergyModel(
-        new_theta["weights"], new_theta["visible_bias"], new_theta["hidden_bias"]
-    )
+    model = ebm.EnergyModel(**new_theta)
     # Finite parameters can still overflow the free energies that the next
     # step's sampler and Hamiltonian are built from.
-    if not np.all(np.isfinite(ebm.free_energy_table(working.energy_model))):
+    if not np.all(np.isfinite(ebm.free_energies(model, np.arange(2**config.n_qubits)))):
         raise NumericError("updated model has non-finite free energies")
-    working.ansatz = working.ansatz.with_angles(new_angles)
-    return working
+    return dataclasses.replace(
+        state,
+        energy_model=model,
+        ansatz=state.ansatz.with_angles(new_angles),
+        hamiltonian=ham,
+        chain=chain,
+    )
 
 
 def _embed_events(
@@ -394,17 +354,6 @@ def _embed_events(
     return groups
 
 
-def _dataset_loss(
-    state: TrainState,
-    ham: ebm.ModularHamiltonian,
-    groups: Sequence[np.ndarray],
-    config: TrainConfig,
-) -> float:
-    q = _batch_distribution(groups, 2**config.n_qubits)
-    mean_exp, _ = _distribution_expectation(state.ansatz, ham, q, config.adjoint_convention)
-    return config.beta * mean_exp + config.k_beta * ham.log_partition
-
-
 def _validation_loss(
     state: TrainState,
     groups: Sequence[np.ndarray],
@@ -416,18 +365,15 @@ def _validation_loss(
     The validation chain forks from the training chain's position with
     its own derived RNG, so validating never perturbs training.
     """
-    fork = ebm.MarkovChainState(
-        state.chain.current,
-        state.chain.current_energy,
-        substream(config.seed, "validation", epoch),
-    )
+    fork = dataclasses.replace(state.chain, rng=substream(config.seed, "validation", epoch))
     samples, _ = ebm.metropolis_sample(
         state.energy_model, fork, config.mc_burn_in, config.n_mc_samples, config.proposal
     )
     ham = ebm.build_hamiltonian(
         state.energy_model, samples, config.duplicate_mode, config.partition_mode
     )
-    return _dataset_loss(state, ham, groups, config)
+    q = _batch_distribution(groups, 2**config.n_qubits)
+    return _loss(state.ansatz, ham, q, config)[0]
 
 
 def snapshot(state: TrainState) -> TrainState:
@@ -523,10 +469,10 @@ def model_density_matrix(state: TrainState, latent_mode: str = "thermal") -> Den
     if latent_mode == "thermal":
         latent = ebm.thermal_state(ham, n).diagonal()
     elif latent_mode == "maximally_mixed":
-        if not ham.support:
+        if ham.support.size == 0:
             raise ValueError("hamiltonian support is empty")
         latent = np.zeros(2**n)
-        latent[ham.basis_indices] = 1.0 / len(ham.support)
+        latent[ham.support] = 1.0 / ham.support.size
     else:
         raise ValueError(f"unknown latent_mode {latent_mode!r}")
     u = qsim.ansatz_unitary(state.ansatz)
@@ -539,8 +485,8 @@ def generate(
     n_events: int,
     rng: np.random.Generator,
     latent_mode: str = "thermal",
-) -> tuple[list[qsim.SpinConfig], DensityMatrix]:
-    """Sample configurations from the model and report its density matrix.
+) -> np.ndarray:
+    """Sample ``n_events`` basis indices (int64) from the model.
 
     Latent states are drawn from the Boltzmann distribution over the
     support (or uniformly over it), routed through the circuit, and the
@@ -549,23 +495,19 @@ def generate(
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
     ham = state.hamiltonian
-    if not ham.support:
+    if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    n = state.ansatz.n_qubits
     if latent_mode == "thermal":
         latent_probs = np.exp(-ham.energies - ham.log_partition)
         latent_probs = latent_probs / latent_probs.sum()
     elif latent_mode == "maximally_mixed":
-        latent_probs = np.full(len(ham.support), 1.0 / len(ham.support))
+        latent_probs = np.full(ham.support.size, 1.0 / ham.support.size)
     else:
         raise ValueError(f"unknown latent_mode {latent_mode!r}")
     u = qsim.ansatz_unitary(state.ansatz)
     # Column x of U**2 is the output distribution for latent state x.
-    out_cum = np.cumsum(u * u, axis=0).T[ham.basis_indices]
-    latent_draws = rng.choice(len(ham.support), size=n_events, p=latent_probs)
+    out_cum = np.cumsum(u * u, axis=0).T[ham.support]
+    latent_draws = rng.choice(ham.support.size, size=n_events, p=latent_probs)
     uniforms = rng.random(n_events)
-    configs: list[qsim.SpinConfig] = []
-    for draw, point in zip(latent_draws, uniforms):
-        out_index = int(np.searchsorted(out_cum[draw], point, side="right"))
-        configs.append(qsim.SpinConfig.from_index(min(out_index, 2**n - 1), n))
-    return configs, model_density_matrix(state, latent_mode)
+    out = [np.searchsorted(out_cum[d], p, side="right") for d, p in zip(latent_draws, uniforms)]
+    return np.minimum(np.array(out, dtype=np.int64), 2**state.ansatz.n_qubits - 1)

@@ -1,0 +1,60 @@
+"""Well-framed but corrupt checkpoints for the loader's error paths.
+
+Each fault rewrites a valid checkpoint with correct magic, version,
+lengths and payload framing, so only the contents are wrong.
+"""
+
+import json
+import struct
+
+import numpy as np
+
+from qhbm.io import CKPT_MAGIC, CKPT_VERSION
+
+
+def _drop_weights_payload(metadata, arrays):
+    metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != "weights"]
+    del arrays["weights"]
+
+
+def _drop_chain(metadata, arrays):
+    del metadata["chain"]
+
+
+def _support_index_out_of_range(metadata, arrays):
+    arrays["support_indices"][0] = 1e6
+
+
+def _config_out_of_range(metadata, arrays):
+    metadata["config"]["n_qubits"] = 20
+
+
+FAULTS = {
+    "config_n_qubits_20": _config_out_of_range,
+    "no_weights_payload": _drop_weights_payload,
+    "no_chain": _drop_chain,
+    "support_index_1e6": _support_index_out_of_range,
+}
+
+
+def write_corrupt_checkpoint(src, dst, fault: str | None) -> None:
+    """Copy the checkpoint at ``src`` to ``dst`` with ``FAULTS[fault]`` applied.
+
+    ``fault=None`` re-frames the contents unchanged.
+    """
+    raw = src.read_bytes()
+    head = len(CKPT_MAGIC)
+    (meta_len,) = struct.unpack_from("<Q", raw, head + 4)
+    offset = head + 12
+    metadata = json.loads(raw[offset : offset + meta_len])
+    offset += meta_len
+    arrays = {}
+    for entry in metadata["payloads"]:
+        n_items = int(np.prod(entry["shape"]))
+        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=n_items, offset=offset).copy()
+        offset += 8 * n_items
+    if fault is not None:
+        FAULTS[fault](metadata, arrays)
+    blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
+    payload = b"".join(arr.astype("<f8").tobytes() for arr in arrays.values())
+    dst.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + payload)

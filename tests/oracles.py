@@ -9,6 +9,7 @@ against ``staircase_unitary``), so that they isolate the adjoint sweep.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from qhbm import qsim
 
@@ -82,6 +83,39 @@ def free_energy_enumerated(weights, visible_bias, hidden_bias, v) -> float:
     log_terms = np.array(log_terms)
     shift = log_terms.max()
     return -float(shift + np.log(np.sum(np.exp(log_terms - shift))))
+
+
+def build_hamiltonian_reference(model, samples, duplicates="dedupe", partition="support"):
+    """``ebm.build_hamiltonian`` by a per-sample loop and hidden-state enumeration.
+
+    Returns (support indices in first-appearance order, energies, log Z).
+    """
+    n = model.n_visible
+    counts: dict[int, int] = {}
+    for s in samples:
+        counts[int(s)] = counts.get(int(s), 0) + 1
+    support = list(counts)
+    energies = []
+    for index in support:
+        v = [(index >> (n - 1 - k)) & 1 for k in range(n)]
+        energy = free_energy_enumerated(model.weights, model.visible_bias, model.hidden_bias, v)
+        energies.append(energy * counts[index] if duplicates == "multiplicity" else energy)
+    terms = [-e for e in energies]
+    if partition == "full":
+        terms += [0.0] * (2**n - len(support))
+    shift = max(terms)
+    log_z = shift + float(np.log(sum(np.exp(t - shift) for t in terms)))
+    return support, np.array(energies), log_z
+
+
+def conditional_hidden_prob(model, v) -> np.ndarray:
+    """p(h_j = 1 | v) = sigmoid((v W + b_hid)_j) for a 0/1 visible vector."""
+    return expit(np.asarray(v, dtype=np.float64) @ model.weights + model.hidden_bias)
+
+
+def conditional_visible_prob(model, h) -> np.ndarray:
+    """p(v_i = 1 | h) = sigmoid((h W^T + b_vis)_i) for a 0/1 hidden vector."""
+    return expit(np.asarray(h, dtype=np.float64) @ model.weights.T + model.visible_bias)
 
 
 def boltzmann_distribution(energies) -> np.ndarray:
@@ -160,6 +194,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def shifted(ansatz, k: int, delta: float):
+    """Copy of ``ansatz`` with angle ``k`` shifted by ``delta``."""
+    angles = ansatz.angles.copy()
+    angles[k] += delta
+    return ansatz.with_angles(angles)
+
+
 def parameter_shift_gradient(config, ansatz, ham, adjoint: bool = False) -> np.ndarray:
     """Exact gradient of ``qsim.circuit_expectation`` w.r.t. every angle.
 
@@ -167,12 +208,12 @@ def parameter_shift_gradient(config, ansatz, ham, adjoint: bool = False) -> np.n
     exact for RY rotations (Schuld et al., arXiv:1811.11184).
     """
     grad = np.zeros(ansatz.n_parameters)
-    if ham.basis_indices.size == 0:
+    if ham.support.size == 0:
         return grad
     half_pi = np.pi / 2.0
     for k in range(ansatz.n_parameters):
-        up = qsim.circuit_expectation(config, ansatz.shifted(k, +half_pi), ham, adjoint)
-        down = qsim.circuit_expectation(config, ansatz.shifted(k, -half_pi), ham, adjoint)
+        up = qsim.circuit_expectation(config, shifted(ansatz, k, +half_pi), ham, adjoint)
+        down = qsim.circuit_expectation(config, shifted(ansatz, k, -half_pi), ham, adjoint)
         grad[k] = 0.5 * (up - down)
     return grad
 
@@ -183,17 +224,17 @@ def distribution_expectation(ansatz, ham, q, adjoint: bool = False) -> float:
     if adjoint:
         u = u.T
     routed = np.abs(u) ** 2 @ q
-    return float(ham.energies @ routed[ham.basis_indices])
+    return float(ham.energies @ routed[ham.support])
 
 
 def batch_parameter_shift_gradient(ansatz, ham, q, adjoint: bool = False) -> np.ndarray:
     """Parameter-shift gradient of ``distribution_expectation`` over every angle."""
     grad = np.zeros(ansatz.n_parameters)
-    if ham.basis_indices.size == 0:
+    if ham.support.size == 0:
         return grad
     half_pi = np.pi / 2.0
     for k in range(ansatz.n_parameters):
-        up = distribution_expectation(ansatz.shifted(k, +half_pi), ham, q, adjoint)
-        down = distribution_expectation(ansatz.shifted(k, -half_pi), ham, q, adjoint)
+        up = distribution_expectation(shifted(ansatz, k, +half_pi), ham, q, adjoint)
+        down = distribution_expectation(shifted(ansatz, k, -half_pi), ham, q, adjoint)
         grad[k] = 0.5 * (up - down)
     return grad

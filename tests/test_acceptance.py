@@ -25,6 +25,7 @@ from oracles import (
     boltzmann_distribution,
     diagonal_hamiltonian_matrix,
     random_density_matrix,
+    shifted,
     staircase_unitary,
 )
 
@@ -93,9 +94,7 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             support_size = int(gen.integers(1, dim + 1))
             indices = np.sort(gen.choice(dim, size=support_size, replace=False))
             energies = gen.standard_normal(support_size)
-            ham = ebm.ModularHamiltonian.from_energies(
-                [qsim.SpinConfig.from_index(int(i), n) for i in indices], energies
-            )
+            ham = ebm.ModularHamiltonian.from_energies(n, indices, energies)
             k_dense = diagonal_hamiltonian_matrix(n, indices, energies)
             amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             amps /= np.linalg.norm(amps)
@@ -112,9 +111,7 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
                 )
 
             model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.3)
-            samples = [
-                qsim.SpinConfig.from_index(int(i), n) for i in gen.integers(0, dim, size=6)
-            ]
+            samples = gen.integers(0, dim, size=6)
             model_ham = ebm.build_hamiltonian(model, samples)
             batch = [gen.integers(0, dim, size=8) for _ in range(3)]
             q = np.zeros(dim)
@@ -122,7 +119,7 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
                 q += np.bincount(group, minlength=dim) / group.size
             q /= len(batch)
             sigma = np.diag(q).astype(complex)
-            k_model = diagonal_hamiltonian_matrix(n, model_ham.basis_indices, model_ham.energies)
+            k_model = diagonal_hamiltonian_matrix(n, model_ham.support, model_ham.energies)
             for adjoint in (False, True):
                 config = train.TrainConfig(
                     n_qubits=n, n_layers=n_layers, adjoint_convention=adjoint
@@ -161,10 +158,7 @@ def test_a2_gradients_match_finite_differences(capsys):
         n_angles = 2 * (n - 1) * n_layers
         ansatz = qsim.CircuitAnsatz(n, n_layers, gen.uniform(-np.pi, np.pi, n_angles))
         support_size = int(gen.integers(2, dim + 1))
-        support = [
-            qsim.SpinConfig.from_index(int(i), n)
-            for i in gen.choice(dim, size=support_size, replace=False)
-        ]
+        support = gen.choice(dim, size=support_size, replace=False)
         batch = [gen.integers(0, dim, size=12) for _ in range(2)]
 
         def loss_of(m, a):
@@ -182,8 +176,8 @@ def test_a2_gradients_match_finite_differences(capsys):
 
         phi_analytic = config.beta * train._phi_gradient(ansatz, base_ham, q, adjoint)
         for k in range(n_angles):
-            up, _, _ = loss_of(model, ansatz.shifted(k, +eps))
-            down, _, _ = loss_of(model, ansatz.shifted(k, -eps))
+            up, _, _ = loss_of(model, shifted(ansatz, k, +eps))
+            down, _, _ = loss_of(model, shifted(ansatz, k, -eps))
             fd = (up - down) / (2.0 * eps)
             worst = max(worst, abs(phi_analytic[k] - fd) / max(abs(fd), 1.0))
 
@@ -224,15 +218,15 @@ def test_a3_sampler_matches_boltzmann_weights(capsys):
         )
         chain = ebm.initial_chain(model, substream(seed, "chain"))
         samples, _ = ebm.metropolis_sample(model, chain, 100, 100_000)
-        counts = np.bincount([s.index for s in samples], minlength=2**n_visible)
-        probs = boltzmann_distribution(ebm.free_energy_table(model))
+        counts = np.bincount(samples, minlength=2**n_visible)
+        probs = boltzmann_distribution(ebm.free_energies(model, np.arange(2**n_visible)))
         _, pvalue = scipy.stats.chisquare(counts, probs * counts.sum())
         pvalues.append(float(pvalue))
     # Negative control: a sharply peaked model must fail a uniform fit.
     peaked = ebm.EnergyModel(np.array([[45.0], [45.0]]), np.zeros(2), np.array([-80.0]))
     chain = ebm.initial_chain(peaked, substream(6, "chain"))
     samples, _ = ebm.metropolis_sample(peaked, chain, 100, 100_000)
-    counts = np.bincount([s.index for s in samples], minlength=4)
+    counts = np.bincount(samples, minlength=4)
     _, p_control = scipy.stats.chisquare(counts)
     elapsed = time.monotonic() - t0
     ok = all(p > 0.01 for p in pvalues) and p_control < 1e-6 and elapsed < 60.0
@@ -372,10 +366,7 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     amps /= np.linalg.norm(amps)
     state = qsim.StateVector(n, amps)
     indices = gen.choice(dim, size=10, replace=False)
-    ham = ebm.ModularHamiltonian.from_energies(
-        [qsim.SpinConfig.from_index(int(i), n) for i in indices],
-        gen.standard_normal(10),
-    )
+    ham = ebm.ModularHamiltonian.from_energies(n, indices, gen.standard_normal(10))
     one_shot, actual_time = qsim.evolve_diagonal(state, ham, 500.0, 0.1)
     stepped = state
     for _ in range(5000):
@@ -511,7 +502,7 @@ def test_a10_fidelity_improves_with_embedding_samples(capsys):
             batch_size=1, max_epochs=1, seed=seed, adjoint_convention=True,
         )
         state = train.init_train_state(config)
-        draws = embed.bernoulli_embed(event, n_embed, substream(seed, "embedding", "sweep", 0))
+        draws = embed.bernoulli_index_samples(event, n_embed, substream(seed, "embedding", "sweep", 0))
         batch = [draws]
         for step in range(300):
             if step == 150:

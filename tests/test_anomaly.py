@@ -50,9 +50,7 @@ def sharp_event(bits):
 
 
 def ham_from(indices, energies, n):
-    return ebm.ModularHamiltonian.from_energies(
-        [qsim.SpinConfig.from_index(i, n) for i in indices], energies
-    )
+    return ebm.ModularHamiltonian.from_energies(n, indices, energies)
 
 
 class TestFidelitySeries:

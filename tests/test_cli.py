@@ -13,6 +13,8 @@ from qhbm.io import (
     read_images_csv,
 )
 
+from checkpoint_faults import FAULTS, write_corrupt_checkpoint
+
 
 def run(*argv):
     return main(list(argv))
@@ -337,6 +339,17 @@ class TestGenerate:
         for row in rows:
             assert len(row[1]) == 4
             assert int(row[1], 2) == int(row[2])
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_corrupt_checkpoint_exit_3(self, pipeline, tmp_path, capsys, fault):
+        bad = tmp_path / "bad.qhbm"
+        write_corrupt_checkpoint(pipeline["checkpoint"], bad, fault)
+        code = run(
+            "generate", "--checkpoint", str(bad),
+            "--n-events", "3", "--out", str(tmp_path / "generated.csv"),
+        )
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
 
 
 class TestAnomaly:

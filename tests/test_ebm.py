@@ -10,19 +10,22 @@ from qhbm.ebm import (
     EnergyModel,
     ModularHamiltonian,
     build_hamiltonian,
-    conditional_hidden_prob,
-    conditional_visible_prob,
-    free_energy,
-    free_energy_table,
+    free_energies,
     initial_chain,
     metropolis_sample,
     theta_gradient,
     thermal_state,
 )
-from qhbm.qsim import SpinConfig
+from qhbm.qsim import index_bits
 from qhbm.rng import substream
 
-from oracles import boltzmann_distribution, free_energy_enumerated
+from oracles import (
+    boltzmann_distribution,
+    build_hamiltonian_reference,
+    conditional_hidden_prob,
+    conditional_visible_prob,
+    free_energy_enumerated,
+)
 
 
 def zero_model(n_visible, n_hidden):
@@ -37,6 +40,10 @@ def random_model(n_visible, n_hidden, rng, scale=0.5):
         scale * rng.standard_normal(n_visible),
         scale * rng.standard_normal(n_hidden),
     )
+
+
+def free_energy(model, index):
+    return float(free_energies(model, [index])[0])
 
 
 class TestEnergyModel:
@@ -82,50 +89,50 @@ class TestFreeEnergy:
         # With all parameters zero every hidden unit contributes log 2.
         model = zero_model(3, 5)
         for idx in range(8):
-            v = SpinConfig.from_index(idx, 3)
-            assert free_energy(model, v) == pytest.approx(-5 * np.log(2), abs=1e-12)
+            assert free_energy(model, idx) == pytest.approx(-5 * np.log(2), abs=1e-12)
 
     def test_visible_bias_only(self):
         model = EnergyModel(np.zeros((2, 4)), np.array([1.0, 0.0]), np.zeros(4))
-        got = free_energy(model, SpinConfig((1, 0)))
+        got = free_energy(model, 0b10)
         assert got == pytest.approx(-1.0 - 4 * np.log(2), abs=1e-12)
 
     def test_matches_hidden_enumeration(self, rng):
         for _ in range(20):
-            nv = int(rng.integers(1, 5))
+            nv = int(rng.integers(1, 7))
             nh = int(rng.integers(1, 7))
             model = random_model(nv, nh, rng)
-            idx = int(rng.integers(0, 2**nv))
-            v = SpinConfig.from_index(idx, nv)
-            expected = free_energy_enumerated(
-                model.weights, model.visible_bias, model.hidden_bias, v.as_array()
-            )
-            assert free_energy(model, v) == pytest.approx(expected, abs=1e-10)
+            indices = rng.integers(0, 2**nv, size=int(rng.integers(1, 6)))
+            got = free_energies(model, indices)
+            assert got.shape == indices.shape
+            for idx, value in zip(indices, got):
+                expected = free_energy_enumerated(
+                    model.weights, model.visible_bias, model.hidden_bias, index_bits(idx, nv)
+                )
+                assert value == pytest.approx(expected, abs=1e-10)
 
     def test_table_matches_pointwise(self, rng):
         model = random_model(3, 4, rng)
-        table = free_energy_table(model)
+        table = free_energies(model, np.arange(8))
         assert table.shape == (8,)
         for idx in range(8):
-            assert table[idx] == pytest.approx(
-                free_energy(model, SpinConfig.from_index(idx, 3)), abs=1e-12
-            )
+            assert table[idx] == pytest.approx(free_energy(model, idx), abs=1e-12)
 
     def test_accepts_raw_arrays(self, rng):
         model = random_model(2, 3, rng)
-        cfg = SpinConfig((1, 0))
-        assert free_energy(model, cfg) == free_energy(model, np.array([1.0, 0.0]))
+        from_list = free_energies(model, [2, 1])
+        assert np.array_equal(from_list, free_energies(model, np.array([2, 1])))
+        assert free_energies(model, 2) == from_list[0]
 
 
 class TestConditionals:
     def test_zero_model_is_uniform(self):
         model = zero_model(2, 3)
-        assert np.allclose(conditional_hidden_prob(model, SpinConfig((0, 1))), 0.5)
+        assert np.allclose(conditional_hidden_prob(model, [0, 1]), 0.5)
         assert np.allclose(conditional_visible_prob(model, np.zeros(3)), 0.5)
 
     def test_strong_bias_saturates(self):
         model = EnergyModel(np.zeros((2, 2)), np.zeros(2), np.array([20.0, -20.0]))
-        p = conditional_hidden_prob(model, SpinConfig((0, 0)))
+        p = conditional_hidden_prob(model, [0, 0])
         assert p[0] > 1 - 1e-8
         assert p[1] < 1e-8
 
@@ -144,7 +151,7 @@ class TestConditionals:
 
     def test_shapes(self, rng):
         model = random_model(2, 5, rng)
-        assert conditional_hidden_prob(model, SpinConfig((1, 1))).shape == (5,)
+        assert conditional_hidden_prob(model, [1, 1]).shape == (5,)
         assert conditional_visible_prob(model, np.zeros(5)).shape == (2,)
 
 
@@ -152,14 +159,14 @@ class TestInitialChain:
     def test_default_start_all_ones(self):
         model = zero_model(3, 2)
         chain = initial_chain(model, np.random.default_rng(0))
-        assert chain.current == SpinConfig((1, 1, 1))
+        assert chain.current == 0b111
         assert chain.current_energy == pytest.approx(
             free_energy(model, chain.current), abs=1e-12
         )
 
     def test_custom_start(self, rng):
         model = random_model(2, 2, rng)
-        start = SpinConfig((0, 1))
+        start = 0b01
         chain = initial_chain(model, np.random.default_rng(0), start=start)
         assert chain.current == start
         assert chain.current_energy == pytest.approx(
@@ -169,7 +176,9 @@ class TestInitialChain:
     def test_start_width_mismatch(self, rng):
         model = random_model(2, 2, rng)
         with pytest.raises(ValueError):
-            initial_chain(model, np.random.default_rng(0), start=SpinConfig((1, 1, 1)))
+            initial_chain(model, np.random.default_rng(0), start=0b111)
+        with pytest.raises(ValueError):
+            initial_chain(model, np.random.default_rng(0), start=-1)
 
 
 class TestMetropolis:
@@ -177,7 +186,7 @@ class TestMetropolis:
         model = random_model(3, 4, rng)
         chain = initial_chain(model, np.random.default_rng(3))
         samples, new_chain = metropolis_sample(model, chain, burn_in=10, n_collect=57)
-        assert len(samples) == 57
+        assert samples.shape == (57,) and samples.dtype == np.int64
         assert new_chain.current == samples[-1]
         assert new_chain.current_energy == pytest.approx(
             free_energy(model, new_chain.current), abs=1e-10
@@ -187,7 +196,7 @@ class TestMetropolis:
         model = random_model(2, 2, rng)
         chain = initial_chain(model, np.random.default_rng(1))
         samples, _ = metropolis_sample(model, chain, burn_in=5, n_collect=0)
-        assert samples == []
+        assert samples.shape == (0,)
 
     def test_seeded_runs_identical(self, rng):
         model = random_model(3, 4, rng)
@@ -195,8 +204,8 @@ class TestMetropolis:
         for _ in range(2):
             chain = initial_chain(model, np.random.default_rng(42))
             samples, _ = metropolis_sample(model, chain, burn_in=50, n_collect=500)
-            runs.append([s.index for s in samples])
-        assert runs[0] == runs[1]
+            runs.append(samples)
+        assert np.array_equal(runs[0], runs[1])
 
     def test_flat_model_is_uniform(self):
         # Every move has delta = 0, so self-proposals and all others must
@@ -204,7 +213,7 @@ class TestMetropolis:
         model = zero_model(4, 3)
         chain = initial_chain(model, np.random.default_rng(8))
         samples, _ = metropolis_sample(model, chain, burn_in=100, n_collect=50_000)
-        counts = np.bincount([s.index for s in samples], minlength=16)
+        counts = np.bincount(samples, minlength=16)
         stat = chisquare(counts, np.full(16, 50_000 / 16))
         assert stat.pvalue > 0.01
 
@@ -215,7 +224,7 @@ class TestMetropolis:
         )
         chain = initial_chain(model, np.random.default_rng(6))
         samples, _ = metropolis_sample(model, chain, burn_in=100, n_collect=100_000)
-        freq = np.mean([s.index == 3 for s in samples])
+        freq = np.mean(samples == 3)
         expected = np.exp(10.0) / (np.exp(10.0) + 3.0)
         assert expected == pytest.approx(0.9998638187585689, abs=1e-15)
         assert abs(freq - expected) < 0.01
@@ -224,8 +233,8 @@ class TestMetropolis:
         model = EnergyModel.initialize(3, rng=substream(5, "init"), weight_scale=0.05)
         chain = initial_chain(model, substream(5, "chain"))
         samples, _ = metropolis_sample(model, chain, burn_in=100, n_collect=100_000)
-        counts = np.bincount([s.index for s in samples], minlength=8)
-        probs = boltzmann_distribution(free_energy_table(model))
+        counts = np.bincount(samples, minlength=8)
+        probs = boltzmann_distribution(free_energies(model, np.arange(2**model.n_visible)))
         stat = chisquare(counts, probs * 100_000)
         assert stat.pvalue > 0.01
 
@@ -235,8 +244,8 @@ class TestMetropolis:
         samples, _ = metropolis_sample(
             model, chain, burn_in=200, n_collect=50_000, proposal="single_flip"
         )
-        counts = np.bincount([s.index for s in samples], minlength=4)
-        probs = boltzmann_distribution(free_energy_table(model))
+        counts = np.bincount(samples, minlength=4)
+        probs = boltzmann_distribution(free_energies(model, np.arange(2**model.n_visible)))
         stat = chisquare(counts, probs * 50_000)
         assert stat.pvalue > 0.01
 
@@ -253,180 +262,186 @@ class TestMetropolis:
 
 class TestModularHamiltonian:
     def test_from_energies_fields(self):
-        configs = [SpinConfig((0, 0)), SpinConfig((1, 1))]
-        ham = ModularHamiltonian.from_energies(configs, [0.5, 1.5])
+        ham = ModularHamiltonian.from_energies(2, [0, 3], [0.5, 1.5])
         assert ham.n_qubits == 2
-        assert ham.support == tuple(configs)
-        assert np.array_equal(ham.basis_indices, [0, 3])
+        assert ham.support.dtype == np.int64
+        assert np.array_equal(ham.support, [0, 3])
         assert ham.log_partition == pytest.approx(
             logsumexp([-0.5, -1.5]), abs=1e-12
         )
 
     def test_two_states_at_zero_energy(self):
-        ham = ModularHamiltonian.from_energies(
-            [SpinConfig((0,)), SpinConfig((1,))], [0.0, 0.0]
-        )
+        ham = ModularHamiltonian.from_energies(1, [0, 1], [0.0, 0.0])
         assert ham.log_partition == pytest.approx(np.log(2), abs=1e-12)
 
     def test_empty_constructor(self):
         ham = ModularHamiltonian.empty(3)
-        assert ham.support == ()
+        assert ham.support.shape == (0,)
         assert ham.energies.size == 0
         assert ham.log_partition == -np.inf
 
     def test_energy_vector_dense_layout(self):
-        ham = ModularHamiltonian.from_energies(
-            [SpinConfig((0, 1)), SpinConfig((1, 0))], [2.0, -1.0]
-        )
+        ham = ModularHamiltonian.from_energies(2, [0b01, 0b10], [2.0, -1.0])
         assert np.array_equal(ham.energy_vector(), [0.0, 2.0, -1.0, 0.0])
 
     def test_full_partition_counts_absent_states(self):
         energies = [1.0, 2.0]
-        ham = ModularHamiltonian.from_energies(
-            [SpinConfig((0, 0)), SpinConfig((0, 1))], energies, partition="full"
-        )
+        ham = ModularHamiltonian.from_energies(2, [0, 1], energies, partition="full")
         expected = logsumexp([-1.0, -2.0, 0.0, 0.0])
         assert ham.log_partition == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies(
-                [SpinConfig((1, 0)), SpinConfig((1, 0))], [0.0, 1.0]
-            )
+            ModularHamiltonian.from_energies(2, [0b10, 0b10], [0.0, 1.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies([SpinConfig((0, 0))], [0.0, 1.0])
+            ModularHamiltonian.from_energies(2, [0], [0.0, 1.0])
 
     def test_rejects_nonfinite_energy(self):
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies([SpinConfig((0, 0))], [np.inf])
+            ModularHamiltonian.from_energies(2, [0], [np.inf])
 
     def test_rejects_mixed_widths(self):
+        # Index 4 addresses a 3-qubit state, outside a 2-qubit register.
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies(
-                [SpinConfig((0, 0)), SpinConfig((1,))], [0.0, 1.0]
-            )
+            ModularHamiltonian.from_energies(2, [0, 4], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            ModularHamiltonian.from_energies(2, [-1], [0.0])
+        with pytest.raises(ValueError):
+            ModularHamiltonian(11, [0], [0.0], 0.0)
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies([], [])
+            ModularHamiltonian.from_energies(2, [], [])
 
     def test_rejects_unknown_partition(self):
         with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies([SpinConfig((0,))], [0.0], partition="half")
+            ModularHamiltonian.from_energies(1, [0], [0.0], partition="half")
 
     @given(st.integers(0, 10_000))
     def test_log_partition_shift_covariance(self, shift_milli):
         # Adding a constant to every energy shifts log Z by exactly -c and
         # leaves the thermal state untouched.
         c = shift_milli / 1000.0
-        configs = [SpinConfig((0, 0)), SpinConfig((1, 0)), SpinConfig((1, 1))]
+        support = [0b00, 0b10, 0b11]
         base = np.array([0.3, -0.7, 1.1])
-        ham = ModularHamiltonian.from_energies(configs, base)
-        shifted = ModularHamiltonian.from_energies(configs, base + c)
+        ham = ModularHamiltonian.from_energies(2, support, base)
+        shifted = ModularHamiltonian.from_energies(2, support, base + c)
         assert shifted.log_partition == pytest.approx(ham.log_partition - c, abs=1e-10)
         rho_a = thermal_state(ham, 2).entries
         rho_b = thermal_state(shifted, 2).entries
         assert np.allclose(rho_a, rho_b, atol=1e-10)
 
     def test_log_partition_permutation_invariance(self, rng):
-        configs = [SpinConfig.from_index(i, 3) for i in range(8)]
         energies = rng.standard_normal(8)
         perm = rng.permutation(8)
-        a = ModularHamiltonian.from_energies(configs, energies)
-        b = ModularHamiltonian.from_energies(
-            [configs[i] for i in perm], energies[perm]
-        )
+        a = ModularHamiltonian.from_energies(3, np.arange(8), energies)
+        b = ModularHamiltonian.from_energies(3, perm, energies[perm])
         assert a.log_partition == pytest.approx(b.log_partition, abs=1e-12)
 
 
 class TestBuildHamiltonian:
     def test_repeated_single_sample(self, rng):
         model = random_model(2, 3, rng)
-        v = SpinConfig((1, 0))
+        v = 0b10
         ham = build_hamiltonian(model, [v, v, v])
-        assert ham.support == (v,)
+        assert np.array_equal(ham.support, [v])
         f = free_energy(model, v)
         assert ham.energies[0] == pytest.approx(f, abs=1e-12)
         assert ham.log_partition == pytest.approx(-f, abs=1e-12)
 
     def test_dedupe_keeps_first_appearance_order(self, rng):
         model = random_model(2, 2, rng)
-        a, b, c = SpinConfig((1, 1)), SpinConfig((0, 0)), SpinConfig((0, 1))
+        a, b, c = 0b11, 0b00, 0b01
         ham = build_hamiltonian(model, [a, b, a, c, b])
-        assert ham.support == (a, b, c)
+        assert np.array_equal(ham.support, [a, b, c])
 
     def test_energies_are_free_energies(self, rng):
         model = random_model(3, 4, rng)
-        samples = [SpinConfig.from_index(i, 3) for i in (5, 2, 7)]
-        ham = build_hamiltonian(model, samples)
+        ham = build_hamiltonian(model, [5, 2, 7])
         for cfg, e in zip(ham.support, ham.energies):
             assert e == pytest.approx(free_energy(model, cfg), abs=1e-12)
 
     def test_multiplicity_scales_energies(self, rng):
         model = random_model(2, 2, rng)
-        a, b = SpinConfig((1, 0)), SpinConfig((0, 1))
+        a, b = 0b10, 0b01
         ham = build_hamiltonian(model, [a, b, a], duplicates="multiplicity")
         assert ham.energies[0] == pytest.approx(2 * free_energy(model, a), abs=1e-12)
         assert ham.energies[1] == pytest.approx(free_energy(model, b), abs=1e-12)
 
     def test_full_enumeration_matches_brute_force(self, rng):
         model = random_model(3, 5, rng)
-        samples = [SpinConfig.from_index(i, 3) for i in range(8)]
-        ham = build_hamiltonian(model, samples)
-        brute = logsumexp(-free_energy_table(model))
+        ham = build_hamiltonian(model, np.arange(8))
+        brute = logsumexp(-free_energies(model, np.arange(8)))
         assert ham.log_partition == pytest.approx(brute, abs=1e-10)
 
     def test_zero_model_two_states(self):
         model = zero_model(2, 3)
-        ham = build_hamiltonian(model, [SpinConfig((0, 0)), SpinConfig((1, 1))])
+        ham = build_hamiltonian(model, [0b00, 0b11])
         assert ham.log_partition == pytest.approx(np.log(2) + 3 * np.log(2), abs=1e-12)
 
     def test_full_partition_mode(self, rng):
         model = random_model(2, 2, rng)
-        samples = [SpinConfig((0, 0)), SpinConfig((1, 1))]
-        ham = build_hamiltonian(model, samples, partition="full")
+        ham = build_hamiltonian(model, [0b00, 0b11], partition="full")
         expected = logsumexp(np.concatenate([-ham.energies, np.zeros(2)]))
         assert ham.log_partition == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dedupe", "multiplicity"]),
+        st.sampled_from(["support", "full"]),
+    )
+    def test_matches_per_sample_reference(self, nv, nh, seed, duplicates, partition):
+        rng = np.random.default_rng(seed)
+        model = random_model(nv, nh, rng)
+        samples = rng.integers(0, 2**nv, size=int(rng.integers(1, 40)), dtype=np.int64)
+        ham = build_hamiltonian(model, samples, duplicates, partition)
+        support, energies, log_z = build_hamiltonian_reference(
+            model, samples, duplicates, partition
+        )
+        assert ham.support.dtype == np.int64
+        assert ham.support.tolist() == support
+        assert np.allclose(ham.energies, energies, rtol=0.0, atol=1e-12)
+        assert ham.log_partition == pytest.approx(log_z, abs=1e-12)
 
     def test_rejects_bad_inputs(self, rng):
         model = random_model(2, 2, rng)
         with pytest.raises(ValueError):
             build_hamiltonian(model, [])
         with pytest.raises(ValueError):
-            build_hamiltonian(model, [SpinConfig((1, 0))], duplicates="sum")
+            build_hamiltonian(model, [0b10], duplicates="sum")
         with pytest.raises(ValueError):
-            build_hamiltonian(model, [SpinConfig((1, 0, 1))])
+            build_hamiltonian(model, [0b101])
+        with pytest.raises(ValueError):
+            build_hamiltonian(model, [-1])
 
 
 class TestThetaGradient:
     @staticmethod
     def _objective(model, support, weights, beta, k_beta):
         f = np.array([free_energy(model, c) for c in support])
-        w = np.array([weights.get(c, 0.0) for c in support])
-        return beta * float(w @ f) + k_beta * float(logsumexp(-f))
+        return beta * float(weights @ f) + k_beta * float(logsumexp(-f))
 
     def test_vanishes_at_boltzmann_weights(self, rng):
         model = random_model(3, 4, rng)
-        samples = [SpinConfig.from_index(i, 3) for i in (0, 3, 5, 6)]
-        ham = build_hamiltonian(model, samples)
-        w = softmax(-ham.energies)
-        weights = dict(zip(ham.support, w))
-        grad = theta_gradient(model, ham, weights)
+        ham = build_hamiltonian(model, [0, 3, 5, 6])
+        grad = theta_gradient(model, ham, softmax(-ham.energies))
         assert np.max(np.abs(grad.weights)) < 1e-12
         assert np.max(np.abs(grad.visible_bias)) < 1e-12
         assert np.max(np.abs(grad.hidden_bias)) < 1e-12
 
     def test_single_state_analytic(self, rng):
         model = random_model(2, 3, rng)
-        v = SpinConfig((1, 0))
+        v = 0b10
         ham = build_hamiltonian(model, [v])
         beta, k_beta, w = 1.7, 0.6, 0.8
-        grad = theta_gradient(model, ham, {v: w}, beta=beta, k_beta=k_beta)
+        grad = theta_gradient(model, ham, [w], beta=beta, k_beta=k_beta)
         coef = beta * w - k_beta
-        bits = v.as_array()
-        sig = conditional_hidden_prob(model, v)
+        bits = np.array([1.0, 0.0])
+        sig = conditional_hidden_prob(model, bits)
         assert np.allclose(grad.visible_bias, coef * (-bits), atol=1e-12)
         assert np.allclose(grad.hidden_bias, coef * (-sig), atol=1e-12)
         assert np.allclose(grad.weights, coef * (-np.outer(bits, sig)), atol=1e-12)
@@ -438,8 +453,8 @@ class TestThetaGradient:
             nh = int(rng.integers(1, 4))
             model = random_model(nv, nh, rng)
             idx = rng.choice(2**nv, size=min(3, 2**nv), replace=False)
-            support = [SpinConfig.from_index(int(i), nv) for i in idx]
-            weights = {c: float(rng.random()) for c in support}
+            support = [int(i) for i in idx]
+            weights = np.array([float(rng.random()) for _ in support])
             beta = float(rng.uniform(0.5, 2.0))
             k_beta = float(rng.uniform(0.5, 2.0))
             ham = build_hamiltonian(model, support)
@@ -477,19 +492,18 @@ class TestThetaGradient:
 
     def test_missing_weights_count_as_zero(self, rng):
         model = random_model(2, 2, rng)
-        a, b = SpinConfig((0, 0)), SpinConfig((1, 1))
-        ham = build_hamiltonian(model, [a, b])
-        sparse = theta_gradient(model, ham, {a: 0.4})
-        dense = theta_gradient(model, ham, {a: 0.4, b: 0.0})
-        assert np.array_equal(sparse.weights, dense.weights)
-        assert np.array_equal(sparse.visible_bias, dense.visible_bias)
-        assert np.array_equal(sparse.hidden_bias, dense.hidden_bias)
+        # A support state without data weight carries an explicit zero in
+        # the aligned weight array, wherever it sits in the support.
+        first = theta_gradient(model, build_hamiltonian(model, [0b00, 0b11]), [0.4, 0.0])
+        last = theta_gradient(model, build_hamiltonian(model, [0b11, 0b00]), [0.0, 0.4])
+        assert np.allclose(first.weights, last.weights, rtol=0.0, atol=1e-15)
+        assert np.allclose(first.visible_bias, last.visible_bias, rtol=0.0, atol=1e-15)
+        assert np.allclose(first.hidden_bias, last.hidden_bias, rtol=0.0, atol=1e-15)
 
     def test_linear_in_beta(self, rng):
         model = random_model(2, 3, rng)
-        support = [SpinConfig((0, 1)), SpinConfig((1, 0))]
-        ham = build_hamiltonian(model, support)
-        weights = {support[0]: 0.3, support[1]: 0.7}
+        ham = build_hamiltonian(model, [0b01, 0b10])
+        weights = [0.3, 0.7]
         g1 = theta_gradient(model, ham, weights, beta=1.0, k_beta=0.0)
         g2 = theta_gradient(model, ham, weights, beta=2.0, k_beta=0.0)
         assert np.allclose(g2.weights, 2 * g1.weights, atol=1e-12)
@@ -498,28 +512,27 @@ class TestThetaGradient:
     def test_rejects_empty_support(self, rng):
         model = random_model(2, 2, rng)
         with pytest.raises(ValueError):
-            theta_gradient(model, ModularHamiltonian.empty(2), {})
+            theta_gradient(model, ModularHamiltonian.empty(2), [])
+        with pytest.raises(ValueError):
+            theta_gradient(model, build_hamiltonian(model, [0, 1]), [0.5])
 
 
 class TestThermalState:
     def test_single_state_is_pure_projector(self):
-        ham = ModularHamiltonian.from_energies([SpinConfig((1, 0))], [3.2])
+        ham = ModularHamiltonian.from_energies(2, [0b10], [3.2])
         rho = thermal_state(ham, 2).entries
         expected = np.zeros((4, 4), dtype=complex)
         expected[2, 2] = 1.0
         assert np.allclose(rho, expected, atol=1e-12)
 
     def test_two_degenerate_states(self):
-        ham = ModularHamiltonian.from_energies(
-            [SpinConfig((0, 0)), SpinConfig((1, 1))], [1.0, 1.0]
-        )
+        ham = ModularHamiltonian.from_energies(2, [0b00, 0b11], [1.0, 1.0])
         rho = thermal_state(ham, 2).entries
         assert np.allclose(np.diag(rho), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_matches_boltzmann_distribution(self, rng):
-        configs = [SpinConfig.from_index(i, 3) for i in (1, 4, 6)]
         energies = rng.standard_normal(3)
-        ham = ModularHamiltonian.from_energies(configs, energies)
+        ham = ModularHamiltonian.from_energies(3, [1, 4, 6], energies)
         rho = thermal_state(ham, 3).entries
         probs = boltzmann_distribution(energies)
         diag = np.real(np.diag(rho))
@@ -530,9 +543,7 @@ class TestThermalState:
         assert np.allclose(rho, np.diag(np.diag(rho)), atol=0.0)
 
     def test_full_partition_fills_absent_states(self):
-        ham = ModularHamiltonian.from_energies(
-            [SpinConfig((0, 0)), SpinConfig((0, 1))], [1.0, 2.0], partition="full"
-        )
+        ham = ModularHamiltonian.from_energies(2, [0, 1], [1.0, 2.0], partition="full")
         rho = thermal_state(ham, 2).entries
         diag = np.real(np.diag(rho))
         z = np.exp(-1.0) + np.exp(-2.0) + 2.0
@@ -544,6 +555,6 @@ class TestThermalState:
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             thermal_state(ModularHamiltonian.empty(2), 2)
-        ham = ModularHamiltonian.from_energies([SpinConfig((0, 0))], [0.0])
+        ham = ModularHamiltonian.from_energies(2, [0], [0.0])
         with pytest.raises(ValueError):
             thermal_state(ham, 3)

@@ -9,7 +9,6 @@ from qhbm.embed import (
     DensityMatrix,
     PixelImage,
     PixelProbabilities,
-    bernoulli_embed,
     bernoulli_index_samples,
     crop_and_pool,
     dataset_mixed_state,
@@ -24,6 +23,7 @@ from qhbm.embed import (
 )
 from qhbm.errors import NumericError
 from qhbm.metrics import von_neumann_entropy
+from qhbm.qsim import SpinConfig, index_bits
 from qhbm.rng import substream
 
 
@@ -251,29 +251,31 @@ class TestBernoulliEmbed:
         rng = np.random.default_rng(0)
         low = PixelProbabilities(np.full(4, 1e-6))
         high = PixelProbabilities(np.full(4, 1.0 - 1e-6))
-        zeros = bernoulli_embed(low, 200, rng)
-        ones = bernoulli_embed(high, 200, rng)
-        assert all(s.index == 0 for s in zeros)
-        assert all(s.index == 15 for s in ones)
+        zeros = bernoulli_index_samples(low, 200, rng)
+        ones = bernoulli_index_samples(high, 200, rng)
+        assert zeros.dtype == np.int64 and np.all(zeros == 0)
+        assert np.all(ones == 15)
 
     def test_empirical_means(self):
         rng = np.random.default_rng(99)
         probs = PixelProbabilities(np.array([0.3, 0.7]))
-        draws = bernoulli_embed(probs, 100_000, rng)
-        bits = np.array([s.bits for s in draws], dtype=float)
+        draws = bernoulli_index_samples(probs, 100_000, rng)
+        bits = index_bits(draws, 2)
         assert np.allclose(bits.mean(axis=0), [0.3, 0.7], atol=0.01)
 
     def test_index_samples_match_config_draws(self):
         probs = PixelProbabilities(np.array([0.4, 0.6, 0.2]))
-        configs = bernoulli_embed(probs, 500, substream(3, "embedding"))
+        # Row k of the uniforms sets bit k of the big-endian index when below probs[k].
+        uniforms = substream(3, "embedding").random((500, 3))
+        configs = [SpinConfig(tuple(int(b) for b in row < probs.probs)) for row in uniforms]
         indices = bernoulli_index_samples(probs, 500, substream(3, "embedding"))
         assert [s.index for s in configs] == indices.tolist()
 
     def test_zero_samples_and_errors(self):
         probs = PixelProbabilities(np.array([0.5]))
-        assert bernoulli_embed(probs, 0, np.random.default_rng(0)) == []
+        assert bernoulli_index_samples(probs, 0, np.random.default_rng(0)).shape == (0,)
         with pytest.raises(ValueError):
-            bernoulli_embed(probs, -1, np.random.default_rng(0))
+            bernoulli_index_samples(probs, -1, np.random.default_rng(0))
 
 
 class TestDatasetMixedState:

@@ -25,6 +25,8 @@ from qhbm.io import (
 )
 from qhbm.train import TrainConfig, fit, init_train_state, train_step
 
+from checkpoint_faults import FAULTS, write_corrupt_checkpoint
+
 
 def sample_images():
     rng = np.random.default_rng(3)
@@ -211,7 +213,7 @@ class TestCheckpoint:
         )
         assert np.array_equal(loaded.ansatz.angles, state.ansatz.angles)
         assert np.array_equal(
-            loaded.hamiltonian.basis_indices, state.hamiltonian.basis_indices
+            loaded.hamiltonian.support, state.hamiltonian.support
         )
         assert np.array_equal(loaded.hamiltonian.energies, state.hamiltonian.energies)
         assert loaded.hamiltonian.log_partition == state.hamiltonian.log_partition
@@ -235,7 +237,7 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         a, _ = ebm.metropolis_sample(state.energy_model, state.chain, 0, 50)
         b, _ = ebm.metropolis_sample(loaded.energy_model, loaded.chain, 0, 50)
-        assert [c.index for c in a] == [c.index for c in b]
+        assert np.array_equal(a, b)
 
     def test_identical_saves_are_bit_identical(self, tmp_path):
         state, cfg, history = trained_state()
@@ -292,6 +294,25 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_fault_helper_keeps_framing_valid(self, tmp_path):
+        # Re-framing with a no-op edit must give a file that loads as before.
+        state, cfg, history = trained_state()
+        path = tmp_path / "model.qhbm"
+        save_checkpoint(path, state, cfg, history)
+        write_corrupt_checkpoint(path, tmp_path / "same.qhbm", None)
+        loaded, _, _ = load_checkpoint(tmp_path / "same.qhbm")
+        assert np.array_equal(loaded.hamiltonian.support, state.hamiltonian.support)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_rejects_corrupt_contents(self, tmp_path, fault):
+        state, cfg, history = trained_state()
+        path = tmp_path / "model.qhbm"
+        save_checkpoint(path, state, cfg, history)
+        bad = tmp_path / "bad.qhbm"
+        write_corrupt_checkpoint(path, bad, fault)
+        with pytest.raises(DataError, match=r"bad\.qhbm: corrupt checkpoint contents"):
+            load_checkpoint(bad)
 
     def test_rejects_corrupt_metadata(self, tmp_path):
         state, cfg, history = trained_state()

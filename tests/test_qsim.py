@@ -9,8 +9,9 @@ import oracles
 
 
 def make_ham(n_qubits, indices, energies):
-    configs = tuple(qsim.SpinConfig.from_index(i, n_qubits) for i in indices)
-    return ModularHamiltonian.from_energies(configs, np.asarray(energies, dtype=np.float64))
+    return ModularHamiltonian.from_energies(
+        n_qubits, indices, np.asarray(energies, dtype=np.float64)
+    )
 
 
 def random_ansatz(n_qubits, n_layers, rng, scale=1.0):
@@ -50,6 +51,21 @@ class TestSpinConfig:
             qsim.SpinConfig(tuple([0] * (qsim.MAX_QUBITS + 1)))
 
 
+class TestIndexBits:
+    @given(st.integers(min_value=1, max_value=10), st.data())
+    def test_matches_bitwise_loop(self, n_qubits, data):
+        indices = data.draw(
+            st.lists(st.integers(min_value=0, max_value=2**n_qubits - 1), max_size=6)
+        )
+        bits = qsim.index_bits(np.array(indices, dtype=np.int64), n_qubits)
+        assert bits.shape == (len(indices), n_qubits) and bits.dtype == np.float64
+        for index, row in zip(indices, bits):
+            assert row.tolist() == [(index >> (n_qubits - 1 - k)) & 1 for k in range(n_qubits)]
+
+    def test_scalar_index_gives_one_row(self):
+        np.testing.assert_array_equal(qsim.index_bits(5, 4), [0.0, 1.0, 0.0, 1.0])
+
+
 class TestCircuitAnsatz:
     def test_parameter_count(self):
         ansatz = qsim.CircuitAnsatz(4, 3, np.zeros(18))
@@ -68,7 +84,7 @@ class TestCircuitAnsatz:
 
     def test_shifted_touches_single_angle(self):
         ansatz = qsim.CircuitAnsatz(2, 2, np.zeros(4))
-        shifted = ansatz.shifted(2, 0.5)
+        shifted = oracles.shifted(ansatz, 2, 0.5)
         np.testing.assert_allclose(shifted.angles, [0.0, 0.0, 0.5, 0.0])
         np.testing.assert_allclose(ansatz.angles, 0.0)
 
@@ -225,8 +241,8 @@ class TestParameterShiftGradient:
             config = qsim.SpinConfig.from_index(int(rng.integers(dim)), n_qubits)
             grad = oracles.parameter_shift_gradient(config, ansatz, ham)
             for k in range(ansatz.n_parameters):
-                up = qsim.circuit_expectation(config, ansatz.shifted(k, step), ham)
-                down = qsim.circuit_expectation(config, ansatz.shifted(k, -step), ham)
+                up = qsim.circuit_expectation(config, oracles.shifted(ansatz, k, step), ham)
+                down = qsim.circuit_expectation(config, oracles.shifted(ansatz, k, -step), ham)
                 fd = (up - down) / (2 * step)
                 if abs(grad[k]) > 1e-8:
                     assert fd == pytest.approx(grad[k], rel=1e-6)
