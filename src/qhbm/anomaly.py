@@ -10,6 +10,7 @@ either the integrated high-frequency power of the fidelity series
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,16 +52,33 @@ class FidelitySeries:
         return self.dt * np.arange(self.values.size)
 
 
+def check_time_grid(total_time: float, dt: float) -> int:
+    """Number of ``dt`` steps spanning ``total_time``; both must be finite and positive."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(total_time) and total_time > 0.0):
+        raise ValueError(f"total_time must be finite and positive, got {total_time}")
+    n_steps = total_time / dt
+    if not math.isfinite(n_steps):
+        raise ValueError(f"total_time / dt overflows: total_time={total_time} dt={dt}")
+    n_steps = int(round(n_steps))
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got total_time={total_time} dt={dt}")
+    return n_steps
+
+
 def _routed_probabilities(
     state: TrainState,
     event: PixelProbabilities,
     n_draws: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Support probabilities of each embedded draw after the circuit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support probabilities of the distinct basis states the draws hit.
 
-    Returns (per-draw probabilities over the support, off-support mass
-    per draw).
+    The event is embedded ``n_draws`` times and each distinct basis state
+    x is kept once.  Returns (weights, probabilities, off-support mass):
+    the share of draws on each x, the (support, x) matrix of <z|U|x>**2,
+    and 1 minus its column sums.
     """
     if event.n_qubits != state.ansatz.n_qubits:
         raise ValueError(
@@ -69,11 +87,28 @@ def _routed_probabilities(
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     idx = bernoulli_index_samples(event, n_draws, rng)
+    counts = np.bincount(idx, minlength=2**event.n_qubits)
+    cols = np.flatnonzero(counts)
     u = qsim.ansatz_unitary(state.ansatz)
-    probs = u * u  # probs[z, x] = <z|U|x>**2
-    on_support = probs[state.hamiltonian.support][:, idx].T
-    off_mass = 1.0 - on_support.sum(axis=1)
-    return on_support, off_mass
+    probs = u[state.hamiltonian.support][:, cols] ** 2
+    off_mass = 1.0 - probs.sum(axis=0)
+    return counts[cols] / n_draws, probs, off_mass
+
+
+def _phase_grid(n_points: int, dt: float, energies: np.ndarray) -> np.ndarray:
+    """exp(i k dt E) for k = 0 .. n_points - 1, shape (n_points, S).
+
+    Each entry is the product coarse[b] * fine[j] with k = b m + j and
+    m = ceil(sqrt(n_points)), so only about 2 sqrt(n_points) S angles go
+    through the exponential.  The coarse angles are those of the direct
+    grid at k = b m and the fine ones are small, so the product is as
+    accurate as evaluating every angle directly.
+    """
+    m = math.isqrt(n_points - 1) + 1
+    n_blocks = -(-n_points // m)
+    fine = np.exp(1j * (dt * np.arange(m))[:, None] * energies)
+    coarse = np.exp(1j * (dt * np.arange(0, n_blocks * m, m))[:, None, None] * energies)
+    return (coarse * fine).reshape(n_blocks * m, energies.size)[:n_points]
 
 
 def time_evolution_series(
@@ -94,21 +129,30 @@ def time_evolution_series(
         off_support_mass + sum_z p_z exp(i k dt E_z)
 
     which matches step-by-step application of the propagator exactly.
-    The series starts at 1 and stays within [0, 1].
+    Draws that hit the same basis state share one series, so the mean
+    and standard deviation are weighted by draw counts over the distinct
+    states.  The series starts at 1 and stays within [0, 1].
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(total_time / dt))
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got total_time={total_time} dt={dt}")
-    on_support, off_mass = _routed_probabilities(state, event, n_draws, rng)
-    times = dt * np.arange(n_steps + 1)
-    phases = np.exp(1j * np.outer(times, state.hamiltonian.energies))
-    overlaps = off_mass[None, :] + phases @ on_support.T  # (time, draw)
-    per_draw = np.abs(overlaps) ** 2
-    values = per_draw.mean(axis=1)
-    std = per_draw.std(axis=1) if n_draws > 1 else None
+    n_steps = check_time_grid(total_time, dt)
+    weights, probs, off_mass = _routed_probabilities(state, event, n_draws, rng)
+    phases = _phase_grid(n_steps + 1, dt, state.hamiltonian.energies)
+    re = off_mass + phases.real @ probs  # (time, distinct state)
+    im = phases.imag @ probs
+    per_state = re * re + im * im
+    values = per_state @ weights
+    std = np.sqrt((per_state - values[:, None]) ** 2 @ weights) if n_draws > 1 else None
     return FidelitySeries(dt, values, std)
+
+
+def _check_f_min(f_min: float, nyquist: float) -> None:
+    if not 0.0 <= f_min <= nyquist:
+        raise ValueError(f"f_min must be within [0, {nyquist}], got {f_min}")
+
+
+def check_spectral_args(total_time: float, dt: float, f_min: float) -> None:
+    """Reject a time grid or frequency cut before any event is scored."""
+    n_points = check_time_grid(total_time, dt) + 1
+    _check_f_min(f_min, np.fft.rfftfreq(n_points, d=dt)[-1])
 
 
 def spectral_score(series: FidelitySeries, f_min: float) -> float:
@@ -119,9 +163,7 @@ def spectral_score(series: FidelitySeries, f_min: float) -> float:
     exceed the Nyquist frequency 1 / (2 dt).
     """
     spectrum = power_spectrum(series.values, series.dt)
-    nyquist = spectrum.frequencies[-1]
-    if f_min < 0.0 or f_min > nyquist:
-        raise ValueError(f"f_min must be within [0, {nyquist}], got {f_min}")
+    _check_f_min(f_min, spectrum.frequencies[-1])
     mask = spectrum.frequencies >= f_min
     return float(spectrum.power[mask].sum() * spectrum.resolution)
 
@@ -138,8 +180,8 @@ def expectation_score(
     n_draws: int = 1,
 ) -> float:
     """Mean <K> of the routed event at t = 0; empty support scores 0."""
-    on_support, _ = _routed_probabilities(state, event, n_draws, rng)
-    return float(on_support.mean(axis=0) @ state.hamiltonian.energies)
+    weights, probs, _ = _routed_probabilities(state, event, n_draws, rng)
+    return float((probs @ weights) @ state.hamiltonian.energies)
 
 
 def score_events(
@@ -235,14 +277,13 @@ def site_entropy_profile(
 
     minimal = ham.energies.min()
     ground_idx = ham.support[ham.energies <= minimal + tie_tol]
-    dim = 2**n_qubits
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    weight = 1.0 / ground_idx.size
-    for idx in ground_idx:
-        rho[idx, idx] = weight
+    # rho = Phi Phi^T / k over the k ground states, real because U is.
     if mode == "dressed":
-        u = qsim.ansatz_unitary(ansatz)
-        rho = u @ rho @ u.T
+        phi = qsim.ansatz_unitary(ansatz)[:, ground_idx]
+    else:
+        phi = np.zeros((2**n_qubits, ground_idx.size))
+        phi[ground_idx, np.arange(ground_idx.size)] = 1.0
+    rho = phi @ phi.T / ground_idx.size
 
     entropies = np.empty(n_qubits - 1)
     for pair in range(n_qubits - 1):

@@ -300,6 +300,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
     background = _load_probability_events(args.background)
     _check_event_width(signal, config.n_qubits, args.signal)
     _check_event_width(background, config.n_qubits, args.background)
+    anomaly.check_spectral_args(args.total_time, args.dt, args.f_min)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     run_meta = config.as_dict() | {

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import expit
 
 from qhbm import qsim
+from qhbm.embed import bernoulli_index_samples
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -238,3 +239,30 @@ def batch_parameter_shift_gradient(ansatz, ham, q, adjoint: bool = False) -> np.
         down = distribution_expectation(shifted(ansatz, k, -half_pi), ham, q, adjoint)
         grad[k] = 0.5 * (up - down)
     return grad
+
+
+def _per_draw_probabilities(state, event, n_draws, rng):
+    """(draw, support) routed probabilities and off-support mass, one row per draw."""
+    idx = bernoulli_index_samples(event, n_draws, rng)
+    u = qsim.ansatz_unitary(state.ansatz)
+    on_support = (u * u)[state.hamiltonian.support][:, idx].T
+    return on_support, 1.0 - on_support.sum(axis=1)
+
+
+def time_evolution_series_per_draw(state, event, total_time, dt, rng, n_draws=1):
+    """``anomaly.time_evolution_series`` with one complex overlap column per draw.
+
+    Returns (values, std or None).  Phases come from the direct grid
+    exp(i t E) and every draw is routed and averaged separately.
+    """
+    on_support, off_mass = _per_draw_probabilities(state, event, n_draws, rng)
+    times = dt * np.arange(int(round(total_time / dt)) + 1)
+    phases = np.exp(1j * np.outer(times, state.hamiltonian.energies))
+    per_draw = np.abs(off_mass[None, :] + phases @ on_support.T) ** 2
+    return per_draw.mean(axis=1), per_draw.std(axis=1) if n_draws > 1 else None
+
+
+def expectation_score_per_draw(state, event, rng, n_draws=1) -> float:
+    """``anomaly.expectation_score`` as a mean over every draw's routed energy."""
+    on_support, _ = _per_draw_probabilities(state, event, n_draws, rng)
+    return float(on_support.mean(axis=0) @ state.hamiltonian.energies)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qhbm import ebm, qsim
 from qhbm.anomaly import (
     SCENARIOS,
     FidelitySeries,
+    _phase_grid,
     _two_site_reduced,
+    check_spectral_args,
     discrimination_report,
     expectation_score,
     score_events,
@@ -21,7 +24,12 @@ from qhbm.metrics import RocCurve
 from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState
 
-from oracles import pair_reduced_matrix, staircase_unitary
+from oracles import (
+    expectation_score_per_draw,
+    pair_reduced_matrix,
+    staircase_unitary,
+    time_evolution_series_per_draw,
+)
 
 
 def make_state(ansatz, ham, rng_seed=0):
@@ -146,6 +154,86 @@ class TestTimeEvolutionSeries:
                 state, event, 10.0, 0.1, np.random.default_rng(0), n_draws=0
             )
 
+    @pytest.mark.parametrize(
+        "total_time, dt, name",
+        [
+            (np.inf, 0.1, "total_time"),
+            (-np.inf, 0.1, "total_time"),
+            (np.nan, 0.1, "total_time"),
+            (-1.0, 0.1, "total_time"),
+            (10.0, np.nan, "dt"),
+            (10.0, np.inf, "dt"),
+            (1e300, 1e-300, "total_time / dt"),
+        ],
+    )
+    def test_rejects_non_finite_grid(self, total_time, dt, name):
+        state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            time_evolution_series(state, sharp_event((0, 0)), total_time, dt, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestPhaseGrid:
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 4, 5, 16, 17, 2001, 3000])
+    def test_matches_direct_exponential(self, rng, n_points):
+        dt = 0.1
+        energies = rng.uniform(-50.0, 50.0, size=7)
+        grid = _phase_grid(n_points, dt, energies)
+        angles = np.outer(dt * np.arange(n_points), energies)
+        direct = np.exp(1j * angles)
+        assert grid.shape == (n_points, energies.size)
+        assert np.all(np.abs(grid - direct) <= 8 * np.finfo(float).eps * (1.0 + np.abs(angles)))
+
+
+def random_scoring_state(n, support_size, e_max, seed):
+    gen = np.random.default_rng(seed)
+    angles = gen.uniform(-np.pi, np.pi, size=2 * 2 * (n - 1))
+    support = gen.choice(2**n, size=support_size, replace=False)
+    energies = gen.uniform(-e_max, e_max, size=support_size)
+    ham = ham_from(support, energies, n) if support_size else ebm.ModularHamiltonian.empty(n)
+    state = make_state(qsim.CircuitAnsatz(n, 2, angles), ham)
+    return state, PixelProbabilities(gen.uniform(0.05, 0.95, size=n))
+
+
+class TestMatchesPerDrawOracle:
+    """Distinct-state scoring against one routed column per draw."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 300),
+        st.sampled_from([2, 3, 16, 17, 101, 2001, 2025, 2026, 3000]),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_series_and_t_zero(self, n, n_draws, n_points, e_max, seed, data):
+        support_size = data.draw(st.integers(0, 2**n))
+        state, event = random_scoring_state(n, support_size, e_max, seed)
+        # |t E| stays below 1000, where both phase grids agree to ~1e-13.
+        dt = min(0.1, 1000.0 / ((n_points - 1) * max(e_max, 1.0)))
+        total_time = (n_points - 1) * dt
+
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        series = time_evolution_series(state, event, total_time, dt, fast_rng, n_draws)
+        values, std = time_evolution_series_per_draw(
+            state, event, total_time, dt, slow_rng, n_draws
+        )
+        assert series.values.size == n_points
+        # Values and std lie in [0, 1]; atol covers entries near zero.
+        np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+        if n_draws == 1:
+            assert series.std is None and std is None
+        else:
+            np.testing.assert_allclose(series.std, std, rtol=1e-12, atol=1e-12)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+        got = expectation_score(state, event, fast_rng, n_draws)
+        expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
 
 class TestSpectralScore:
     @staticmethod
@@ -193,6 +281,16 @@ class TestSpectralScore:
             spectral_score(series, -0.1)
         with pytest.raises(ValueError):
             spectral_score(series, 5.0 + 0.1)
+        for f_min in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="f_min"):
+                spectral_score(series, f_min)
+
+    def test_check_spectral_args(self):
+        # 201 points at dt = 0.1 reach the bin 100 / 20.1 = 4.975...
+        check_spectral_args(20.0, 0.1, 4.97)
+        for args in ((20.0, 0.1, 4.98), (20.0, 0.1, np.nan), (np.inf, 0.1, 0.2), (20.0, np.nan, 0.2)):
+            with pytest.raises(ValueError):
+                check_spectral_args(*args)
 
 
 class TestExpectationScore:
@@ -337,6 +435,28 @@ class TestSiteEntropyProfile:
             vals = vals[vals > 1e-12]
             expected = -np.sum(vals * np.log(vals))
             assert profile[pair] == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("mode", ["dressed", "diagonal"])
+    def test_matches_dense_rotated_diagonal(self, rng, mode):
+        for n in (2, 3, 5):
+            angles = rng.uniform(-np.pi, np.pi, size=4 * (n - 1))
+            ansatz = qsim.CircuitAnsatz(n, 2, angles)
+            support = rng.choice(2**n, size=min(2**n, 5), replace=False)
+            energies = np.where(np.arange(support.size) < 3, 0.0, 1.0)
+            profile = site_entropy_profile(
+                ham_from(support, energies, n), n, ansatz=ansatz, mode=mode
+            )
+
+            diag = np.zeros(2**n)
+            diag[support[energies == 0.0]] = 1.0 / np.sum(energies == 0.0)
+            u = staircase_unitary(n, 2, angles) if mode == "dressed" else np.eye(2**n)
+            rho = u @ np.diag(diag) @ u.T
+            for pair in range(n - 1):
+                reduced = pair_reduced_matrix(rho, pair, pair + 1, n)
+                vals = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
+                vals = vals[vals > 1e-12]
+                expected = -np.sum(vals * np.log(vals))
+                assert profile[pair] == pytest.approx(expected, abs=1e-12)
 
     def test_tie_tolerance_selects_ground_set(self):
         ham = ham_from([0, 3, 2], [0.0, 5e-10, 1.0], 2)

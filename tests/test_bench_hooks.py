@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qhbm import ebm
+from qhbm import anomaly, ebm, qsim, train
+from qhbm.embed import PixelProbabilities
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -59,3 +61,48 @@ def test_sampler_and_hamiltonian_counters_read_real_calls():
     build = counters["ebm.build_hamiltonian"]
     assert build["collected"](args, ham) == 40
     assert build["support"](args, ham) == len(ham.support) == len(np.unique(sampled[0]))
+
+
+# Hooked functions that score_events calls once per event, by mode.
+PER_EVENT_HOOKS = {
+    "t_zero": ("anomaly.expectation_score", "embed.bernoulli_index_samples", "qsim.ansatz_unitary"),
+    "spectral": ("anomaly.time_evolution_series", "embed.bernoulli_index_samples", "qsim.ansatz_unitary"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PER_EVENT_HOOKS))
+def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
+    """The traced per-event counts need one call per event of each hooked function."""
+    hooks = load_tracing().HOOKS
+    targets = {
+        "anomaly.expectation_score": (anomaly, "expectation_score"),
+        "anomaly.time_evolution_series": (anomaly, "time_evolution_series"),
+        "embed.bernoulli_index_samples": (anomaly, "bernoulli_index_samples"),
+        "qsim.ansatz_unitary": (qsim, "ansatz_unitary"),
+    }
+    calls = dict.fromkeys(targets, 0)
+    for key, (module, attr) in targets.items():
+        assert (module.__name__.removeprefix("qhbm."), attr) in hooks[key]
+
+        def counted(*args, _key=key, _fn=getattr(module, attr), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    model = ebm.EnergyModel.initialize(3, rng=np.random.default_rng(0))
+    state = train.TrainState(
+        energy_model=model,
+        ansatz=qsim.CircuitAnsatz(3, 1, np.full(4, 0.3)),
+        hamiltonian=ebm.ModularHamiltonian.from_energies(3, [0, 5, 6], [0.1, 0.7, 1.3]),
+        chain=ebm.initial_chain(model, np.random.default_rng(1)),
+        adam_theta=train.AdamState.zeros_like({"w": model.weights}),
+        adam_phi=train.AdamState.zeros_like({"angles": np.zeros(4)}),
+    )
+    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(3)]
+    anomaly.score_events(
+        state, events, mode, np.random.default_rng(2),
+        f_min=0.5, total_time=5.0, dt=0.1, n_draws=4,
+    )
+    for key, count in calls.items():
+        assert count == (len(events) if key in PER_EVENT_HOOKS[mode] else 0), key

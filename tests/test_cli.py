@@ -385,6 +385,24 @@ class TestAnomaly:
         _, series_rows = read_csv_skip_provenance(outdir / "series_signal.csv")
         assert len(series_rows) == 201
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--total-time", "inf"), ("--total-time", "nan"), ("--dt", "nan"), ("--f-min", "nan")],
+    )
+    def test_non_finite_grid_exits_2_before_scoring(self, pipeline, tmp_path, capsys, flag, value):
+        outdir = tmp_path / "anomaly"
+        args = {"--total-time": "20", "--dt": "0.1", "--f-min": "0.2"} | {flag: value}
+        code = run(
+            "anomaly", "--checkpoint", str(pipeline["checkpoint"]),
+            "--signal", str(pipeline["signal"]),
+            "--background", str(pipeline["valid"]),
+            "--outdir", str(outdir), "--n-draws", "2",
+            *(item for pair in args.items() for item in pair),
+        )
+        assert code == 2
+        assert "invalid parameter" in capsys.readouterr().err
+        assert not (outdir / "scores_t_zero.csv").exists()
+
 
 class TestSiteEntropy:
     @pytest.mark.parametrize("mode", ["dressed", "diagonal"])
