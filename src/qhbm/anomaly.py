@@ -28,13 +28,11 @@ SCENARIOS = {
         "n_qubits": 6,
         "n_mc_samples": 500,
         "n_embed_samples": 5000,
-        "embed_mode": "presampled",
     },
     "eight_qubit": {
         "n_qubits": 8,
         "n_mc_samples": 1000,
         "n_embed_samples": 5000,
-        "embed_mode": "presampled",
     },
 }
 

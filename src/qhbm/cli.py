@@ -153,6 +153,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.resume:
+        ignored = [k for k in ("config", "scenario") if getattr(args, k)] + [
+            k for k in sorted(TRAIN_KEYS - {"max_epochs"}) if getattr(args, k, None) is not None
+        ]
+        if ignored:
+            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+            raise ConfigError(f"--resume takes its settings from the checkpoint; it ignores {flags}")
     resolved = _resolve_train_config(args)
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
@@ -225,10 +232,8 @@ def _metric_snapshot(
     events: list[embed.PixelProbabilities],
 ) -> dict:
     """Model-vs-data measures on one event set (exact data mixed state)."""
-    rho = train.model_density_matrix(state, config.latent_mode)
-    generated = train.generate(
-        state, 2000, substream(config.seed, "generation"), config.latent_mode
-    )
+    rho = train.model_density_matrix(state)
+    generated = train.generate(state, 2000, substream(config.seed, "generation"))
     return _model_vs_data(rho, generated, events) | {
         "model_entropy": metrics.von_neumann_entropy(rho),
         "n_events": len(events),
@@ -236,19 +241,23 @@ def _metric_snapshot(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    sizes = (("--batch-size", args.batch_size), ("--generation-samples", args.generation_samples))
+    for flag, value in sizes:
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     state, config, _ = io.load_checkpoint(args.checkpoint)
     events = _load_probability_events(args.test)
     _check_event_width(events, config.n_qubits, args.test)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rho = train.model_density_matrix(state, config.latent_mode)
+    rho = train.model_density_matrix(state)
     gen_rng = substream(args.seed, "generation")
     rows = []
     per_metric: dict[str, list[float]] = {}
     for start in range(0, len(events), args.batch_size):
         batch = events[start : start + args.batch_size]
-        generated = train.generate(state, args.generation_samples, gen_rng, config.latent_mode)
+        generated = train.generate(state, args.generation_samples, gen_rng)
         values = _model_vs_data(rho, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
         for k, v in values.items():
@@ -281,7 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     rng = substream(args.seed, "generation")
-    indices = train.generate(state, args.n_events, rng, config.latent_mode)
+    indices = train.generate(state, args.n_events, rng)
     bits = qsim.index_bits(indices, config.n_qubits).astype(np.int64)
     rows = (
         [i, "".join(map(str, row)), index]
@@ -451,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("lr_halve_patience", int), ("early_stop_patience", int), ("seed", int),
     ):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
-    p.add_argument("--embed-mode", dest="embed_mode", choices=("presampled", "per_epoch"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="batch metrics of a checkpoint on a test set")

@@ -111,22 +111,18 @@ def metropolis_sample(
     chain: MarkovChainState,
     burn_in: int,
     n_collect: int,
-    proposal: str = "uniform",
 ) -> tuple[np.ndarray, MarkovChainState]:
     """Run the chain and record one basis index per post-burn-in step.
 
-    Proposals are fresh configurations drawn uniformly over all 2**n
-    states ("uniform", default) or single uniformly chosen bit flips
-    ("single_flip"); both are symmetric, so a move from v to v' is
-    accepted with probability min(exp(F(v) - F(v')), 1).  Proposing the
-    current state is possible and always accepted.  Exactly ``n_collect``
+    Candidates are fresh configurations drawn uniformly over all 2**n
+    states.  The draw is symmetric, so a move from v to v' is accepted
+    with probability min(exp(F(v) - F(v')), 1).  Drawing the current
+    state is possible and always accepted.  Exactly ``n_collect``
     int64 indices are returned, duplicates included, and the returned
     chain state continues from the final accepted state.
     """
     if burn_in < 0 or n_collect < 0:
         raise ValueError("burn_in and n_collect must be non-negative")
-    if proposal not in ("uniform", "single_flip"):
-        raise ValueError(f"unknown proposal kind {proposal!r}")
     n = model.n_visible
     table = free_energies(model, np.arange(2**n))
     rng = chain.rng
@@ -134,19 +130,12 @@ def metropolis_sample(
     current = int(chain.current)
     current_energy = table[current]
 
-    if proposal == "uniform":
-        proposals = rng.integers(0, 2**n, size=steps)
-    else:
-        flips = rng.integers(0, n, size=steps)
-        proposals = None
+    candidates = rng.integers(0, 2**n, size=steps)
     uniforms = rng.random(steps)
 
     collected = np.empty(n_collect, dtype=np.int64)
     for i in range(steps):
-        if proposals is not None:
-            cand = int(proposals[i])
-        else:
-            cand = current ^ (1 << (n - 1 - int(flips[i])))
+        cand = int(candidates[i])
         delta = current_energy - table[cand]
         if delta >= 0.0 or uniforms[i] < np.exp(delta):
             current = cand
@@ -162,10 +151,8 @@ class ModularHamiltonian:
     """Diagonal operator K = sum_z E(z) |z><z| over a sampled support.
 
     ``support`` holds distinct int64 basis indices and ``energies`` the
-    aligned E(z).  ``log_partition`` is log sum_z exp(-E(z)).  With the
-    default support-only convention the sum runs over the stored
-    support; ``build_hamiltonian`` can instead include every absent
-    basis state at energy zero ("full" partition mode).
+    aligned E(z).  ``log_partition`` is log sum_z exp(-E(z)) over the
+    stored support.
     """
 
     n_qubits: int
@@ -199,14 +186,12 @@ class ModularHamiltonian:
         n_qubits: int,
         support: Sequence[int] | np.ndarray,
         energies: Sequence[float],
-        partition: str = "support",
     ) -> "ModularHamiltonian":
         """Build directly from basis indices and their energies, computing log Z."""
         if len(support) == 0:
             raise ValueError("need at least one support state")
         energies = np.asarray(energies, dtype=np.float64)
-        log_z = _log_partition(energies, n_qubits, partition)
-        return cls(n_qubits, support, energies, log_z)
+        return cls(n_qubits, support, energies, float(logsumexp(-energies)))
 
     def energy_vector(self) -> np.ndarray:
         """Dense length-2**n energy diagonal (zero off support)."""
@@ -215,44 +200,23 @@ class ModularHamiltonian:
         return vec
 
 
-def _log_partition(energies: np.ndarray, n_qubits: int, partition: str) -> float:
-    if partition == "support":
-        return float(logsumexp(-energies))
-    if partition == "full":
-        # Absent basis states sit at energy zero, each contributing exp(0).
-        n_absent = 2**n_qubits - energies.size
-        terms = np.concatenate([-energies, np.zeros(n_absent)])
-        return float(logsumexp(terms))
-    raise ValueError(f"unknown partition mode {partition!r}")
-
-
 def build_hamiltonian(
     model: EnergyModel,
     samples: Sequence[int] | np.ndarray,
-    duplicates: str = "dedupe",
-    partition: str = "support",
 ) -> ModularHamiltonian:
     """Modular Hamiltonian from Monte Carlo samples (basis indices) of ``model``.
 
-    The support keeps unique indices in first-appearance order.  With
-    ``duplicates="dedupe"`` (default) each state enters at its free
-    energy once; ``duplicates="multiplicity"`` scales each energy by the
-    state's sample count instead.
+    The support keeps unique indices in first-appearance order, and each
+    state enters once at its free energy, however often it was sampled.
     """
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    if duplicates not in ("dedupe", "multiplicity"):
-        raise ValueError(f"unknown duplicate mode {duplicates!r}")
     _check_indices(samples, model.n_visible, "sample")
-    unique, first, counts = np.unique(samples, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    support = unique[order]
+    unique, first = np.unique(samples, return_index=True)
+    support = unique[np.argsort(first)]
     energies = free_energies(model, support)
-    if duplicates == "multiplicity":
-        energies = energies * counts[order].astype(np.float64)
-    log_z = _log_partition(energies, model.n_visible, partition)
-    return ModularHamiltonian(model.n_visible, support, energies, log_z)
+    return ModularHamiltonian(model.n_visible, support, energies, float(logsumexp(-energies)))
 
 
 @dataclass
@@ -296,12 +260,7 @@ def theta_gradient(
 
 
 def thermal_state(ham: ModularHamiltonian, n_qubits: int) -> DensityMatrix:
-    """Diagonal density matrix exp(-K) / Z over the support.
-
-    If ``ham`` carries a full-trace partition (log Z larger than the
-    support-only sum), absent basis states enter at energy zero so the
-    trace stays one under either convention.
-    """
+    """Diagonal density matrix exp(-K) / Z over the support."""
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
     if n_qubits != ham.n_qubits:
@@ -310,8 +269,4 @@ def thermal_state(ham: ModularHamiltonian, n_qubits: int) -> DensityMatrix:
         )
     diag = np.zeros(2**n_qubits)
     diag[ham.support] = np.exp(-ham.energies - ham.log_partition)
-    support_log_z = float(logsumexp(-ham.energies))
-    if ham.log_partition - support_log_z > 1e-12:
-        absent = np.setdiff1d(np.arange(2**n_qubits), ham.support)
-        diag[absent] = np.exp(-ham.log_partition)
     return DensityMatrix(np.diag(diag.astype(np.complex128)))

@@ -80,6 +80,17 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _read_image(path: Path, index: int, pixels, shape, label, weight) -> PixelImage:
+    """One stored image; malformed pixels, labels or weights are a DataError."""
+    try:
+        weight = float(weight)
+        if not np.isfinite(weight):
+            raise ValueError(f"weight must be finite, got {weight}")
+        return PixelImage(np.asarray(pixels, dtype=np.float64).reshape(shape), label, weight)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: image {index}: {exc}") from exc
+
+
 def write_image_container(
     path: str | Path,
     images: Sequence[PixelImage],
@@ -130,27 +141,22 @@ def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
             f"{path} truncated: expected {expected} bytes, found {len(raw)}"
         )
     sidecar_file = _sidecar_path(path)
-    if sidecar_file.exists():
-        sidecar = json.loads(sidecar_file.read_text())
-    else:
-        sidecar = {"labels": ["unlabelled"] * count, "weights": [1.0] * count, "meta": {}}
-    labels = sidecar.get("labels", ["unlabelled"] * count)
-    weights = sidecar.get("weights", [1.0] * count)
+    try:
+        sidecar = json.loads(sidecar_file.read_text()) if sidecar_file.exists() else {}
+        labels = list(sidecar.get("labels", ["unlabelled"] * count))
+        weights = list(sidecar.get("weights", [1.0] * count))
+        meta = dict(sidecar.get("meta", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
     if len(labels) != count or len(weights) != count:
         raise DataError(f"{sidecar_file} does not match the container image count")
-    images = []
-    for i in range(count):
-        pixels = np.frombuffer(
-            raw, dtype="<f4", count=width * height, offset=offset + i * width * height * 4
-        )
-        images.append(
-            PixelImage(
-                pixels.reshape(height, width).astype(np.float64),
-                labels[i],
-                float(weights[i]),
-            )
-        )
-    return images, sidecar.get("meta", {})
+    size = width * height
+    pixels = np.frombuffer(raw, dtype="<f4", count=count * size, offset=offset)
+    images = [
+        _read_image(path, i, pixels[i * size : (i + 1) * size], (height, width), labels[i], weights[i])
+        for i in range(count)
+    ]
+    return images, meta
 
 
 def write_images_csv(path: str | Path, images: Sequence[PixelImage], config: dict | None = None) -> None:
@@ -181,11 +187,10 @@ def read_images_csv(path: str | Path) -> list[PixelImage]:
     if height * width != len(header) - 2:
         raise DataError(f"{path}: header names a {height}x{width} grid but has {len(header) - 2} pixel columns")
     images = []
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row length {len(row)} does not match header")
-        pixels = np.array([float(x) for x in row[:-2]]).reshape(height, width)
-        images.append(PixelImage(pixels, row[-2], float(row[-1])))
+        images.append(_read_image(path, i, row[:-2], (height, width), row[-2], row[-1]))
     return images
 
 
@@ -288,7 +293,18 @@ def _rebuild_state(
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    config = train.TrainConfig(**metadata["config"]).validate()
+    stored = dict(metadata["config"])
+    # Older checkpoints store the retired protocol modes.  Only the values
+    # that are now built in describe a model this build can represent.
+    retired = {"embed_mode": "presampled", "proposal": "uniform", "duplicate_mode": "dedupe",
+               "partition_mode": "support", "latent_mode": "thermal"}
+    for key, built_in in retired.items():
+        value = stored.pop(key, built_in)
+        if value != built_in:
+            raise DataError(
+                f"{path}: stored config has {key}={value!r}; this build only runs {built_in!r}"
+            )
+    config = train.TrainConfig(**stored).validate()
     model = ebm.EnergyModel(
         arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"]
     )

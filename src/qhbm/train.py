@@ -46,12 +46,7 @@ class TrainConfig:
     max_epochs: int = 100
     mc_burn_in: int = 100
     seed: int = 0
-    embed_mode: str = "presampled"
-    proposal: str = "uniform"
-    duplicate_mode: str = "dedupe"
-    partition_mode: str = "support"
     adjoint_convention: bool = False
-    latent_mode: str = "thermal"
     weight_scale: float = 0.01
     angle_scale: float = 0.01
     adam_beta1: float = 0.9
@@ -77,16 +72,6 @@ class TrainConfig:
             raise ConfigError("n_layers and mc_burn_in must be >= 0")
         if self.n_hidden is not None and self.n_hidden < 1:
             raise ConfigError(f"n_hidden must be >= 1, got {self.n_hidden}")
-        if self.embed_mode not in ("presampled", "per_epoch"):
-            raise ConfigError(f"unknown embed_mode {self.embed_mode!r}")
-        if self.proposal not in ("uniform", "single_flip"):
-            raise ConfigError(f"unknown proposal {self.proposal!r}")
-        if self.duplicate_mode not in ("dedupe", "multiplicity"):
-            raise ConfigError(f"unknown duplicate_mode {self.duplicate_mode!r}")
-        if self.partition_mode not in ("support", "full"):
-            raise ConfigError(f"unknown partition_mode {self.partition_mode!r}")
-        if self.latent_mode not in ("thermal", "maximally_mixed"):
-            raise ConfigError(f"unknown latent_mode {self.latent_mode!r}")
         return self
 
     @property
@@ -163,12 +148,8 @@ def init_train_state(config: TrainConfig) -> TrainState:
     )
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, angles)
     chain = ebm.initial_chain(model, substream(config.seed, "chain"))
-    samples, chain = ebm.metropolis_sample(
-        model, chain, config.mc_burn_in, config.n_mc_samples, config.proposal
-    )
-    ham = ebm.build_hamiltonian(
-        model, samples, config.duplicate_mode, config.partition_mode
-    )
+    samples, chain = ebm.metropolis_sample(model, chain, config.mc_burn_in, config.n_mc_samples)
+    ham = ebm.build_hamiltonian(model, samples)
     theta_params = _theta_params(model)
     return TrainState(
         energy_model=model,
@@ -298,15 +279,9 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
     free energies.
     """
     samples, chain = ebm.metropolis_sample(
-        state.energy_model,
-        state.chain,
-        config.mc_burn_in,
-        config.n_mc_samples,
-        config.proposal,
+        state.energy_model, state.chain, config.mc_burn_in, config.n_mc_samples
     )
-    ham = ebm.build_hamiltonian(
-        state.energy_model, samples, config.duplicate_mode, config.partition_mode
-    )
+    ham = ebm.build_hamiltonian(state.energy_model, samples)
     q = _batch_distribution(batch, 2**config.n_qubits)
     _, _, weights = _loss(state.ansatz, ham, q, config)
     phi_grad = config.beta * _phi_gradient(
@@ -345,11 +320,11 @@ def _embed_events(
     events: Sequence[PixelProbabilities],
     n_samples: int,
     seed: int,
-    *tags: str | int,
+    tag: str,
 ) -> list[np.ndarray]:
     groups = []
     for d, event in enumerate(events):
-        rng = substream(seed, "embedding", *tags, d)
+        rng = substream(seed, "embedding", tag, d)
         groups.append(bernoulli_index_samples(event, n_samples, rng))
     return groups
 
@@ -366,12 +341,8 @@ def _validation_loss(
     its own derived RNG, so validating never perturbs training.
     """
     fork = dataclasses.replace(state.chain, rng=substream(config.seed, "validation", epoch))
-    samples, _ = ebm.metropolis_sample(
-        state.energy_model, fork, config.mc_burn_in, config.n_mc_samples, config.proposal
-    )
-    ham = ebm.build_hamiltonian(
-        state.energy_model, samples, config.duplicate_mode, config.partition_mode
-    )
+    samples, _ = ebm.metropolis_sample(state.energy_model, fork, config.mc_burn_in, config.n_mc_samples)
+    ham = ebm.build_hamiltonian(state.energy_model, samples)
     q = _batch_distribution(groups, 2**config.n_qubits)
     return _loss(state.ansatz, ham, q, config)[0]
 
@@ -403,22 +374,13 @@ def fit(
     state = initial if initial is not None else init_train_state(config)
     history: list[dict] = list(initial_history) if initial_history else []
 
-    valid_groups = _embed_events(
-        valid_events, config.n_embed_samples, config.seed, "valid"
-    )
-    if config.embed_mode == "presampled":
-        train_groups = _embed_events(
-            train_events, config.n_embed_samples, config.seed, "train"
-        )
+    valid_groups = _embed_events(valid_events, config.n_embed_samples, config.seed, "valid")
+    train_groups = _embed_events(train_events, config.n_embed_samples, config.seed, "train")
 
     best = snapshot(state)
     since_improve = 0
     since_improve_lr = 0
     for epoch in range(state.epoch, config.max_epochs):
-        if config.embed_mode == "per_epoch":
-            train_groups = _embed_events(
-                train_events, config.n_embed_samples, config.seed, "train", epoch
-            )
         order = substream(config.seed, "shuffle", epoch).permutation(len(train_events))
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size), 1):
@@ -458,52 +420,29 @@ def fit(
     return best, history
 
 
-def model_density_matrix(state: TrainState, latent_mode: str = "thermal") -> DensityMatrix:
-    """Circuit-rotated latent state U rho U^dag.
-
-    The latent rho is the thermal state of the current Hamiltonian by
-    default, or the maximally mixed state over its support.
-    """
+def model_density_matrix(state: TrainState) -> DensityMatrix:
+    """Circuit-rotated thermal state U rho U^dag of the current Hamiltonian."""
     n = state.ansatz.n_qubits
-    ham = state.hamiltonian
-    if latent_mode == "thermal":
-        latent = ebm.thermal_state(ham, n).diagonal()
-    elif latent_mode == "maximally_mixed":
-        if ham.support.size == 0:
-            raise ValueError("hamiltonian support is empty")
-        latent = np.zeros(2**n)
-        latent[ham.support] = 1.0 / ham.support.size
-    else:
-        raise ValueError(f"unknown latent_mode {latent_mode!r}")
+    latent = ebm.thermal_state(state.hamiltonian, n).diagonal()
     u = qsim.ansatz_unitary(state.ansatz)
     # U diag(latent) U^T with U real orthogonal.
     return DensityMatrix((u * latent) @ u.T)
 
 
-def generate(
-    state: TrainState,
-    n_events: int,
-    rng: np.random.Generator,
-    latent_mode: str = "thermal",
-) -> np.ndarray:
+def generate(state: TrainState, n_events: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``n_events`` basis indices (int64) from the model.
 
     Latent states are drawn from the Boltzmann distribution over the
-    support (or uniformly over it), routed through the circuit, and the
-    output basis state is sampled from the routed amplitudes.
+    support, routed through the circuit, and the output basis state is
+    sampled from the routed amplitudes.
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
     ham = state.hamiltonian
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    if latent_mode == "thermal":
-        latent_probs = np.exp(-ham.energies - ham.log_partition)
-        latent_probs = latent_probs / latent_probs.sum()
-    elif latent_mode == "maximally_mixed":
-        latent_probs = np.full(ham.support.size, 1.0 / ham.support.size)
-    else:
-        raise ValueError(f"unknown latent_mode {latent_mode!r}")
+    latent_probs = np.exp(-ham.energies - ham.log_partition)
+    latent_probs = latent_probs / latent_probs.sum()
     u = qsim.ansatz_unitary(state.ansatz)
     # Column x of U**2 is the output distribution for latent state x.
     out_cum = np.cumsum(u * u, axis=0).T[ham.support]

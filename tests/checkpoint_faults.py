@@ -2,14 +2,17 @@
 
 Each fault rewrites a valid checkpoint with correct magic, version,
 lengths and payload framing, so only the contents are wrong.
+``save_with_stored_config`` writes a checkpoint whose stored config holds
+extra keys, as builds before the retired protocol modes wrote them.
 """
 
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from qhbm.io import CKPT_MAGIC, CKPT_VERSION
+from qhbm.io import CKPT_MAGIC, CKPT_VERSION, save_checkpoint
 
 
 def _drop_weights_payload(metadata, arrays):
@@ -35,6 +38,11 @@ FAULTS = {
     "no_chain": _drop_chain,
     "support_index_1e6": _support_index_out_of_range,
 }
+
+
+def save_with_stored_config(path, state, config, history, extra) -> None:
+    """Save a checkpoint whose stored config also holds the keys in ``extra``."""
+    save_checkpoint(path, state, SimpleNamespace(as_dict=lambda: config.as_dict() | extra), history)
 
 
 def write_corrupt_checkpoint(src, dst, fault: str | None) -> None:

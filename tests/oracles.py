@@ -86,24 +86,23 @@ def free_energy_enumerated(weights, visible_bias, hidden_bias, v) -> float:
     return -float(shift + np.log(np.sum(np.exp(log_terms - shift))))
 
 
-def build_hamiltonian_reference(model, samples, duplicates="dedupe", partition="support"):
+def build_hamiltonian_reference(model, samples):
     """``ebm.build_hamiltonian`` by a per-sample loop and hidden-state enumeration.
 
     Returns (support indices in first-appearance order, energies, log Z).
     """
     n = model.n_visible
-    counts: dict[int, int] = {}
+    support: list[int] = []
     for s in samples:
-        counts[int(s)] = counts.get(int(s), 0) + 1
-    support = list(counts)
+        if int(s) not in support:
+            support.append(int(s))
     energies = []
     for index in support:
         v = [(index >> (n - 1 - k)) & 1 for k in range(n)]
-        energy = free_energy_enumerated(model.weights, model.visible_bias, model.hidden_bias, v)
-        energies.append(energy * counts[index] if duplicates == "multiplicity" else energy)
+        energies.append(
+            free_energy_enumerated(model.weights, model.visible_bias, model.hidden_bias, v)
+        )
     terms = [-e for e in energies]
-    if partition == "full":
-        terms += [0.0] * (2**n - len(support))
     shift = max(terms)
     log_z = shift + float(np.log(sum(np.exp(t - shift) for t in terms)))
     return support, np.array(energies), log_z

@@ -13,7 +13,7 @@ from qhbm.io import (
     read_images_csv,
 )
 
-from checkpoint_faults import FAULTS, write_corrupt_checkpoint
+from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
 
 
 def run(*argv):
@@ -156,6 +156,21 @@ class TestPreprocess:
         )
         assert code == 3
 
+    def test_non_numeric_csv_cell_exit_3(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        assert run(
+            "synth", "--kind", "background", "--n-events", "2", "--grid", "8",
+            "--seed", "0", "--format", "csv", "--out", str(raw),
+        ) == 0
+        lines = raw.read_text().splitlines()
+        lines[2] = "abc," + lines[2].split(",", 1)[1]
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.qhbimg"
+        code = run("preprocess", "--input", str(raw), "--out", str(out), "--n-qubits", "4")
+        assert code == 3
+        assert f"data error: {raw}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs(self, pipeline):
@@ -287,6 +302,31 @@ class TestTrain:
         _, rows = read_csv_skip_provenance(outdir / "history.csv")
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--learning-rate", "5"], "--learning-rate"),
+            (["--seed", "1", "--n-layers", "2"], "--n-layers, --seed"),
+            (["--scenario", "six_qubit"], "--scenario"),
+            (["--config", "CONFIG"], "--config"),
+        ],
+        ids=["flag", "two_flags", "scenario", "config"],
+    )
+    def test_resume_rejects_ignored_settings(self, pipeline, tmp_path, capsys, extra, named):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"learning_rate": 0.5}))
+        outdir = tmp_path / "resumed"
+        code = run(
+            "train", "--resume", str(pipeline["checkpoint"]),
+            "--train-data", str(pipeline["train"]),
+            "--valid-data", str(pipeline["valid"]),
+            "--outdir", str(outdir), "--max-epochs", "4",
+            *[str(config) if a == "CONFIG" else a for a in extra],
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestEvaluate:
     def test_outputs(self, pipeline, tmp_path):
@@ -305,6 +345,17 @@ class TestEvaluate:
         assert "background" in summary["label_entropy"]
         assert 0.0 <= summary["fidelity"]["mean"] <= 1.0 + 1e-8
         assert summary["model_entropy"] >= 0.0
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--generation-samples"])
+    def test_zero_size_exit_2(self, pipeline, tmp_path, capsys, flag):
+        outdir = tmp_path / "eval"
+        code = run(
+            "evaluate", "--checkpoint", str(pipeline["checkpoint"]),
+            "--test", str(pipeline["valid"]), "--outdir", str(outdir), flag, "0",
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_checkpoint_exit_3(self, pipeline, tmp_path):
         code = run(
@@ -350,6 +401,17 @@ class TestGenerate:
         )
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_retired_mode_in_checkpoint_exit_3(self, pipeline, tmp_path, capsys):
+        state, config, history = load_checkpoint(pipeline["checkpoint"])
+        old = tmp_path / "old.qhbm"
+        save_with_stored_config(old, state, config, history, {"latent_mode": "maximally_mixed"})
+        code = run(
+            "generate", "--checkpoint", str(old),
+            "--n-events", "3", "--out", str(tmp_path / "generated.csv"),
+        )
+        assert code == 3
+        assert "latent_mode='maximally_mixed'" in capsys.readouterr().err
 
 
 class TestAnomaly:

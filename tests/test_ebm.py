@@ -238,17 +238,6 @@ class TestMetropolis:
         stat = chisquare(counts, probs * 100_000)
         assert stat.pvalue > 0.01
 
-    def test_single_flip_proposal_chi_square(self):
-        model = EnergyModel.initialize(2, rng=substream(9, "init"), weight_scale=0.05)
-        chain = initial_chain(model, substream(9, "chain"))
-        samples, _ = metropolis_sample(
-            model, chain, burn_in=200, n_collect=50_000, proposal="single_flip"
-        )
-        counts = np.bincount(samples, minlength=4)
-        probs = boltzmann_distribution(free_energies(model, np.arange(2**model.n_visible)))
-        stat = chisquare(counts, probs * 50_000)
-        assert stat.pvalue > 0.01
-
     def test_rejects_bad_arguments(self, rng):
         model = random_model(2, 2, rng)
         chain = initial_chain(model, np.random.default_rng(0))
@@ -256,8 +245,6 @@ class TestMetropolis:
             metropolis_sample(model, chain, burn_in=-1, n_collect=10)
         with pytest.raises(ValueError):
             metropolis_sample(model, chain, burn_in=0, n_collect=-5)
-        with pytest.raises(ValueError):
-            metropolis_sample(model, chain, burn_in=0, n_collect=10, proposal="gibbs")
 
 
 class TestModularHamiltonian:
@@ -284,12 +271,6 @@ class TestModularHamiltonian:
         ham = ModularHamiltonian.from_energies(2, [0b01, 0b10], [2.0, -1.0])
         assert np.array_equal(ham.energy_vector(), [0.0, 2.0, -1.0, 0.0])
 
-    def test_full_partition_counts_absent_states(self):
-        energies = [1.0, 2.0]
-        ham = ModularHamiltonian.from_energies(2, [0, 1], energies, partition="full")
-        expected = logsumexp([-1.0, -2.0, 0.0, 0.0])
-        assert ham.log_partition == pytest.approx(expected, abs=1e-12)
-
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ModularHamiltonian.from_energies(2, [0b10, 0b10], [0.0, 1.0])
@@ -314,10 +295,6 @@ class TestModularHamiltonian:
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             ModularHamiltonian.from_energies(2, [], [])
-
-    def test_rejects_unknown_partition(self):
-        with pytest.raises(ValueError):
-            ModularHamiltonian.from_energies(1, [0], [0.0], partition="half")
 
     @given(st.integers(0, 10_000))
     def test_log_partition_shift_covariance(self, shift_milli):
@@ -363,13 +340,6 @@ class TestBuildHamiltonian:
         for cfg, e in zip(ham.support, ham.energies):
             assert e == pytest.approx(free_energy(model, cfg), abs=1e-12)
 
-    def test_multiplicity_scales_energies(self, rng):
-        model = random_model(2, 2, rng)
-        a, b = 0b10, 0b01
-        ham = build_hamiltonian(model, [a, b, a], duplicates="multiplicity")
-        assert ham.energies[0] == pytest.approx(2 * free_energy(model, a), abs=1e-12)
-        assert ham.energies[1] == pytest.approx(free_energy(model, b), abs=1e-12)
-
     def test_full_enumeration_matches_brute_force(self, rng):
         model = random_model(3, 5, rng)
         ham = build_hamiltonian(model, np.arange(8))
@@ -381,27 +351,17 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(model, [0b00, 0b11])
         assert ham.log_partition == pytest.approx(np.log(2) + 3 * np.log(2), abs=1e-12)
 
-    def test_full_partition_mode(self, rng):
-        model = random_model(2, 2, rng)
-        ham = build_hamiltonian(model, [0b00, 0b11], partition="full")
-        expected = logsumexp(np.concatenate([-ham.energies, np.zeros(2)]))
-        assert ham.log_partition == pytest.approx(expected, abs=1e-12)
-
     @given(
         st.integers(1, 6),
         st.integers(1, 4),
         st.integers(0, 2**32 - 1),
-        st.sampled_from(["dedupe", "multiplicity"]),
-        st.sampled_from(["support", "full"]),
     )
-    def test_matches_per_sample_reference(self, nv, nh, seed, duplicates, partition):
+    def test_matches_per_sample_reference(self, nv, nh, seed):
         rng = np.random.default_rng(seed)
         model = random_model(nv, nh, rng)
         samples = rng.integers(0, 2**nv, size=int(rng.integers(1, 40)), dtype=np.int64)
-        ham = build_hamiltonian(model, samples, duplicates, partition)
-        support, energies, log_z = build_hamiltonian_reference(
-            model, samples, duplicates, partition
-        )
+        ham = build_hamiltonian(model, samples)
+        support, energies, log_z = build_hamiltonian_reference(model, samples)
         assert ham.support.dtype == np.int64
         assert ham.support.tolist() == support
         assert np.allclose(ham.energies, energies, rtol=0.0, atol=1e-12)
@@ -411,8 +371,6 @@ class TestBuildHamiltonian:
         model = random_model(2, 2, rng)
         with pytest.raises(ValueError):
             build_hamiltonian(model, [])
-        with pytest.raises(ValueError):
-            build_hamiltonian(model, [0b10], duplicates="sum")
         with pytest.raises(ValueError):
             build_hamiltonian(model, [0b101])
         with pytest.raises(ValueError):
@@ -541,16 +499,6 @@ class TestThermalState:
         assert np.all(diag[off] == 0.0)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(rho, np.diag(np.diag(rho)), atol=0.0)
-
-    def test_full_partition_fills_absent_states(self):
-        ham = ModularHamiltonian.from_energies(2, [0, 1], [1.0, 2.0], partition="full")
-        rho = thermal_state(ham, 2).entries
-        diag = np.real(np.diag(rho))
-        z = np.exp(-1.0) + np.exp(-2.0) + 2.0
-        assert diag == pytest.approx(
-            np.array([np.exp(-1.0), np.exp(-2.0), 1.0, 1.0]) / z, abs=1e-12
-        )
-        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

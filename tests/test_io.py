@@ -1,6 +1,7 @@
 """Tests for containers, checkpoints, and provenance-stamped CSV files."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -25,7 +26,7 @@ from qhbm.io import (
 )
 from qhbm.train import TrainConfig, fit, init_train_state, train_step
 
-from checkpoint_faults import FAULTS, write_corrupt_checkpoint
+from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
 
 
 def sample_images():
@@ -35,6 +36,62 @@ def sample_images():
     labels = ["signal", "background", "unlabelled"]
     weights = [1.0, 0.5, 2.0]
     return [PixelImage(g, lab, w) for g, lab, w in zip(grids, labels, weights)]
+
+
+# The retired protocol modes at the values that are now built in, as
+# checkpoints written before their removal store them.
+BUILT_IN_MODES = {
+    "embed_mode": "presampled",
+    "proposal": "uniform",
+    "duplicate_mode": "dedupe",
+    "partition_mode": "support",
+    "latent_mode": "thermal",
+}
+
+
+def _sidecar_text(text):
+    return lambda path: path.with_name(path.name + ".json").write_text(text)
+
+
+def _sidecar_with(**changes):
+    def corrupt(path):
+        sidecar = path.with_name(path.name + ".json")
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | changes))
+    return corrupt
+
+
+def _nan_first_pixel(path):
+    raw = bytearray(path.read_bytes())
+    start = len(IMAGE_MAGIC) + 12
+    raw[start : start + 4] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(raw))
+
+
+def _csv_cell(column, value):
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        # Line 0 is the provenance comment and line 1 the header.
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
+# Format and corruption of each malformed image file.
+MALFORMED_FILES = {
+    "sidecar_not_json": ("bin", _sidecar_text("{labels: [")),
+    "sidecar_not_object": ("bin", _sidecar_text("[1, 2, 3]")),
+    "sidecar_labels_not_list": ("bin", _sidecar_with(labels=3)),
+    "sidecar_unknown_label": ("bin", _sidecar_with(labels=["muon", "signal", "signal"])),
+    "sidecar_text_weight": ("bin", _sidecar_with(weights=["heavy", 1.0, 1.0])),
+    "sidecar_nan_weight": ("bin", _sidecar_with(weights=[float("nan"), 1.0, 1.0])),
+    "nan_pixel": ("bin", _nan_first_pixel),
+    "csv_text_cell": ("csv", _csv_cell(0, "abc")),
+    "csv_inf_cell": ("csv", _csv_cell(0, "inf")),
+    "csv_unknown_label": ("csv", _csv_cell(-2, "muon")),
+    "csv_text_weight": ("csv", _csv_cell(-1, "heavy")),
+}
 
 
 def trained_state():
@@ -157,6 +214,23 @@ class TestImageContainer:
         assert [im.label for im in loaded] == ["unlabelled"] * 3
         assert [im.weight for im in loaded] == [1.0] * 3
         assert meta == {}
+
+
+class TestMalformedImageFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_raises_data_error_naming_the_file(self, tmp_path, case):
+        fmt, corrupt = MALFORMED_FILES[case]
+        if fmt == "bin":
+            path = tmp_path / "events.qhbimg"
+            write_image_container(path, sample_images())
+            read = read_image_container
+        else:
+            path = tmp_path / "events.csv"
+            write_images_csv(path, sample_images())
+            read = read_images_csv
+        corrupt(path)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            read(path)
 
 
 class TestImagesCsv:
@@ -313,6 +387,32 @@ class TestCheckpoint:
         write_corrupt_checkpoint(path, bad, fault)
         with pytest.raises(DataError, match=r"bad\.qhbm: corrupt checkpoint contents"):
             load_checkpoint(bad)
+
+    def test_loads_stored_config_with_built_in_modes(self, tmp_path):
+        state, cfg, history = trained_state()
+        save_with_stored_config(tmp_path / "old.qhbm", state, cfg, history, BUILT_IN_MODES)
+        loaded, loaded_cfg, loaded_history = load_checkpoint(tmp_path / "old.qhbm")
+        assert loaded_cfg == cfg
+        save_checkpoint(tmp_path / "again.qhbm", loaded, loaded_cfg, loaded_history)
+        save_checkpoint(tmp_path / "direct.qhbm", state, cfg, history)
+        assert (tmp_path / "again.qhbm").read_bytes() == (tmp_path / "direct.qhbm").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("embed_mode", "per_epoch"),
+            ("proposal", "single_flip"),
+            ("duplicate_mode", "multiplicity"),
+            ("partition_mode", "full"),
+            ("latent_mode", "maximally_mixed"),
+        ],
+    )
+    def test_rejects_stored_config_with_other_mode(self, tmp_path, key, value):
+        state, cfg, history = trained_state()
+        path = tmp_path / "old.qhbm"
+        save_with_stored_config(path, state, cfg, history, BUILT_IN_MODES | {key: value})
+        with pytest.raises(DataError, match=f"{key}='{value}'"):
+            load_checkpoint(path)
 
     def test_rejects_corrupt_metadata(self, tmp_path):
         state, cfg, history = trained_state()

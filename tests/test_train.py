@@ -94,11 +94,8 @@ class TestTrainConfig:
             {"n_layers": -1},
             {"mc_burn_in": -1},
             {"n_hidden": 0},
-            {"embed_mode": "lazy"},
-            {"proposal": "gibbs"},
-            {"duplicate_mode": "sum"},
-            {"partition_mode": "half"},
-            {"latent_mode": "pure"},
+            {"lr_halve_patience": 0},
+            {"early_stop_patience": 0},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -433,11 +430,6 @@ class TestFit:
         _, history = fit(cfg, self.events(4, 2, 8), self.events(2, 2, 9))
         assert len(history) < 50
 
-    def test_per_epoch_embedding_runs(self):
-        cfg = small_config(max_epochs=2, embed_mode="per_epoch")
-        _, history = fit(cfg, self.events(3, 2, 10), self.events(2, 2, 11))
-        assert len(history) == 2
-
     def test_rejects_empty_datasets(self):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -464,21 +456,6 @@ class TestModelDensityMatrix:
         latent = ebm.thermal_state(ham, n).entries
         assert np.allclose(rho, u @ latent @ u.conj().T, atol=1e-10)
 
-    def test_maximally_mixed_mode(self, rng):
-        n = 2
-        model = ebm.EnergyModel.initialize(n, rng=rng)
-        ham = ebm.build_hamiltonian(model, [0b00, 0b11])
-        state = manual_state(model, identity_ansatz(n), ham)
-        rho = model_density_matrix(state, latent_mode="maximally_mixed")
-        assert np.allclose(rho.diagonal(), [0.5, 0.0, 0.0, 0.5], atol=1e-12)
-
-    def test_unknown_mode_raises(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng)
-        ham = ebm.build_hamiltonian(model, [0b00])
-        state = manual_state(model, identity_ansatz(2), ham)
-        with pytest.raises(ValueError):
-            model_density_matrix(state, latent_mode="pure")
-
 
 class TestGenerate:
     def test_identity_circuit_single_support(self, rng):
@@ -498,20 +475,6 @@ class TestGenerate:
         assert set(indices.tolist()) <= {0, 3}
         frac = (indices == 0).mean()
         assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 2000)
-
-    def test_maximally_mixed_ignores_energies(self):
-        a, b = 0b00, 0b11
-        ham = ebm.ModularHamiltonian.from_energies(2, [a, b], [0.0, 10.0])
-        model = ebm.EnergyModel(np.zeros((2, 4)), np.zeros(2), np.zeros(4))
-        state = manual_state(model, identity_ansatz(2), ham)
-        thermal = generate(state, 500, np.random.default_rng(1))
-        uniform = generate(
-            state, 500, np.random.default_rng(1), latent_mode="maximally_mixed"
-        )
-        thermal_frac = np.mean(thermal == b)
-        uniform_frac = np.mean(uniform == b)
-        assert thermal_frac < 0.01
-        assert abs(uniform_frac - 0.5) < 0.1
 
     def test_zero_events(self, rng):
         model = ebm.EnergyModel.initialize(2, rng=rng)
@@ -539,8 +502,6 @@ class TestGenerate:
         state = manual_state(model, identity_ansatz(2), ham)
         with pytest.raises(ValueError):
             generate(state, -1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            generate(state, 5, np.random.default_rng(0), latent_mode="pure")
         empty_state = manual_state(model, identity_ansatz(2), ebm.ModularHamiltonian.empty(2))
         with pytest.raises(ValueError):
             generate(empty_state, 5, np.random.default_rng(0))
