@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,34 +65,6 @@ def check_time_grid(total_time: float, dt: float) -> int:
     return n_steps
 
 
-def _routed_probabilities(
-    state: TrainState,
-    event: PixelProbabilities,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support probabilities of the distinct basis states the draws hit.
-
-    The event is embedded ``n_draws`` times and each distinct basis state
-    x is kept once.  Returns (weights, probabilities, off-support mass):
-    the share of draws on each x, the (support, x) matrix of <z|U|x>**2,
-    and 1 minus its column sums.
-    """
-    if event.n_qubits != state.ansatz.n_qubits:
-        raise ValueError(
-            f"event has {event.n_qubits} qubits but model has {state.ansatz.n_qubits}"
-        )
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    idx = bernoulli_index_samples(event, n_draws, rng)
-    counts = np.bincount(idx, minlength=2**event.n_qubits)
-    cols = np.flatnonzero(counts)
-    u = qsim.ansatz_unitary(state.ansatz)
-    probs = u[state.hamiltonian.support][:, cols] ** 2
-    off_mass = 1.0 - probs.sum(axis=0)
-    return counts[cols] / n_draws, probs, off_mass
-
-
 def _phase_grid(n_points: int, dt: float, energies: np.ndarray) -> np.ndarray:
     """exp(i k dt E) for k = 0 .. n_points - 1, shape (n_points, S).
 
@@ -109,6 +81,75 @@ def _phase_grid(n_points: int, dt: float, energies: np.ndarray) -> np.ndarray:
     return (coarse * fine).reshape(n_blocks * m, energies.size)[:n_points]
 
 
+# Time steps per block when fidelity rows are filled, which bounds the
+# temporaries to _TIME_CHUNK x (new states) whatever the grid length.
+_TIME_CHUNK = 512
+
+
+class _RoutedTable:
+    """Routing of every basis state through one model, shared by its events.
+
+    Holds, per basis state x, the support probabilities <z|U|x>**2 (one
+    circuit unitary for the whole table), the off-support mass and the
+    t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also keeps
+    the fidelity series of each state an event has hit, one row per
+    state, computed from one phase grid when the state is first hit.
+    """
+
+    def __init__(
+        self, state: TrainState, total_time: float | None = None, dt: float | None = None
+    ):
+        self.state = state
+        self.n_qubits = state.ansatz.n_qubits
+        u = qsim.ansatz_unitary(state.ansatz)
+        self.probs = u[state.hamiltonian.support] ** 2  # (support, basis state)
+        self.off_mass = 1.0 - self.probs.sum(axis=0)
+        self.t_zero = state.hamiltonian.energies @ self.probs
+        self.grid = None if dt is None else (check_time_grid(total_time, dt) + 1, dt)
+        self._phases = None
+        self._slot = np.full(2**self.n_qubits, -1, dtype=np.int64)
+        self._rows = np.empty((0, 0 if dt is None else self.grid[0]))
+        self._n_rows = 0
+
+    def draw(
+        self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(share of draws, basis index) of each distinct state ``n_draws`` embeddings hit."""
+        if state is not self.state:
+            raise ValueError("routing table was built for another model")
+        if event.n_qubits != self.n_qubits:
+            raise ValueError(f"event has {event.n_qubits} qubits but model has {self.n_qubits}")
+        if n_draws < 1:
+            raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+        idx = bernoulli_index_samples(event, n_draws, rng)
+        counts = np.bincount(idx, minlength=2**self.n_qubits)
+        cols = np.flatnonzero(counts)
+        return counts[cols] / n_draws, cols
+
+    def fidelity_rows(self, cols: np.ndarray) -> np.ndarray:
+        """(state, time) fidelity |off_x + sum_z p_zx exp(i t E_z)|**2 of each x in ``cols``."""
+        new = cols[self._slot[cols] < 0]
+        if new.size:
+            n_points, dt = self.grid
+            if self._phases is None:
+                self._phases = _phase_grid(n_points, dt, self.state.hamiltonian.energies)
+            end = self._n_rows + new.size
+            if end > len(self._rows):
+                grown = np.empty((min(max(2 * len(self._rows), end), self._slot.size), n_points))
+                grown[: self._n_rows] = self._rows[: self._n_rows]
+                self._rows = grown
+            probs, off_mass = self.probs[:, new], self.off_mass[new]
+            block = self._rows[self._n_rows : end]
+            for start in range(0, n_points, _TIME_CHUNK):
+                phases = self._phases[start : start + _TIME_CHUNK]
+                re = off_mass + phases.real @ probs
+                im = phases.imag @ probs
+                block[:, start : start + _TIME_CHUNK] = (re * re + im * im).T
+            self._slot[new] = np.arange(self._n_rows, end)
+            self._n_rows = end
+        return self._rows[self._slot[cols]]
+
+
 def time_evolution_series(
     state: TrainState,
     event: PixelProbabilities,
@@ -116,6 +157,8 @@ def time_evolution_series(
     dt: float,
     rng: np.random.Generator,
     n_draws: int = 1,
+    *,
+    table: _RoutedTable | None = None,
 ) -> FidelitySeries:
     """Fidelity to the initial state along the quantised time grid.
 
@@ -130,16 +173,37 @@ def time_evolution_series(
     Draws that hit the same basis state share one series, so the mean
     and standard deviation are weighted by draw counts over the distinct
     states.  The series starts at 1 and stays within [0, 1].
+
+    ``table`` is a routing table of ``state`` on the same time grid,
+    shared by the events of one pass; without it a one-event table is
+    built.
     """
-    n_steps = check_time_grid(total_time, dt)
-    weights, probs, off_mass = _routed_probabilities(state, event, n_draws, rng)
-    phases = _phase_grid(n_steps + 1, dt, state.hamiltonian.energies)
-    re = off_mass + phases.real @ probs  # (time, distinct state)
-    im = phases.imag @ probs
-    per_state = re * re + im * im
-    values = per_state @ weights
-    std = np.sqrt((per_state - values[:, None]) ** 2 @ weights) if n_draws > 1 else None
+    n_points = check_time_grid(total_time, dt) + 1
+    if table is None:
+        table = _RoutedTable(state, total_time, dt)
+    elif table.grid != (n_points, dt):
+        raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
+    weights, cols = table.draw(state, event, n_draws, rng)
+    per_state = table.fidelity_rows(cols)  # (distinct state, time)
+    values = weights @ per_state
+    std = np.sqrt(weights @ (per_state - values) ** 2) if n_draws > 1 else None
     return FidelitySeries(dt, values, std)
+
+
+def event_series(
+    state: TrainState,
+    events: Sequence[PixelProbabilities],
+    total_time: float,
+    dt: float,
+    rng: np.random.Generator,
+    n_draws: int = 1,
+) -> Iterator[FidelitySeries]:
+    """Fidelity series of each event in order, all read from one routing table."""
+    table = _RoutedTable(state, total_time, dt)
+    return (
+        time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
+        for event in events
+    )
 
 
 def _check_f_min(f_min: float, nyquist: float) -> None:
@@ -176,10 +240,18 @@ def expectation_score(
     event: PixelProbabilities,
     rng: np.random.Generator,
     n_draws: int = 1,
+    *,
+    table: _RoutedTable | None = None,
 ) -> float:
-    """Mean <K> of the routed event at t = 0; empty support scores 0."""
-    weights, probs, _ = _routed_probabilities(state, event, n_draws, rng)
-    return float((probs @ weights) @ state.hamiltonian.energies)
+    """Mean <K> of the routed event at t = 0; empty support scores 0.
+
+    ``table`` is a routing table of ``state`` shared by the events of one
+    pass; without it a one-event table is built.
+    """
+    if table is None:
+        table = _RoutedTable(state)
+    weights, cols = table.draw(state, event, n_draws, rng)
+    return float(table.t_zero[cols] @ weights)
 
 
 def score_events(
@@ -193,19 +265,17 @@ def score_events(
     dt: float = 0.1,
     n_draws: int = 1,
 ) -> np.ndarray:
-    """Per-event anomaly scores in a fixed order."""
+    """Per-event anomaly scores in a fixed order, from one routing table."""
     if mode == "t_zero":
+        table = _RoutedTable(state)
         return np.array(
-            [expectation_score(state, e, rng, n_draws) for e in events]
+            [expectation_score(state, e, rng, n_draws, table=table) for e in events]
         )
     if mode == "spectral":
         if f_min is None:
             raise ValueError("spectral mode needs f_min")
-        scores = []
-        for event in events:
-            series = time_evolution_series(state, event, total_time, dt, rng, n_draws)
-            scores.append(spectral_score(series, f_min))
-        return np.array(scores)
+        series = event_series(state, events, total_time, dt, rng, n_draws)
+        return np.array([spectral_score(s, f_min) for s in series])
     raise ValueError(f"unknown mode {mode!r}")
 
 

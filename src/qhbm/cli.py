@@ -310,6 +310,10 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
     _check_event_width(signal, config.n_qubits, args.signal)
     _check_event_width(background, config.n_qubits, args.background)
     anomaly.check_spectral_args(args.total_time, args.dt, args.f_min)
+    if args.n_draws < 1:
+        raise ValueError(f"--n-draws must be >= 1, got {args.n_draws}")
+    if args.n_thresholds < 2:
+        raise ValueError(f"--n-thresholds must be >= 2, got {args.n_thresholds}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     run_meta = config.as_dict() | {
@@ -359,10 +363,9 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
         rng = substream(args.seed, "embedding", "anomaly", "series", label)
         series_stack = []
         spectra = []
-        for event in events:
-            series = anomaly.time_evolution_series(
-                state, event, args.total_time, args.dt, rng, args.n_draws
-            )
+        for series in anomaly.event_series(
+            state, events, args.total_time, args.dt, rng, args.n_draws
+        ):
             series_stack.append(series.values)
             spectra.append(anomaly.series_spectrum(series).power)
         series_stack = np.array(series_stack)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -60,7 +61,6 @@ class TrainConfig:
             "n_mc_samples": self.n_mc_samples,
             "n_embed_samples": self.n_embed_samples,
             "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
             "lr_halve_patience": self.lr_halve_patience,
             "early_stop_patience": self.early_stop_patience,
             "max_epochs": self.max_epochs,
@@ -68,6 +68,20 @@ class TrainConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        finite_positive = {
+            "learning_rate": self.learning_rate,
+            "beta": self.beta,
+            "k_beta": self.k_beta,
+            "weight_scale": self.weight_scale,
+            "angle_scale": self.angle_scale,
+            "adam_eps": self.adam_eps,
+        }
+        for name, value in finite_positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name, value in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         if self.n_layers < 0 or self.mc_burn_in < 0:
             raise ConfigError("n_layers and mc_burn_in must be >= 0")
         if self.n_hidden is not None and self.n_hidden < 1:

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from qhbm import ebm, qsim
 from qhbm.anomaly import (
+    _TIME_CHUNK,
     SCENARIOS,
     FidelitySeries,
     _phase_grid,
+    _RoutedTable,
     _two_site_reduced,
     check_spectral_args,
     discrimination_report,
@@ -233,6 +235,88 @@ class TestMatchesPerDrawOracle:
         expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class TestSharedTableMatchesPerDrawOracle:
+    """One routing table serves a sequence of events, as in a scoring pass."""
+
+    @given(
+        st.integers(1, 5),
+        st.one_of(st.just(1), st.integers(2, 200)),
+        st.sampled_from([2, 17, _TIME_CHUNK - 1, _TIME_CHUNK, _TIME_CHUNK + 1, 2 * _TIME_CHUNK + 1]),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_events_share_one_table(self, n, n_draws, n_points, e_max, seed, data):
+        support_size = data.draw(st.integers(0, 2**n))
+        state, first = random_scoring_state(n, support_size, e_max, seed)
+        # Repeated events hit the same states again; fresh ones add new states.
+        gen = np.random.default_rng(seed + 1)
+        events = [first]
+        for _ in range(data.draw(st.integers(0, 5))):
+            if data.draw(st.booleans()):
+                events.append(events[data.draw(st.integers(0, len(events) - 1))])
+            else:
+                events.append(PixelProbabilities(gen.uniform(0.05, 0.95, size=n)))
+        dt = min(0.1, 1000.0 / ((n_points - 1) * max(e_max, 1.0)))
+        total_time = (n_points - 1) * dt
+
+        table = _RoutedTable(state, total_time, dt)
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for event in events:
+            series = time_evolution_series(
+                state, event, total_time, dt, fast_rng, n_draws, table=table
+            )
+            values, std = time_evolution_series_per_draw(
+                state, event, total_time, dt, slow_rng, n_draws
+            )
+            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+            if n_draws == 1:
+                assert series.std is None and std is None
+            else:
+                np.testing.assert_allclose(series.std, std, rtol=1e-12, atol=1e-12)
+            got = expectation_score(state, event, fast_rng, n_draws, table=table)
+            expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+        rng_seed = seed + 2
+        got = score_events(state, events, "t_zero", np.random.default_rng(rng_seed), n_draws=n_draws)
+        slow_rng = np.random.default_rng(rng_seed)
+        expected = [expectation_score_per_draw(state, e, slow_rng, n_draws) for e in events]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * (1.0 + e_max))
+
+        f_min = 0.25 / dt
+        got = score_events(
+            state, events, "spectral", np.random.default_rng(rng_seed),
+            f_min=f_min, total_time=total_time, dt=dt, n_draws=n_draws,
+        )
+        slow_rng = np.random.default_rng(rng_seed)
+        expected = [
+            spectral_score(
+                FidelitySeries(dt, time_evolution_series_per_draw(
+                    state, e, total_time, dt, slow_rng, n_draws
+                )[0]),
+                f_min,
+            )
+            for e in events
+        ]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_another_model_or_grid(self):
+        state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
+        other = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
+        event = sharp_event((0, 0))
+        table = _RoutedTable(state, 1.0, 0.1)
+        with pytest.raises(ValueError, match="another model"):
+            expectation_score(other, event, np.random.default_rng(0), table=table)
+        with pytest.raises(ValueError, match="grid"):
+            time_evolution_series(state, event, 2.0, 0.1, np.random.default_rng(0), table=table)
+        with pytest.raises(ValueError, match="grid"):
+            time_evolution_series(
+                state, event, 1.0, 0.1, np.random.default_rng(0), table=_RoutedTable(state)
+            )
 
 
 class TestSpectralScore:

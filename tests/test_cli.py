@@ -465,6 +465,21 @@ class TestAnomaly:
         assert "invalid parameter" in capsys.readouterr().err
         assert not (outdir / "scores_t_zero.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--n-draws", "0"), ("--n-thresholds", "1")])
+    def test_bad_counts_exit_2_before_output(self, pipeline, tmp_path, capsys, flag, value):
+        outdir = tmp_path / "anomaly"
+        args = {"--n-draws": "2", "--n-thresholds": "50"} | {flag: value}
+        code = run(
+            "anomaly", "--checkpoint", str(pipeline["checkpoint"]),
+            "--signal", str(pipeline["signal"]),
+            "--background", str(pipeline["valid"]),
+            "--outdir", str(outdir), "--total-time", "20", "--dt", "0.1", "--f-min", "0.2",
+            *(item for pair in args.items() for item in pair),
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestSiteEntropy:
     @pytest.mark.parametrize("mode", ["dressed", "diagonal"])

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import chisquare
 
 from qhbm import ebm, qsim
+from qhbm.anomaly import SCENARIOS
 from qhbm.embed import PixelProbabilities
 from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
@@ -96,12 +97,33 @@ class TestTrainConfig:
             {"n_hidden": 0},
             {"lr_halve_patience": 0},
             {"early_stop_patience": 0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"beta": 0.0},
+            {"beta": float("nan")},
+            {"k_beta": -1.0},
+            {"k_beta": float("inf")},
+            {"weight_scale": 0.0},
+            {"weight_scale": float("inf")},
+            {"angle_scale": -0.01},
+            {"angle_scale": float("nan")},
+            {"adam_beta1": 1.0},
+            {"adam_beta1": -0.1},
+            {"adam_beta2": float("nan")},
+            {"adam_beta2": 1.5},
+            {"adam_eps": 0.0},
+            {"adam_eps": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
         cfg = dataclasses.replace(TrainConfig(n_qubits=4), **overrides)
-        with pytest.raises(ConfigError):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=name):
             cfg.validate()
+
+    def test_scenarios_validate(self):
+        for name, preset in SCENARIOS.items():
+            assert TrainConfig(**preset).validate().n_qubits == preset["n_qubits"], name
 
     def test_as_dict_round_trip(self):
         cfg = TrainConfig(n_qubits=3, seed=9)
