@@ -19,7 +19,7 @@ import numpy as np
 from . import qsim
 from .ebm import ModularHamiltonian
 from .embed import PixelProbabilities, bernoulli_index_samples
-from .metrics import PowerSpectrum, RocCurve, power_spectrum, roc_from_scores
+from .metrics import RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
 from .train import TrainState
 
 # Reference run shapes for the two anomaly scenarios.
@@ -230,11 +230,6 @@ def spectral_score(series: FidelitySeries, f_min: float) -> float:
     return float(spectrum.power[mask].sum() * spectrum.resolution)
 
 
-def series_spectrum(series: FidelitySeries) -> PowerSpectrum:
-    """Power spectrum of the fidelity series (mean removed)."""
-    return power_spectrum(series.values, series.dt)
-
-
 def expectation_score(
     state: TrainState,
     event: PixelProbabilities,
@@ -318,35 +313,23 @@ def _two_site_reduced(rho: np.ndarray, i: int, j: int, n_qubits: int) -> np.ndar
 
 def site_entropy_profile(
     ham: ModularHamiltonian,
-    n_qubits: int,
     ansatz: qsim.CircuitAnsatz | None = None,
-    mode: str = "auto",
-    tie_tol: float = 1e-9,
 ) -> np.ndarray:
     """Von Neumann entropy of each adjacent qubit pair in the ground state.
 
     The ground state is the uniform mixture over support states within
-    ``tie_tol`` of the minimal energy.  In "diagonal" mode the mixture
-    is taken literally over those basis states; in "dressed" mode each
-    is rotated by the circuit first, i.e. the ground space of
-    U K U^dag.  "auto" picks "dressed" whenever an ansatz is supplied.
-    Returns n_qubits - 1 entropies for pairs (0,1), ..., (n-2, n-1).
+    1e-9 of the minimal energy.  Without ``ansatz`` the mixture is taken
+    literally over those basis states ("diagonal"); with it each is
+    rotated by the circuit first ("dressed"), i.e. the ground space of
+    U K U^dag.  Returns n_qubits - 1 entropies for pairs (0,1), ...,
+    (n-2, n-1).
     """
-    if n_qubits != ham.n_qubits:
-        raise ValueError(f"requested {n_qubits} qubits but hamiltonian has {ham.n_qubits}")
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    if mode == "auto":
-        mode = "dressed" if ansatz is not None else "diagonal"
-    if mode not in ("dressed", "diagonal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "dressed" and ansatz is None:
-        raise ValueError("dressed mode needs the circuit ansatz")
-
-    minimal = ham.energies.min()
-    ground_idx = ham.support[ham.energies <= minimal + tie_tol]
+    n_qubits = ham.n_qubits
+    ground_idx = ham.support[ham.energies <= ham.energies.min() + 1e-9]
     # rho = Phi Phi^T / k over the k ground states, real because U is.
-    if mode == "dressed":
+    if ansatz is not None:
         phi = qsim.ansatz_unitary(ansatz)[:, ground_idx]
     else:
         phi = np.zeros((2**n_qubits, ground_idx.size))
@@ -356,7 +339,6 @@ def site_entropy_profile(
     entropies = np.empty(n_qubits - 1)
     for pair in range(n_qubits - 1):
         reduced = _two_site_reduced(rho, pair, pair + 1, n_qubits)
-        vals = np.clip(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2.0), 0.0, None)
-        probs = vals[vals > 1e-12]
-        entropies[pair] = max(float(-np.sum(probs * np.log(probs))), 0.0)
+        vals = np.linalg.eigvalsh((reduced + reduced.conj().T) / 2.0)
+        entropies[pair] = von_neumann_entropy(np.clip(vals, 0.0, None))
     return entropies

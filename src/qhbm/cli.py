@@ -209,20 +209,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _model_vs_data(
-    rho: embed.DensityMatrix,
+    u: np.ndarray,
+    p: np.ndarray,
     generated: np.ndarray,
     events: list[embed.PixelProbabilities],
 ) -> dict:
-    """Model state and generated indices against the exact embedded state of ``events``."""
-    sigma = embed.exact_mixed_state(events)
+    """Model state (U, p) and generated indices against the exact embedded state of ``events``."""
+    s = embed.exact_mixed_state(events)
     mean_probs = np.mean([e.probs for e in events], axis=0)
-    emitted = qsim.index_bits(generated, rho.n_qubits)
+    emitted = qsim.index_bits(generated, events[0].n_qubits)
     return {
-        "fidelity": metrics.fidelity(sigma, rho),
-        "trace_distance": metrics.trace_distance(sigma, rho),
-        "quantum_relative_entropy": metrics.quantum_relative_entropy(sigma, rho),
+        "fidelity": metrics.fidelity(s, u, p),
+        "trace_distance": metrics.trace_distance(s, u, p),
+        "quantum_relative_entropy": metrics.quantum_relative_entropy(s, u, p),
         "pixel_kl": metrics.bernoulli_marginal_kl(mean_probs, emitted.mean(axis=0)),
-        "data_entropy": metrics.von_neumann_entropy(sigma),
+        "data_entropy": metrics.von_neumann_entropy(s),
     }
 
 
@@ -232,10 +233,10 @@ def _metric_snapshot(
     events: list[embed.PixelProbabilities],
 ) -> dict:
     """Model-vs-data measures on one event set (exact data mixed state)."""
-    rho = train.model_density_matrix(state)
+    u, p = train.model_state(state)
     generated = train.generate(state, 2000, substream(config.seed, "generation"))
-    return _model_vs_data(rho, generated, events) | {
-        "model_entropy": metrics.von_neumann_entropy(rho),
+    return _model_vs_data(u, p, generated, events) | {
+        "model_entropy": metrics.von_neumann_entropy(p),
         "n_events": len(events),
     }
 
@@ -251,14 +252,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rho = train.model_density_matrix(state)
+    u, p = train.model_state(state)
     gen_rng = substream(args.seed, "generation")
     rows = []
     per_metric: dict[str, list[float]] = {}
     for start in range(0, len(events), args.batch_size):
         batch = events[start : start + args.batch_size]
         generated = train.generate(state, args.generation_samples, gen_rng)
-        values = _model_vs_data(rho, generated, batch)
+        values = _model_vs_data(u, p, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
         for k, v in values.items():
             per_metric.setdefault(k, []).append(v)
@@ -275,7 +276,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config.as_dict(),
     )
     summary = {
-        "model_entropy": metrics.von_neumann_entropy(rho),
+        "model_entropy": metrics.von_neumann_entropy(p),
         "label_entropy": label_entropy,
         "n_events": len(events),
         "batch_size": args.batch_size,
@@ -367,7 +368,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
             state, events, args.total_time, args.dt, rng, args.n_draws
         ):
             series_stack.append(series.values)
-            spectra.append(anomaly.series_spectrum(series).power)
+            spectra.append(metrics.power_spectrum(series.values, series.dt).power)
         series_stack = np.array(series_stack)
         spectra = np.array(spectra)
         times = args.dt * np.arange(series_stack.shape[1])
@@ -405,10 +406,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
 def cmd_site_entropy(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     profile = anomaly.site_entropy_profile(
-        state.hamiltonian,
-        config.n_qubits,
-        state.ansatz if args.mode != "diagonal" else None,
-        mode=args.mode,
+        state.hamiltonian, state.ansatz if args.mode == "dressed" else None
     )
     io.write_csv_with_provenance(
         args.out,

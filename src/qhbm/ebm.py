@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
-from .embed import DensityMatrix
 from .qsim import MAX_QUBITS, index_bits
 
 
@@ -193,12 +192,6 @@ class ModularHamiltonian:
         energies = np.asarray(energies, dtype=np.float64)
         return cls(n_qubits, support, energies, float(logsumexp(-energies)))
 
-    def energy_vector(self) -> np.ndarray:
-        """Dense length-2**n energy diagonal (zero off support)."""
-        vec = np.zeros(2**self.n_qubits)
-        vec[self.support] = self.energies
-        return vec
-
 
 def build_hamiltonian(
     model: EnergyModel,
@@ -259,14 +252,10 @@ def theta_gradient(
     return ThetaGradient(d_weights, d_visible, d_hidden)
 
 
-def thermal_state(ham: ModularHamiltonian, n_qubits: int) -> DensityMatrix:
-    """Diagonal density matrix exp(-K) / Z over the support."""
+def thermal_state(ham: ModularHamiltonian) -> np.ndarray:
+    """Spectrum p of exp(-K) / Z: Boltzmann weights on the support, zero elsewhere."""
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    if n_qubits != ham.n_qubits:
-        raise ValueError(
-            f"requested {n_qubits} qubits but hamiltonian has {ham.n_qubits}"
-        )
-    diag = np.zeros(2**n_qubits)
-    diag[ham.support] = np.exp(-ham.energies - ham.log_partition)
-    return DensityMatrix(np.diag(diag.astype(np.complex128)))
+    p = np.zeros(2**ham.n_qubits)
+    p[ham.support] = np.exp(-ham.energies - ham.log_partition)
+    return p

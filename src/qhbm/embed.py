@@ -3,9 +3,9 @@
 Calorimeter-style images are cropped, down-sampled by non-overlapping
 block means and linearly standardised into [0, pi] against a fitted
 maximum.  Selected pixel intensities are squashed through a logistic
-into Bernoulli probabilities, which drive random basis-state draws; a
-weighted mixture of the drawn projectors estimates the dataset's
-(diagonal) mixed state.
+into Bernoulli probabilities, which drive random basis-state draws.
+The dataset's mixed state is diagonal in the computational basis, so it
+is held as its diagonal s, a real length-2**n probability vector.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import NumericError
 from .qsim import MAX_QUBITS
 
 PROB_FLOOR = 1e-6
@@ -69,48 +68,6 @@ class PixelProbabilities:
         return self.probs.size
 
 
-@dataclass
-class DensityMatrix:
-    """Dense density matrix over the computational basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        if (
-            self.entries.ndim != 2
-            or self.entries.shape[0] != self.entries.shape[1]
-            or self.entries.shape[0] & (self.entries.shape[0] - 1) != 0
-            or self.entries.shape[0] < 2
-        ):
-            raise ValueError(
-                f"entries must be square with power-of-two size, got {self.entries.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.dim).bit_length() - 1
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.entries))
-
-    def validate(self, atol: float = 1e-8) -> "DensityMatrix":
-        """Raise NumericError unless Hermitian, unit-trace and PSD within atol."""
-        if not np.allclose(self.entries, self.entries.conj().T, atol=atol):
-            raise NumericError("density matrix is not Hermitian")
-        trace = np.trace(self.entries)
-        if abs(trace - 1.0) > atol:
-            raise NumericError(f"density matrix trace {trace} is not 1")
-        eigs = np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2.0)
-        if eigs.min() < -atol:
-            raise NumericError(f"density matrix has negative eigenvalue {eigs.min()}")
-        return self
-
-
 def crop_and_pool(
     image: PixelImage,
     crop: int,
@@ -161,27 +118,6 @@ def standardise(image: PixelImage, scale_max: float) -> PixelImage:
     return PixelImage(scaled, image.label, image.weight)
 
 
-def preprocess(
-    image: PixelImage,
-    crop: int,
-    pool: int,
-    scale_max: float | None = None,
-    trim_remainder: bool = True,
-) -> PixelImage:
-    """crop_and_pool followed by standardisation.
-
-    With ``scale_max=None`` the image is scaled against its own pooled
-    maximum; pass the fit from ``fit_scale_max`` to share one scale
-    across a dataset.
-    """
-    pooled = crop_and_pool(image, crop, pool, trim_remainder)
-    if scale_max is None:
-        scale_max = float(pooled.intensities.max())
-        if scale_max <= 0.0:
-            raise ValueError("image has no positive intensity to scale against")
-    return standardise(pooled, scale_max)
-
-
 def pixel_layout(side: int, n_qubits: int) -> list[int]:
     """Row-major flat indices of the selected pixels on a ``side`` x ``side`` grid.
 
@@ -220,12 +156,6 @@ def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilitie
     return PixelProbabilities(probs, image.label, image.weight)
 
 
-def probabilities_to_intensities(probs: PixelProbabilities) -> np.ndarray:
-    """Inverse of the logistic squash (exact away from the clamp)."""
-    p = probs.probs
-    return np.log(p / (1.0 - p))
-
-
 def bernoulli_index_samples(
     probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -249,42 +179,14 @@ def _normalised_weights(events: Sequence[PixelProbabilities], weights) -> np.nda
     return weights / weights.sum()
 
 
-def dataset_mixed_state(
-    events: Sequence[PixelProbabilities],
-    n_samples: int,
-    rng: np.random.Generator,
-    weights: Sequence[float] | None = None,
-) -> DensityMatrix:
-    """Weighted mixture of basis projectors drawn per event.
-
-    Each event contributes the empirical distribution of ``n_samples``
-    Bernoulli draws, mixed with its (normalised) weight.  The result is
-    diagonal by construction.
-    """
-    if not events:
-        raise ValueError("need at least one event")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    n = events[0].n_qubits
-    if any(e.n_qubits != n for e in events):
-        raise ValueError("all events must have the same qubit count")
-    alphas = _normalised_weights(events, weights)
-    diag = np.zeros(2**n)
-    for alpha, event in zip(alphas, events):
-        idx = bernoulli_index_samples(event, n_samples, rng)
-        counts = np.bincount(idx, minlength=2**n)
-        diag += alpha * counts / n_samples
-    return DensityMatrix(np.diag(diag.astype(np.complex128)))
-
-
 def exact_mixed_state(
     events: Sequence[PixelProbabilities],
     weights: Sequence[float] | None = None,
-) -> DensityMatrix:
-    """Sampling-free limit of ``dataset_mixed_state``.
+) -> np.ndarray:
+    """Diagonal s of the events' mixed state, a length-2**n vector.
 
-    Each event enters as its exact product-Bernoulli distribution; this
-    is the truth-level reference the sampled estimate converges to.
+    Each event enters as its exact product-Bernoulli distribution, mixed
+    with its normalised weight; this is the limit of its embedded draws.
     """
     if not events:
         raise ValueError("need at least one event")
@@ -298,7 +200,7 @@ def exact_mixed_state(
         for p in event.probs:
             dist = np.kron(dist, np.array([1.0 - p, p]))
         diag += alpha * dist
-    return DensityMatrix(np.diag(diag.astype(np.complex128)))
+    return diag
 
 
 def _deposit_blob(

@@ -27,7 +27,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,15 +51,27 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@contextmanager
+def _replacing(path: Path, mode: str, **kwargs):
+    """Write to a temporary file beside ``path`` and move it over ``path`` only on success."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv_with_provenance(
     path: str | Path,
     header: Sequence[str],
     rows: Iterable[Sequence],
     config: dict,
 ) -> None:
-    """CSV with a leading provenance comment (tool version, config hash)."""
+    """CSV with a leading provenance comment (tool version, config hash), replaced atomically."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         fh.write(f"# qhbm {__version__} config={config_hash(config)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -204,7 +218,7 @@ def save_checkpoint(
     config: train.TrainConfig,
     history: Sequence[dict],
 ) -> None:
-    """Serialise a training state; bit-identical for identical runs."""
+    """Serialise a training state atomically; bit-identical for identical runs."""
     path = Path(path)
     payloads: dict[str, np.ndarray] = {
         "weights": state.energy_model.weights,
@@ -234,7 +248,7 @@ def save_checkpoint(
         "payloads": _payload_manifest(payloads),
     }
     blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    with path.open("wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

@@ -1,8 +1,9 @@
 """Distance and spectral measures for states, distributions and signals.
 
-Density-matrix measures go through Hermitian eigendecompositions with
-small negative eigenvalues clipped at zero; inputs whose spectrum dips
-below -1e-8 are rejected as numerically invalid.
+States are real and structured: the data state is sigma = diag(s) and
+the model state rho = U diag(p) U^T, with U the orthogonal circuit
+matrix.  s and p must be non-negative and sum to one within 1e-8 (else
+NumericError); spectrum values at or below 1e-12 count as zero.
 """
 
 from __future__ import annotations
@@ -11,62 +12,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import DensityMatrix
 from .errors import NumericError
 
-PSD_TOL = 1e-8
+NORM_TOL = 1e-8
 EIG_FLOOR = 1e-12
 
 
-def _checked_matrix(state: DensityMatrix) -> np.ndarray:
-    m = state.entries
-    if not np.allclose(m, m.conj().T, atol=PSD_TOL):
-        raise NumericError("density matrix is not Hermitian")
-    return (m + m.conj().T) / 2.0
+def _distribution(values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if np.any(v < 0.0):
+        raise NumericError("probabilities must be non-negative")
+    if abs(v.sum() - 1.0) > NORM_TOL:
+        raise NumericError(f"probabilities must sum to 1, got {v.sum()}")
+    return v
 
 
-def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() < -PSD_TOL:
-        raise NumericError(f"matrix has negative eigenvalue {vals.min()}")
-    return np.clip(vals, 0.0, None), vecs
+def _checked_state(s, u, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s, u, p = (np.asarray(x, dtype=np.float64) for x in (s, u, p))
+    if s.ndim != 1 or p.shape != s.shape or u.shape != (s.size, s.size):
+        raise ValueError(f"need s, p of shape (d,) and U of (d, d), got {s.shape}, {p.shape}, {u.shape}")
+    return _distribution(s), u, _distribution(p)
 
 
-def _same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _shannon(probs: np.ndarray) -> float:
+    probs = probs[probs > EIG_FLOOR]
+    return float(-np.sum(probs * np.log(probs)))
 
 
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))**2.
+def fidelity(s, u, p) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(sigma) rho sqrt(sigma)))**2 of diag(s) and U diag(p) U^T.
 
-    Computed from Hermitian eigendecompositions; equals 1 iff the states
-    coincide and 0 iff their supports are orthogonal.
+    rho = V V^T with V = U[:, p > 0] diag(sqrt(p)), so the trace is the sum
+    of the singular values of diag(sqrt(s)) V.
     """
-    _same_dim(a, b)
-    ma, mb = _checked_matrix(a), _checked_matrix(b)
-    vals, vecs = _clipped_eigh(ma)
-    sqrt_a = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = sqrt_a @ mb @ sqrt_a
-    inner_vals, _ = _clipped_eigh((inner + inner.conj().T) / 2.0)
-    return float(np.sum(np.sqrt(inner_vals)) ** 2)
+    s, u, p = _checked_state(s, u, p)
+    keep = p > 0.0
+    m = np.sqrt(s)[:, None] * u[:, keep] * np.sqrt(p[keep])
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)) ** 2)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b."""
-    _same_dim(a, b)
-    diff = _checked_matrix(a) - _checked_matrix(b)
+def trace_distance(s, u, p) -> float:
+    """Half the sum of absolute eigenvalues of diag(s) - U diag(p) U^T."""
+    s, u, p = _checked_state(s, u, p)
+    diff = np.diag(s) - (u * p) @ u.T
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def von_neumann_entropy(state: DensityMatrix) -> float:
-    """-sum_i p_i log p_i over the spectrum, in nats.
+def von_neumann_entropy(spectrum) -> float:
+    """-sum_i p_i log p_i over a state's spectrum, in nats.
 
-    Eigenvalues at or below 1e-12 are treated as exact zeros.
+    The spectrum of diag(s) is s and that of U diag(p) U^T is p.  Values
+    at or below 1e-12 are treated as exact zeros.
     """
-    vals, _ = _clipped_eigh(_checked_matrix(state))
-    probs = vals[vals > EIG_FLOOR]
-    return max(float(-np.sum(probs * np.log(probs))), 0.0)
+    return max(_shannon(_distribution(spectrum)), 0.0)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -79,12 +77,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise NumericError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-8 or abs(q.sum() - 1.0) > 1e-8:
-        raise NumericError(
-            f"distributions must be normalised, got sums {p.sum()} and {q.sum()}"
-        )
+    p, q = _distribution(p), _distribution(q)
     mask = p > 0.0
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], EIG_FLOOR)))))
 
@@ -101,17 +94,14 @@ def bernoulli_marginal_kl(p: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
-def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """tr rho (log rho - log sigma), with sigma's spectrum floored at 1e-12."""
-    _same_dim(rho, sigma)
-    m_rho, m_sigma = _checked_matrix(rho), _checked_matrix(sigma)
-    rho_vals, _ = _clipped_eigh(m_rho)
-    probs = rho_vals[rho_vals > EIG_FLOOR]
-    tr_rho_log_rho = float(np.sum(probs * np.log(probs)))
-    sigma_vals, sigma_vecs = _clipped_eigh(m_sigma)
-    log_sigma = (sigma_vecs * np.log(np.maximum(sigma_vals, EIG_FLOOR))) @ sigma_vecs.conj().T
-    tr_rho_log_sigma = float(np.real(np.trace(m_rho @ log_sigma)))
-    return tr_rho_log_rho - tr_rho_log_sigma
+def quantum_relative_entropy(s, u, p) -> float:
+    """S(sigma || rho) = tr sigma (log sigma - log rho), p floored at 1e-12.
+
+    With sigma = diag(s) and rho = U diag(p) U^T, log rho is
+    U diag(log p) U^T, so tr sigma log rho = s . ((U o U) log p).
+    """
+    s, u, p = _checked_state(s, u, p)
+    return -_shannon(s) - float(s @ ((u * u) @ np.log(np.maximum(p, EIG_FLOOR))))
 
 
 @dataclass
@@ -164,9 +154,11 @@ class RocCurve:
 
 
 def _sweep(signal: np.ndarray, background: np.ndarray, thresholds: np.ndarray):
-    tpr = np.array([(signal >= t).mean() for t in thresholds])
-    fpr = np.array([(background >= t).mean() for t in thresholds])
-    return tpr, fpr
+    """Share of each class at or above every threshold, by one sorted search."""
+    return tuple(
+        (x.size - np.searchsorted(np.sort(x), thresholds, side="left")) / x.size
+        for x in (signal, background)
+    )
 
 
 def _anchored_auc(tpr: np.ndarray, fpr: np.ndarray) -> float:

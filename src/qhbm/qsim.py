@@ -1,4 +1,4 @@
-"""Dense statevector simulation for small qubit registers.
+"""Real-valued simulation of the staircase circuit on small qubit registers.
 
 Bit convention is big-endian throughout: qubit 0 is the most significant
 bit of the basis index, so for a 4-qubit register the bits (0, 1, 0, 1)
@@ -15,19 +15,17 @@ engine works on real float64 arrays: ``ansatz_unitary`` returns U as a
 real matrix, and a gate updates an array of shape (2**n, ...) in place
 through a (2**q, 2, rest) view that exposes qubit q as the middle axis.
 The same gate-list walker applies U and its inverse U^T (the reversed
-gate list with negated angles).  ``StateVector`` stays complex128 at the
-API edge; the real gates act on its real and imaginary parts alike.
+gate list with negated angles).  Basis states are int64 indices, so the
+circuit matrix U is the only state-sized object this module builds: the
+model state elsewhere is U diag(p) U^T, held as the pair (U, p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .ebm import ModularHamiltonian
 
 MAX_QUBITS = 10
 
@@ -35,40 +33,6 @@ MAX_QUBITS = 10
 def _check_n_qubits(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """An ordered bit sequence addressing one computational basis state."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_n_qubits(len(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0 or 1, got {self.bits}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        """Basis index with qubit 0 as the most significant bit."""
-        idx = 0
-        for b in self.bits:
-            idx = (idx << 1) | b
-        return idx
-
-    @classmethod
-    def from_index(cls, index: int, n_qubits: int) -> "SpinConfig":
-        _check_n_qubits(n_qubits)
-        if not 0 <= index < 2**n_qubits:
-            raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-        return cls(tuple(int(b) for b in index_bits(index, n_qubits)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.float64)
 
 
 def index_bits(indices: int | Sequence[int] | np.ndarray, n_qubits: int) -> np.ndarray:
@@ -120,36 +84,6 @@ class CircuitAnsatz:
                 yield b, base, base + 1
 
 
-@dataclass
-class StateVector:
-    """Normalised amplitudes over the computational basis."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape "
-                f"{self.amplitudes.shape}"
-            )
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def prepare_basis_state(config: SpinConfig) -> StateVector:
-    """State with amplitude 1 at the index addressed by ``config``."""
-    amps = np.zeros(2**config.n_qubits, dtype=np.complex128)
-    amps[config.index] = 1.0
-    return StateVector(config.n_qubits, amps)
-
-
 def circuit_gates(ansatz: CircuitAnsatz, adjoint: bool = False) -> list[tuple[int, int, float]]:
     """(qubit, angle index, angle) triples in application order.
 
@@ -184,90 +118,9 @@ def apply_gate(arr: np.ndarray, qubit: int, k: int, angle: float) -> None:
     v[...] = np.array([[c, -s], [s, c]]) @ v
 
 
-def _apply_circuit(arr: np.ndarray, ansatz: CircuitAnsatz, adjoint: bool = False) -> np.ndarray:
-    for gate in circuit_gates(ansatz, adjoint):
-        apply_gate(arr, *gate)
-    return arr
-
-
-def _check_match(state: StateVector, ansatz: CircuitAnsatz) -> None:
-    if state.n_qubits != ansatz.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits but ansatz expects {ansatz.n_qubits}"
-        )
-
-
-def apply_ansatz(state: StateVector, ansatz: CircuitAnsatz) -> StateVector:
-    """Return U(angles) |state>; the input state is left untouched."""
-    _check_match(state, ansatz)
-    return StateVector(state.n_qubits, _apply_circuit(state.amplitudes.copy(), ansatz))
-
-
-def apply_adjoint_ansatz(state: StateVector, ansatz: CircuitAnsatz) -> StateVector:
-    """Return U(angles)^dagger |state>; exact inverse of ``apply_ansatz``."""
-    _check_match(state, ansatz)
-    return StateVector(
-        state.n_qubits, _apply_circuit(state.amplitudes.copy(), ansatz, adjoint=True)
-    )
-
-
 def ansatz_unitary(ansatz: CircuitAnsatz) -> np.ndarray:
     """Real orthogonal 2**n x 2**n matrix of the circuit (column x = U |x>)."""
-    return _apply_circuit(np.eye(2**ansatz.n_qubits), ansatz)
-
-
-def diagonal_expectation(state: StateVector, ham: "ModularHamiltonian") -> float:
-    """<state| K |state> for a diagonal operator given on its support.
-
-    Basis states absent from the support contribute zero.
-    """
-    if ham.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits but operator has {ham.n_qubits}"
-        )
-    return float(ham.energies @ state.probabilities()[ham.support])
-
-
-def circuit_expectation(
-    config: SpinConfig,
-    ansatz: CircuitAnsatz,
-    ham: "ModularHamiltonian",
-    adjoint: bool = False,
-) -> float:
-    """Diagonal expectation after routing a basis state through the circuit.
-
-    Default orientation embeds |config>, applies the forward circuit and
-    measures, i.e. <p| U^dag K U |p>.  With ``adjoint=True`` the inverse
-    circuit is applied instead, giving <p| U K U^dag |p>.
-    """
-    state = prepare_basis_state(config)
-    rotated = apply_adjoint_ansatz(state, ansatz) if adjoint else apply_ansatz(state, ansatz)
-    return diagonal_expectation(rotated, ham)
-
-
-def evolve_diagonal(
-    state: StateVector,
-    ham: "ModularHamiltonian",
-    total_time: float,
-    dt: float,
-) -> tuple[StateVector, float]:
-    """Evolve under exp(-i K t) for a diagonal K given on its support.
-
-    The requested time is quantised to N = round(total_time / dt) steps
-    and the actual evolved time N * dt is returned alongside the state.
-    Because K is diagonal, applying N steps of dt equals the one-shot
-    exponential at N * dt to machine precision, so the phases are applied
-    in one shot.  Amplitudes outside the support are untouched (their
-    energy is zero).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if ham.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits but operator has {ham.n_qubits}"
-        )
-    n_steps = int(round(total_time / dt))
-    actual_time = n_steps * dt
-    amps = state.amplitudes.copy()
-    amps[ham.support] *= np.exp(-1j * actual_time * ham.energies)
-    return StateVector(state.n_qubits, amps), actual_time
+    u = np.eye(2**ansatz.n_qubits)
+    for gate in circuit_gates(ansatz):
+        apply_gate(u, *gate)
+    return u

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ebm, qsim
-from .embed import DensityMatrix, PixelProbabilities, bernoulli_index_samples
+from .embed import PixelProbabilities, bernoulli_index_samples
 from .errors import ConfigError, NumericError
 from .rng import substream
 
@@ -434,13 +434,12 @@ def fit(
     return best, history
 
 
-def model_density_matrix(state: TrainState) -> DensityMatrix:
-    """Circuit-rotated thermal state U rho U^dag of the current Hamiltonian."""
-    n = state.ansatz.n_qubits
-    latent = ebm.thermal_state(state.hamiltonian, n).diagonal()
-    u = qsim.ansatz_unitary(state.ansatz)
-    # U diag(latent) U^T with U real orthogonal.
-    return DensityMatrix((u * latent) @ u.T)
+def model_state(state: TrainState) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit matrix U and thermal spectrum p of the model state U diag(p) U^T.
+
+    U is the forward circuit whatever ``adjoint_convention`` says, as in ``generate``.
+    """
+    return qsim.ansatz_unitary(state.ansatz), ebm.thermal_state(state.hamiltonian)
 
 
 def generate(state: TrainState, n_events: int, rng: np.random.Generator) -> np.ndarray:

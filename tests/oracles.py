@@ -163,29 +163,70 @@ def pair_reduced_matrix(rho: np.ndarray, i: int, j: int, n_qubits: int) -> np.nd
     return reduced
 
 
-def fidelity_highprec(a: np.ndarray, b: np.ndarray, dps: int = 50) -> float:
-    """Uhlmann fidelity of real symmetric density matrices via mpmath."""
+def fidelity_highprec(s, u, p, dps: int = 40) -> float:
+    """Uhlmann fidelity of diag(s) and U diag(p) U^T, built and solved in mpmath.
+
+    The float64 inputs are taken as exact, so neither rho nor its square
+    root picks up float64 rounding.
+    """
     import mpmath as mp
 
     with mp.workdps(dps):
-        ma = mp.matrix(a.tolist())
-        mb = mp.matrix(b.tolist())
-        ea, qa = mp.eigsy(ma)
-        sqrt_a = qa * mp.diag([mp.sqrt(max(x, mp.mpf(0))) for x in ea]) * qa.T
-        inner = sqrt_a * mb * sqrt_a
-        inner = (inner + inner.T) / 2
-        ei, _ = mp.eigsy(inner)
-        trace = mp.fsum(mp.sqrt(max(x, mp.mpf(0))) for x in ei)
-        return float(trace**2)
+        root_s = mp.diag([mp.sqrt(mp.mpf(x)) for x in s])
+        um = mp.matrix(np.asarray(u).tolist())
+        inner = root_s * um * mp.diag([mp.mpf(x) for x in p]) * um.T * root_s
+        vals, _ = mp.eigsy((inner + inner.T) / 2)
+        return float(mp.fsum(mp.sqrt(max(x, mp.mpf(0))) for x in vals) ** 2)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, complex_entries: bool = True) -> np.ndarray:
-    shape = (dim, dim)
-    g = rng.normal(size=shape)
-    if complex_entries:
-        g = g + 1j * rng.normal(size=shape)
+def _clipped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part of ``m``, negative rounding clipped to 0."""
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    assert vals.min() >= -1e-8, f"not a state: eigenvalue {vals.min()}"
+    return np.clip(vals, 0.0, None), vecs
+
+
+def dense_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))**2 of two density matrices."""
+    vals, vecs = _clipped_eigh(a)
+    sqrt_a = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    inner_vals, _ = _clipped_eigh(sqrt_a @ b @ sqrt_a)
+    return float(np.sum(np.sqrt(inner_vals)) ** 2)
+
+
+def dense_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the sum of absolute eigenvalues of a - b."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def dense_entropy(a: np.ndarray) -> float:
+    """-sum lambda log lambda over the eigenvalues of ``a`` above 1e-12."""
+    vals, _ = _clipped_eigh(a)
+    vals = vals[vals > 1e-12]
+    return max(float(-np.sum(vals * np.log(vals))), 0.0)
+
+
+def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """tr rho (log rho - log sigma), with sigma's spectrum floored at 1e-12."""
+    vals, vecs = _clipped_eigh(sigma)
+    log_sigma = (vecs * np.log(np.maximum(vals, 1e-12))) @ vecs.conj().T
+    return -dense_entropy(rho) - float(np.real(np.trace(rho @ log_sigma)))
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_structured_state(dim: int, rng: np.random.Generator):
+    """(s, U, p): a Dirichlet s, a QR-orthogonal U and a Dirichlet p on a random support."""
+    s = rng.dirichlet(np.ones(dim))
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    support = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)
+    p = np.zeros(dim)
+    p[support] = rng.dirichlet(np.ones(support.size))
+    return s, u, p
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -201,21 +242,16 @@ def shifted(ansatz, k: int, delta: float):
     return ansatz.with_angles(angles)
 
 
-def parameter_shift_gradient(config, ansatz, ham, adjoint: bool = False) -> np.ndarray:
-    """Exact gradient of ``qsim.circuit_expectation`` w.r.t. every angle.
+def parameter_shift_gradient(index: int, ansatz, ham, adjoint: bool = False) -> np.ndarray:
+    """Parameter-shift gradient of the routed energy of basis state ``index``.
 
-    Component k is (f(angle_k + pi/2) - f(angle_k - pi/2)) / 2, which is
-    exact for RY rotations (Schuld et al., arXiv:1811.11184).
+    This is ``distribution_expectation`` at a one-hot q.  Component k is
+    (f(angle_k + pi/2) - f(angle_k - pi/2)) / 2, which is exact for RY
+    rotations (Schuld et al., arXiv:1811.11184).
     """
-    grad = np.zeros(ansatz.n_parameters)
-    if ham.support.size == 0:
-        return grad
-    half_pi = np.pi / 2.0
-    for k in range(ansatz.n_parameters):
-        up = qsim.circuit_expectation(config, shifted(ansatz, k, +half_pi), ham, adjoint)
-        down = qsim.circuit_expectation(config, shifted(ansatz, k, -half_pi), ham, adjoint)
-        grad[k] = 0.5 * (up - down)
-    return grad
+    q = np.zeros(2**ansatz.n_qubits)
+    q[index] = 1.0
+    return batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
 
 
 def distribution_expectation(ansatz, ham, q, adjoint: bool = False) -> float:
@@ -265,3 +301,24 @@ def expectation_score_per_draw(state, event, rng, n_draws=1) -> float:
     """``anomaly.expectation_score`` as a mean over every draw's routed energy."""
     on_support, _ = _per_draw_probabilities(state, event, n_draws, rng)
     return float(on_support.mean(axis=0) @ state.hamiltonian.energies)
+
+
+def evolve_diagonal(amps, ham, total_time: float, dt: float) -> tuple[np.ndarray, float]:
+    """exp(-i K t) applied to ``amps``, K diagonal on ``ham``'s support.
+
+    t is ``total_time`` quantised to whole steps of ``dt``; returns the
+    evolved amplitudes and t.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    t = int(round(total_time / dt)) * dt
+    out = np.array(amps, dtype=np.complex128)
+    out[ham.support] *= np.exp(-1j * t * ham.energies)
+    return out, t
+
+
+def roc_rates_reference(signal, background, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """(tpr, fpr): the share of each class at or above every threshold, one mean per threshold."""
+    tpr = np.array([(signal >= t).mean() for t in thresholds])
+    fpr = np.array([(background >= t).mean() for t in thresholds])
+    return tpr, fpr

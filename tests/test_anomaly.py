@@ -16,17 +16,17 @@ from qhbm.anomaly import (
     discrimination_report,
     expectation_score,
     score_events,
-    series_spectrum,
     site_entropy_profile,
     spectral_score,
     time_evolution_series,
 )
 from qhbm.embed import PixelProbabilities, bernoulli_index_samples
-from qhbm.metrics import RocCurve
+from qhbm.metrics import RocCurve, power_spectrum
 from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState
 
 from oracles import (
+    evolve_diagonal,
     expectation_score_per_draw,
     pair_reduced_matrix,
     staircase_unitary,
@@ -122,16 +122,14 @@ class TestTimeEvolutionSeries:
             state, event, steps * dt, dt, substream(11, "generation")
         )
         draw = bernoulli_index_samples(event, 1, substream(11, "generation"))[0]
-        psi0 = qsim.apply_ansatz(
-            qsim.prepare_basis_state(qsim.SpinConfig.from_index(int(draw), n)), ansatz
-        )
+        psi0 = staircase_unitary(n, 1, angles)[:, draw]
         for k in range(steps + 1):
             if k == 0:
                 psi_t = psi0
             else:
-                psi_t, actual = qsim.evolve_diagonal(psi0, ham, k * dt, dt)
+                psi_t, actual = evolve_diagonal(psi0, ham, k * dt, dt)
                 assert actual == pytest.approx(k * dt, abs=1e-12)
-            overlap = np.vdot(psi0.amplitudes, psi_t.amplitudes)
+            overlap = np.vdot(psi0, psi_t)
             assert series.values[k] == pytest.approx(abs(overlap) ** 2, abs=1e-9)
 
     def test_grid_sizes(self):
@@ -334,7 +332,7 @@ class TestSpectralScore:
         k = 40
         f0 = k / (n_values * dt)
         series = self.beat_series(f0, dt, n_values)
-        spec = series_spectrum(series)
+        spec = power_spectrum(series.values, series.dt)
         assert int(np.argmax(spec.power)) == k
         # The cos^2 series carries variance 1/8 at frequency f0.
         assert spectral_score(series, f0 - 0.01) == pytest.approx(0.125, rel=1e-9)
@@ -355,7 +353,7 @@ class TestSpectralScore:
         series = time_evolution_series(
             state, sharp_event((0, 0)), (n_values - 1) * dt, dt, np.random.default_rng(0)
         )
-        spec = series_spectrum(series)
+        spec = power_spectrum(series.values, series.dt)
         assert int(np.argmax(spec.power)) == k
         assert spec.frequencies[k] == pytest.approx(delta_e / (2 * np.pi), abs=1e-12)
 
@@ -480,13 +478,13 @@ class TestTwoSiteReduced:
 class TestSiteEntropyProfile:
     def test_unique_ground_state_is_product(self):
         ham = ham_from([5, 2, 7], [0.0, 1.0, 2.0], 3)
-        profile = site_entropy_profile(ham, 3)
+        profile = site_entropy_profile(ham)
         assert np.allclose(profile, 0.0, atol=1e-12)
 
     def test_pair_of_ground_states_differing_in_first_qubit(self):
         # 000 and 100 mix only qubit 0, entangling nothing else.
         ham = ham_from([0, 4], [0.0, 0.0], 3)
-        profile = site_entropy_profile(ham, 3)
+        profile = site_entropy_profile(ham)
         assert profile[0] == pytest.approx(np.log(2), abs=1e-12)
         assert profile[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -494,12 +492,12 @@ class TestSiteEntropyProfile:
         # 0000 and 1100 share the flip across qubits 0 and 1: both pairs
         # touching those qubits mix, the remaining pair stays pure.
         ham = ham_from([0, 12], [0.5, 0.5], 4)
-        profile = site_entropy_profile(ham, 4)
+        profile = site_entropy_profile(ham)
         assert np.allclose(profile, [np.log(2), np.log(2), 0.0], atol=1e-12)
 
     def test_full_degenerate_support_is_maximally_mixed(self):
         ham = ham_from(list(range(16)), np.zeros(16), 4)
-        profile = site_entropy_profile(ham, 4)
+        profile = site_entropy_profile(ham)
         assert np.allclose(profile, np.log(4), atol=1e-12)
 
     def test_dressed_profile_matches_dense_oracle(self, rng):
@@ -507,7 +505,7 @@ class TestSiteEntropyProfile:
         angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
         ansatz = qsim.CircuitAnsatz(n, 1, angles)
         ham = ham_from([1, 6], [0.0, 0.0], n)
-        profile = site_entropy_profile(ham, n, ansatz=ansatz, mode="dressed")
+        profile = site_entropy_profile(ham, ansatz)
 
         rho = np.zeros((8, 8), dtype=complex)
         rho[1, 1] = rho[6, 6] = 0.5
@@ -528,7 +526,7 @@ class TestSiteEntropyProfile:
             support = rng.choice(2**n, size=min(2**n, 5), replace=False)
             energies = np.where(np.arange(support.size) < 3, 0.0, 1.0)
             profile = site_entropy_profile(
-                ham_from(support, energies, n), n, ansatz=ansatz, mode=mode
+                ham_from(support, energies, n), ansatz if mode == "dressed" else None
             )
 
             diag = np.zeros(2**n)
@@ -543,35 +541,33 @@ class TestSiteEntropyProfile:
                 assert profile[pair] == pytest.approx(expected, abs=1e-12)
 
     def test_tie_tolerance_selects_ground_set(self):
-        ham = ham_from([0, 3, 2], [0.0, 5e-10, 1.0], 2)
-        profile = site_entropy_profile(ham, 2, tie_tol=1e-9)
+        # Energies within 1e-9 of the minimum tie into one ground set.
+        profile = site_entropy_profile(ham_from([0, 3, 2], [0.0, 5e-10, 1.0], 2))
         # Ground set {00, 11}: a perfectly correlated pair.
         assert profile[0] == pytest.approx(np.log(2), abs=1e-12)
-        tight = site_entropy_profile(ham, 2, tie_tol=1e-12)
-        assert tight[0] == pytest.approx(0.0, abs=1e-12)
+        apart = site_entropy_profile(ham_from([0, 3, 2], [0.0, 2e-9, 1.0], 2))
+        assert apart[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_mode_selection(self, rng):
-        n = 2
-        angles = rng.uniform(-1, 1, size=2)
+        # An ansatz selects the dressed ground space, none the diagonal one.
+        n = 3
+        angles = rng.uniform(-1, 1, size=4)
         ansatz = qsim.CircuitAnsatz(n, 1, angles)
-        ham = ham_from([0, 3], [0.0, 0.0], n)
-        auto_with = site_entropy_profile(ham, n, ansatz=ansatz)
-        dressed = site_entropy_profile(ham, n, ansatz=ansatz, mode="dressed")
-        assert np.allclose(auto_with, dressed, atol=1e-12)
-        auto_without = site_entropy_profile(ham, n)
-        diagonal = site_entropy_profile(ham, n, ansatz=ansatz, mode="diagonal")
-        assert np.allclose(auto_without, diagonal, atol=1e-12)
+        ham = ham_from([0, 1], [0.0, 0.0], n)
+        profiles = {}
+        for given, rotation in ((ansatz, staircase_unitary(n, 1, angles)), (None, np.eye(8))):
+            rho = rotation @ np.diag([0.5, 0.5] + [0.0] * 6) @ rotation.conj().T
+            profiles[given is None] = site_entropy_profile(ham, given)
+            for pair in range(n - 1):
+                vals = np.linalg.eigvalsh(pair_reduced_matrix(rho, pair, pair + 1, n))
+                vals = vals[vals > 1e-12]
+                expected = -np.sum(vals * np.log(vals))
+                assert profiles[given is None][pair] == pytest.approx(expected, abs=1e-12)
+        assert not np.allclose(profiles[True], profiles[False], atol=1e-3)
 
     def test_error_paths(self):
-        ham = ham_from([0], [0.0], 2)
         with pytest.raises(ValueError):
-            site_entropy_profile(ham, 3)
-        with pytest.raises(ValueError):
-            site_entropy_profile(ebm.ModularHamiltonian.empty(2), 2)
-        with pytest.raises(ValueError):
-            site_entropy_profile(ham, 2, mode="dressed")
-        with pytest.raises(ValueError):
-            site_entropy_profile(ham, 2, mode="fancy")
+            site_entropy_profile(ebm.ModularHamiltonian.empty(2))
 
 
 class TestScenarios:

@@ -3,28 +3,26 @@
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
-from scipy.special import expit
+from scipy.special import expit, logit
 
+from qhbm import metrics
 from qhbm.embed import (
-    DensityMatrix,
     PixelImage,
     PixelProbabilities,
     bernoulli_index_samples,
     crop_and_pool,
-    dataset_mixed_state,
     exact_mixed_state,
     fit_scale_max,
     pixel_layout,
-    preprocess,
-    probabilities_to_intensities,
     select_pixels,
     standardise,
     synth_toy_jets,
 )
 from qhbm.errors import NumericError
 from qhbm.metrics import von_neumann_entropy
-from qhbm.qsim import SpinConfig, index_bits
+from qhbm.qsim import index_bits
 from qhbm.rng import substream
+from qhbm.train import _batch_distribution
 
 
 def flat_image(value, shape=(8, 8), label="unlabelled"):
@@ -73,37 +71,33 @@ class TestPixelProbabilities:
 
 
 class TestDensityMatrix:
-    def test_properties(self):
-        rho = DensityMatrix(np.eye(8) / 8.0)
-        assert rho.dim == 8
-        assert rho.n_qubits == 3
-        assert np.allclose(rho.diagonal(), 1 / 8.0)
+    """The data state diag(s) as a length-2**n vector, and the state checks the measures apply."""
+
+    def test_properties(self, rng):
+        s = exact_mixed_state([PixelProbabilities(rng.uniform(0.1, 0.9, size=3))])
+        assert s.shape == (8,) and s.dtype == np.float64
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_shapes(self):
+        s = np.ones(4) / 4.0
         with pytest.raises(ValueError):
-            DensityMatrix(np.eye(3) / 3.0)
+            metrics.fidelity(s, np.eye(4), np.ones(8) / 8.0)
         with pytest.raises(ValueError):
-            DensityMatrix(np.ones((2, 4)))
+            metrics.trace_distance(s, np.eye(2), s)
         with pytest.raises(ValueError):
-            DensityMatrix(np.ones((1, 1)))
+            metrics.quantum_relative_entropy(np.ones((2, 2)) / 4.0, np.eye(4), s)
 
     def test_validate_passes_for_valid_state(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        assert rho.validate() is rho
-
-    def test_validate_rejects_non_hermitian(self):
-        m = np.diag([0.5, 0.5]).astype(complex)
-        m[0, 1] = 0.3
-        with pytest.raises(NumericError):
-            DensityMatrix(m).validate()
+        s = np.array([0.25, 0.75])
+        assert metrics.trace_distance(s, np.eye(2), s) == 0.0
 
     def test_validate_rejects_bad_trace(self):
         with pytest.raises(NumericError):
-            DensityMatrix(np.diag([0.5, 0.6])).validate()
+            metrics.trace_distance(np.array([0.5, 0.6]), np.eye(2), np.array([0.5, 0.5]))
 
     def test_validate_rejects_negative_eigenvalue(self):
         with pytest.raises(NumericError):
-            DensityMatrix(np.diag([1.2, -0.2])).validate()
+            metrics.trace_distance(np.array([0.5, 0.5]), np.eye(2), np.array([1.2, -0.2]))
 
 
 class TestCropAndPool:
@@ -175,21 +169,21 @@ class TestStandardise:
 
 
 class TestPreprocess:
+    """crop_and_pool, then standardisation against a fitted maximum, as ``qhbm preprocess`` runs it."""
+
     def test_composes_pool_and_scale(self):
         grid = np.arange(16, dtype=float).reshape(4, 4)
-        im = PixelImage(grid)
-        out = preprocess(im, crop=0, pool=2, scale_max=25.0)
-        manual = standardise(crop_and_pool(im, 0, 2), 25.0)
-        assert np.allclose(out.intensities, manual.intensities)
+        out = standardise(crop_and_pool(PixelImage(grid), 0, 2), 25.0)
+        assert np.allclose(out.intensities, np.array([[2.5, 4.5], [10.5, 12.5]]) / 25.0 * np.pi)
 
     def test_self_scaling_puts_own_peak_at_pi(self):
-        grid = np.arange(16, dtype=float).reshape(4, 4)
-        out = preprocess(PixelImage(grid), crop=0, pool=2, scale_max=None)
+        pooled = crop_and_pool(PixelImage(np.arange(16, dtype=float).reshape(4, 4)), 0, 2)
+        out = standardise(pooled, fit_scale_max([pooled]))
         assert out.intensities.max() == pytest.approx(np.pi, abs=1e-12)
 
     def test_self_scaling_rejects_blank_image(self):
         with pytest.raises(ValueError):
-            preprocess(flat_image(0.0, (4, 4)), crop=0, pool=2, scale_max=None)
+            fit_scale_max([crop_and_pool(flat_image(0.0, (4, 4)), 0, 2)])
 
 
 class TestPixelLayout:
@@ -242,8 +236,7 @@ class TestSelectPixels:
         grid = rng.uniform(-5, 5, size=(4, 4))
         layout = [0, 7, 11, 13]
         probs = select_pixels(PixelImage(grid), layout)
-        back = probabilities_to_intensities(probs)
-        assert np.allclose(back, grid.reshape(-1)[layout], atol=1e-10)
+        assert np.allclose(logit(probs.probs), grid.reshape(-1)[layout], atol=1e-10)
 
 
 class TestBernoulliEmbed:
@@ -267,9 +260,9 @@ class TestBernoulliEmbed:
         probs = PixelProbabilities(np.array([0.4, 0.6, 0.2]))
         # Row k of the uniforms sets bit k of the big-endian index when below probs[k].
         uniforms = substream(3, "embedding").random((500, 3))
-        configs = [SpinConfig(tuple(int(b) for b in row < probs.probs)) for row in uniforms]
+        configs = ["".join("1" if b else "0" for b in row < probs.probs) for row in uniforms]
         indices = bernoulli_index_samples(probs, 500, substream(3, "embedding"))
-        assert [s.index for s in configs] == indices.tolist()
+        assert [int(bits, 2) for bits in configs] == indices.tolist()
 
     def test_zero_samples_and_errors(self):
         probs = PixelProbabilities(np.array([0.5]))
@@ -278,69 +271,70 @@ class TestBernoulliEmbed:
             bernoulli_index_samples(probs, -1, np.random.default_rng(0))
 
 
+def sampled_mixed_state(events, n_samples, rng):
+    """The training estimate of the dataset state: the mean of the events' draw distributions."""
+    groups = [bernoulli_index_samples(e, n_samples, rng) for e in events]
+    return _batch_distribution(groups, 2 ** events[0].n_qubits)
+
+
 class TestDatasetMixedState:
     def test_single_qubit_coin(self):
         probs = PixelProbabilities(np.array([0.5]))
-        rho = dataset_mixed_state([probs], 100_000, np.random.default_rng(1))
-        assert np.allclose(rho.diagonal(), [0.5, 0.5], atol=0.01)
+        q = sampled_mixed_state([probs], 100_000, np.random.default_rng(1))
+        assert np.allclose(q, [0.5, 0.5], atol=0.01)
 
     def test_always_valid_and_diagonal(self, rng):
         events = [
             PixelProbabilities(rng.uniform(0.05, 0.95, size=3)) for _ in range(4)
         ]
-        rho = dataset_mixed_state(events, 50, np.random.default_rng(2))
-        rho.validate()
-        assert np.allclose(rho.entries, np.diag(np.diag(rho.entries)), atol=0.0)
+        q = sampled_mixed_state(events, 50, np.random.default_rng(2))
+        assert q.shape == (8,) and np.all(q >= 0.0)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_scaling_invariance(self):
         events = [
             PixelProbabilities(np.array([0.3, 0.6])),
             PixelProbabilities(np.array([0.8, 0.2])),
         ]
-        a = dataset_mixed_state(events, 400, np.random.default_rng(5), weights=[1.0, 2.0])
-        b = dataset_mixed_state(events, 400, np.random.default_rng(5), weights=[2.0, 4.0])
-        assert np.array_equal(a.entries, b.entries)
+        a = exact_mixed_state(events, weights=[1.0, 2.0])
+        b = exact_mixed_state(events, weights=[2.0, 4.0])
+        assert np.array_equal(a, b)
 
     def test_converges_to_exact_state(self):
         events = [
             PixelProbabilities(np.array([0.3, 0.8])),
             PixelProbabilities(np.array([0.6, 0.4])),
         ]
-        sampled = dataset_mixed_state(events, 100_000, np.random.default_rng(17))
-        exact = exact_mixed_state(events)
-        assert np.abs(sampled.diagonal() - exact.diagonal()).sum() < 0.02
+        sampled = sampled_mixed_state(events, 100_000, np.random.default_rng(17))
+        assert np.abs(sampled - exact_mixed_state(events)).sum() < 0.02
 
     def test_rejects_bad_inputs(self):
         probs = PixelProbabilities(np.array([0.5]))
         with pytest.raises(ValueError):
-            dataset_mixed_state([], 10, np.random.default_rng(0))
+            _batch_distribution([], 2)
         with pytest.raises(ValueError):
-            dataset_mixed_state([probs], 0, np.random.default_rng(0))
+            _batch_distribution([np.zeros(0, dtype=np.int64)], 2)
         with pytest.raises(ValueError):
-            dataset_mixed_state(
-                [probs, PixelProbabilities(np.array([0.5, 0.5]))],
-                10,
-                np.random.default_rng(0),
-            )
+            exact_mixed_state([probs, PixelProbabilities(np.array([0.5, 0.5]))])
         with pytest.raises(ValueError):
-            dataset_mixed_state([probs], 10, np.random.default_rng(0), weights=[-1.0])
+            exact_mixed_state([probs], weights=[-1.0])
         with pytest.raises(ValueError):
-            dataset_mixed_state([probs], 10, np.random.default_rng(0), weights=[0.0])
+            exact_mixed_state([probs], weights=[0.0])
 
 
 class TestExactMixedState:
     def test_product_distribution_by_hand(self):
         event = PixelProbabilities(np.array([0.3, 0.8]))
-        rho = exact_mixed_state([event])
-        assert np.allclose(rho.diagonal(), [0.14, 0.56, 0.06, 0.24], atol=1e-12)
-        assert von_neumann_entropy(rho) == pytest.approx(1.1112667255930813, abs=1e-12)
+        s = exact_mixed_state([event])
+        assert np.allclose(s, [0.14, 0.56, 0.06, 0.24], atol=1e-12)
+        assert von_neumann_entropy(s) == pytest.approx(1.1112667255930813, abs=1e-12)
 
     def test_mixture_weights(self):
         a = PixelProbabilities(np.array([0.2]))
         b = PixelProbabilities(np.array([0.9]))
-        rho = exact_mixed_state([a, b], weights=[0.25, 0.75])
+        s = exact_mixed_state([a, b], weights=[0.25, 0.75])
         expected = 0.25 * np.array([0.8, 0.2]) + 0.75 * np.array([0.1, 0.9])
-        assert np.allclose(rho.diagonal(), expected, atol=1e-12)
+        assert np.allclose(s, expected, atol=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

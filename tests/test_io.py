@@ -24,7 +24,7 @@ from qhbm.io import (
     write_image_container,
     write_images_csv,
 )
-from qhbm.train import TrainConfig, fit, init_train_state, train_step
+from qhbm.train import TrainConfig, fit, init_train_state, snapshot, train_step
 
 from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
 
@@ -136,6 +136,20 @@ class TestCsvProvenance:
         header, rows = read_csv_skip_provenance(path)
         assert header == ["x", "y"]
         assert rows == [["1", "p"], ["2", "q"]]
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv_with_provenance(path, ["x"], [[1], [2]], {})
+        before = path.read_bytes()
+
+        def rows():
+            yield [3]
+            raise RuntimeError("interrupted half-way")
+
+        with pytest.raises(RuntimeError):
+            write_csv_with_provenance(path, ["x"], rows(), {"seed": 1})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -319,6 +333,20 @@ class TestCheckpoint:
         save_checkpoint(p1, state, cfg, history)
         save_checkpoint(p2, state, cfg, history)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        state, cfg, history = trained_state()
+        path = tmp_path / "model.qhbm"
+        save_checkpoint(path, state, cfg, history)
+        before = path.read_bytes()
+        # The last payload cannot be stored as float64, so the save fails
+        # after the header and the other payloads have been written.
+        broken = snapshot(state)
+        broken.adam_phi.v["angles"] = np.array(["not a number"], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken, cfg, history + [{"epoch": 3}])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.qhbm"]
 
     def test_works_after_plain_train_steps(self, tmp_path):
         cfg = TrainConfig(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qhbm.embed import DensityMatrix
 from qhbm.errors import NumericError
 from qhbm.metrics import (
+    _sweep,
     bernoulli_marginal_kl,
     fidelity,
     kl_divergence,
@@ -18,140 +18,165 @@ from qhbm.metrics import (
 )
 
 from oracles import (
+    dense_entropy,
+    dense_fidelity,
+    dense_relative_entropy,
+    dense_trace_distance,
     dft_power,
     fidelity_highprec,
     mann_whitney_auc,
-    random_density_matrix,
+    random_structured_state,
     random_unitary,
+    roc_rates_reference,
 )
 
 
-def pure_state(vec):
-    vec = np.asarray(vec, dtype=complex)
-    vec = vec / np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()))
+def one_hot(index, dim):
+    v = np.zeros(dim)
+    v[index] = 1.0
+    return v
 
 
-def diagonal_state(probs):
-    return DensityMatrix(np.diag(np.asarray(probs, dtype=complex)))
+def random_orthogonal(dim, rng):
+    return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+
+def diagonal_model(s, rng):
+    """(U, p) of a model state equal to diag(s): a signed permutation and the permuted s."""
+    perm = rng.permutation(s.size)
+    u = np.zeros((s.size, s.size))
+    u[perm, np.arange(s.size)] = rng.choice([-1.0, 1.0], size=s.size)
+    return u, s[perm]
+
+
+def dense_model(u, p):
+    return (u * p) @ u.T
 
 
 class TestFidelity:
     def test_identical_states(self, rng):
         for _ in range(5):
-            rho = DensityMatrix(random_density_matrix(4, rng))
-            assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+            s = rng.dirichlet(np.ones(8))
+            assert fidelity(s, *diagonal_model(s, rng)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        a = pure_state([1, 0, 0, 0])
-        b = pure_state([0, 0, 1, 0])
-        assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity(one_hot(0, 4), np.eye(4), one_hot(2, 4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_states_overlap_squared(self, rng):
+        # Pure diag(e_x) against the pure model state U e_z: F = U[x, z]**2.
         for _ in range(10):
-            va = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            vb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            va /= np.linalg.norm(va)
-            vb /= np.linalg.norm(vb)
-            got = fidelity(pure_state(va), pure_state(vb))
-            # Clipped zero eigenvalues contribute sqrt(eps) noise here.
-            assert got == pytest.approx(abs(np.vdot(va, vb)) ** 2, abs=1e-7)
+            u = random_orthogonal(4, rng)
+            x, z = rng.integers(4, size=2)
+            got = fidelity(one_hot(x, 4), u, one_hot(z, 4))
+            assert got == pytest.approx(u[x, z] ** 2, abs=1e-12)
 
     def test_diagonal_states_bhattacharyya(self, rng):
         for _ in range(10):
             p = rng.dirichlet(np.ones(8))
             q = rng.dirichlet(np.ones(8))
-            got = fidelity(diagonal_state(p), diagonal_state(q))
-            assert got == pytest.approx(np.sum(np.sqrt(p * q)) ** 2, abs=1e-10)
+            got = fidelity(p, np.eye(8), q)
+            assert got == pytest.approx(np.sum(np.sqrt(p * q)) ** 2, abs=1e-12)
 
     def test_matches_high_precision_oracle(self, rng):
-        for _ in range(5):
-            a = random_density_matrix(4, rng, complex_entries=False)
-            b = random_density_matrix(4, rng, complex_entries=False)
-            expected = fidelity_highprec(a, b)
-            assert fidelity(DensityMatrix(a), DensityMatrix(b)) == pytest.approx(
-                expected, abs=1e-9
-            )
+        # The dense square-root path is off by up to ~1e-8 here; the
+        # structured one agrees with 40-digit arithmetic on the same inputs.
+        for n in (2, 3, 4, 5):
+            for _ in range(2):
+                s, u, p = random_structured_state(2**n, rng)
+                assert fidelity(s, u, p) == pytest.approx(fidelity_highprec(s, u, p), abs=1e-12)
 
     def test_symmetry_and_bounds(self, rng):
         for _ in range(10):
-            a = DensityMatrix(random_density_matrix(4, rng))
-            b = DensityMatrix(random_density_matrix(4, rng))
-            f_ab = fidelity(a, b)
-            f_ba = fidelity(b, a)
-            assert f_ab == pytest.approx(f_ba, abs=1e-8)
-            assert -1e-10 <= f_ab <= 1.0 + 1e-8
+            s, u, p = random_structured_state(4, rng)
+            f = fidelity(s, u, p)
+            assert f == pytest.approx(dense_fidelity(dense_model(u, p), np.diag(s)), abs=1e-7)
+            assert -1e-12 <= f <= 1.0 + 1e-12
 
     def test_rejects_invalid_inputs(self, rng):
-        good = DensityMatrix(random_density_matrix(4, rng))
+        s, u, p = random_structured_state(4, rng)
         with pytest.raises(ValueError):
-            fidelity(good, DensityMatrix(np.eye(8) / 8.0))
-        skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        skew[0, 1] = 0.2
+            fidelity(s, u, np.ones(8) / 8.0)
+        with pytest.raises(ValueError):
+            fidelity(s, np.eye(8), p)
         with pytest.raises(NumericError):
-            fidelity(DensityMatrix(skew), good)
+            fidelity(np.array([1.5, -0.5, 0.0, 0.0]), u, p)
         with pytest.raises(NumericError):
-            fidelity(DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0])), good)
+            fidelity(s, u, 2.0 * p)
 
 
 class TestTraceDistance:
     def test_identical_states(self, rng):
-        rho = DensityMatrix(random_density_matrix(8, rng))
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+        s = rng.dirichlet(np.ones(8))
+        assert trace_distance(s, *diagonal_model(s, rng)) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        a = pure_state([1, 0])
-        b = pure_state([0, 1])
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance(one_hot(0, 2), np.eye(2), one_hot(1, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_states_half_l1(self, rng):
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        got = trace_distance(diagonal_state(p), diagonal_state(q))
+        got = trace_distance(p, np.eye(4), q)
         assert got == pytest.approx(0.5 * np.abs(p - q).sum(), abs=1e-12)
 
     def test_fuchs_van_de_graaf_bounds(self, rng):
         for _ in range(20):
-            a = DensityMatrix(random_density_matrix(4, rng))
-            b = DensityMatrix(random_density_matrix(4, rng))
-            f = fidelity(a, b)
-            t = trace_distance(a, b)
-            assert 1.0 - np.sqrt(f) <= t + 1e-8
-            assert t <= np.sqrt(max(1.0 - f, 0.0)) + 1e-8
+            s, u, p = random_structured_state(4, rng)
+            f = fidelity(s, u, p)
+            t = trace_distance(s, u, p)
+            assert 1.0 - np.sqrt(f) <= t + 1e-12
+            assert t <= np.sqrt(max(1.0 - f, 0.0)) + 1e-12
 
 
 class TestVonNeumannEntropy:
-    def test_pure_state_zero(self, rng):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert von_neumann_entropy(pure_state(v)) == pytest.approx(0.0, abs=1e-10)
+    def test_pure_state_zero(self):
+        assert von_neumann_entropy(one_hot(3, 8)) == 0.0
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(4) / 4.0)
-        assert von_neumann_entropy(rho) == pytest.approx(np.log(4), abs=1e-12)
+        assert von_neumann_entropy(np.ones(4) / 4.0) == pytest.approx(np.log(4), abs=1e-12)
 
     def test_binary_entropy_value(self):
-        rho = diagonal_state([0.7, 0.3])
-        assert von_neumann_entropy(rho) == pytest.approx(0.6108643020548935, abs=1e-12)
+        assert von_neumann_entropy([0.7, 0.3]) == pytest.approx(0.6108643020548935, abs=1e-12)
 
     def test_unitary_invariance(self, rng):
-        rho = random_density_matrix(4, rng)
-        u = random_unitary(4, rng)
-        rotated = DensityMatrix(u @ rho @ u.conj().T)
-        assert von_neumann_entropy(rotated) == pytest.approx(
-            von_neumann_entropy(DensityMatrix(rho)), abs=1e-8
-        )
+        # The spectrum p gives the entropy of U diag(p) U^T for any unitary.
+        p = rng.dirichlet(np.ones(4))
+        w = random_unitary(4, rng)
+        rotated = (w * p) @ w.conj().T
+        assert von_neumann_entropy(p) == pytest.approx(dense_entropy(rotated), abs=1e-12)
 
     def test_concavity(self, rng):
         for _ in range(10):
-            a = random_density_matrix(4, rng)
-            b = random_density_matrix(4, rng)
+            a = rng.dirichlet(np.ones(4))
+            b = rng.dirichlet(np.ones(4))
             lam = float(rng.uniform(0.1, 0.9))
-            mixed = DensityMatrix(lam * a + (1 - lam) * b)
-            lhs = von_neumann_entropy(mixed)
-            rhs = lam * von_neumann_entropy(DensityMatrix(a)) + (
-                1 - lam
-            ) * von_neumann_entropy(DensityMatrix(b))
-            assert lhs >= rhs - 1e-10
+            lhs = von_neumann_entropy(lam * a + (1 - lam) * b)
+            rhs = lam * von_neumann_entropy(a) + (1 - lam) * von_neumann_entropy(b)
+            assert lhs >= rhs - 1e-12
+
+    def test_rejects_invalid_spectra(self):
+        with pytest.raises(NumericError):
+            von_neumann_entropy([1.2, -0.2])
+        with pytest.raises(NumericError):
+            von_neumann_entropy([0.5, 0.6])
+
+
+class TestStructuredMatchesDense:
+    """Each measure of (s, U, p) equals the dense-matrix reference on diag(s) and U diag(p) U^T."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+    def test_random_states(self, n_qubits, rng):
+        for _ in range(10):
+            s, u, p = random_structured_state(2**n_qubits, rng)
+            sigma, rho = np.diag(s), dense_model(u, p)
+            assert fidelity(s, u, p) == pytest.approx(dense_fidelity(sigma, rho), abs=1e-7)
+            assert trace_distance(s, u, p) == pytest.approx(
+                dense_trace_distance(sigma, rho), abs=1e-12
+            )
+            assert quantum_relative_entropy(s, u, p) == pytest.approx(
+                dense_relative_entropy(sigma, rho), rel=1e-12, abs=1e-12
+            )
+            assert von_neumann_entropy(p) == pytest.approx(dense_entropy(rho), abs=1e-12)
+            assert von_neumann_entropy(s) == pytest.approx(dense_entropy(sigma), abs=1e-12)
 
 
 class TestKlDivergence:
@@ -211,30 +236,26 @@ class TestBernoulliMarginalKl:
 
 class TestQuantumRelativeEntropy:
     def test_zero_for_identical(self, rng):
-        rho = DensityMatrix(random_density_matrix(4, rng))
-        assert quantum_relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-8)
+        s = rng.dirichlet(np.ones(4))
+        assert quantum_relative_entropy(s, *diagonal_model(s, rng)) == pytest.approx(0.0, abs=1e-12)
 
     def test_non_negative(self, rng):
         for _ in range(20):
-            rho = DensityMatrix(random_density_matrix(4, rng))
-            sigma = DensityMatrix(random_density_matrix(4, rng))
-            assert quantum_relative_entropy(rho, sigma) >= -1e-8
+            assert quantum_relative_entropy(*random_structured_state(4, rng)) >= -1e-12
 
     def test_diagonal_case_reduces_to_classical_kl(self, rng):
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        got = quantum_relative_entropy(diagonal_state(p), diagonal_state(q))
-        assert got == pytest.approx(kl_divergence(p, q), abs=1e-8)
+        got = quantum_relative_entropy(p, np.eye(4), q)
+        assert got == pytest.approx(kl_divergence(p, q), abs=1e-12)
 
     def test_unitary_conjugation_invariance(self, rng):
-        rho = random_density_matrix(4, rng)
-        sigma = random_density_matrix(4, rng)
-        u = random_unitary(4, rng)
-        base = quantum_relative_entropy(DensityMatrix(rho), DensityMatrix(sigma))
-        rotated = quantum_relative_entropy(
-            DensityMatrix(u @ rho @ u.conj().T), DensityMatrix(u @ sigma @ u.conj().T)
-        )
-        assert rotated == pytest.approx(base, abs=1e-8)
+        s, u, p = random_structured_state(4, rng)
+        w = random_unitary(4, rng)
+        sigma = (w * s) @ w.conj().T
+        rho = w @ dense_model(u, p) @ w.conj().T
+        got = quantum_relative_entropy(s, u, p)
+        assert got == pytest.approx(dense_relative_entropy(sigma, rho), abs=1e-8)
 
 
 class TestPowerSpectrum:
@@ -355,6 +376,22 @@ class TestRocFromScores:
         xs = np.concatenate([[0.0], curve.fpr])
         ys = np.concatenate([[0.0], curve.tpr])
         assert curve.auc == pytest.approx(np.trapezoid(ys, xs), abs=1e-12)
+
+    @given(st.data())
+    def test_sweep_matches_per_threshold_means(self, data):
+        # Coarse integer scores force ties at the thresholds.
+        scores = st.lists(st.integers(-5, 5), min_size=1, max_size=40)
+        signal = np.array(data.draw(scores), dtype=np.float64) / 2.0
+        background = np.array(data.draw(scores), dtype=np.float64) / 2.0
+        n = data.draw(st.integers(2, 30))
+        lo, hi = min(signal.min(), background.min()), max(signal.max(), background.max())
+        thresholds = np.linspace(hi, lo if lo < hi else hi - 1.0, n)
+        for sign in (1.0, -1.0):
+            t = thresholds if sign > 0 else -thresholds[::-1]
+            got = _sweep(sign * signal, sign * background, t)
+            expected = roc_rates_reference(sign * signal, sign * background, t)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
 
     def test_error_paths(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from qhbm.train import (
     fit,
     generate,
     init_train_state,
-    model_density_matrix,
+    model_state,
     snapshot,
     train_step,
     _phi_gradient,
@@ -28,6 +28,7 @@ from qhbm.rng import substream
 
 from oracles import (
     batch_parameter_shift_gradient,
+    boltzmann_distribution,
     diagonal_hamiltonian_matrix,
     staircase_unitary,
 )
@@ -473,10 +474,13 @@ class TestModelDensityMatrix:
         ham = ebm.build_hamiltonian(model, [0, 2, 3])
         angles = rng.uniform(-np.pi, np.pi, size=2)
         state = manual_state(model, qsim.CircuitAnsatz(n, 1, angles), ham)
-        rho = model_density_matrix(state).entries
-        u = staircase_unitary(n, 1, angles)
-        latent = ebm.thermal_state(ham, n).entries
-        assert np.allclose(rho, u @ latent @ u.conj().T, atol=1e-10)
+        u, p = model_state(state)
+        dense = staircase_unitary(n, 1, angles)
+        assert np.allclose(u, dense, atol=1e-12)
+        assert p[[0, 2, 3]] == pytest.approx(boltzmann_distribution(ham.energies), abs=1e-12)
+        assert p[1] == 0.0
+        latent = np.diag(ebm.thermal_state(ham)).astype(complex)
+        assert np.allclose((u * p) @ u.T, dense @ latent @ dense.conj().T, atol=1e-10)
 
 
 class TestGenerate:
@@ -512,7 +516,8 @@ class TestGenerate:
         n_draws = 20_000
         indices = generate(state, n_draws, np.random.default_rng(3))
         counts = np.bincount(indices, minlength=4)
-        expected = model_density_matrix(state).diagonal() * n_draws
+        u, p = model_state(state)
+        expected = ((u * u) @ p) * n_draws
         keep = expected > 5
         stat = chisquare(counts[keep], expected[keep] * counts[keep].sum() / expected[keep].sum())
         assert stat.pvalue > 0.01
