@@ -8,10 +8,9 @@ time-zero score.  Writes a JSON report next to the printed table.
 """
 
 import argparse
-import json
 import time
 
-from qhbm import anomaly, embed, train
+from qhbm import anomaly, embed, io, train
 from qhbm.rng import substream
 
 
@@ -97,8 +96,7 @@ def main(argv=None):
         )
     print(f"total {time.monotonic() - t0:.0f}s")
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
+        io.write_json(args.out, report)
         print(f"wrote {args.out}")
     return 0
 

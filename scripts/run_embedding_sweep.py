@@ -9,12 +9,11 @@ exact state and median divergence between the pixel distributions.
 
 import argparse
 import dataclasses
-import json
 import time
 
 import numpy as np
 
-from qhbm import embed, metrics, train
+from qhbm import embed, io, metrics, train
 from qhbm.rng import substream
 
 
@@ -66,16 +65,16 @@ def main(argv=None):
         for seed in seeds:
             config = train.TrainConfig(
                 n_qubits=4, n_mc_samples=args.n_mc_samples, n_embed_samples=n_embed,
-                batch_size=1, max_epochs=1, seed=seed, adjoint_convention=True,
+                batch_size=1, max_epochs=1, seed=seed,
             )
             draws = embed.bernoulli_index_samples(
                 event, n_embed, substream(seed, "embedding", "sweep", 0)
             )
             state = train_on_draws(event, config, draws, args.steps, anneal)
-            u, p = train.model_state(state)
-            fids.append(metrics.fidelity(target, u, p))
-            # The model's basis distribution is the diagonal of U diag(p) U^T.
-            kls.append(metrics.kl_divergence(target, (u * u) @ p))
+            w, p = train.model_state(state)
+            fids.append(metrics.fidelity(target, w, p))
+            # The model's basis distribution is the diagonal of W diag(p) W^T.
+            kls.append(metrics.kl_divergence(target, (w * w) @ p))
         report["results"][str(n_embed)] = {
             "median_fidelity": float(np.median(fids)),
             "median_kl": float(np.median(kls)),
@@ -89,8 +88,7 @@ def main(argv=None):
         )
     print(f"total {time.monotonic() - t0:.0f}s")
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
+        io.write_json(args.out, report)
         print(f"wrote {args.out}")
     return 0
 

@@ -299,46 +299,41 @@ def discrimination_report(
     return roc_from_scores(signal_scores, background_scores, n_thresholds)
 
 
-def _two_site_reduced(rho: np.ndarray, i: int, j: int, n_qubits: int) -> np.ndarray:
-    """Trace out all qubits except i < j from a dense density matrix."""
-    tensor = rho.reshape([2] * (2 * n_qubits))
-    keep = (i, j)
-    # Pair up row/column axes of every traced-out qubit.
-    for q in range(n_qubits - 1, -1, -1):
-        if q in keep:
-            continue
-        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
-    return tensor.reshape(4, 4)
+def _pair_reduced(phi: np.ndarray, i: int) -> np.ndarray:
+    """Reduced state of qubits (i, i + 1) in Phi Phi^T / k, Phi of shape (2**n, k).
+
+    Viewing Phi as (2**i, 4, rest, k) puts the pair on the second axis, so
+    tracing out every other qubit is one contraction and the dense state
+    is never formed.
+    """
+    v = phi.reshape(2**i, 4, -1, phi.shape[1])
+    return np.einsum("lark,lbrk->ab", v, v) / phi.shape[1]
 
 
 def site_entropy_profile(
     ham: ModularHamiltonian,
-    ansatz: qsim.CircuitAnsatz | None = None,
+    w: np.ndarray | None = None,
 ) -> np.ndarray:
     """Von Neumann entropy of each adjacent qubit pair in the ground state.
 
     The ground state is the uniform mixture over support states within
-    1e-9 of the minimal energy.  Without ``ansatz`` the mixture is taken
-    literally over those basis states ("diagonal"); with it each is
-    rotated by the circuit first ("dressed"), i.e. the ground space of
-    U K U^dag.  Returns n_qubits - 1 entropies for pairs (0,1), ...,
-    (n-2, n-1).
+    1e-9 of the minimal energy.  Without ``w`` the mixture is taken
+    literally over those basis states ("diagonal"); with the model's
+    rotation W of ``train.model_state`` each ground state z becomes
+    column z of W ("dressed"), i.e. the ground space of W K W^T.
+    Returns n_qubits - 1 entropies for pairs (0,1), ..., (n-2, n-1).
     """
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
-    n_qubits = ham.n_qubits
     ground_idx = ham.support[ham.energies <= ham.energies.min() + 1e-9]
-    # rho = Phi Phi^T / k over the k ground states, real because U is.
-    if ansatz is not None:
-        phi = qsim.ansatz_unitary(ansatz)[:, ground_idx]
+    # The ground state is Phi Phi^T / k over the k ground states.
+    if w is not None:
+        phi = w[:, ground_idx]
     else:
-        phi = np.zeros((2**n_qubits, ground_idx.size))
+        phi = np.zeros((2**ham.n_qubits, ground_idx.size))
         phi[ground_idx, np.arange(ground_idx.size)] = 1.0
-    rho = phi @ phi.T / ground_idx.size
-
-    entropies = np.empty(n_qubits - 1)
-    for pair in range(n_qubits - 1):
-        reduced = _two_site_reduced(rho, pair, pair + 1, n_qubits)
-        vals = np.linalg.eigvalsh((reduced + reduced.conj().T) / 2.0)
+    entropies = np.empty(ham.n_qubits - 1)
+    for pair in range(ham.n_qubits - 1):
+        vals = np.linalg.eigvalsh(_pair_reduced(phi, pair))
         entropies[pair] = von_neumann_entropy(np.clip(vals, 0.0, None))
     return entropies

@@ -200,7 +200,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         config.as_dict(),
     )
     snapshot = _metric_snapshot(best, config, valid_events)
-    (outdir / "metrics.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    io.write_json(outdir / "metrics.json", snapshot)
     print(
         f"trained {len(history)} epochs, best validation loss "
         f"{best.best_validation_loss:.6f}; wrote {outdir / 'checkpoint.qhbm'}"
@@ -209,19 +209,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _model_vs_data(
-    u: np.ndarray,
+    w: np.ndarray,
     p: np.ndarray,
     generated: np.ndarray,
     events: list[embed.PixelProbabilities],
 ) -> dict:
-    """Model state (U, p) and generated indices against the exact embedded state of ``events``."""
+    """Model state (W, p) and generated indices against the exact embedded state of ``events``."""
     s = embed.exact_mixed_state(events)
     mean_probs = np.mean([e.probs for e in events], axis=0)
     emitted = qsim.index_bits(generated, events[0].n_qubits)
     return {
-        "fidelity": metrics.fidelity(s, u, p),
-        "trace_distance": metrics.trace_distance(s, u, p),
-        "quantum_relative_entropy": metrics.quantum_relative_entropy(s, u, p),
+        "fidelity": metrics.fidelity(s, w, p),
+        "trace_distance": metrics.trace_distance(s, w, p),
+        "quantum_relative_entropy": metrics.quantum_relative_entropy(s, w, p),
         "pixel_kl": metrics.bernoulli_marginal_kl(mean_probs, emitted.mean(axis=0)),
         "data_entropy": metrics.von_neumann_entropy(s),
     }
@@ -233,9 +233,9 @@ def _metric_snapshot(
     events: list[embed.PixelProbabilities],
 ) -> dict:
     """Model-vs-data measures on one event set (exact data mixed state)."""
-    u, p = train.model_state(state)
+    w, p = train.model_state(state)
     generated = train.generate(state, 2000, substream(config.seed, "generation"))
-    return _model_vs_data(u, p, generated, events) | {
+    return _model_vs_data(w, p, generated, events) | {
         "model_entropy": metrics.von_neumann_entropy(p),
         "n_events": len(events),
     }
@@ -252,14 +252,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    u, p = train.model_state(state)
+    w, p = train.model_state(state)
     gen_rng = substream(args.seed, "generation")
     rows = []
     per_metric: dict[str, list[float]] = {}
     for start in range(0, len(events), args.batch_size):
         batch = events[start : start + args.batch_size]
         generated = train.generate(state, args.generation_samples, gen_rng)
-        values = _model_vs_data(u, p, generated, batch)
+        values = _model_vs_data(w, p, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
         for k, v in values.items():
             per_metric.setdefault(k, []).append(v)
@@ -283,7 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     for k, vals in per_metric.items():
         summary[k] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    io.write_json(outdir / "summary.json", summary)
     print(f"evaluated {len(events)} events in batches of {args.batch_size}; wrote {outdir}")
     return 0
 
@@ -392,9 +392,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
             run_meta,
         )
 
-    (outdir / "auc_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    io.write_json(outdir / "auc_summary.json", summary)
     print(
         f"anomaly report written to {outdir}: "
         f"AUC(t_zero)={summary['auc_t_zero']:.4f}, "
@@ -405,9 +403,8 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
 
 def cmd_site_entropy(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
-    profile = anomaly.site_entropy_profile(
-        state.hamiltonian, state.ansatz if args.mode == "dressed" else None
-    )
+    w = train.model_state(state)[0] if args.mode == "dressed" else None
+    profile = anomaly.site_entropy_profile(state.hamiltonian, w)
     io.write_csv_with_provenance(
         args.out,
         ["pair", "entropy"],

@@ -79,6 +79,13 @@ def write_csv_with_provenance(
             writer.writerow(row)
 
 
+def write_json(path: str | Path, data: dict) -> None:
+    """Indented, key-sorted JSON with a final newline, replaced atomically."""
+    with _replacing(Path(path), "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def read_csv_skip_provenance(path: str | Path) -> tuple[list[str], list[list[str]]]:
     path = Path(path)
     with path.open() as fh:
@@ -110,10 +117,11 @@ def write_image_container(
     images: Sequence[PixelImage],
     meta: dict | None = None,
 ) -> None:
-    """Write the binary container plus its JSON sidecar.
+    """Write the binary container plus its JSON sidecar, each replaced atomically.
 
     All images must share one shape; an empty dataset stores its shape
-    as 0 x 0.
+    as 0 x 0.  The sidecar is serialised before either file is written,
+    so metadata that cannot be stored leaves both earlier files intact.
     """
     path = Path(path)
     if images:
@@ -122,11 +130,6 @@ def write_image_container(
             raise DataError("all images in a container must share one shape")
     else:
         height = width = 0
-    with path.open("wb") as fh:
-        fh.write(IMAGE_MAGIC)
-        fh.write(struct.pack("<III", len(images), width, height))
-        for im in images:
-            fh.write(im.intensities.astype("<f4").tobytes())
     sidecar = {
         "width": width,
         "height": height,
@@ -134,9 +137,14 @@ def write_image_container(
         "weights": [float(im.weight) for im in images],
         "meta": meta or {},
     }
-    with _sidecar_path(path).open("w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    sidecar_text = json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
+    with _replacing(path, "wb") as fh:
+        fh.write(IMAGE_MAGIC)
+        fh.write(struct.pack("<III", len(images), width, height))
+        for im in images:
+            fh.write(im.intensities.astype("<f4").tobytes())
+    with _replacing(_sidecar_path(path), "w") as fh:
+        fh.write(sidecar_text)
 
 
 def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
@@ -308,10 +316,12 @@ def _rebuild_state(
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
 
     stored = dict(metadata["config"])
-    # Older checkpoints store the retired protocol modes.  Only the values
-    # that are now built in describe a model this build can represent.
+    # Older checkpoints store the retired protocol modes and circuit
+    # orientation.  Only the values that are now built in describe a model
+    # this build can represent.
     retired = {"embed_mode": "presampled", "proposal": "uniform", "duplicate_mode": "dedupe",
-               "partition_mode": "support", "latent_mode": "thermal"}
+               "partition_mode": "support", "latent_mode": "thermal",
+               "adjoint_convention": False}
     for key, built_in in retired.items():
         value = stored.pop(key, built_in)
         if value != built_in:

@@ -1,9 +1,10 @@
 """Distance and spectral measures for states, distributions and signals.
 
 States are real and structured: the data state is sigma = diag(s) and
-the model state rho = U diag(p) U^T, with U the orthogonal circuit
-matrix.  s and p must be non-negative and sum to one within 1e-8 (else
-NumericError); spectrum values at or below 1e-12 count as zero.
+the model state rho = U diag(p) U^T, with U any orthogonal matrix (for
+a trained model, the rotation W of ``train.model_state``).  s and p
+must be non-negative and sum to one within 1e-8 (else NumericError);
+spectrum values at or below 1e-12 count as zero.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ RY and CNOT are real, so the circuit matrix U is orthogonal and the
 engine works on real float64 arrays: ``ansatz_unitary`` returns U as a
 real matrix, and a gate updates an array of shape (2**n, ...) in place
 through a (2**q, 2, rest) view that exposes qubit q as the middle axis.
-The same gate-list walker applies U and its inverse U^T (the reversed
-gate list with negated angles).  Basis states are int64 indices, so the
-circuit matrix U is the only state-sized object this module builds: the
-model state elsewhere is U diag(p) U^T, held as the pair (U, p).
+Applying the gate list in reverse with negated angles undoes it, which
+is how the angle gradient sweeps back through the circuit.  Basis states
+are int64 indices, so the circuit matrix U is the only state-sized
+object this module builds.  Training routes data through U, so the
+model state in data space is U^T diag(p) U (``train.model_state``).
 """
 
 from __future__ import annotations
@@ -84,19 +85,16 @@ class CircuitAnsatz:
                 yield b, base, base + 1
 
 
-def circuit_gates(ansatz: CircuitAnsatz, adjoint: bool = False) -> list[tuple[int, int, float]]:
-    """(qubit, angle index, angle) triples in application order.
+def circuit_gates(ansatz: CircuitAnsatz) -> list[tuple[int, int, float]]:
+    """(qubit, angle index, angle) triples of U in application order.
 
     A triple with angle index k >= 0 is RY(angle) on ``qubit``, where
     angle is angles[k]; index -1 is the CNOT with ``qubit`` as control
-    and ``qubit + 1`` as target.  With ``adjoint`` the list describes
-    U^T: the gates in reverse order with negated angles.
+    and ``qubit + 1`` as target.
     """
     gates: list[tuple[int, int, float]] = []
     for q, ia, ib in ansatz.blocks():
         gates += [(q, ia, ansatz.angles[ia]), (q + 1, ib, ansatz.angles[ib]), (q, -1, 0.0)]
-    if adjoint:
-        gates = [(q, k, -angle) for q, k, angle in reversed(gates)]
     return gates
 
 

@@ -47,7 +47,6 @@ class TrainConfig:
     max_epochs: int = 100
     mc_burn_in: int = 100
     seed: int = 0
-    adjoint_convention: bool = False
     weight_scale: float = 0.01
     angle_scale: float = 0.01
     adam_beta1: float = 0.9
@@ -212,14 +211,12 @@ def _loss(
     """Loss, mean <K> and support weights for basis draws distributed as ``q``.
 
     Routing every basis state through the circuit at once gives the
-    output distribution P @ q with P[z, x] = |<z| V |x>|**2, where V is
-    U (or U^dag in the adjoint orientation).  The support weights are
-    that distribution read off at ``ham.support``, so the mean
-    expectation is sum_z w_z E(z).
+    output distribution P @ q with P[z, x] = <z|U|x>**2.  The support
+    weights are that distribution read off at ``ham.support``, so the
+    mean expectation is sum_z w_z E(z) = tr(diag(q) U^T K U): the data
+    are scored against the model state U^T diag(p) U of ``model_state``.
     """
     u = qsim.ansatz_unitary(ansatz)
-    if config.adjoint_convention:
-        u = u.T
     weights = ((u * u) @ q)[ham.support]
     mean_exp = float(ham.energies @ weights)
     return config.beta * mean_exp + config.k_beta * ham.log_partition, mean_exp, weights
@@ -246,16 +243,15 @@ def _phi_gradient(
     ansatz: qsim.CircuitAnsatz,
     ham: ebm.ModularHamiltonian,
     q: np.ndarray,
-    adjoint: bool,
 ) -> np.ndarray:
     """Adjoint-mode gradient of the batch-mean expectation over every angle.
 
-    The expectation is f = tr(Phi^T K Phi) with Phi = V diag(sqrt(q)),
-    where V is the circuit matrix (U, or U^T in the adjoint orientation)
-    and only the columns with q > 0 are kept.  After one forward sweep
-    and Lambda = K Phi, a backward sweep un-applies each gate from Phi
-    and Lambda together.  Taking both just before an RY gate with
-    applied angle a, df/da = 2 <Lambda, dRY/da Phi> reduces to
+    The expectation is f = tr(Phi^T K Phi) with Phi = U diag(sqrt(q)),
+    where U is the circuit matrix and only the columns with q > 0 are
+    kept.  After one forward sweep and Lambda = K Phi, a backward sweep
+    un-applies each gate from Phi and Lambda together.  Taking both just
+    before an RY gate with applied angle a, df/da = 2 <Lambda, dRY/da Phi>
+    reduces to
     <Lambda, J Phi> with J = [[0, -1], [1, 0]] on the gate's qubit
     (Jones & Gacon, arXiv:2009.02823).
     """
@@ -267,19 +263,17 @@ def _phi_gradient(
     # pair[:, 0] holds Phi and pair[:, 1] holds Lambda, so each gate is one call.
     pair = np.zeros((2**ansatz.n_qubits, 2, m))
     pair[cols, 0, np.arange(m)] = np.sqrt(q[cols])
-    gates = qsim.circuit_gates(ansatz, adjoint)
+    gates = qsim.circuit_gates(ansatz)
     for gate in gates:
         qsim.apply_gate(pair, *gate)
     pair[ham.support, 1] = ham.energies[:, None] * pair[ham.support, 0]
-    # The adjoint orientation applies -angles[k], which flips the chain rule.
-    sign = -1.0 if adjoint else 1.0
     for qubit, k, angle in reversed(gates):
         qsim.apply_gate(pair, qubit, k, -angle)
         if k >= 0:
             v = pair.reshape(2**qubit, 2, -1, 2, m)
             phi_0, phi_1 = v[:, 0, :, 0], v[:, 1, :, 0]
             lam_0, lam_1 = v[:, 0, :, 1], v[:, 1, :, 1]
-            grad[k] = sign * (np.vdot(lam_1, phi_0) - np.vdot(lam_0, phi_1))
+            grad[k] = np.vdot(lam_1, phi_0) - np.vdot(lam_0, phi_1)
     return grad
 
 
@@ -298,9 +292,7 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
     ham = ebm.build_hamiltonian(state.energy_model, samples)
     q = _batch_distribution(batch, 2**config.n_qubits)
     _, _, weights = _loss(state.ansatz, ham, q, config)
-    phi_grad = config.beta * _phi_gradient(
-        state.ansatz, ham, q, config.adjoint_convention
-    )
+    phi_grad = config.beta * _phi_gradient(state.ansatz, ham, q)
     theta_grad = ebm.theta_gradient(
         state.energy_model, ham, weights, config.beta, config.k_beta
     )
@@ -435,19 +427,22 @@ def fit(
 
 
 def model_state(state: TrainState) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit matrix U and thermal spectrum p of the model state U diag(p) U^T.
+    """Rotation W and thermal spectrum p of the model state W diag(p) W^T in data space.
 
-    U is the forward circuit whatever ``adjoint_convention`` says, as in ``generate``.
+    Training routes data through the circuit matrix U (``_loss``), so the
+    state it fits is U^T diag(p) U and W = U^T: latent state x sits at
+    column x of W.  This is the one place that says so; ``generate`` and
+    every model-vs-data measure take W from here.
     """
-    return qsim.ansatz_unitary(state.ansatz), ebm.thermal_state(state.hamiltonian)
+    return qsim.ansatz_unitary(state.ansatz).T, ebm.thermal_state(state.hamiltonian)
 
 
 def generate(state: TrainState, n_events: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``n_events`` basis indices (int64) from the model.
 
     Latent states are drawn from the Boltzmann distribution over the
-    support, routed through the circuit, and the output basis state is
-    sampled from the routed amplitudes.
+    support, rotated into data space by ``model_state``'s W, and the
+    output basis state is sampled from the rotated amplitudes.
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
@@ -456,9 +451,9 @@ def generate(state: TrainState, n_events: int, rng: np.random.Generator) -> np.n
         raise ValueError("hamiltonian support is empty")
     latent_probs = np.exp(-ham.energies - ham.log_partition)
     latent_probs = latent_probs / latent_probs.sum()
-    u = qsim.ansatz_unitary(state.ansatz)
-    # Column x of U**2 is the output distribution for latent state x.
-    out_cum = np.cumsum(u * u, axis=0).T[ham.support]
+    w, _ = model_state(state)
+    # Column x of W**2 is the output distribution for latent state x.
+    out_cum = np.cumsum(w * w, axis=0).T[ham.support]
     latent_draws = rng.choice(ham.support.size, size=n_events, p=latent_probs)
     uniforms = rng.random(n_events)
     out = [np.searchsorted(out_cum[d], p, side="right") for d, p in zip(latent_draws, uniforms)]

@@ -242,7 +242,7 @@ def shifted(ansatz, k: int, delta: float):
     return ansatz.with_angles(angles)
 
 
-def parameter_shift_gradient(index: int, ansatz, ham, adjoint: bool = False) -> np.ndarray:
+def parameter_shift_gradient(index: int, ansatz, ham) -> np.ndarray:
     """Parameter-shift gradient of the routed energy of basis state ``index``.
 
     This is ``distribution_expectation`` at a one-hot q.  Component k is
@@ -251,27 +251,25 @@ def parameter_shift_gradient(index: int, ansatz, ham, adjoint: bool = False) -> 
     """
     q = np.zeros(2**ansatz.n_qubits)
     q[index] = 1.0
-    return batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
+    return batch_parameter_shift_gradient(ansatz, ham, q)
 
 
-def distribution_expectation(ansatz, ham, q, adjoint: bool = False) -> float:
-    """sum_z E(z) sum_x |<z| V |x>|**2 q_x with V = U, or U^T with ``adjoint``."""
+def distribution_expectation(ansatz, ham, q) -> float:
+    """sum_z E(z) sum_x |<z| U |x>|**2 q_x."""
     u = qsim.ansatz_unitary(ansatz)
-    if adjoint:
-        u = u.T
     routed = np.abs(u) ** 2 @ q
     return float(ham.energies @ routed[ham.support])
 
 
-def batch_parameter_shift_gradient(ansatz, ham, q, adjoint: bool = False) -> np.ndarray:
+def batch_parameter_shift_gradient(ansatz, ham, q) -> np.ndarray:
     """Parameter-shift gradient of ``distribution_expectation`` over every angle."""
     grad = np.zeros(ansatz.n_parameters)
     if ham.support.size == 0:
         return grad
     half_pi = np.pi / 2.0
     for k in range(ansatz.n_parameters):
-        up = distribution_expectation(shifted(ansatz, k, +half_pi), ham, q, adjoint)
-        down = distribution_expectation(shifted(ansatz, k, -half_pi), ham, q, adjoint)
+        up = distribution_expectation(shifted(ansatz, k, +half_pi), ham, q)
+        down = distribution_expectation(shifted(ansatz, k, -half_pi), ham, q)
         grad[k] = 0.5 * (up - down)
     return grad
 

@@ -11,7 +11,7 @@ from qhbm.anomaly import (
     FidelitySeries,
     _phase_grid,
     _RoutedTable,
-    _two_site_reduced,
+    _pair_reduced,
     check_spectral_args,
     discrimination_report,
     expectation_score,
@@ -462,17 +462,17 @@ class TestDiscriminationReport:
 
 class TestTwoSiteReduced:
     def test_matches_index_oracle(self, rng):
-        for n in (3, 4):
+        # Phi holds k orthonormal columns; the reduction of Phi Phi^T / k
+        # must match the dense index-pair sum for every adjacent pair.
+        for n in (2, 3, 4, 5):
             dim = 2**n
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            rho = g @ g.conj().T
-            rho /= np.trace(rho).real
-            for i in range(n):
-                for j in range(i + 1, n):
-                    got = _two_site_reduced(rho, i, j, n)
-                    expected = pair_reduced_matrix(rho, i, j, n)
-                    assert np.allclose(got, expected, atol=1e-12)
-                    assert np.trace(got) == pytest.approx(1.0, abs=1e-10)
+            for k in (1, 3, dim):
+                phi, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+                rho = phi @ phi.T / k
+                for i in range(n - 1):
+                    got = _pair_reduced(phi, i)
+                    assert np.allclose(got, pair_reduced_matrix(rho, i, i + 1, n), atol=1e-12)
+                    assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSiteEntropyProfile:
@@ -505,12 +505,13 @@ class TestSiteEntropyProfile:
         angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
         ansatz = qsim.CircuitAnsatz(n, 1, angles)
         ham = ham_from([1, 6], [0.0, 0.0], n)
-        profile = site_entropy_profile(ham, ansatz)
+        # The model's rotation W is U^T (train.model_state).
+        profile = site_entropy_profile(ham, qsim.ansatz_unitary(ansatz).T)
 
         rho = np.zeros((8, 8), dtype=complex)
         rho[1, 1] = rho[6, 6] = 0.5
-        u = staircase_unitary(n, 1, angles)
-        rho = u @ rho @ u.conj().T
+        w = staircase_unitary(n, 1, angles).conj().T
+        rho = w @ rho @ w.conj().T
         for pair in range(n - 1):
             reduced = pair_reduced_matrix(rho, pair, pair + 1, n)
             vals = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
@@ -525,14 +526,15 @@ class TestSiteEntropyProfile:
             ansatz = qsim.CircuitAnsatz(n, 2, angles)
             support = rng.choice(2**n, size=min(2**n, 5), replace=False)
             energies = np.where(np.arange(support.size) < 3, 0.0, 1.0)
+            w = qsim.ansatz_unitary(ansatz).T
             profile = site_entropy_profile(
-                ham_from(support, energies, n), ansatz if mode == "dressed" else None
+                ham_from(support, energies, n), w if mode == "dressed" else None
             )
 
             diag = np.zeros(2**n)
             diag[support[energies == 0.0]] = 1.0 / np.sum(energies == 0.0)
-            u = staircase_unitary(n, 2, angles) if mode == "dressed" else np.eye(2**n)
-            rho = u @ np.diag(diag) @ u.T
+            dense = staircase_unitary(n, 2, angles).real.T if mode == "dressed" else np.eye(2**n)
+            rho = dense @ np.diag(diag) @ dense.T
             for pair in range(n - 1):
                 reduced = pair_reduced_matrix(rho, pair, pair + 1, n)
                 vals = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
@@ -549,14 +551,14 @@ class TestSiteEntropyProfile:
         assert apart[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_mode_selection(self, rng):
-        # An ansatz selects the dressed ground space, none the diagonal one.
+        # A rotation selects the dressed ground space, none the diagonal one.
         n = 3
         angles = rng.uniform(-1, 1, size=4)
-        ansatz = qsim.CircuitAnsatz(n, 1, angles)
-        ham = ham_from([0, 1], [0.0, 0.0], n)
+        w = qsim.ansatz_unitary(qsim.CircuitAnsatz(n, 1, angles)).T
+        ham = ham_from([0, 4], [0.0, 0.0], n)
         profiles = {}
-        for given, rotation in ((ansatz, staircase_unitary(n, 1, angles)), (None, np.eye(8))):
-            rho = rotation @ np.diag([0.5, 0.5] + [0.0] * 6) @ rotation.conj().T
+        for given, rotation in ((w, staircase_unitary(n, 1, angles).conj().T), (None, np.eye(8))):
+            rho = rotation @ np.diag([0.5, 0, 0, 0, 0.5, 0, 0, 0]) @ rotation.conj().T
             profiles[given is None] = site_entropy_profile(ham, given)
             for pair in range(n - 1):
                 vals = np.linalg.eigvalsh(pair_reduced_matrix(rho, pair, pair + 1, n))

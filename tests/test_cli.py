@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line pipeline."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qhbm.cli import main
+from qhbm.cli import TRAIN_KEYS, build_parser, main
 from qhbm.io import (
     load_checkpoint,
     read_csv_skip_provenance,
@@ -506,3 +509,23 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run()
         assert exc.value.code == 2
+
+    def test_readme_lists_train_flags_and_config_file_keys(self):
+        # The README's "Training configuration" section names every
+        # TrainConfig field once: as a flag of `train` or as a key that
+        # only a config file can set.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Training configuration", 1)[1].split("\n## ", 1)[0]
+        flag_text = re.search(r"fields have flags:(.*?)\.\s", section, re.S).group(1)
+        key_text = re.search(r"The rest\s+\((.*?)\)\s+are config-file keys only", section, re.S).group(1)
+
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flagged = {
+            a.dest: a.option_strings[0]
+            for a in subparsers.choices["train"]._actions
+            if a.dest in TRAIN_KEYS
+        }
+        assert set(re.findall(r"`(--[a-z-]+)`", flag_text)) == set(flagged.values())
+        assert set(re.findall(r"`([a-z_0-9]+)`", key_text)) == TRAIN_KEYS - set(flagged)

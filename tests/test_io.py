@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qhbm.io import (
     write_csv_with_provenance,
     write_image_container,
     write_images_csv,
+    write_json,
 )
 from qhbm.train import TrainConfig, fit, init_train_state, snapshot, train_step
 
@@ -38,14 +40,15 @@ def sample_images():
     return [PixelImage(g, lab, w) for g, lab, w in zip(grids, labels, weights)]
 
 
-# The retired protocol modes at the values that are now built in, as
-# checkpoints written before their removal store them.
+# The retired protocol modes and circuit orientation at the values that
+# are now built in, as checkpoints written before their removal store them.
 BUILT_IN_MODES = {
     "embed_mode": "presampled",
     "proposal": "uniform",
     "duplicate_mode": "dedupe",
     "partition_mode": "support",
     "latent_mode": "thermal",
+    "adjoint_convention": False,
 }
 
 
@@ -158,6 +161,23 @@ class TestCsvProvenance:
             read_csv_skip_provenance(path)
 
 
+class TestJson:
+    def test_round_trip_is_sorted_and_indented(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_json(path, {"b": 1.5, "a": [1, 2]})
+        assert path.read_text() == json.dumps({"a": [1, 2], "b": 1.5}, indent=2) + "\n"
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_json(path, {"auc": 0.5})
+        before = path.read_bytes()
+        # The encoder has streamed "a" before it reaches the unencodable "b".
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1.0, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
 class TestImageContainer:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.qhbimg"
@@ -219,6 +239,25 @@ class TestImageContainer:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(DataError):
             read_image_container(path)
+
+    @pytest.mark.parametrize("failure", ["pixels", "meta"])
+    def test_failed_write_keeps_earlier_files(self, tmp_path, failure):
+        path = tmp_path / "events.qhbimg"
+        write_image_container(path, sample_images(), {"note": "first"})
+        before = [path.read_bytes(), (tmp_path / "events.qhbimg.json").read_bytes()]
+        images, meta = sample_images(), {"note": "second"}
+        if failure == "pixels":
+            # The last image cannot be stored as float32, so the container
+            # fails after its header and the first images are written.
+            images.append(SimpleNamespace(
+                intensities=np.full((4, 5), object()), label="signal", weight=1.0
+            ))
+        else:
+            meta["bad"] = object()
+        with pytest.raises(TypeError):
+            write_image_container(path, images, meta)
+        assert [path.read_bytes(), (tmp_path / "events.qhbimg.json").read_bytes()] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.qhbimg", "events.qhbimg.json"]
 
     def test_missing_sidecar_uses_defaults(self, tmp_path):
         path = tmp_path / "events.qhbimg"
@@ -433,13 +472,14 @@ class TestCheckpoint:
             ("duplicate_mode", "multiplicity"),
             ("partition_mode", "full"),
             ("latent_mode", "maximally_mixed"),
+            ("adjoint_convention", True),
         ],
     )
     def test_rejects_stored_config_with_other_mode(self, tmp_path, key, value):
         state, cfg, history = trained_state()
         path = tmp_path / "old.qhbm"
         save_with_stored_config(path, state, cfg, history, BUILT_IN_MODES | {key: value})
-        with pytest.raises(DataError, match=f"{key}='{value}'"):
+        with pytest.raises(DataError, match=re.escape(f"{key}={value!r}")):
             load_checkpoint(path)
 
     def test_rejects_corrupt_metadata(self, tmp_path):

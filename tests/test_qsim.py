@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,11 +26,19 @@ def random_state(n_qubits, rng):
     return amps / np.linalg.norm(amps)
 
 
-def apply(ansatz, amps, adjoint=False):
-    """The circuit (or its inverse) applied to a copy of ``amps`` by the gate walker."""
+def apply(ansatz, amps):
+    """The circuit applied to a copy of ``amps`` by the gate walker."""
     out = np.array(amps, dtype=np.complex128)
-    for gate in qsim.circuit_gates(ansatz, adjoint):
+    for gate in qsim.circuit_gates(ansatz):
         qsim.apply_gate(out, *gate)
+    return out
+
+
+def apply_inverse(ansatz, amps):
+    """The gate list reversed with negated angles, as the angle gradient sweeps back."""
+    out = np.array(amps, dtype=np.complex128)
+    for qubit, k, angle in reversed(qsim.circuit_gates(ansatz)):
+        qsim.apply_gate(out, qubit, k, -angle)
     return out
 
 
@@ -145,7 +155,7 @@ class TestApplyAnsatz:
             state = random_state(n_qubits, rng)
             forward = apply(ansatz, state)
             assert abs(np.linalg.norm(forward) - 1.0) < 1e-10
-            np.testing.assert_allclose(apply(ansatz, forward, adjoint=True), state, atol=1e-10)
+            np.testing.assert_allclose(apply_inverse(ansatz, forward), state, atol=1e-10)
 
 
 class TestAnsatzUnitary:
@@ -167,7 +177,7 @@ class TestAnsatzUnitary:
         ansatz = random_ansatz(3, 2, rng)
         dense = oracles.staircase_unitary(3, 2, ansatz.angles)
         state = random_state(3, rng)
-        out = apply(ansatz, state, adjoint=True)
+        out = apply_inverse(ansatz, state)
         np.testing.assert_allclose(out, dense.conj().T @ state, atol=1e-10)
         np.testing.assert_allclose(qsim.ansatz_unitary(ansatz).T @ state, out, atol=1e-10)
 
@@ -208,22 +218,26 @@ class TestDiagonalExpectation:
 
 class TestCircuitExpectation:
     def test_forward_and_adjoint_orientations(self, rng):
-        # A one-index batch routes a single basis state through the circuit.
+        # A one-index batch routes a single basis state forward through the
+        # circuit, which scores it against U^dag K U.  The model state's
+        # rotation W is the adjoint U^dag, so W K W^T is that same operator.
+        config = train.TrainConfig(n_qubits=3, n_layers=2)
+        state = train.init_train_state(config)
         for _ in range(10):
-            n_qubits = 3
-            ansatz = random_ansatz(n_qubits, 2, rng)
+            ansatz = random_ansatz(3, 2, rng)
             indices = rng.choice(8, size=4, replace=False)
             energies = rng.normal(size=4)
-            ham = make_ham(n_qubits, indices, energies)
+            ham = make_ham(3, indices, energies)
             index = int(rng.integers(8))
-            u = oracles.staircase_unitary(n_qubits, 2, ansatz.angles)
-            k = oracles.diagonal_hamiltonian_matrix(n_qubits, indices, energies)
+            u = oracles.staircase_unitary(3, 2, ansatz.angles)
+            k = oracles.diagonal_hamiltonian_matrix(3, indices, energies)
             forward = np.real(basis(index, 3) @ (u.conj().T @ k @ u) @ basis(index, 3))
-            sandwich = np.real(basis(index, 3) @ (u @ k @ u.conj().T) @ basis(index, 3))
-            for adjoint, expected in ((False, forward), (True, sandwich)):
-                config = train.TrainConfig(n_qubits=3, n_layers=2, adjoint_convention=adjoint)
-                got = train._loss(ansatz, ham, basis(index, 3), config)[1]
-                assert got == pytest.approx(expected, abs=1e-10)
+            got = train._loss(ansatz, ham, basis(index, 3), config)[1]
+            assert got == pytest.approx(forward, abs=1e-10)
+            w, _ = train.model_state(dataclasses.replace(state, ansatz=ansatz))
+            assert basis(index, 3) @ (w @ k.real @ w.T) @ basis(index, 3) == pytest.approx(
+                forward, abs=1e-10
+            )
 
 
 def routed_energy(index, ansatz, ham):

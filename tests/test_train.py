@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import chisquare
 
 from qhbm import ebm, qsim
-from qhbm.anomaly import SCENARIOS
+from qhbm.anomaly import SCENARIOS, site_entropy_profile
 from qhbm.embed import PixelProbabilities
 from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
@@ -22,6 +22,7 @@ from qhbm.train import (
     model_state,
     snapshot,
     train_step,
+    _loss,
     _phi_gradient,
 )
 from qhbm.rng import substream
@@ -30,6 +31,7 @@ from oracles import (
     batch_parameter_shift_gradient,
     boltzmann_distribution,
     diagonal_hamiltonian_matrix,
+    pair_reduced_matrix,
     staircase_unitary,
 )
 
@@ -220,8 +222,7 @@ class TestBatchObjective:
         assert mean_exp == pytest.approx(0.0, abs=1e-12)
         assert loss == pytest.approx(1.3 * ham.log_partition, abs=1e-12)
 
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_matches_dense_oracle(self, rng, adjoint):
+    def test_matches_dense_oracle(self, rng):
         n = 3
         model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
         support_idx = [0, 3, 5, 6]
@@ -229,9 +230,7 @@ class TestBatchObjective:
         angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2)
         ansatz = qsim.CircuitAnsatz(n, 2, angles)
         state = manual_state(model, ansatz, ham)
-        cfg = small_config(
-            n_qubits=n, n_layers=2, beta=1.1, k_beta=0.7, adjoint_convention=adjoint
-        )
+        cfg = small_config(n_qubits=n, n_layers=2, beta=1.1, k_beta=0.7)
         groups = [
             rng.integers(0, 2**n, size=20),
             rng.integers(0, 2**n, size=12),
@@ -239,8 +238,6 @@ class TestBatchObjective:
         loss, mean_exp, weights = batch_objective(state, index_batch(groups), cfg)
 
         u = staircase_unitary(n, 2, angles)
-        if adjoint:
-            u = u.conj().T
         k = diagonal_hamiltonian_matrix(n, support_idx, ham.energies)
         expected_exp = 0.0
         for group in groups:
@@ -267,8 +264,7 @@ class TestBatchObjective:
 
 
 class TestPhiGradient:
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_matches_finite_differences(self, rng, adjoint):
+    def test_matches_finite_differences(self, rng):
         n = 3
         for _ in range(5):
             support_idx = sorted(rng.choice(2**n, size=4, replace=False))
@@ -277,12 +273,10 @@ class TestPhiGradient:
             angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
             ansatz = qsim.CircuitAnsatz(n, 1, angles)
             q = rng.dirichlet(np.ones(2**n))
-            grad = _phi_gradient(ansatz, ham, q, adjoint)
+            grad = _phi_gradient(ansatz, ham, q)
 
             def expectation(a):
                 u = staircase_unitary(n, 1, a)
-                if adjoint:
-                    u = u.conj().T
                 k = diagonal_hamiltonian_matrix(n, support_idx, energies)
                 sigma = np.diag(q.astype(complex))
                 return float(np.real(np.trace(u @ sigma @ u.conj().T @ k)))
@@ -298,7 +292,7 @@ class TestPhiGradient:
 
     def test_empty_support_gives_zeros(self):
         ansatz = qsim.CircuitAnsatz(2, 1, np.array([0.3, -0.2]))
-        grad = _phi_gradient(ansatz, ebm.ModularHamiltonian.empty(2), np.ones(4) / 4, False)
+        grad = _phi_gradient(ansatz, ebm.ModularHamiltonian.empty(2), np.ones(4) / 4)
         assert np.array_equal(grad, np.zeros(2))
 
     @staticmethod
@@ -327,29 +321,27 @@ class TestPhiGradient:
             )
         ),
         st.integers(min_value=0, max_value=3),
-        st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_parameter_shift_oracle(self, masks, n_layers, adjoint, seed):
+    def test_matches_parameter_shift_oracle(self, masks, n_layers, seed):
         n, support_mask, q_mask = masks
         ansatz, ham, q = self.random_case(
             n, n_layers, support_mask, q_mask, np.random.default_rng(seed)
         )
-        grad = _phi_gradient(ansatz, ham, q, adjoint)
-        oracle = batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
+        grad = _phi_gradient(ansatz, ham, q)
+        oracle = batch_parameter_shift_gradient(ansatz, ham, q)
         assert grad.shape == (ansatz.n_parameters,)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_eight_qubits_three_layers_match_parameter_shift_oracle(self, adjoint):
+    def test_eight_qubits_three_layers_match_parameter_shift_oracle(self):
         rng = np.random.default_rng(88)
         support_mask = np.zeros(256, dtype=bool)
         support_mask[rng.choice(256, size=60, replace=False)] = True
         q_mask = np.zeros(256, dtype=bool)
         q_mask[rng.choice(256, size=40, replace=False)] = True
         ansatz, ham, q = self.random_case(8, 3, support_mask, q_mask, rng)
-        grad = _phi_gradient(ansatz, ham, q, adjoint)
-        oracle = batch_parameter_shift_gradient(ansatz, ham, q, adjoint)
+        grad = _phi_gradient(ansatz, ham, q)
+        oracle = batch_parameter_shift_gradient(ansatz, ham, q)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
 
 
@@ -474,13 +466,62 @@ class TestModelDensityMatrix:
         ham = ebm.build_hamiltonian(model, [0, 2, 3])
         angles = rng.uniform(-np.pi, np.pi, size=2)
         state = manual_state(model, qsim.CircuitAnsatz(n, 1, angles), ham)
-        u, p = model_state(state)
-        dense = staircase_unitary(n, 1, angles)
-        assert np.allclose(u, dense, atol=1e-12)
+        w, p = model_state(state)
+        # Training routes data through U, so the data-space rotation is U^dag.
+        dense = staircase_unitary(n, 1, angles).conj().T
+        assert np.allclose(w, dense, atol=1e-12)
         assert p[[0, 2, 3]] == pytest.approx(boltzmann_distribution(ham.energies), abs=1e-12)
         assert p[1] == 0.0
         latent = np.diag(ebm.thermal_state(ham)).astype(complex)
-        assert np.allclose((u * p) @ u.T, dense @ latent @ dense.conj().T, atol=1e-10)
+        assert np.allclose((w * p) @ w.T, dense @ latent @ dense.conj().T, atol=1e-10)
+
+
+class TestModelOrientation:
+    """``model_state``'s W is the rotation that training fits."""
+
+    @staticmethod
+    def random_state(n, rng, energies):
+        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
+        support = rng.choice(2**n, size=len(energies), replace=False)
+        ham = ebm.ModularHamiltonian.from_energies(n, support, np.asarray(energies))
+        ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=4 * (n - 1)))
+        return manual_state(model, ansatz, ham)
+
+    def test_loss_scores_data_against_model_state(self, rng):
+        # mean <K> = tr(diag(q) W K W^T): the loss and the model state
+        # describe the same operator in data space.
+        for n in (3, 4):
+            for _ in range(5):
+                state = self.random_state(n, rng, rng.standard_normal(5))
+                ham = state.hamiltonian
+                q = rng.dirichlet(np.ones(2**n))
+                _, mean_exp, _ = _loss(state.ansatz, ham, q, small_config(n_qubits=n, n_layers=2))
+                w, _ = model_state(state)
+                k = diagonal_hamiltonian_matrix(n, ham.support, ham.energies)
+                expected = np.real(np.trace(np.diag(q) @ w @ k @ w.T))
+                assert mean_exp == pytest.approx(expected, abs=1e-12)
+
+    def test_dressed_site_entropy_uses_model_rotation(self, rng):
+        # With W from model_state, the dressed profile is that of the
+        # ground projector of U^dag K U, the operator the loss scores data
+        # against.  Support energies are negative, so the dense ground
+        # space is the support's.
+        for n in (3, 4):
+            state = self.random_state(n, rng, [-2.0, -1.0, -2.0, -0.5, -2.0])
+            ham = state.hamiltonian
+            u = staircase_unitary(n, 2, state.ansatz.angles)
+            k = diagonal_hamiltonian_matrix(n, ham.support, ham.energies)
+            vals, vecs = np.linalg.eigh(u.conj().T @ k @ u)
+            ground = vecs[:, vals < -2.0 + 1e-9]
+            assert ground.shape[1] == 3
+            rho = ground @ ground.conj().T / 3
+            profile = site_entropy_profile(ham, model_state(state)[0])
+            for pair in range(n - 1):
+                reduced = np.clip(
+                    np.linalg.eigvalsh(pair_reduced_matrix(rho, pair, pair + 1, n)), 0.0, None
+                )
+                reduced = reduced[reduced > 1e-12]
+                assert profile[pair] == pytest.approx(-np.sum(reduced * np.log(reduced)), abs=1e-10)
 
 
 class TestGenerate:
@@ -509,15 +550,22 @@ class TestGenerate:
         indices = generate(state, 0, np.random.default_rng(0))
         assert indices.shape == (0,) and indices.dtype == np.int64
 
-    def test_density_matrix_matches_model(self, rng):
-        # Generated indices follow the diagonal of the model density matrix.
-        cfg = small_config()
-        state = init_train_state(cfg)
+    def test_density_matrix_matches_model(self):
+        # Generated indices follow the diagonal of W diag(p) W^T.  Angles
+        # spread over (-pi, pi) keep W far from symmetric, so W and W^T
+        # predict clearly different distributions.
+        rng = np.random.default_rng(31)
+        n = 3
+        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.5)
+        ham = ebm.build_hamiltonian(model, [0, 2, 5, 7])
+        ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2))
+        state = manual_state(model, ansatz, ham)
         n_draws = 20_000
         indices = generate(state, n_draws, np.random.default_rng(3))
-        counts = np.bincount(indices, minlength=4)
-        u, p = model_state(state)
-        expected = ((u * u) @ p) * n_draws
+        counts = np.bincount(indices, minlength=2**n)
+        w, p = model_state(state)
+        assert np.abs((w * w) @ p - (w.T * w.T) @ p).max() > 0.1
+        expected = ((w * w) @ p) * n_draws
         keep = expected > 5
         stat = chisquare(counts[keep], expected[keep] * counts[keep].sum() / expected[keep].sum())
         assert stat.pvalue > 0.01
