@@ -24,7 +24,7 @@ def train_on_draws(event, config, draws, n_steps, anneal):
         for at, rate in anneal:
             if step == at:
                 state = dataclasses.replace(state, lr_current=rate)
-        state = train.train_step(state, batch, config)
+        state, _ = train.train_step(state, batch, config)
     return state
 
 

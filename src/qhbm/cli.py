@@ -234,7 +234,7 @@ def _metric_snapshot(
 ) -> dict:
     """Model-vs-data measures on one event set (exact data mixed state)."""
     w, p = train.model_state(state)
-    generated = train.generate(state, 2000, substream(config.seed, "generation"))
+    generated = train.generate(w, state.hamiltonian, 2000, substream(config.seed, "generation"))
     return _model_vs_data(w, p, generated, events) | {
         "model_entropy": metrics.von_neumann_entropy(p),
         "n_events": len(events),
@@ -258,7 +258,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     per_metric: dict[str, list[float]] = {}
     for start in range(0, len(events), args.batch_size):
         batch = events[start : start + args.batch_size]
-        generated = train.generate(state, args.generation_samples, gen_rng)
+        generated = train.generate(w, state.hamiltonian, args.generation_samples, gen_rng)
         values = _model_vs_data(w, p, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
         for k, v in values.items():
@@ -291,7 +291,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     rng = substream(args.seed, "generation")
-    indices = train.generate(state, args.n_events, rng)
+    w, _ = train.model_state(state)
+    indices = train.generate(w, state.hamiltonian, args.n_events, rng)
     bits = qsim.index_bits(indices, config.n_qubits).astype(np.int64)
     rows = (
         [i, "".join(map(str, row)), index]

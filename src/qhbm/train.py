@@ -6,11 +6,15 @@ persistent Metropolis chain, evaluates the bound
     loss = beta * mean <K> + k_beta * log Z
 
 over a batch of embedded events, and applies one Adam update to both
-parameter sets: circuit angles through an adjoint-mode sweep of the
-real-valued circuit (scaled by beta), model parameters through the
-analytic gradient with the support held fixed.  The loss is bounded
-below by the von Neumann entropy of the data's mixed state, reached
-when the model matches the data.
+parameter sets: circuit angles through an adjoint-mode backward sweep of
+the real-valued circuit (scaled by beta), model parameters through the
+analytic gradient with the support held fixed.  The step builds the
+circuit matrix once and takes the loss, the support weights and the
+start of the backward sweep from it; the loss it returns, that of the
+incoming parameters under the step's fresh Hamiltonian, is what ``fit``
+averages into an epoch's ``train_loss``.  The loss is bounded below by
+the von Neumann entropy of the data's mixed state, reached when the
+model matches the data.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
+        integers = (
+            "n_qubits", "n_layers", "n_hidden", "n_mc_samples", "n_embed_samples", "batch_size",
+            "lr_halve_patience", "early_stop_patience", "max_epochs", "mc_burn_in", "seed",
+        )
+        for name in integers:
+            value = getattr(self, name)
+            if name == "n_hidden" and value is None:
+                continue
+            # bool is an int subclass, but a flag where a count belongs is a mistake.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_qubits <= qsim.MAX_QUBITS:
             raise ConfigError(f"n_qubits must be in [1, {qsim.MAX_QUBITS}]")
         positive = {
@@ -203,20 +218,19 @@ def _batch_distribution(groups: Batch, dim: int) -> np.ndarray:
 
 
 def _loss(
-    ansatz: qsim.CircuitAnsatz,
+    u: np.ndarray,
     ham: ebm.ModularHamiltonian,
     q: np.ndarray,
     config: TrainConfig,
 ) -> tuple[float, float, np.ndarray]:
     """Loss, mean <K> and support weights for basis draws distributed as ``q``.
 
-    Routing every basis state through the circuit at once gives the
-    output distribution P @ q with P[z, x] = <z|U|x>**2.  The support
-    weights are that distribution read off at ``ham.support``, so the
-    mean expectation is sum_z w_z E(z) = tr(diag(q) U^T K U): the data
+    Routing every basis state through the circuit matrix ``u`` at once
+    gives the output distribution P @ q with P[z, x] = <z|U|x>**2.  The
+    support weights are that distribution read off at ``ham.support``, so
+    the mean expectation is sum_z w_z E(z) = tr(diag(q) U^T K U): the data
     are scored against the model state U^T diag(p) U of ``model_state``.
     """
-    u = qsim.ansatz_unitary(ansatz)
     weights = ((u * u) @ q)[ham.support]
     mean_exp = float(ham.energies @ weights)
     return config.beta * mean_exp + config.k_beta * ham.log_partition, mean_exp, weights
@@ -236,22 +250,22 @@ def batch_objective(
     reproduces the mean expectation exactly.
     """
     q = _batch_distribution(batch, 2**config.n_qubits)
-    return _loss(state.ansatz, state.hamiltonian, q, config)
+    return _loss(qsim.ansatz_unitary(state.ansatz), state.hamiltonian, q, config)
 
 
 def _phi_gradient(
     ansatz: qsim.CircuitAnsatz,
+    u: np.ndarray,
     ham: ebm.ModularHamiltonian,
     q: np.ndarray,
 ) -> np.ndarray:
     """Adjoint-mode gradient of the batch-mean expectation over every angle.
 
-    The expectation is f = tr(Phi^T K Phi) with Phi = U diag(sqrt(q)),
-    where U is the circuit matrix and only the columns with q > 0 are
-    kept.  After one forward sweep and Lambda = K Phi, a backward sweep
-    un-applies each gate from Phi and Lambda together.  Taking both just
-    before an RY gate with applied angle a, df/da = 2 <Lambda, dRY/da Phi>
-    reduces to
+    The expectation is f = tr(Phi^T K Phi) with Phi = U[:, cols] diag(sqrt(q[cols])),
+    where ``u`` is the circuit matrix of ``ansatz`` and cols are the basis
+    states with q > 0.  From Phi and Lambda = K Phi, a backward sweep
+    un-applies each gate from both together.  Taking both just before an
+    RY gate with applied angle a, df/da = 2 <Lambda, dRY/da Phi> reduces to
     <Lambda, J Phi> with J = [[0, -1], [1, 0]] on the gate's qubit
     (Jones & Gacon, arXiv:2009.02823).
     """
@@ -262,12 +276,9 @@ def _phi_gradient(
     m = cols.size
     # pair[:, 0] holds Phi and pair[:, 1] holds Lambda, so each gate is one call.
     pair = np.zeros((2**ansatz.n_qubits, 2, m))
-    pair[cols, 0, np.arange(m)] = np.sqrt(q[cols])
-    gates = qsim.circuit_gates(ansatz)
-    for gate in gates:
-        qsim.apply_gate(pair, *gate)
+    pair[:, 0] = u[:, cols] * np.sqrt(q[cols])
     pair[ham.support, 1] = ham.energies[:, None] * pair[ham.support, 0]
-    for qubit, k, angle in reversed(gates):
+    for qubit, k, angle in reversed(qsim.circuit_gates(ansatz)):
         qsim.apply_gate(pair, qubit, k, -angle)
         if k >= 0:
             v = pair.reshape(2**qubit, 2, -1, 2, m)
@@ -277,22 +288,25 @@ def _phi_gradient(
     return grad
 
 
-def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainState:
-    """One optimisation step; re-estimates the Hamiltonian first.
+def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[TrainState, float]:
+    """One optimisation step and the loss it was taken at.
 
-    The persistent chain continues from its previous position, the
-    support is rebuilt from the fresh samples, and both parameter sets
-    receive one Adam update at the shared current learning rate.
-    Raises NumericError when the update leaves non-finite parameters or
-    free energies.
+    The persistent chain continues from its previous position and the
+    support is rebuilt from the fresh samples.  One circuit matrix gives
+    the loss of the incoming parameters under that fresh Hamiltonian, the
+    support weights of the model gradient and the start of the angle
+    gradient's backward sweep.  Both parameter sets then receive one Adam
+    update at the shared current learning rate.  Raises NumericError when
+    the update leaves non-finite parameters or free energies.
     """
     samples, chain = ebm.metropolis_sample(
         state.energy_model, state.chain, config.mc_burn_in, config.n_mc_samples
     )
     ham = ebm.build_hamiltonian(state.energy_model, samples)
     q = _batch_distribution(batch, 2**config.n_qubits)
-    _, _, weights = _loss(state.ansatz, ham, q, config)
-    phi_grad = config.beta * _phi_gradient(state.ansatz, ham, q)
+    u = qsim.ansatz_unitary(state.ansatz)
+    loss, _, weights = _loss(u, ham, q, config)
+    phi_grad = config.beta * _phi_gradient(state.ansatz, u, ham, q)
     theta_grad = ebm.theta_gradient(
         state.energy_model, ham, weights, config.beta, config.k_beta
     )
@@ -313,13 +327,14 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> TrainSta
     # step's sampler and Hamiltonian are built from.
     if not np.all(np.isfinite(ebm.free_energies(model, np.arange(2**config.n_qubits)))):
         raise NumericError("updated model has non-finite free energies")
-    return dataclasses.replace(
+    stepped = dataclasses.replace(
         state,
         energy_model=model,
         ansatz=state.ansatz.with_angles(new_angles),
         hamiltonian=ham,
         chain=chain,
     )
+    return stepped, loss
 
 
 def _embed_events(
@@ -349,8 +364,7 @@ def _validation_loss(
     fork = dataclasses.replace(state.chain, rng=substream(config.seed, "validation", epoch))
     samples, _ = ebm.metropolis_sample(state.energy_model, fork, config.mc_burn_in, config.n_mc_samples)
     ham = ebm.build_hamiltonian(state.energy_model, samples)
-    q = _batch_distribution(groups, 2**config.n_qubits)
-    return _loss(state.ansatz, ham, q, config)[0]
+    return batch_objective(dataclasses.replace(state, hamiltonian=ham), groups, config)[0]
 
 
 def snapshot(state: TrainState) -> TrainState:
@@ -372,7 +386,10 @@ def fit(
     each halving) and training stops early after
     ``early_stop_patience`` epochs without improvement.  Passing
     ``initial`` resumes training, continuing the epoch numbering.  A
-    numeric blow-up raises NumericError naming the epoch and step.
+    numeric blow-up raises NumericError naming the epoch and step.  Each
+    epoch appends one history row: ``train_loss`` is the mean of the losses
+    ``train_step`` returned in that epoch, and ``validation_loss`` is the
+    held-out loss of the parameters at the epoch's end.
     """
     config.validate()
     if not train_events or not valid_events:
@@ -393,10 +410,9 @@ def fit(
             batch_idx = order[start : start + config.batch_size]
             batch = [train_groups[i] for i in batch_idx]
             try:
-                state = train_step(state, batch, config)
+                state, loss = train_step(state, batch, config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch + 1} step {step}: {exc}") from exc
-            loss, _, _ = batch_objective(state, batch, config)
             epoch_losses.append(loss)
         valid_loss = _validation_loss(state, valid_groups, config, epoch)
         state.epoch = epoch + 1
@@ -437,24 +453,25 @@ def model_state(state: TrainState) -> tuple[np.ndarray, np.ndarray]:
     return qsim.ansatz_unitary(state.ansatz).T, ebm.thermal_state(state.hamiltonian)
 
 
-def generate(state: TrainState, n_events: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``n_events`` basis indices (int64) from the model.
+def generate(
+    w: np.ndarray, ham: ebm.ModularHamiltonian, n_events: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample ``n_events`` basis indices (int64) from the model (W, ``ham``).
 
     Latent states are drawn from the Boltzmann distribution over the
-    support, rotated into data space by ``model_state``'s W, and the
-    output basis state is sampled from the rotated amplitudes.
+    support of ``ham``, rotated into data space by the rotation W of
+    ``model_state``, and the output basis state is sampled from the
+    rotated amplitudes.
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
-    ham = state.hamiltonian
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
     latent_probs = np.exp(-ham.energies - ham.log_partition)
     latent_probs = latent_probs / latent_probs.sum()
-    w, _ = model_state(state)
     # Column x of W**2 is the output distribution for latent state x.
     out_cum = np.cumsum(w * w, axis=0).T[ham.support]
     latent_draws = rng.choice(ham.support.size, size=n_events, p=latent_probs)
     uniforms = rng.random(n_events)
     out = [np.searchsorted(out_cum[d], p, side="right") for d, p in zip(latent_draws, uniforms)]
-    return np.minimum(np.array(out, dtype=np.int64), 2**state.ansatz.n_qubits - 1)
+    return np.minimum(np.array(out, dtype=np.int64), len(w) - 1)

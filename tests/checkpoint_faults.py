@@ -32,7 +32,17 @@ def _config_out_of_range(metadata, arrays):
     metadata["config"]["n_qubits"] = 20
 
 
+def _config_fractional_batch_size(metadata, arrays):
+    metadata["config"]["batch_size"] = 2.5
+
+
+def _config_boolean_max_epochs(metadata, arrays):
+    metadata["config"]["max_epochs"] = True
+
+
 FAULTS = {
+    "config_batch_size_2.5": _config_fractional_batch_size,
+    "config_max_epochs_true": _config_boolean_max_epochs,
     "config_n_qubits_20": _config_out_of_range,
     "no_weights_payload": _drop_weights_payload,
     "no_chain": _drop_chain,

@@ -165,7 +165,9 @@ def test_a2_gradients_match_finite_differences(capsys):
             q += np.bincount(group, minlength=dim) / group.size
         q /= len(batch)
 
-        phi_analytic = config.beta * train._phi_gradient(ansatz, base_ham, q)
+        phi_analytic = config.beta * train._phi_gradient(
+            ansatz, qsim.ansatz_unitary(ansatz), base_ham, q
+        )
         for k in range(n_angles):
             up, _, _ = loss_of(model, shifted(ansatz, k, +eps))
             down, _, _ = loss_of(model, shifted(ansatz, k, -eps))
@@ -526,7 +528,7 @@ def test_a10_fidelity_improves_with_embedding_samples(capsys):
                 state = dataclasses.replace(state, lr_current=5e-3)
             elif step == 225:
                 state = dataclasses.replace(state, lr_current=2.5e-3)
-            state = train.train_step(state, batch, config)
+            state, _ = train.train_step(state, batch, config)
         w, p = train.model_state(state)
         fid = metrics.fidelity(target, w, p)
         kl = metrics.kl_divergence(target, (w * w) @ p)

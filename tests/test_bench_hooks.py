@@ -9,16 +9,20 @@ The table is read, never modified.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhbm
+import qhbm.cli  # noqa: F401  (the tracer hooks the CLI commands too)
 from qhbm import anomaly, ebm, qsim, train
 from qhbm.embed import PixelProbabilities
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+LAYER_MAP = TRACING.parent / "layer_map.json"
 
 
 def load_tracing():
@@ -113,3 +117,25 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
     for key, count in calls.items():
         expected = len(events) if key in PER_EVENT_HOOKS[mode] else int(key in PER_CALL_HOOKS)
         assert count == expected, key
+
+
+def test_traced_fit_calls_every_train_8q_hook():
+    """A traced train-8q run raises HookError for a mapped hook with no call.
+
+    ``bench/run.py`` checks every hook that ``layer_map.json`` places on the
+    workload; a three-qubit, one-epoch ``fit`` runs the same code paths.
+    """
+    tracing = load_tracing()
+    rows = json.loads(LAYER_MAP.read_text())
+    hooks = {".".join(row["metric"].split(".")[:2]) for row in rows if "train-8q" in row["on"]}
+    hooks &= set(tracing.HOOKS)
+    assert "train.batch_objective" in hooks and "qsim.ansatz_unitary" in hooks
+    config = train.TrainConfig(
+        n_qubits=3, n_layers=1, n_mc_samples=20, n_embed_samples=10, batch_size=2,
+        max_epochs=1, seed=3,
+    )
+    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(5)]
+    with tracing.Tracer(qhbm) as tracer:
+        train.fit(config, events[:3], events[3:])
+    counts, _ = tracer.layer_stats()
+    assert {hook: counts[f"{hook}.calls"] for hook in sorted(hooks) if not counts[f"{hook}.calls"]} == {}

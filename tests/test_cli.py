@@ -237,6 +237,21 @@ class TestTrain:
         assert run("train", "--print-config", "--config", str(invalid)) == 2
         assert run("train", "--print-config", "--config", str(tmp_path / "no.json")) == 2
 
+    @pytest.mark.parametrize(
+        "setting", [{"batch_size": 2.5}, {"n_qubits": 4.0}, {"max_epochs": True}]
+    )
+    def test_non_integer_config_value_exit_2(self, pipeline, tmp_path, capsys, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_qubits": 4, "max_epochs": 1} | setting))
+        code = run(
+            "train", "--config", str(cfg), "--train-data", str(pipeline["train"]),
+            "--valid-data", str(pipeline["valid"]), "--outdir", str(tmp_path / "run"),
+        )
+        assert code == 2
+        (name,) = setting
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_required_setting_exit_2(self, pipeline):
         code = run(
             "train", "--train-data", str(pipeline["train"]),

@@ -393,7 +393,7 @@ class TestCheckpoint:
         )
         state = init_train_state(cfg)
         for _ in range(2):
-            state = train_step(state, [np.array([0, 1, 3])], cfg)
+            state, _ = train_step(state, [np.array([0, 1, 3])], cfg)
         path = tmp_path / "steps.qhbm"
         save_checkpoint(path, state, cfg, [])
         loaded, _, history = load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Tests for the training loop, objective, optimiser, and generator."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chisquare
 
-from qhbm import ebm, qsim
+from qhbm import ebm, qsim, train
 from qhbm.anomaly import SCENARIOS, site_entropy_profile
 from qhbm.embed import PixelProbabilities
 from qhbm.errors import ConfigError, NumericError
@@ -116,6 +117,17 @@ class TestTrainConfig:
             {"adam_beta2": 1.5},
             {"adam_eps": 0.0},
             {"adam_eps": float("nan")},
+            {"n_qubits": 4.0},
+            {"n_layers": 1.5},
+            {"n_hidden": 2.0},
+            {"n_mc_samples": 10.5},
+            {"n_embed_samples": 7.5},
+            {"batch_size": 2.5},
+            {"lr_halve_patience": "3"},
+            {"early_stop_patience": 0.5},
+            {"max_epochs": True},
+            {"mc_burn_in": False},
+            {"seed": 1.0},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -273,7 +285,7 @@ class TestPhiGradient:
             angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
             ansatz = qsim.CircuitAnsatz(n, 1, angles)
             q = rng.dirichlet(np.ones(2**n))
-            grad = _phi_gradient(ansatz, ham, q)
+            grad = _phi_gradient(ansatz, qsim.ansatz_unitary(ansatz), ham, q)
 
             def expectation(a):
                 u = staircase_unitary(n, 1, a)
@@ -292,7 +304,9 @@ class TestPhiGradient:
 
     def test_empty_support_gives_zeros(self):
         ansatz = qsim.CircuitAnsatz(2, 1, np.array([0.3, -0.2]))
-        grad = _phi_gradient(ansatz, ebm.ModularHamiltonian.empty(2), np.ones(4) / 4)
+        grad = _phi_gradient(
+            ansatz, qsim.ansatz_unitary(ansatz), ebm.ModularHamiltonian.empty(2), np.ones(4) / 4
+        )
         assert np.array_equal(grad, np.zeros(2))
 
     @staticmethod
@@ -328,7 +342,7 @@ class TestPhiGradient:
         ansatz, ham, q = self.random_case(
             n, n_layers, support_mask, q_mask, np.random.default_rng(seed)
         )
-        grad = _phi_gradient(ansatz, ham, q)
+        grad = _phi_gradient(ansatz, qsim.ansatz_unitary(ansatz), ham, q)
         oracle = batch_parameter_shift_gradient(ansatz, ham, q)
         assert grad.shape == (ansatz.n_parameters,)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
@@ -340,7 +354,7 @@ class TestPhiGradient:
         q_mask = np.zeros(256, dtype=bool)
         q_mask[rng.choice(256, size=40, replace=False)] = True
         ansatz, ham, q = self.random_case(8, 3, support_mask, q_mask, rng)
-        grad = _phi_gradient(ansatz, ham, q)
+        grad = _phi_gradient(ansatz, qsim.ansatz_unitary(ansatz), ham, q)
         oracle = batch_parameter_shift_gradient(ansatz, ham, q)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
 
@@ -353,7 +367,7 @@ class TestTrainStep:
         for _ in range(2):
             state = init_train_state(cfg)
             for _ in range(3):
-                state = train_step(state, batch, cfg)
+                state, _ = train_step(state, batch, cfg)
             finals.append(state)
         assert np.array_equal(finals[0].energy_model.weights, finals[1].energy_model.weights)
         assert np.array_equal(finals[0].ansatz.angles, finals[1].ansatz.angles)
@@ -362,14 +376,14 @@ class TestTrainStep:
         cfg = small_config()
         state = init_train_state(cfg)
         before = state.energy_model
-        after = train_step(state, index_batch([[0, 1, 2]]), cfg)
+        after, _ = train_step(state, index_batch([[0, 1, 2]]), cfg)
         expected = ebm.free_energies(before, after.hamiltonian.support)
         assert np.allclose(after.hamiltonian.energies, expected, rtol=0.0, atol=1e-10)
 
     def test_parameters_move_and_adam_ticks(self):
         cfg = small_config()
         state = init_train_state(cfg)
-        after = train_step(state, index_batch([[0, 0, 1, 2]]), cfg)
+        after, _ = train_step(state, index_batch([[0, 0, 1, 2]]), cfg)
         assert not np.array_equal(after.energy_model.weights, state.energy_model.weights)
         assert after.adam_theta.t == 1
         assert after.adam_phi.t == 1
@@ -377,11 +391,42 @@ class TestTrainStep:
     def test_chain_energy_invariant(self):
         cfg = small_config()
         state = init_train_state(cfg)
-        after = train_step(state, index_batch([[0, 1]]), cfg)
+        after, _ = train_step(state, index_batch([[0, 1]]), cfg)
         # The chain tracks the pre-update model it was sampled from.
         assert after.chain.current_energy == pytest.approx(
             ebm.free_energies(state.energy_model, [after.chain.current])[0], abs=1e-10
         )
+
+    def test_returns_loss_of_incoming_state_under_fresh_hamiltonian(self):
+        cfg = small_config(n_qubits=3, n_layers=2)
+        state = init_train_state(cfg)
+        batch = index_batch([[0, 1, 5, 5, 7], [2, 3, 3, 6]])
+        for _ in range(3):
+            chain = copy.deepcopy(state.chain)
+            after, loss = train_step(state, batch, cfg)
+            samples, _ = ebm.metropolis_sample(
+                state.energy_model, chain, cfg.mc_burn_in, cfg.n_mc_samples
+            )
+            ham = ebm.build_hamiltonian(state.energy_model, samples)
+            assert np.array_equal(ham.support, after.hamiltonian.support)
+            expected, _, _ = batch_objective(dataclasses.replace(state, hamiltonian=ham), batch, cfg)
+            assert loss == expected
+            state = after
+
+    def test_builds_one_circuit_matrix(self, monkeypatch):
+        cfg = small_config(n_qubits=3)
+        state = init_train_state(cfg)
+        calls = []
+        unitary = qsim.ansatz_unitary
+
+        def counted(ansatz):
+            calls.append(ansatz)
+            return unitary(ansatz)
+
+        monkeypatch.setattr(qsim, "ansatz_unitary", counted)
+        for expected in (1, 2):
+            state, _ = train_step(state, index_batch([[0, 1, 2], [3, 3, 4]]), cfg)
+            assert len(calls) == expected
 
 
 class TestFit:
@@ -405,6 +450,24 @@ class TestFit:
         }
         assert history[0]["epoch"] == 1
         assert best.epoch == 1
+
+    def test_train_loss_is_mean_of_step_losses(self, monkeypatch):
+        cfg = small_config(max_epochs=2, batch_size=2)
+        losses = []
+        step = train.train_step
+
+        def recorded(*args):
+            state, loss = step(*args)
+            losses.append(loss)
+            return state, loss
+
+        monkeypatch.setattr(train, "train_step", recorded)
+        _, history = fit(cfg, self.events(5, 2, 14), self.events(2, 2, 15))
+        # Five events in batches of two: three steps per epoch.
+        assert len(losses) == 6
+        for row, epoch_losses in zip(history, (losses[:3], losses[3:])):
+            assert np.isfinite(row["train_loss"])
+            assert row["train_loss"] == float(np.mean(epoch_losses))
 
     def test_deterministic_across_runs(self):
         cfg = small_config(max_epochs=3)
@@ -495,7 +558,9 @@ class TestModelOrientation:
                 state = self.random_state(n, rng, rng.standard_normal(5))
                 ham = state.hamiltonian
                 q = rng.dirichlet(np.ones(2**n))
-                _, mean_exp, _ = _loss(state.ansatz, ham, q, small_config(n_qubits=n, n_layers=2))
+                _, mean_exp, _ = _loss(
+                    qsim.ansatz_unitary(state.ansatz), ham, q, small_config(n_qubits=n, n_layers=2)
+                )
                 w, _ = model_state(state)
                 k = diagonal_hamiltonian_matrix(n, ham.support, ham.energies)
                 expected = np.real(np.trace(np.diag(q) @ w @ k @ w.T))
@@ -530,7 +595,7 @@ class TestGenerate:
         z = 0b10
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
-        indices = generate(state, 50, np.random.default_rng(0))
+        indices = generate(model_state(state)[0], ham, 50, np.random.default_rng(0))
         assert indices.shape == (50,) and indices.dtype == np.int64
         assert np.all(indices == z)
 
@@ -538,7 +603,7 @@ class TestGenerate:
         ham = ebm.ModularHamiltonian.from_energies(2, [0b00, 0b11], [2.0, 2.0])
         model = ebm.EnergyModel(np.zeros((2, 4)), np.zeros(2), np.zeros(4))
         state = manual_state(model, identity_ansatz(2), ham)
-        indices = generate(state, 2000, np.random.default_rng(12))
+        indices = generate(model_state(state)[0], ham, 2000, np.random.default_rng(12))
         assert set(indices.tolist()) <= {0, 3}
         frac = (indices == 0).mean()
         assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 2000)
@@ -547,7 +612,7 @@ class TestGenerate:
         model = ebm.EnergyModel.initialize(2, rng=rng)
         ham = ebm.build_hamiltonian(model, [0b00])
         state = manual_state(model, identity_ansatz(2), ham)
-        indices = generate(state, 0, np.random.default_rng(0))
+        indices = generate(model_state(state)[0], ham, 0, np.random.default_rng(0))
         assert indices.shape == (0,) and indices.dtype == np.int64
 
     def test_density_matrix_matches_model(self):
@@ -561,9 +626,9 @@ class TestGenerate:
         ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2))
         state = manual_state(model, ansatz, ham)
         n_draws = 20_000
-        indices = generate(state, n_draws, np.random.default_rng(3))
-        counts = np.bincount(indices, minlength=2**n)
         w, p = model_state(state)
+        indices = generate(w, ham, n_draws, np.random.default_rng(3))
+        counts = np.bincount(indices, minlength=2**n)
         assert np.abs((w * w) @ p - (w.T * w.T) @ p).max() > 0.1
         expected = ((w * w) @ p) * n_draws
         keep = expected > 5
@@ -576,10 +641,10 @@ class TestGenerate:
         ham = ebm.build_hamiltonian(model, [0b00])
         state = manual_state(model, identity_ansatz(2), ham)
         with pytest.raises(ValueError):
-            generate(state, -1, np.random.default_rng(0))
+            generate(model_state(state)[0], ham, -1, np.random.default_rng(0))
         empty_state = manual_state(model, identity_ansatz(2), ebm.ModularHamiltonian.empty(2))
         with pytest.raises(ValueError):
-            generate(empty_state, 5, np.random.default_rng(0))
+            generate(model_state(empty_state)[0], empty_state.hamiltonian, 5, np.random.default_rng(0))
 
 
 class TestSnapshot:
