@@ -123,26 +123,26 @@ def metropolis_sample(
     if burn_in < 0 or n_collect < 0:
         raise ValueError("burn_in and n_collect must be non-negative")
     n = model.n_visible
-    table = free_energies(model, np.arange(2**n))
+    # Python lists index and compare faster than NumPy scalars in this loop.
+    table = free_energies(model, np.arange(2**n)).tolist()
     rng = chain.rng
     steps = burn_in + n_collect
     current = int(chain.current)
     current_energy = table[current]
 
-    candidates = rng.integers(0, 2**n, size=steps)
-    uniforms = rng.random(steps)
+    candidates = rng.integers(0, 2**n, size=steps).tolist()
+    uniforms = rng.random(steps).tolist()
 
-    collected = np.empty(n_collect, dtype=np.int64)
-    for i in range(steps):
-        cand = int(candidates[i])
+    path = []
+    for cand, uniform in zip(candidates, uniforms):
         delta = current_energy - table[cand]
-        if delta >= 0.0 or uniforms[i] < np.exp(delta):
+        if delta >= 0.0 or uniform < np.exp(delta):
             current = cand
             current_energy = table[cand]
-        if i >= burn_in:
-            collected[i - burn_in] = current
+        path.append(current)
+    collected = np.array(path[burn_in:], dtype=np.int64)
 
-    return collected, MarkovChainState(current, float(current_energy), rng)
+    return collected, MarkovChainState(current, current_energy, rng)
 
 
 @dataclass(eq=False)

@@ -162,9 +162,10 @@ def bernoulli_index_samples(
     """Draw ``n_samples`` basis indices (int64), bit k set with probability probs[k]."""
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    bits = (rng.random((n_samples, probs.n_qubits)) < probs.probs).astype(np.int64)
-    shifts = np.arange(probs.n_qubits - 1, -1, -1)
-    return (bits << shifts).sum(axis=1)
+    # Sums of distinct powers of two up to 2**9 are exact in float64, so one
+    # matmul packs the bits (qubit 0 most significant) before the int cast.
+    powers = 2.0 ** np.arange(probs.n_qubits - 1, -1, -1)
+    return ((rng.random((n_samples, probs.n_qubits)) < probs.probs) @ powers).astype(np.int64)
 
 
 def _normalised_weights(events: Sequence[PixelProbabilities], weights) -> np.ndarray:

@@ -12,10 +12,16 @@ Every angle parametrises exactly one RY gate.
 
 RY and CNOT are real, so the circuit matrix U is orthogonal and the
 engine works on real float64 arrays: ``ansatz_unitary`` returns U as a
-real matrix, and a gate updates an array of shape (2**n, ...) in place
-through a (2**q, 2, rest) view that exposes qubit q as the middle axis.
-Applying the gate list in reverse with negated angles undoes it, which
-is how the angle gradient sweeps back through the circuit.  Basis states
+real matrix.  The engine works on fused blocks: ``circuit_blocks`` gives
+each block as one real 4x4 M = CNOT.(RY(a) x RY(b)), and ``apply_block``
+applies M through a (..., 2**q, 4, rest) view that puts the block's two
+qubits on one axis, so a block is one product instead of three gate
+passes.  M is orthogonal, so applying the blocks in reverse with M^T
+undoes the circuit, which is how the angle gradient sweeps back.
+The contiguity rule: the views are reshapes without a copy, so every
+array the engine writes must be C-contiguous.  A strided array, such as
+a column selection U[:, cols], would be updated in a copy and the result
+silently lost, so ``apply_block`` raises on one instead.  Basis states
 are int64 indices, so the circuit matrix U is the only state-sized
 object this module builds.  Training routes data through U, so the
 model state in data space is U^T diag(p) U (``train.model_state``).
@@ -23,6 +29,7 @@ model state in data space is U^T diag(p) U (``train.model_state``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -85,40 +92,47 @@ class CircuitAnsatz:
                 yield b, base, base + 1
 
 
-def circuit_gates(ansatz: CircuitAnsatz) -> list[tuple[int, int, float]]:
-    """(qubit, angle index, angle) triples of U in application order.
+def circuit_blocks(ansatz: CircuitAnsatz) -> list[tuple[int, int, int, np.ndarray]]:
+    """(qubit, angle index a, angle index b, M) for every block of U in order.
 
-    A triple with angle index k >= 0 is RY(angle) on ``qubit``, where
-    angle is angles[k]; index -1 is the CNOT with ``qubit`` as control
-    and ``qubit + 1`` as target.
+    M is the real 4x4 CNOT.(RY(a) x RY(b)) on qubits (qubit, qubit + 1),
+    local index 2*bit(qubit) + bit(qubit + 1): the rows of RY(a) x RY(b)
+    with rows 2 and 3 swapped by the CNOT.  Block k takes angles 2k and
+    2k + 1, so all blocks are built at once from the half-angle cosines
+    and sines, each entry one product.
     """
-    gates: list[tuple[int, int, float]] = []
-    for q, ia, ib in ansatz.blocks():
-        gates += [(q, ia, ansatz.angles[ia]), (q + 1, ib, ansatz.angles[ib]), (q, -1, 0.0)]
-    return gates
+    half = ansatz.angles.reshape(-1, 2) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    # ry[k, j] is RY of block k's qubit j (0 the lower index, 1 the next).
+    ry = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2, 2)
+    kron = ry[:, 0, :, None, :, None] * ry[:, 1, None, :, None, :]
+    m = kron.reshape(-1, 4, 4)[:, [0, 1, 3, 2]]
+    return [(q, ia, ib, mat) for (q, ia, ib), mat in zip(ansatz.blocks(), m)]
 
 
-def apply_gate(arr: np.ndarray, qubit: int, k: int, angle: float) -> None:
-    """Apply one ``circuit_gates`` triple in place to a C-contiguous (2**n, ...) array.
+def apply_block(
+    arr: np.ndarray, qubit: int, m: np.ndarray, out: np.ndarray, axis: int = 0
+) -> np.ndarray:
+    """Write ``m`` applied to ``arr`` on qubits (qubit, qubit + 1) into ``out``; return ``out``.
 
-    Viewing the array as (2**qubit, 2, rest) puts ``qubit`` on the middle
-    axis, so RY is one stacked 2x2 product written back through the view
-    and CNOT a swap of two slabs.  Applying (qubit, k, -angle) undoes
-    (qubit, k, angle).
+    ``arr`` and ``out`` are C-contiguous arrays of one shape with the 2**n
+    basis on ``axis``.  Merging the axes before it with the 2**qubit
+    higher bits gives a (..., 2**qubit, 4, rest) view whose middle axis is
+    the block's local index, so the block is one stacked product.  A
+    non-contiguous array raises, because its view would be a copy and
+    the result would be lost.  Applying ``m.T`` undoes ``m``.
     """
-    if k < 0:
-        # CNOT swaps the target's two halves inside the control-1 half.
-        v = arr.reshape(2**qubit, 2, 2, -1, copy=False)
-        v[:, 1, [0, 1]] = v[:, 1, [1, 0]]
-        return
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    v = arr.reshape(2**qubit, 2, -1, copy=False)
-    v[...] = np.array([[c, -s], [s, c]]) @ v
+    if not (arr.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("apply_block needs C-contiguous arrays")
+    shape = (math.prod(arr.shape[:axis]) * 2**qubit, 4, -1)
+    np.matmul(m, arr.reshape(shape, copy=False), out=out.reshape(shape, copy=False))
+    return out
 
 
 def ansatz_unitary(ansatz: CircuitAnsatz) -> np.ndarray:
     """Real orthogonal 2**n x 2**n matrix of the circuit (column x = U |x>)."""
     u = np.eye(2**ansatz.n_qubits)
-    for gate in circuit_gates(ansatz):
-        apply_gate(u, *gate)
+    spare = np.empty_like(u)
+    for qubit, _, _, m in circuit_blocks(ansatz):
+        u, spare = apply_block(u, qubit, m, spare), u
     return u

@@ -263,28 +263,31 @@ def _phi_gradient(
 
     The expectation is f = tr(Phi^T K Phi) with Phi = U[:, cols] diag(sqrt(q[cols])),
     where ``u`` is the circuit matrix of ``ansatz`` and cols are the basis
-    states with q > 0.  From Phi and Lambda = K Phi, a backward sweep
-    un-applies each gate from both together.  Taking both just before an
-    RY gate with applied angle a, df/da = 2 <Lambda, dRY/da Phi> reduces to
-    <Lambda, J Phi> with J = [[0, -1], [1, 0]] on the gate's qubit
-    (Jones & Gacon, arXiv:2009.02823).
+    states with q > 0.  Phi and Lambda = K Phi are stacked in one
+    C-contiguous (2, 2**n, m) array, and a backward sweep un-applies each
+    block M = CNOT.(RY(a) x RY(b)) from both with one M^T pass.  Just
+    before the block, df/da = <Lambda, (J x I) Phi> and
+    df/db = <Lambda, (I x J) Phi> with J = [[0, -1], [1, 0]]
+    (Jones & Gacon, arXiv:2009.02823); the two RYs commute, so both are
+    read at that one point.  Both come from the 4x4 Gram matrix
+    G = sum_i Lambda_i Phi_i^T over the block's (2**qubit, 4, rest) views,
+    one batched product per block: df/da = <G, J x I> and df/db = <G, I x J>.
     """
     grad = np.zeros(ansatz.n_parameters)
     cols = np.flatnonzero(q > 0)
     if ham.support.size == 0 or cols.size == 0:
         return grad
-    m = cols.size
-    # pair[:, 0] holds Phi and pair[:, 1] holds Lambda, so each gate is one call.
-    pair = np.zeros((2**ansatz.n_qubits, 2, m))
-    pair[:, 0] = u[:, cols] * np.sqrt(q[cols])
-    pair[ham.support, 1] = ham.energies[:, None] * pair[ham.support, 0]
-    for qubit, k, angle in reversed(qsim.circuit_gates(ansatz)):
-        qsim.apply_gate(pair, qubit, k, -angle)
-        if k >= 0:
-            v = pair.reshape(2**qubit, 2, -1, 2, m)
-            phi_0, phi_1 = v[:, 0, :, 0], v[:, 1, :, 0]
-            lam_0, lam_1 = v[:, 0, :, 1], v[:, 1, :, 1]
-            grad[k] = np.vdot(lam_1, phi_0) - np.vdot(lam_0, phi_1)
+    # pair[0] holds Phi and pair[1] Lambda, so each block is one call.
+    pair = np.zeros((2, 2**ansatz.n_qubits, cols.size))
+    pair[0] = u[:, cols] * np.sqrt(q[cols])
+    pair[1, ham.support] = ham.energies[:, None] * pair[0, ham.support]
+    spare = np.empty_like(pair)
+    for qubit, ia, ib, m in reversed(qsim.circuit_blocks(ansatz)):
+        pair, spare = qsim.apply_block(pair, qubit, m.T, spare, axis=1), pair
+        phi, lam = pair.reshape(2, 2**qubit, 4, -1, copy=False)
+        g = (lam @ phi.transpose(0, 2, 1)).sum(axis=0)
+        grad[ia] = g[2, 0] + g[3, 1] - g[0, 2] - g[1, 3]
+        grad[ib] = g[1, 0] + g[3, 2] - g[0, 1] - g[2, 3]
     return grad
 
 
@@ -453,6 +456,10 @@ def model_state(state: TrainState) -> tuple[np.ndarray, np.ndarray]:
     return qsim.ansatz_unitary(state.ansatz).T, ebm.thermal_state(state.hamiltonian)
 
 
+# Cumulative entries compared at once by ``generate``: 8 MB of gathered rows.
+_GENERATE_CHUNK = 2**20
+
+
 def generate(
     w: np.ndarray, ham: ebm.ModularHamiltonian, n_events: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -473,5 +480,11 @@ def generate(
     out_cum = np.cumsum(w * w, axis=0).T[ham.support]
     latent_draws = rng.choice(ham.support.size, size=n_events, p=latent_probs)
     uniforms = rng.random(n_events)
-    out = [np.searchsorted(out_cum[d], p, side="right") for d, p in zip(latent_draws, uniforms)]
-    return np.minimum(np.array(out, dtype=np.int64), len(w) - 1)
+    # The output state is the count of cumulative entries <= u in the drawn
+    # row (searchsorted with side="right"), taken over chunks of rows.
+    out = np.empty(n_events, dtype=np.int64)
+    chunk = max(1, _GENERATE_CHUNK // len(w))
+    for start in range(0, n_events, chunk):
+        rows = slice(start, start + chunk)
+        out[rows] = np.count_nonzero(out_cum[latent_draws[rows]] <= uniforms[rows, None], axis=1)
+    return np.minimum(out, len(w) - 1)

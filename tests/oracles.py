@@ -3,15 +3,17 @@
 Everything here is written against textbook definitions with dense
 matrices and exhaustive enumeration, deliberately avoiding the package's
 own computational shortcuts so that agreement is meaningful.  The
-parameter-shift gradients are the exception: they differentiate the
-package's own expectations (whose circuit matrix is itself checked
-against ``staircase_unitary``), so that they isolate the adjoint sweep.
+parameter-shift gradients differentiate the routed expectation with the
+circuit matrix of the per-gate walker (``gate_walk_unitary``, itself
+checked against ``staircase_unitary``), so that they isolate the fused
+block sweep.  The ``*_reference`` functions are the package's earlier
+loops, kept to check that faster paths draw the same numbers.
 """
 
 import numpy as np
 from scipy.special import expit
 
-from qhbm import qsim
+from qhbm import ebm, qsim
 from qhbm.embed import bernoulli_index_samples
 
 
@@ -61,6 +63,41 @@ def staircase_unitary(n_qubits: int, n_layers: int, angles) -> np.ndarray:
                 single_qubit_operator(n_qubits, lower, ry_matrix(a))
             )
             u = cnot_matrix(n_qubits, lower, lower + 1) @ block @ u
+    return u
+
+
+def circuit_gates(ansatz) -> list[tuple[int, int, float]]:
+    """(qubit, angle index, angle) triples of U in application order, one per gate.
+
+    A triple with angle index k >= 0 is RY(angles[k]) on ``qubit``; index
+    -1 is the CNOT with ``qubit`` as control and ``qubit + 1`` as target.
+    """
+    gates: list[tuple[int, int, float]] = []
+    for q, ia, ib in ansatz.blocks():
+        gates += [(q, ia, ansatz.angles[ia]), (q + 1, ib, ansatz.angles[ib]), (q, -1, 0.0)]
+    return gates
+
+
+def apply_gate(arr: np.ndarray, qubit: int, k: int, angle: float) -> None:
+    """Apply one ``circuit_gates`` triple in place to a C-contiguous (2**n, ...) array.
+
+    Viewing the array as (2**qubit, 2, rest) puts ``qubit`` on the middle
+    axis, so RY is one stacked 2x2 product and CNOT a swap of two slabs.
+    Applying (qubit, k, -angle) undoes (qubit, k, angle).
+    """
+    if k < 0:
+        v = arr.reshape(2**qubit, 2, 2, -1, copy=False)
+        v[:, 1, [0, 1]] = v[:, 1, [1, 0]]
+        return
+    v = arr.reshape(2**qubit, 2, -1, copy=False)
+    v[...] = ry_matrix(angle).real @ v
+
+
+def gate_walk_unitary(ansatz) -> np.ndarray:
+    """The circuit matrix built one RY or CNOT at a time by ``apply_gate``."""
+    u = np.eye(2**ansatz.n_qubits)
+    for gate in circuit_gates(ansatz):
+        apply_gate(u, *gate)
     return u
 
 
@@ -255,8 +292,8 @@ def parameter_shift_gradient(index: int, ansatz, ham) -> np.ndarray:
 
 
 def distribution_expectation(ansatz, ham, q) -> float:
-    """sum_z E(z) sum_x |<z| U |x>|**2 q_x."""
-    u = qsim.ansatz_unitary(ansatz)
+    """sum_z E(z) sum_x |<z| U |x>|**2 q_x, with U from the per-gate walker."""
+    u = gate_walk_unitary(ansatz)
     routed = np.abs(u) ** 2 @ q
     return float(ham.energies @ routed[ham.support])
 
@@ -320,3 +357,45 @@ def roc_rates_reference(signal, background, thresholds) -> tuple[np.ndarray, np.
     tpr = np.array([(signal >= t).mean() for t in thresholds])
     fpr = np.array([(background >= t).mean() for t in thresholds])
     return tpr, fpr
+
+
+def metropolis_sample_reference(model, chain, burn_in: int, n_collect: int):
+    """``ebm.metropolis_sample`` as a loop over NumPy arrays and scalars.
+
+    Same draws in the same order, so the chain must agree bit for bit.
+    """
+    table = ebm.free_energies(model, np.arange(2**model.n_visible))
+    rng = chain.rng
+    steps = burn_in + n_collect
+    current = int(chain.current)
+    current_energy = table[current]
+    candidates = rng.integers(0, 2**model.n_visible, size=steps)
+    uniforms = rng.random(steps)
+    collected = np.empty(n_collect, dtype=np.int64)
+    for i in range(steps):
+        cand = int(candidates[i])
+        delta = current_energy - table[cand]
+        if delta >= 0.0 or uniforms[i] < np.exp(delta):
+            current = cand
+            current_energy = table[cand]
+        if i >= burn_in:
+            collected[i - burn_in] = current
+    return collected, ebm.MarkovChainState(current, float(current_energy), rng)
+
+
+def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:
+    """``train.generate`` with one ``np.searchsorted`` call per generated event."""
+    latent_probs = np.exp(-ham.energies - ham.log_partition)
+    latent_probs = latent_probs / latent_probs.sum()
+    out_cum = np.cumsum(w * w, axis=0).T[ham.support]
+    latent_draws = rng.choice(ham.support.size, size=n_events, p=latent_probs)
+    uniforms = rng.random(n_events)
+    out = [np.searchsorted(out_cum[d], u, side="right") for d, u in zip(latent_draws, uniforms)]
+    return np.minimum(np.array(out, dtype=np.int64), len(w) - 1)
+
+
+def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
+    """``embed.bernoulli_index_samples`` by an int64 cast, a shift and a sum."""
+    bits = (rng.random((n_samples, probs.n_qubits)) < probs.probs).astype(np.int64)
+    shifts = np.arange(probs.n_qubits - 1, -1, -1)
+    return (bits << shifts).sum(axis=1)

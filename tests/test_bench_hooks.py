@@ -139,3 +139,33 @@ def test_traced_fit_calls_every_train_8q_hook():
         train.fit(config, events[:3], events[3:])
     counts, _ = tracer.layer_stats()
     assert {hook: counts[f"{hook}.calls"] for hook in sorted(hooks) if not counts[f"{hook}.calls"]} == {}
+
+
+def test_repeated_traced_fits_agree_bitwise():
+    """Two traced fits of one config in one process give the same counts and history.
+
+    The benchmark repeats its timed part and reports ``correct: false`` when
+    an exact value or a traced layer count differs between repetitions, as
+    state carried from one call to the next would make it.
+    """
+    tracing = load_tracing()
+    config = train.TrainConfig(
+        n_qubits=4, n_layers=2, n_mc_samples=30, n_embed_samples=20, batch_size=2,
+        max_epochs=2, seed=5,
+    )
+    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8, 0.3 + 0.1 * i])) for i in range(6)]
+    runs = []
+    for _ in range(2):
+        with tracing.Tracer(qhbm) as tracer:
+            _, history = train.fit(config, events[:4], events[4:])
+        counts, _ = tracer.layer_stats()
+        runs.append((counts, history))
+    (counts_a, history_a), (counts_b, history_b) = runs
+    assert counts_a == counts_b
+    assert counts_a["qsim.ansatz_unitary.calls"] > 0
+    assert [row.keys() for row in history_a] == [row.keys() for row in history_b]
+    assert bits(history_a) == bits(history_b)
+
+
+def bits(history):
+    return [np.float64(value).tobytes() for row in history for value in row.values()]

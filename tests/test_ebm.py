@@ -25,6 +25,7 @@ from oracles import (
     conditional_hidden_prob,
     conditional_visible_prob,
     free_energy_enumerated,
+    metropolis_sample_reference,
 )
 
 
@@ -237,6 +238,18 @@ class TestMetropolis:
         probs = boltzmann_distribution(free_energies(model, np.arange(2**model.n_visible)))
         stat = chisquare(counts, probs * 100_000)
         assert stat.pvalue > 0.01
+
+    @pytest.mark.parametrize("n_visible,burn_in,n_collect", [(1, 0, 30), (4, 0, 0), (8, 100, 1000)])
+    def test_matches_array_loop_bitwise(self, n_visible, burn_in, n_collect):
+        model = EnergyModel.initialize(n_visible, rng=np.random.default_rng(n_visible), weight_scale=0.8)
+        chain = initial_chain(model, np.random.default_rng(5))
+        ref_chain = initial_chain(model, np.random.default_rng(5))
+        samples, after = metropolis_sample(model, chain, burn_in, n_collect)
+        ref_samples, ref_after = metropolis_sample_reference(model, ref_chain, burn_in, n_collect)
+        assert samples.dtype == np.int64 and np.array_equal(samples, ref_samples)
+        assert after.current == ref_after.current
+        assert after.current_energy == ref_after.current_energy
+        assert after.rng.bit_generator.state == ref_after.rng.bit_generator.state
 
     def test_rejects_bad_arguments(self, rng):
         model = random_model(2, 2, rng)

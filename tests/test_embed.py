@@ -24,6 +24,8 @@ from qhbm.qsim import index_bits
 from qhbm.rng import substream
 from qhbm.train import _batch_distribution
 
+from oracles import bernoulli_index_samples_reference
+
 
 def flat_image(value, shape=(8, 8), label="unlabelled"):
     return PixelImage(np.full(shape, float(value)), label=label)
@@ -263,6 +265,17 @@ class TestBernoulliEmbed:
         configs = ["".join("1" if b else "0" for b in row < probs.probs) for row in uniforms]
         indices = bernoulli_index_samples(probs, 500, substream(3, "embedding"))
         assert [int(bits, 2) for bits in configs] == indices.tolist()
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    @pytest.mark.parametrize("n_samples", [0, 1, 777])
+    def test_packed_indices_match_shift_and_sum(self, n_qubits, n_samples):
+        probs = PixelProbabilities(np.random.default_rng(n_qubits).uniform(0.0, 1.0, n_qubits))
+        rng, ref_rng = substream(n_qubits, "embedding"), substream(n_qubits, "embedding")
+        indices = bernoulli_index_samples(probs, n_samples, rng)
+        expected = bernoulli_index_samples_reference(probs, n_samples, ref_rng)
+        assert indices.dtype == np.int64 and indices.shape == (n_samples,)
+        assert np.array_equal(indices, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_zero_samples_and_errors(self):
         probs = PixelProbabilities(np.array([0.5]))

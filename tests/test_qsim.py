@@ -26,20 +26,23 @@ def random_state(n_qubits, rng):
     return amps / np.linalg.norm(amps)
 
 
+def run_blocks(blocks, amps):
+    """(qubit, M) blocks applied in order to a complex copy of ``amps``."""
+    arr = np.array(amps, dtype=np.complex128)
+    spare = np.empty_like(arr)
+    for qubit, m in blocks:
+        arr, spare = qsim.apply_block(arr, qubit, m, spare), arr
+    return arr
+
+
 def apply(ansatz, amps):
-    """The circuit applied to a copy of ``amps`` by the gate walker."""
-    out = np.array(amps, dtype=np.complex128)
-    for gate in qsim.circuit_gates(ansatz):
-        qsim.apply_gate(out, *gate)
-    return out
+    """The circuit applied to ``amps`` block by block."""
+    return run_blocks([(q, m) for q, _, _, m in qsim.circuit_blocks(ansatz)], amps)
 
 
 def apply_inverse(ansatz, amps):
-    """The gate list reversed with negated angles, as the angle gradient sweeps back."""
-    out = np.array(amps, dtype=np.complex128)
-    for qubit, k, angle in reversed(qsim.circuit_gates(ansatz)):
-        qsim.apply_gate(out, qubit, k, -angle)
-    return out
+    """The blocks reversed and transposed, as the angle gradient sweeps back."""
+    return run_blocks([(q, m.T) for q, _, _, m in reversed(qsim.circuit_blocks(ansatz))], amps)
 
 
 def basis(index, n_qubits):
@@ -180,6 +183,59 @@ class TestAnsatzUnitary:
         out = apply_inverse(ansatz, state)
         np.testing.assert_allclose(out, dense.conj().T @ state, atol=1e-10)
         np.testing.assert_allclose(qsim.ansatz_unitary(ansatz).T @ state, out, atol=1e-10)
+
+
+class TestBlockEngine:
+    """The fused-block engine against the dense oracle and the per-gate walker."""
+
+    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    def test_unitary_matches_dense_oracle_and_gate_walker(self, n_qubits):
+        rng = np.random.default_rng(100 + n_qubits)
+        n_layers = 3 if n_qubits <= 8 else 1
+        ansatz = random_ansatz(n_qubits, n_layers, rng, scale=3.0)
+        u = qsim.ansatz_unitary(ansatz)
+        assert u.dtype == np.float64 and u.flags.c_contiguous
+        np.testing.assert_allclose(u, oracles.gate_walk_unitary(ansatz), rtol=0.0, atol=1e-13)
+        # The dense complex oracle costs seconds at 10 qubits; the walker
+        # it checks covers that size.
+        if n_qubits <= 9:
+            dense = oracles.staircase_unitary(n_qubits, n_layers, ansatz.angles)
+            np.testing.assert_allclose(u, dense.real, rtol=0.0, atol=1e-13)
+            assert np.abs(dense.imag).max() == 0.0
+
+    def test_block_matrix_is_cnot_after_ry_pair(self, rng):
+        ansatz = random_ansatz(3, 2, rng, scale=3.0)
+        cnot = oracles.cnot_matrix(2, 0, 1).real
+        for _, ia, ib, m in qsim.circuit_blocks(ansatz):
+            ry = [oracles.ry_matrix(ansatz.angles[k]).real for k in (ia, ib)]
+            np.testing.assert_allclose(m, cnot @ np.kron(*ry), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(m.T @ m, np.eye(4), atol=1e-15)
+
+    def test_blocks_follow_ansatz_block_order(self):
+        ansatz = qsim.CircuitAnsatz(3, 2, np.arange(8, dtype=np.float64))
+        assert [b[:3] for b in qsim.circuit_blocks(ansatz)] == list(ansatz.blocks())
+        assert qsim.circuit_blocks(qsim.CircuitAnsatz(3, 0, np.zeros(0))) == []
+
+    def test_stacked_axis_matches_each_slice(self, rng):
+        ansatz = random_ansatz(4, 2, rng)
+        stack = rng.normal(size=(2, 16, 3))
+        expected = [qsim.ansatz_unitary(ansatz) @ x for x in stack]
+        out = np.empty_like(stack)
+        for qubit, _, _, m in qsim.circuit_blocks(ansatz):
+            stack, out = qsim.apply_block(stack, qubit, m, out, axis=1), stack
+        np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-13)
+
+    def test_rejects_non_contiguous_arrays(self, rng):
+        m = qsim.circuit_blocks(random_ansatz(3, 1, rng))[0][3]
+        arr = rng.normal(size=(8, 5))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            qsim.apply_block(np.asfortranarray(arr), 0, m, np.empty_like(arr))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            qsim.apply_block(arr, 0, m, np.empty((5, 8)).T)
+        # A column selection is a strided copy, as U[:, cols] is.
+        cols = arr[:, [0, 2, 4]]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            qsim.apply_block(cols, 0, m, np.empty(cols.shape))
 
 
 def mean_energy(ham, q, n_qubits):

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.stats import chisquare
 
 from qhbm import ebm, qsim, train
@@ -32,6 +32,7 @@ from oracles import (
     batch_parameter_shift_gradient,
     boltzmann_distribution,
     diagonal_hamiltonian_matrix,
+    generate_reference,
     pair_reduced_matrix,
     staircase_unitary,
 )
@@ -347,6 +348,26 @@ class TestPhiGradient:
         assert grad.shape == (ansatz.n_parameters,)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
 
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=2, n_layers=0, seed=0)
+    @example(n=2, n_layers=1, seed=1)
+    def test_fused_sweep_relative_error(self, n, n_layers, seed):
+        # Dense support and data, so every block's Gram matrix is full.
+        rng = np.random.default_rng(seed)
+        ansatz, ham, q = self.random_case(
+            n, n_layers, rng.random(2**n) < 0.7, rng.random(2**n) < 0.7, rng
+        )
+        grad = _phi_gradient(ansatz, qsim.ansatz_unitary(ansatz), ham, q)
+        oracle = batch_parameter_shift_gradient(ansatz, ham, q)
+        assert grad.shape == oracle.shape == (2 * (n - 1) * n_layers,)
+        if oracle.size:
+            scale = max(np.abs(oracle).max(), np.abs(ham.energies).max(initial=0.0))
+            assert np.abs(grad - oracle).max() <= 1e-12 * scale
+
     def test_eight_qubits_three_layers_match_parameter_shift_oracle(self):
         rng = np.random.default_rng(88)
         support_mask = np.zeros(256, dtype=bool)
@@ -635,6 +656,27 @@ class TestGenerate:
         stat = chisquare(counts[keep], expected[keep] * counts[keep].sum() / expected[keep].sum())
         assert stat.pvalue > 0.01
         assert counts[~keep].sum() <= 20
+
+    @pytest.mark.parametrize("n,n_events", [(1, 50), (3, 0), (3, 1), (6, 2000)])
+    def test_matches_per_event_search(self, n, n_events):
+        rng = np.random.default_rng(40 + n)
+        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.5)
+        ham = ebm.build_hamiltonian(model, rng.integers(0, 2**n, size=3 * 2**n))
+        ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2))
+        w, _ = model_state(manual_state(model, ansatz, ham))
+        got = generate(w, ham, n_events, np.random.default_rng(9))
+        expected = generate_reference(w, ham, n_events, np.random.default_rng(9))
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        model = ebm.EnergyModel.initialize(3, rng=rng, weight_scale=0.5)
+        ham = ebm.build_hamiltonian(model, np.arange(8))
+        ansatz = qsim.CircuitAnsatz(3, 2, rng.uniform(-np.pi, np.pi, size=8))
+        w, _ = model_state(manual_state(model, ansatz, ham))
+        whole = generate(w, ham, 100, np.random.default_rng(4))
+        monkeypatch.setattr(train, "_GENERATE_CHUNK", 24)
+        assert np.array_equal(generate(w, ham, 100, np.random.default_rng(4)), whole)
 
     def test_error_paths(self, rng):
         model = ebm.EnergyModel.initialize(2, rng=rng)
