@@ -16,11 +16,7 @@ from qhbm.rng import substream
 
 def jet_probs(kind, n_events, seed, n_qubits, grid, crop, pool, scale_max=None):
     images = embed.synth_toy_jets(n_events, kind, grid, substream(seed, "synthesis", kind))
-    pooled = [embed.crop_and_pool(image, crop, pool) for image in images]
-    if scale_max is None:
-        scale_max = embed.fit_scale_max(pooled)
-    layout = embed.pixel_layout(pooled[0].height, n_qubits)
-    events = [embed.select_pixels(embed.standardise(image, scale_max), layout) for image in pooled]
+    events, scale_max, _ = embed.images_to_events(images, crop, pool, n_qubits, scale_max=scale_max)
     return events, scale_max
 
 

@@ -46,10 +46,7 @@ def main(argv=None):
     images = embed.synth_toy_jets(
         1, "background", args.grid, substream(args.synth_seed, "synthesis", "background")
     )
-    pooled = [embed.crop_and_pool(image, args.crop, args.pool) for image in images]
-    scale_max = embed.fit_scale_max(pooled)
-    layout = embed.pixel_layout(pooled[0].height, 4)
-    event = embed.select_pixels(embed.standardise(pooled[0], scale_max), layout)
+    (event,), _, _ = embed.images_to_events(images, args.crop, args.pool, 4)
     target = embed.exact_mixed_state([event])
     print("event probs:", np.round(event.probs, 4))
 

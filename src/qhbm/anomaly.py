@@ -43,11 +43,6 @@ class FidelitySeries:
 
     dt: float
     values: np.ndarray
-    std: np.ndarray | None = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
 
 
 def check_time_grid(total_time: float, dt: float) -> int:
@@ -171,8 +166,8 @@ def time_evolution_series(
 
     which matches step-by-step application of the propagator exactly.
     Draws that hit the same basis state share one series, so the mean
-    and standard deviation are weighted by draw counts over the distinct
-    states.  The series starts at 1 and stays within [0, 1].
+    is weighted by draw counts over the distinct states.  The series
+    starts at 1 and stays within [0, 1].
 
     ``table`` is a routing table of ``state`` on the same time grid,
     shared by the events of one pass; without it a one-event table is
@@ -184,10 +179,7 @@ def time_evolution_series(
     elif table.grid != (n_points, dt):
         raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
     weights, cols = table.draw(state, event, n_draws, rng)
-    per_state = table.fidelity_rows(cols)  # (distinct state, time)
-    values = weights @ per_state
-    std = np.sqrt(weights @ (per_state - values) ** 2) if n_draws > 1 else None
-    return FidelitySeries(dt, values, std)
+    return FidelitySeries(dt, weights @ table.fidelity_rows(cols))
 
 
 def event_series(

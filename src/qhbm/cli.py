@@ -82,10 +82,11 @@ def _load_probability_events(path: str | Path) -> list[embed.PixelProbabilities]
             "preprocess command first"
         )
     events = []
-    for im in images:
-        events.append(
-            embed.PixelProbabilities(im.intensities.reshape(-1), im.label, im.weight)
-        )
+    for i, im in enumerate(images):
+        try:
+            events.append(embed.PixelProbabilities(im.intensities.reshape(-1), im.label, im.weight))
+        except ValueError as exc:
+            raise DataError(f"{path} event {i}: {exc}") from exc
     return events
 
 
@@ -116,23 +117,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         images, _ = io.read_image_container(args.input)
     if not images:
         raise DataError(f"{args.input} holds no images")
-    pooled = [
-        embed.crop_and_pool(im, args.crop, args.pool, trim_remainder=not args.strict)
-        for im in images
-    ]
-    scale_max = args.scale_max if args.scale_max is not None else embed.fit_scale_max(pooled)
-    standardised = [embed.standardise(im, scale_max) for im in pooled]
-    side = standardised[0].height
-    if side != standardised[0].width:
-        raise DataError(
-            f"pooled images are {standardised[0].height}x{standardised[0].width}; "
-            "pixel layouts need a square grid"
-        )
-    if args.layout:
-        layout = [int(x) for x in args.layout.split(",")]
-    else:
-        layout = embed.pixel_layout(side, args.n_qubits)
-    events = [embed.select_pixels(im, layout) for im in standardised]
+    layout = [int(x) for x in args.layout.split(",")] if args.layout else None
+    events, scale_max, layout = embed.images_to_events(
+        images, args.crop, args.pool, args.n_qubits,
+        scale_max=args.scale_max, layout=layout, trim_remainder=not args.strict,
+    )
     rows = [
         embed.PixelImage(e.probs.reshape(1, -1), e.label, e.weight) for e in events
     ]
@@ -141,7 +130,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "scale_max": scale_max,
         "crop": args.crop,
         "pool": args.pool,
-        "pooled_side": side,
+        # crop_and_pool's side (a remainder is trimmed or rejected); the grid is square.
+        "pooled_side": (images[0].height - 2 * args.crop) // args.pool,
         "layout": layout,
     }
     io.write_image_container(args.out, rows, meta)

@@ -175,23 +175,6 @@ class ModularHamiltonian:
         if np.unique(self.support).size != self.support.size:
             raise ValueError("support states must be unique")
 
-    @classmethod
-    def empty(cls, n_qubits: int) -> "ModularHamiltonian":
-        return cls(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0), -np.inf)
-
-    @classmethod
-    def from_energies(
-        cls,
-        n_qubits: int,
-        support: Sequence[int] | np.ndarray,
-        energies: Sequence[float],
-    ) -> "ModularHamiltonian":
-        """Build directly from basis indices and their energies, computing log Z."""
-        if len(support) == 0:
-            raise ValueError("need at least one support state")
-        energies = np.asarray(energies, dtype=np.float64)
-        return cls(n_qubits, support, energies, float(logsumexp(-energies)))
-
 
 def build_hamiltonian(
     model: EnergyModel,

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .errors import DataError
 from .qsim import MAX_QUBITS
 
 PROB_FLOOR = 1e-6
@@ -60,7 +61,8 @@ class PixelProbabilities:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1 or not 1 <= self.probs.size <= MAX_QUBITS:
             raise ValueError(f"need 1..{MAX_QUBITS} probabilities, got shape {self.probs.shape}")
-        if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
+        # Written so that NaN fails too: it compares false both ways.
+        if not np.all((self.probs > 0.0) & (self.probs < 1.0)):
             raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     @property
@@ -112,8 +114,8 @@ def fit_scale_max(images: Sequence[PixelImage]) -> float:
 
 def standardise(image: PixelImage, scale_max: float) -> PixelImage:
     """Linearly map [0, scale_max] onto [0, pi], clipping above the fit."""
-    if scale_max <= 0.0:
-        raise ValueError(f"scale_max must be positive, got {scale_max}")
+    if not (np.isfinite(scale_max) and scale_max > 0.0):
+        raise ValueError(f"scale_max must be finite and positive, got {scale_max}")
     scaled = np.clip(image.intensities / scale_max, 0.0, 1.0) * np.pi
     return PixelImage(scaled, image.label, image.weight)
 
@@ -154,6 +156,35 @@ def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilitie
         raise ValueError(f"layout indices out of range for {image.height}x{image.width} image")
     probs = np.clip(expit(flat[idx]), PROB_FLOOR, 1.0 - PROB_FLOOR)
     return PixelProbabilities(probs, image.label, image.weight)
+
+
+def images_to_events(
+    images: Sequence[PixelImage],
+    crop: int,
+    pool: int,
+    n_qubits: int,
+    *,
+    scale_max: float | None = None,
+    layout: Sequence[int] | None = None,
+    trim_remainder: bool = True,
+) -> tuple[list[PixelProbabilities], float, list[int]]:
+    """Crop and pool, standardise and select pixels: ``(events, scale_max, layout)``.
+
+    ``scale_max`` is fitted on the pooled images unless given (held-out
+    splits reuse the training fit), and ``layout`` defaults to the
+    ``n_qubits`` layout of ``pixel_layout``.  A non-square grid is a data error.
+    """
+    if not images:
+        raise ValueError("need at least one image")
+    pooled = [crop_and_pool(im, crop, pool, trim_remainder) for im in images]
+    if scale_max is None:
+        scale_max = fit_scale_max(pooled)
+    standardised = [standardise(im, scale_max) for im in pooled]
+    side, width = standardised[0].intensities.shape
+    if side != width:
+        raise DataError(f"pooled images are {side}x{width}; pixel layouts need a square grid")
+    layout = pixel_layout(side, n_qubits) if layout is None else list(layout)
+    return [select_pixels(im, layout) for im in standardised], scale_max, layout
 
 
 def bernoulli_index_samples(

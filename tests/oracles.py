@@ -11,10 +11,23 @@ loops, kept to check that faster paths draw the same numbers.
 """
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from qhbm import ebm, qsim
 from qhbm.embed import bernoulli_index_samples
+
+
+def hamiltonian_from_energies(n_qubits, support, energies) -> ebm.ModularHamiltonian:
+    """A modular Hamiltonian straight from basis indices and their energies, with log Z."""
+    if len(support) == 0:
+        raise ValueError("need at least one support state")
+    energies = np.asarray(energies, dtype=np.float64)
+    return ebm.ModularHamiltonian(n_qubits, support, energies, float(logsumexp(-energies)))
+
+
+def empty_hamiltonian(n_qubits) -> ebm.ModularHamiltonian:
+    """A modular Hamiltonian with no support states (log Z = -inf)."""
+    return ebm.ModularHamiltonian(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0), -np.inf)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -322,14 +335,14 @@ def _per_draw_probabilities(state, event, n_draws, rng):
 def time_evolution_series_per_draw(state, event, total_time, dt, rng, n_draws=1):
     """``anomaly.time_evolution_series`` with one complex overlap column per draw.
 
-    Returns (values, std or None).  Phases come from the direct grid
-    exp(i t E) and every draw is routed and averaged separately.
+    Phases come from the direct grid exp(i t E) and every draw is routed
+    and averaged separately.
     """
     on_support, off_mass = _per_draw_probabilities(state, event, n_draws, rng)
     times = dt * np.arange(int(round(total_time / dt)) + 1)
     phases = np.exp(1j * np.outer(times, state.hamiltonian.energies))
     per_draw = np.abs(off_mass[None, :] + phases @ on_support.T) ** 2
-    return per_draw.mean(axis=1), per_draw.std(axis=1) if n_draws > 1 else None
+    return per_draw.mean(axis=1)
 
 
 def expectation_score_per_draw(state, event, rng, n_draws=1) -> float:

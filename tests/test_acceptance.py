@@ -4,11 +4,14 @@ Each check prints one ``A<k> (...): PASS/FAIL`` line with its measured
 numbers so the whole gate can be read off one screen even under output
 capture.  The statistical checks (A3-A6, A10) pin every sampling
 protocol to fixed seeds; the reference numbers quoted inline were
-measured on those exact protocols.
+measured on those exact protocols.  A5/A6 and A10 run the experiment
+scripts in ``scripts/`` with every protocol flag written out and read
+their JSON reports, so each protocol has one copy.
 """
 
 import dataclasses
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -28,13 +31,13 @@ from oracles import (
     dense_trace_distance,
     diagonal_hamiltonian_matrix,
     evolve_diagonal,
+    hamiltonian_from_energies,
     random_density_matrix,
     random_structured_state,
     shifted,
     staircase_unitary,
 )
-
-GRID, CROP, POOL = 16, 2, 2
+from script_runner import run_script
 
 
 def _emit(capsys, line):
@@ -65,16 +68,6 @@ def _manual_state(model, ansatz, ham, seed=0):
     )
 
 
-def _jet_probs(kind, n_events, seed, n_qubits, scale_max=None):
-    images = embed.synth_toy_jets(n_events, kind, GRID, substream(seed, "synthesis", kind))
-    pooled = [embed.crop_and_pool(image, CROP, POOL) for image in images]
-    if scale_max is None:
-        scale_max = embed.fit_scale_max(pooled)
-    layout = embed.pixel_layout(pooled[0].height, n_qubits)
-    events = [embed.select_pixels(embed.standardise(image, scale_max), layout) for image in pooled]
-    return events, scale_max
-
-
 def test_a1_simulator_and_objective_match_dense_oracles(capsys):
     """The circuit matrix and its transpose, the routed energy of single
     basis states, and the batch objective agree with dense matrix algebra
@@ -98,7 +91,7 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             support_size = int(gen.integers(1, dim + 1))
             indices = np.sort(gen.choice(dim, size=support_size, replace=False))
             energies = gen.standard_normal(support_size)
-            ham = ebm.ModularHamiltonian.from_energies(n, indices, energies)
+            ham = hamiltonian_from_energies(n, indices, energies)
             k_dense = diagonal_hamiltonian_matrix(n, indices, energies)
             model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.3)
             config = train.TrainConfig(n_qubits=n, n_layers=n_layers)
@@ -263,79 +256,51 @@ def test_a4_two_qubit_training_reaches_data_entropy(capsys):
 
 
 @pytest.fixture(scope="module")
-def jet_models():
-    """Background-trained 4- and 6-qubit models shared by A5 and A6."""
+def anomaly_study(tmp_path_factory):
+    """The anomaly study script's report for 4 and 6 qubits, shared by A5 and A6.
+
+    Every protocol flag is written out, so a change of the script's
+    defaults does not move the gate.
+    """
     t0 = time.monotonic()
-    models, scales = {}, {}
-    for n_qubits in (4, 6):
-        train_events, scale = _jet_probs("background", 300, 1, n_qubits)
-        valid_events, _ = _jet_probs("background", 60, 2, n_qubits, scale)
-        config = train.TrainConfig(
-            n_qubits=n_qubits,
-            n_mc_samples=300 if n_qubits == 4 else 500,
-            n_embed_samples=500,
-            max_epochs=40,
-            batch_size=25,
-            seed=5,
-        )
-        best, _ = train.fit(config, train_events, valid_events)
-        models[n_qubits] = best
-        scales[n_qubits] = scale
-    return {"models": models, "scales": scales, "train_seconds": time.monotonic() - t0}
+    out = tmp_path_factory.mktemp("anomaly_study") / "study.json"
+    assert run_script("run_anomaly_study", [
+        "--qubits", "4,6", "--n-train", "300", "--n-valid", "60", "--n-test", "150",
+        "--grid", "16", "--crop", "2", "--pool", "2",
+        "--epochs", "40", "--batch-size", "25", "--n-embed-samples", "500", "--seed", "5",
+        "--n-draws-t-zero", "256", "--n-draws-spectral", "2048",
+        "--f-min", "0.05", "--total-time", "200", "--dt", "0.1",
+        "--out", str(out),
+    ]) == 0
+    results = json.loads(out.read_text())["results"]
+    return {"results": results, "seconds": time.monotonic() - t0}
 
 
-def test_a5_time_zero_score_separates_signal(capsys, jet_models):
+def test_a5_time_zero_score_separates_signal(capsys, anomaly_study):
     """The 6-qubit time-zero anomaly score separates held-out signal from
     background, and scores nothing on a background-vs-background null."""
     # Reference run: signal AUC 0.790 (direction low), null AUC 0.525.
-    t0 = time.monotonic()
-    model = jet_models["models"][6]
-    scale = jet_models["scales"][6]
-    background, _ = _jet_probs("background", 150, 3, 6, scale)
-    signal, _ = _jet_probs("signal", 150, 4, 6, scale)
-    report = anomaly.discrimination_report(
-        model, signal, background, "t_zero", substream(7, "generation"), n_draws=256
-    )
-    null_background, _ = _jet_probs("background", 150, 8, 6, scale)
-    null_report = anomaly.discrimination_report(
-        model, null_background, background, "t_zero", substream(9, "generation"), n_draws=256
-    )
-    elapsed = time.monotonic() - t0 + jet_models["train_seconds"]
-    ok = report.auc >= 0.75 and abs(null_report.auc - 0.5) <= 0.05 and elapsed < 1200.0
+    six = anomaly_study["results"]["6"]
+    auc, null_auc = six["auc_t_zero"], six["auc_t_zero_null"]
+    elapsed = anomaly_study["seconds"]
+    ok = auc >= 0.75 and abs(null_auc - 0.5) <= 0.05 and elapsed < 1200.0
     _emit(
         capsys,
         f"A5 (time-zero anomaly AUC, 6 qubits): {_verdict(ok)} "
-        f"AUC={report.auc:.3f} (need >=0.75), null={null_report.auc:.3f} "
+        f"AUC={auc:.3f} (need >=0.75), null={null_auc:.3f} "
         f"(need 0.5+-0.05), {elapsed:.0f}s of 1200s",
     )
-    assert report.auc >= 0.75
-    assert abs(null_report.auc - 0.5) <= 0.05
+    assert auc >= 0.75
+    assert abs(null_auc - 0.5) <= 0.05
     assert elapsed < 1200.0
 
 
-def test_a6_spectral_score_improves_with_qubits(capsys, jet_models):
+def test_a6_spectral_score_improves_with_qubits(capsys, anomaly_study):
     """The spectral anomaly score beats chance by a clear margin at 6
     qubits and does not get worse when going up from 4 qubits."""
     # Reference run: spectral AUC 0.581 (4q) -> 0.774 (6q).
-    t0 = time.monotonic()
-    aucs = {}
-    for n_qubits in (4, 6):
-        scale = jet_models["scales"][n_qubits]
-        background, _ = _jet_probs("background", 150, 3, n_qubits, scale)
-        signal, _ = _jet_probs("signal", 150, 4, n_qubits, scale)
-        report = anomaly.discrimination_report(
-            jet_models["models"][n_qubits],
-            signal,
-            background,
-            "spectral",
-            substream(7, "generation"),
-            f_min=0.05,
-            total_time=200.0,
-            dt=0.1,
-            n_draws=2048,
-        )
-        aucs[n_qubits] = report.auc
-    elapsed = time.monotonic() - t0 + jet_models["train_seconds"]
+    aucs = {n: anomaly_study["results"][str(n)]["auc_spectral"] for n in (4, 6)}
+    elapsed = anomaly_study["seconds"]
     ok = aucs[6] >= 0.6 and aucs[6] >= aucs[4] and elapsed < 1800.0
     _emit(
         capsys,
@@ -357,7 +322,7 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     n = 4
     dim = 2**n
     indices = gen.choice(dim, size=10, replace=False)
-    ham = ebm.ModularHamiltonian.from_energies(n, indices, gen.standard_normal(10))
+    ham = hamiltonian_from_energies(n, indices, gen.standard_normal(10))
     angles = gen.uniform(-np.pi, np.pi, 2 * (n - 1) * 2)
     state = _manual_state(
         ebm.EnergyModel.initialize(n, rng=gen), qsim.CircuitAnsatz(n, 2, angles), ham
@@ -500,7 +465,7 @@ def test_a9_identical_seeds_reproduce_bitwise(capsys, tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_a10_fidelity_improves_with_embedding_samples(capsys):
+def test_a10_fidelity_improves_with_embedding_samples(capsys, tmp_path):
     """With a single fixed event, the median fidelity of the trained state
     to the exact embedded state does not decrease, and the median pixel
     divergence does not increase, as the number of embedding samples grows
@@ -508,37 +473,16 @@ def test_a10_fidelity_improves_with_embedding_samples(capsys):
     # Reference run: median fidelity (0.9200, 0.9581, 0.9685) and
     # median divergence (0.1857, 0.0661, 0.0219) over seeds 101-109.
     t0 = time.monotonic()
-    images = embed.synth_toy_jets(1, "background", GRID, substream(21, "synthesis", "background"))
-    pooled = [embed.crop_and_pool(image, CROP, POOL) for image in images]
-    scale_max = embed.fit_scale_max(pooled)
-    layout = embed.pixel_layout(pooled[0].height, 4)
-    event = embed.select_pixels(embed.standardise(pooled[0], scale_max), layout)
-    target = embed.exact_mixed_state([event])
-
-    def run_once(seed, n_embed):
-        config = train.TrainConfig(
-            n_qubits=4, n_mc_samples=500, n_embed_samples=n_embed,
-            batch_size=1, max_epochs=1, seed=seed,
-        )
-        state = train.init_train_state(config)
-        draws = embed.bernoulli_index_samples(event, n_embed, substream(seed, "embedding", "sweep", 0))
-        batch = [draws]
-        for step in range(300):
-            if step == 150:
-                state = dataclasses.replace(state, lr_current=5e-3)
-            elif step == 225:
-                state = dataclasses.replace(state, lr_current=2.5e-3)
-            state, _ = train.train_step(state, batch, config)
-        w, p = train.model_state(state)
-        fid = metrics.fidelity(target, w, p)
-        kl = metrics.kl_divergence(target, (w * w) @ p)
-        return fid, kl
-
-    median_fid, median_kl = [], []
-    for n_embed in (50, 500, 5000):
-        results = [run_once(seed, n_embed) for seed in range(101, 110)]
-        median_fid.append(float(np.median([fid for fid, _ in results])))
-        median_kl.append(float(np.median([kl for _, kl in results])))
+    out = tmp_path / "sweep.json"
+    assert run_script("run_embedding_sweep", [
+        "--samples", "50,500,5000", "--n-seeds", "9", "--first-seed", "101",
+        "--steps", "300", "--n-mc-samples", "500",
+        "--grid", "16", "--crop", "2", "--pool", "2", "--synth-seed", "21",
+        "--out", str(out),
+    ]) == 0
+    results = json.loads(out.read_text())["results"]
+    median_fid = [results[n]["median_fidelity"] for n in ("50", "500", "5000")]
+    median_kl = [results[n]["median_kl"] for n in ("50", "500", "5000")]
     elapsed = time.monotonic() - t0
     fid_ok = median_fid[0] <= median_fid[1] <= median_fid[2]
     kl_ok = median_kl[0] >= median_kl[1] >= median_kl[2]

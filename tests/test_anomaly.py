@@ -26,8 +26,10 @@ from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState
 
 from oracles import (
+    empty_hamiltonian,
     evolve_diagonal,
     expectation_score_per_draw,
+    hamiltonian_from_energies,
     pair_reduced_matrix,
     staircase_unitary,
     time_evolution_series_per_draw,
@@ -60,13 +62,7 @@ def sharp_event(bits):
 
 
 def ham_from(indices, energies, n):
-    return ebm.ModularHamiltonian.from_energies(n, indices, energies)
-
-
-class TestFidelitySeries:
-    def test_times_grid(self):
-        series = FidelitySeries(0.25, np.ones(5))
-        assert np.allclose(series.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    return hamiltonian_from_energies(n, indices, energies)
 
 
 class TestTimeEvolutionSeries:
@@ -81,7 +77,6 @@ class TestTimeEvolutionSeries:
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.values >= -1e-9)
         assert np.all(series.values <= 1.0 + 1e-9)
-        assert series.std is not None and series.std.shape == series.values.shape
 
     def test_eigenstate_is_flat(self):
         state = make_state(identity_ansatz(2), ham_from([2], [1.7], 2))
@@ -89,10 +84,9 @@ class TestTimeEvolutionSeries:
             state, sharp_event((1, 0)), 50.0, 0.1, np.random.default_rng(1)
         )
         assert np.allclose(series.values, 1.0, atol=1e-9)
-        assert series.std is None
 
     def test_empty_support_is_flat(self):
-        state = make_state(identity_ansatz(2), ebm.ModularHamiltonian.empty(2))
+        state = make_state(identity_ansatz(2), empty_hamiltonian(2))
         series = time_evolution_series(
             state, sharp_event((0, 1)), 10.0, 0.1, np.random.default_rng(2)
         )
@@ -107,7 +101,8 @@ class TestTimeEvolutionSeries:
         series = time_evolution_series(
             state, sharp_event((0, 0)), 30.0, 0.1, np.random.default_rng(3)
         )
-        expected = np.cos((e1 - e0) * series.times / 2.0) ** 2
+        times = series.dt * np.arange(series.values.size)
+        expected = np.cos((e1 - e0) * times / 2.0) ** 2
         assert np.allclose(series.values, expected, atol=1e-9)
 
     def test_matches_step_by_step_propagation(self, rng):
@@ -192,7 +187,7 @@ def random_scoring_state(n, support_size, e_max, seed):
     angles = gen.uniform(-np.pi, np.pi, size=2 * 2 * (n - 1))
     support = gen.choice(2**n, size=support_size, replace=False)
     energies = gen.uniform(-e_max, e_max, size=support_size)
-    ham = ham_from(support, energies, n) if support_size else ebm.ModularHamiltonian.empty(n)
+    ham = ham_from(support, energies, n) if support_size else empty_hamiltonian(n)
     state = make_state(qsim.CircuitAnsatz(n, 2, angles), ham)
     return state, PixelProbabilities(gen.uniform(0.05, 0.95, size=n))
 
@@ -217,16 +212,10 @@ class TestMatchesPerDrawOracle:
 
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         series = time_evolution_series(state, event, total_time, dt, fast_rng, n_draws)
-        values, std = time_evolution_series_per_draw(
-            state, event, total_time, dt, slow_rng, n_draws
-        )
+        values = time_evolution_series_per_draw(state, event, total_time, dt, slow_rng, n_draws)
         assert series.values.size == n_points
-        # Values and std lie in [0, 1]; atol covers entries near zero.
+        # Values lie in [0, 1]; atol covers entries near zero.
         np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
-        if n_draws == 1:
-            assert series.std is None and std is None
-        else:
-            np.testing.assert_allclose(series.std, std, rtol=1e-12, atol=1e-12)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
         got = expectation_score(state, event, fast_rng, n_draws)
@@ -266,14 +255,10 @@ class TestSharedTableMatchesPerDrawOracle:
             series = time_evolution_series(
                 state, event, total_time, dt, fast_rng, n_draws, table=table
             )
-            values, std = time_evolution_series_per_draw(
+            values = time_evolution_series_per_draw(
                 state, event, total_time, dt, slow_rng, n_draws
             )
             np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
-            if n_draws == 1:
-                assert series.std is None and std is None
-            else:
-                np.testing.assert_allclose(series.std, std, rtol=1e-12, atol=1e-12)
             got = expectation_score(state, event, fast_rng, n_draws, table=table)
             expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
@@ -295,7 +280,7 @@ class TestSharedTableMatchesPerDrawOracle:
             spectral_score(
                 FidelitySeries(dt, time_evolution_series_per_draw(
                     state, e, total_time, dt, slow_rng, n_draws
-                )[0]),
+                )),
                 f_min,
             )
             for e in events
@@ -382,7 +367,7 @@ class TestExpectationScore:
         assert got == pytest.approx(2.4, abs=1e-9)
 
     def test_empty_support_scores_zero(self):
-        state = make_state(identity_ansatz(2), ebm.ModularHamiltonian.empty(2))
+        state = make_state(identity_ansatz(2), empty_hamiltonian(2))
         got = expectation_score(state, sharp_event((0, 1)), np.random.default_rng(0))
         assert got == 0.0
 
@@ -569,7 +554,7 @@ class TestSiteEntropyProfile:
 
     def test_error_paths(self):
         with pytest.raises(ValueError):
-            site_entropy_profile(ebm.ModularHamiltonian.empty(2))
+            site_entropy_profile(empty_hamiltonian(2))
 
 
 class TestScenarios:

@@ -21,6 +21,8 @@ import qhbm.cli  # noqa: F401  (the tracer hooks the CLI commands too)
 from qhbm import anomaly, ebm, qsim, train
 from qhbm.embed import PixelProbabilities
 
+from oracles import hamiltonian_from_energies
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 LAYER_MAP = TRACING.parent / "layer_map.json"
 
@@ -104,7 +106,7 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
     state = train.TrainState(
         energy_model=model,
         ansatz=qsim.CircuitAnsatz(3, 1, np.full(4, 0.3)),
-        hamiltonian=ebm.ModularHamiltonian.from_energies(3, [0, 5, 6], [0.1, 0.7, 1.3]),
+        hamiltonian=hamiltonian_from_energies(3, [0, 5, 6], [0.1, 0.7, 1.3]),
         chain=ebm.initial_chain(model, np.random.default_rng(1)),
         adam_theta=train.AdamState.zeros_like({"w": model.weights}),
         adam_phi=train.AdamState.zeros_like({"angles": np.zeros(4)}),

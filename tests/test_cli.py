@@ -3,17 +3,20 @@
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qhbm.cli import TRAIN_KEYS, build_parser, main
+from qhbm.embed import PixelImage
 from qhbm.io import (
     load_checkpoint,
     read_csv_skip_provenance,
     read_image_container,
     read_images_csv,
+    write_image_container,
 )
 
 from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
@@ -121,6 +124,7 @@ class TestPreprocess:
     def test_probability_events_and_meta(self, pipeline):
         events, meta = read_image_container(pipeline["train"])
         assert meta["kind"] == "probabilities"
+        assert (meta["crop"], meta["pool"]) == (2, 2)
         assert meta["pooled_side"] == 4
         assert meta["layout"] == [5, 6, 9, 10]
         assert meta["scale_max"] == pytest.approx(float(pipeline["scale_max"]))
@@ -151,6 +155,27 @@ class TestPreprocess:
             "--crop", "2", "--pool", "2", "--n-qubits", "4", "--strict",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_scale_max_exit_2_before_output(self, pipeline, tmp_path, capsys, value):
+        out = tmp_path / "o.qhbimg"
+        code = run(
+            "preprocess", "--input", str(pipeline["raw_valid"]), "--out", str(out),
+            "--crop", "2", "--pool", "2", "--n-qubits", "4", "--scale-max", value,
+        )
+        assert code == 2
+        assert "scale_max must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.json").exists()
+
+    def test_non_square_pooled_grid_exit_3(self, tmp_path, capsys):
+        raw = tmp_path / "wide.qhbimg"
+        write_image_container(raw, [PixelImage(np.ones((12, 16)))], {"kind": "raw"})
+        out = tmp_path / "o.qhbimg"
+        code = run("preprocess", "--input", str(raw), "--out", str(out), "--n-qubits", "4")
+        assert code == 3
+        assert "pixel layouts need a square grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exit_3(self, tmp_path):
         code = run(
@@ -499,6 +524,37 @@ class TestAnomaly:
         assert not outdir.exists()
 
 
+# Probability containers whose rows are not 1..10 probabilities inside
+# (0, 1): rows and the index of the first bad event.
+BAD_PROBABILITY_ROWS = {
+    "no_columns": (np.zeros((2, 0)), 0),
+    "out_of_range": (np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 1.5, 0.5, 0.5]]), 1),
+    "too_many_columns": (np.full((2, 12), 0.5), 0),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(BAD_PROBABILITY_ROWS))
+@pytest.mark.parametrize("command", ["train", "evaluate", "anomaly"])
+def test_bad_probability_rows_exit_3(pipeline, tmp_path, capsys, command, rows):
+    values, bad_event = BAD_PROBABILITY_ROWS[rows]
+    bad = tmp_path / "bad.qhbimg"
+    write_image_container(
+        bad, [PixelImage(row.reshape(1, -1)) for row in values], {"kind": "probabilities"}
+    )
+    outdir = tmp_path / "out"
+    checkpoint = str(pipeline["checkpoint"])
+    argv = {
+        "train": ["--train-data", str(bad), "--valid-data", str(pipeline["valid"]),
+                  "--n-qubits", "4", "--max-epochs", "1"],
+        "evaluate": ["--checkpoint", checkpoint, "--test", str(bad)],
+        "anomaly": ["--checkpoint", checkpoint, "--signal", str(bad),
+                    "--background", str(pipeline["valid"])],
+    }[command]
+    assert run(command, *argv, "--outdir", str(outdir)) == 3
+    assert f"data error: {bad} event {bad_event}: " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 class TestSiteEntropy:
     @pytest.mark.parametrize("mode", ["dressed", "diagonal"])
     def test_profile_csv(self, pipeline, tmp_path, mode):
@@ -544,3 +600,17 @@ class TestParser:
         }
         assert set(re.findall(r"`(--[a-z-]+)`", flag_text)) == set(flagged.values())
         assert set(re.findall(r"`([a-z_0-9]+)`", key_text)) == TRAIN_KEYS - set(flagged)
+
+    def test_readme_toy_run_parses(self):
+        # Every `qhbm` command of the README toy run is accepted by the parser.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A complete toy run:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("qhbm ")]
+        assert [argv[0] for argv in commands] == [
+            "synth", "synth", "synth", "preprocess", "preprocess", "preprocess",
+            "train", "evaluate", "generate", "anomaly", "site-entropy",
+        ]
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(["1.5" if arg == "$SCALE" else arg for arg in argv])

@@ -13,12 +13,13 @@ from qhbm.embed import (
     crop_and_pool,
     exact_mixed_state,
     fit_scale_max,
+    images_to_events,
     pixel_layout,
     select_pixels,
     standardise,
     synth_toy_jets,
 )
-from qhbm.errors import NumericError
+from qhbm.errors import DataError, NumericError
 from qhbm.metrics import von_neumann_entropy
 from qhbm.qsim import index_bits
 from qhbm.rng import substream
@@ -64,6 +65,8 @@ class TestPixelProbabilities:
             PixelProbabilities(np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             PixelProbabilities(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            PixelProbabilities(np.array([0.5, np.nan]))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -166,8 +169,9 @@ class TestStandardise:
         assert np.allclose(out.intensities, np.pi)
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            standardise(flat_image(1.0, (2, 2)), scale_max=0.0)
+        for scale_max in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                standardise(flat_image(1.0, (2, 2)), scale_max=scale_max)
 
 
 class TestPreprocess:
@@ -186,6 +190,49 @@ class TestPreprocess:
     def test_self_scaling_rejects_blank_image(self):
         with pytest.raises(ValueError):
             fit_scale_max([crop_and_pool(flat_image(0.0, (4, 4)), 0, 2)])
+
+
+class TestImagesToEvents:
+    """The one image-to-events recipe against the primitive chain it composes."""
+
+    @staticmethod
+    def primitive_chain(images, crop, pool, n_qubits, scale_max=None, layout=None,
+                        trim_remainder=True):
+        pooled = [crop_and_pool(im, crop, pool, trim_remainder) for im in images]
+        if scale_max is None:
+            scale_max = fit_scale_max(pooled)
+        if layout is None:
+            layout = pixel_layout(pooled[0].height, n_qubits)
+        events = [select_pixels(standardise(im, scale_max), layout) for im in pooled]
+        return events, scale_max, layout
+
+    @pytest.mark.parametrize(
+        "grid, kwargs",
+        [
+            (16, {}),
+            (16, {"scale_max": 17.5}),
+            (16, {"layout": [0, 7, 20, 35]}),
+            (16, {"trim_remainder": False}),
+            (13, {}),
+        ],
+        ids=["fitted_scale", "given_scale", "explicit_layout", "strict", "trimmed"],
+    )
+    def test_matches_primitive_chain_bitwise(self, grid, kwargs):
+        images = synth_toy_jets(5, "signal", grid, substream(3, "synthesis", "signal"))
+        events, scale_max, layout = images_to_events(images, 2, 2, 6, **kwargs)
+        expected, expected_scale, expected_layout = self.primitive_chain(images, 2, 2, 6, **kwargs)
+        assert scale_max == expected_scale
+        assert layout == expected_layout
+        assert len(events) == len(expected)
+        for got, want in zip(events, expected):
+            assert np.array_equal(got.probs, want.probs)
+            assert (got.label, got.weight) == (want.label, want.weight)
+
+    def test_rejects_non_square_grid_and_no_images(self):
+        with pytest.raises(DataError, match="square grid"):
+            images_to_events([flat_image(1.0, (8, 12))], 0, 2, 4)
+        with pytest.raises(ValueError):
+            images_to_events([], 0, 2, 4)
 
 
 class TestPixelLayout:

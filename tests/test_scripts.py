@@ -1,17 +1,8 @@
 """Smoke runs of the experiment scripts at their smallest sizes."""
 
-import importlib.util
 import json
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, argv):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main(argv)
+from script_runner import run_script
 
 
 def test_embedding_sweep_writes_report(tmp_path):

@@ -32,7 +32,9 @@ from oracles import (
     batch_parameter_shift_gradient,
     boltzmann_distribution,
     diagonal_hamiltonian_matrix,
+    empty_hamiltonian,
     generate_reference,
+    hamiltonian_from_energies,
     pair_reduced_matrix,
     staircase_unitary,
 )
@@ -282,7 +284,7 @@ class TestPhiGradient:
         for _ in range(5):
             support_idx = sorted(rng.choice(2**n, size=4, replace=False))
             energies = rng.standard_normal(4)
-            ham = ebm.ModularHamiltonian.from_energies(n, support_idx, energies)
+            ham = hamiltonian_from_energies(n, support_idx, energies)
             angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1))
             ansatz = qsim.CircuitAnsatz(n, 1, angles)
             q = rng.dirichlet(np.ones(2**n))
@@ -306,7 +308,7 @@ class TestPhiGradient:
     def test_empty_support_gives_zeros(self):
         ansatz = qsim.CircuitAnsatz(2, 1, np.array([0.3, -0.2]))
         grad = _phi_gradient(
-            ansatz, qsim.ansatz_unitary(ansatz), ebm.ModularHamiltonian.empty(2), np.ones(4) / 4
+            ansatz, qsim.ansatz_unitary(ansatz), empty_hamiltonian(2), np.ones(4) / 4
         )
         assert np.array_equal(grad, np.zeros(2))
 
@@ -317,11 +319,11 @@ class TestPhiGradient:
         ansatz = qsim.CircuitAnsatz(n, n_layers, angles)
         support = np.flatnonzero(support_mask)
         if support.size:
-            ham = ebm.ModularHamiltonian.from_energies(
+            ham = hamiltonian_from_energies(
                 n, support, rng.standard_normal(support.size)
             )
         else:
-            ham = ebm.ModularHamiltonian.empty(n)
+            ham = empty_hamiltonian(n)
         q = np.where(q_mask, rng.uniform(0.1, 1.0, size=2**n), 0.0)
         if q.sum() > 0:
             q /= q.sum()
@@ -567,7 +569,7 @@ class TestModelOrientation:
     def random_state(n, rng, energies):
         model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
         support = rng.choice(2**n, size=len(energies), replace=False)
-        ham = ebm.ModularHamiltonian.from_energies(n, support, np.asarray(energies))
+        ham = hamiltonian_from_energies(n, support, np.asarray(energies))
         ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=4 * (n - 1)))
         return manual_state(model, ansatz, ham)
 
@@ -621,7 +623,7 @@ class TestGenerate:
         assert np.all(indices == z)
 
     def test_identity_circuit_degenerate_pair(self):
-        ham = ebm.ModularHamiltonian.from_energies(2, [0b00, 0b11], [2.0, 2.0])
+        ham = hamiltonian_from_energies(2, [0b00, 0b11], [2.0, 2.0])
         model = ebm.EnergyModel(np.zeros((2, 4)), np.zeros(2), np.zeros(4))
         state = manual_state(model, identity_ansatz(2), ham)
         indices = generate(model_state(state)[0], ham, 2000, np.random.default_rng(12))
@@ -684,7 +686,7 @@ class TestGenerate:
         state = manual_state(model, identity_ansatz(2), ham)
         with pytest.raises(ValueError):
             generate(model_state(state)[0], ham, -1, np.random.default_rng(0))
-        empty_state = manual_state(model, identity_ansatz(2), ebm.ModularHamiltonian.empty(2))
+        empty_state = manual_state(model, identity_ansatz(2), empty_hamiltonian(2))
         with pytest.raises(ValueError):
             generate(model_state(empty_state)[0], empty_state.hamiltonian, 5, np.random.default_rng(0))
 
