@@ -61,34 +61,35 @@ def check_time_grid(total_time: float, dt: float) -> int:
 
 
 def _phase_grid(n_points: int, dt: float, energies: np.ndarray) -> np.ndarray:
-    """exp(i k dt E) for k = 0 .. n_points - 1, shape (n_points, S).
+    """exp(i k dt E) for k = 0 .. n_points - 1, state-major: shape (S, n_points).
 
     Each entry is the product coarse[b] * fine[j] with k = b m + j and
     m = ceil(sqrt(n_points)), so only about 2 sqrt(n_points) S angles go
     through the exponential.  The coarse angles are those of the direct
     grid at k = b m and the fine ones are small, so the product is as
-    accurate as evaluating every angle directly.
+    accurate as evaluating every angle directly.  Each state's row is
+    contiguous in time, so ``.view(np.float64)`` interleaves its real and
+    imaginary parts.
     """
     m = math.isqrt(n_points - 1) + 1
     n_blocks = -(-n_points // m)
-    fine = np.exp(1j * (dt * np.arange(m))[:, None] * energies)
-    coarse = np.exp(1j * (dt * np.arange(0, n_blocks * m, m))[:, None, None] * energies)
-    return (coarse * fine).reshape(n_blocks * m, energies.size)[:n_points]
+    e = energies[:, None]
+    fine = np.exp(1j * (dt * np.arange(m)) * e)
+    coarse = np.exp(1j * (dt * np.arange(0, n_blocks * m, m)) * e)
+    grid = coarse[:, :, None] * fine[:, None, :]
+    return grid.reshape(e.size, n_blocks * m)[:, :n_points]
 
 
-# Time steps per block when fidelity rows are filled, which bounds the
-# temporaries to _TIME_CHUNK x (new states) whatever the grid length.
-_TIME_CHUNK = 512
-
-
-class _RoutedTable:
+class RoutingTable:
     """Routing of every basis state through one model, shared by its events.
 
     Holds, per basis state x, the support probabilities <z|U|x>**2 (one
     circuit unitary for the whole table), the off-support mass and the
     t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also keeps
     the fidelity series of each state an event has hit, one row per
-    state, computed from one phase grid when the state is first hit.
+    state, filled from one phase grid when the state is first hit.  A
+    table depends only on the model and the grid, so one table can serve
+    every scoring pass of a run.
     """
 
     def __init__(
@@ -101,10 +102,13 @@ class _RoutedTable:
         self.off_mass = 1.0 - self.probs.sum(axis=0)
         self.t_zero = state.hamiltonian.energies @ self.probs
         self.grid = None if dt is None else (check_time_grid(total_time, dt) + 1, dt)
-        self._phases = None
         self._slot = np.full(2**self.n_qubits, -1, dtype=np.int64)
-        self._rows = np.empty((0, 0 if dt is None else self.grid[0]))
         self._n_rows = 0
+        # Set on the first fidelity_rows call: the phase grid as real pairs,
+        # each state's routed weights, the row store and one scratch buffer
+        # for fills and gathers.  Each is allocated once per table and
+        # sized for every basis state; pages never written are never mapped.
+        self._phases = self._routed = self._rows = self._scratch = None
 
     def draw(
         self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
@@ -121,28 +125,42 @@ class _RoutedTable:
         cols = np.flatnonzero(counts)
         return counts[cols] / n_draws, cols
 
+    def _start_rows(self) -> None:
+        n_points, dt = self.grid
+        # An extra zero-energy state carries the off-support mass, so a
+        # state's overlap off_x + sum_z p_zx exp(i t E_z) is one dot product.
+        energies = np.append(self.state.hamiltonian.energies, 0.0)
+        self._phases = _phase_grid(n_points, dt, energies).view(np.float64)
+        self._routed = np.concatenate([self.probs, self.off_mass[None]]).T.copy()
+        self._rows = np.empty((self._slot.size, n_points))
+        self._scratch = np.empty(2 * self._rows.size)
+
+    def _buffer(self, n_rows: int, width: int) -> np.ndarray:
+        return self._scratch[: n_rows * width].reshape(n_rows, width)
+
     def fidelity_rows(self, cols: np.ndarray) -> np.ndarray:
-        """(state, time) fidelity |off_x + sum_z p_zx exp(i t E_z)|**2 of each x in ``cols``."""
+        """(state, time) fidelity |off_x + sum_z p_zx exp(i t E_z)|**2 of each x in ``cols``.
+
+        The result is a view of a buffer that the next call overwrites.
+        """
+        if self._rows is None:
+            self._start_rows()
+        n_points = self._rows.shape[1]
         new = cols[self._slot[cols] < 0]
         if new.size:
-            n_points, dt = self.grid
-            if self._phases is None:
-                self._phases = _phase_grid(n_points, dt, self.state.hamiltonian.energies)
             end = self._n_rows + new.size
-            if end > len(self._rows):
-                grown = np.empty((min(max(2 * len(self._rows), end), self._slot.size), n_points))
-                grown[: self._n_rows] = self._rows[: self._n_rows]
-                self._rows = grown
-            probs, off_mass = self.probs[:, new], self.off_mass[new]
-            block = self._rows[self._n_rows : end]
-            for start in range(0, n_points, _TIME_CHUNK):
-                phases = self._phases[start : start + _TIME_CHUNK]
-                re = off_mass + phases.real @ probs
-                im = phases.imag @ probs
-                block[:, start : start + _TIME_CHUNK] = (re * re + im * im).T
+            # Columns alternate Re, Im of the overlap at each time step.
+            amp = self._buffer(new.size, 2 * n_points)
+            np.matmul(self._routed[new], self._phases, out=amp)
+            np.square(amp, out=amp)
+            np.add(amp[:, 0::2], amp[:, 1::2], out=self._rows[self._n_rows : end])
             self._slot[new] = np.arange(self._n_rows, end)
             self._n_rows = end
-        return self._rows[self._slot[cols]]
+        gathered = self._buffer(cols.size, n_points)
+        # Every slot is valid here; mode "clip" writes into ``out`` without
+        # the temporary copy that the default mode makes.
+        np.take(self._rows, self._slot[cols], axis=0, out=gathered, mode="clip")
+        return gathered
 
 
 def time_evolution_series(
@@ -153,7 +171,7 @@ def time_evolution_series(
     rng: np.random.Generator,
     n_draws: int = 1,
     *,
-    table: _RoutedTable | None = None,
+    table: RoutingTable | None = None,
 ) -> FidelitySeries:
     """Fidelity to the initial state along the quantised time grid.
 
@@ -170,12 +188,12 @@ def time_evolution_series(
     starts at 1 and stays within [0, 1].
 
     ``table`` is a routing table of ``state`` on the same time grid,
-    shared by the events of one pass; without it a one-event table is
+    shared by the events of a run; without it a one-event table is
     built.
     """
     n_points = check_time_grid(total_time, dt) + 1
     if table is None:
-        table = _RoutedTable(state, total_time, dt)
+        table = RoutingTable(state, total_time, dt)
     elif table.grid != (n_points, dt):
         raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
     weights, cols = table.draw(state, event, n_draws, rng)
@@ -189,9 +207,16 @@ def event_series(
     dt: float,
     rng: np.random.Generator,
     n_draws: int = 1,
+    *,
+    table: RoutingTable | None = None,
 ) -> Iterator[FidelitySeries]:
-    """Fidelity series of each event in order, all read from one routing table."""
-    table = _RoutedTable(state, total_time, dt)
+    """Fidelity series of each event in order, all read from one routing table.
+
+    ``table`` is a routing table of ``state`` on the same time grid; without
+    it one is built for this call.
+    """
+    if table is None:
+        table = RoutingTable(state, total_time, dt)
     return (
         time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
         for event in events
@@ -228,15 +253,15 @@ def expectation_score(
     rng: np.random.Generator,
     n_draws: int = 1,
     *,
-    table: _RoutedTable | None = None,
+    table: RoutingTable | None = None,
 ) -> float:
     """Mean <K> of the routed event at t = 0; empty support scores 0.
 
-    ``table`` is a routing table of ``state`` shared by the events of one
-    pass; without it a one-event table is built.
+    ``table`` is a routing table of ``state`` shared by the events of a
+    run; without it a one-event table is built.
     """
     if table is None:
-        table = _RoutedTable(state)
+        table = RoutingTable(state)
     weights, cols = table.draw(state, event, n_draws, rng)
     return float(table.t_zero[cols] @ weights)
 
@@ -251,17 +276,24 @@ def score_events(
     total_time: float = 500.0,
     dt: float = 0.1,
     n_draws: int = 1,
+    table: RoutingTable | None = None,
 ) -> np.ndarray:
-    """Per-event anomaly scores in a fixed order, from one routing table."""
+    """Per-event anomaly scores in a fixed order, from one routing table.
+
+    ``table`` is a routing table of ``state`` (on the ``total_time``/``dt``
+    grid in spectral mode) that may serve other passes of the same run;
+    without it one is built for this call.
+    """
     if mode == "t_zero":
-        table = _RoutedTable(state)
+        if table is None:
+            table = RoutingTable(state)
         return np.array(
             [expectation_score(state, e, rng, n_draws, table=table) for e in events]
         )
     if mode == "spectral":
         if f_min is None:
             raise ValueError("spectral mode needs f_min")
-        series = event_series(state, events, total_time, dt, rng, n_draws)
+        series = event_series(state, events, total_time, dt, rng, n_draws, table=table)
         return np.array([spectral_score(s, f_min) for s in series])
     raise ValueError(f"unknown mode {mode!r}")
 

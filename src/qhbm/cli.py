@@ -76,10 +76,10 @@ def _load_probability_events(path: str | Path) -> list[embed.PixelProbabilities]
     images, meta = io.read_image_container(path)
     if not images:
         raise DataError(f"{path} holds no events")
-    if meta.get("kind") != "probabilities" and images[0].height != 1:
+    if meta.get("kind") != "probabilities" or any(im.height != 1 for im in images):
         raise DataError(
-            f"{path} is not a preprocessed probability container; run the "
-            "preprocess command first"
+            f"{path} is not a preprocessed probability container (kind "
+            "'probabilities', one row per event); run the preprocess command first"
         )
     events = []
     for i, im in enumerate(images):
@@ -315,6 +315,9 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
         "f_min": args.f_min,
     }
 
+    # The table depends on the model and the time grid only, so every pass
+    # below reads the same circuit matrix, phase grid and fidelity rows.
+    table = anomaly.RoutingTable(state, args.total_time, args.dt)
     summary: dict = {"n_signal": len(signal), "n_background": len(background)}
     for mode in ("t_zero", "spectral"):
         rng = substream(args.seed, "embedding", "anomaly", mode)
@@ -323,6 +326,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
             total_time=args.total_time,
             dt=args.dt,
             n_draws=args.n_draws,
+            table=table,
         )
         sig_scores = anomaly.score_events(state, signal, mode, rng, **kwargs)
         bkg_scores = anomaly.score_events(state, background, mode, rng, **kwargs)
@@ -353,17 +357,14 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
 
     for label, events in (("signal", signal), ("background", background)):
         rng = substream(args.seed, "embedding", "anomaly", "series", label)
-        series_stack = []
-        spectra = []
-        for series in anomaly.event_series(
-            state, events, args.total_time, args.dt, rng, args.n_draws
-        ):
-            series_stack.append(series.values)
-            spectra.append(metrics.power_spectrum(series.values, series.dt).power)
-        series_stack = np.array(series_stack)
-        spectra = np.array(spectra)
+        series_stack = np.array([
+            series.values
+            for series in anomaly.event_series(
+                state, events, args.total_time, args.dt, rng, args.n_draws, table=table
+            )
+        ])
+        spectrum = metrics.power_spectrum(series_stack, args.dt)
         times = args.dt * np.arange(series_stack.shape[1])
-        freqs = np.fft.rfftfreq(series_stack.shape[1], d=args.dt)
         io.write_csv_with_provenance(
             outdir / f"series_{label}.csv",
             ["time", "mean_fidelity", "std_fidelity"],
@@ -378,7 +379,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
             ["frequency", "mean_power"],
             (
                 [repr(float(f)), repr(float(p))]
-                for f, p in zip(freqs, spectra.mean(axis=0))
+                for f, p in zip(spectrum.frequencies, spectrum.power.mean(axis=0))
             ),
             run_meta,
         )

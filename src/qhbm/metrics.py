@@ -122,15 +122,19 @@ def power_spectrum(values: np.ndarray, dt: float) -> PowerSpectrum:
 
     T = N * dt is the record length; the spectrum has floor(N/2) + 1
     bins at frequencies k / T up to the Nyquist frequency 1 / (2 dt).
+    ``values`` of shape (..., N) holds one signal per row along the last
+    axis; each row's power equals that of its own call.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError(f"need a 1-d signal of length >= 2, got shape {values.shape}")
+    if values.ndim < 1 or values.shape[-1] < 2:
+        raise ValueError(
+            f"need signals of length >= 2 along the last axis, got shape {values.shape}"
+        )
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = values.size
+    n = values.shape[-1]
     total_time = n * dt
-    spectrum = np.fft.rfft(values - values.mean())
+    spectrum = np.fft.rfft(values - values.mean(axis=-1, keepdims=True))
     power = np.real(2.0 * dt**2 / total_time * np.abs(spectrum) ** 2)
     freqs = np.fft.rfftfreq(n, d=dt)
     return PowerSpectrum(freqs, power)

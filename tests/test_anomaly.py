@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 from qhbm import ebm, qsim
 from qhbm.anomaly import (
-    _TIME_CHUNK,
     SCENARIOS,
     FidelitySeries,
-    _phase_grid,
-    _RoutedTable,
+    RoutingTable,
     _pair_reduced,
+    _phase_grid,
     check_spectral_args,
     discrimination_report,
     expectation_score,
@@ -176,9 +175,9 @@ class TestPhaseGrid:
         dt = 0.1
         energies = rng.uniform(-50.0, 50.0, size=7)
         grid = _phase_grid(n_points, dt, energies)
-        angles = np.outer(dt * np.arange(n_points), energies)
+        angles = np.outer(energies, dt * np.arange(n_points))
         direct = np.exp(1j * angles)
-        assert grid.shape == (n_points, energies.size)
+        assert grid.shape == (energies.size, n_points)
         assert np.all(np.abs(grid - direct) <= 8 * np.finfo(float).eps * (1.0 + np.abs(angles)))
 
 
@@ -230,7 +229,8 @@ class TestSharedTableMatchesPerDrawOracle:
     @given(
         st.integers(1, 5),
         st.one_of(st.just(1), st.integers(2, 200)),
-        st.sampled_from([2, 17, _TIME_CHUNK - 1, _TIME_CHUNK, _TIME_CHUNK + 1, 2 * _TIME_CHUNK + 1]),
+        # Grids around the coarse/fine block boundaries of _phase_grid: m**2 and m**2 + 1.
+        st.sampled_from([2, 17, 256, 257, 2025, 2026]),
         st.floats(0.0, 50.0),
         st.integers(0, 2**32 - 1),
         st.data(),
@@ -249,7 +249,7 @@ class TestSharedTableMatchesPerDrawOracle:
         dt = min(0.1, 1000.0 / ((n_points - 1) * max(e_max, 1.0)))
         total_time = (n_points - 1) * dt
 
-        table = _RoutedTable(state, total_time, dt)
+        table = RoutingTable(state, total_time, dt)
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for event in events:
             series = time_evolution_series(
@@ -291,14 +291,14 @@ class TestSharedTableMatchesPerDrawOracle:
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         other = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         event = sharp_event((0, 0))
-        table = _RoutedTable(state, 1.0, 0.1)
+        table = RoutingTable(state, 1.0, 0.1)
         with pytest.raises(ValueError, match="another model"):
             expectation_score(other, event, np.random.default_rng(0), table=table)
         with pytest.raises(ValueError, match="grid"):
             time_evolution_series(state, event, 2.0, 0.1, np.random.default_rng(0), table=table)
         with pytest.raises(ValueError, match="grid"):
             time_evolution_series(
-                state, event, 1.0, 0.1, np.random.default_rng(0), table=_RoutedTable(state)
+                state, event, 1.0, 0.1, np.random.default_rng(0), table=RoutingTable(state)
             )
 
 

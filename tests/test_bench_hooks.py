@@ -18,8 +18,8 @@ import pytest
 
 import qhbm
 import qhbm.cli  # noqa: F401  (the tracer hooks the CLI commands too)
-from qhbm import anomaly, ebm, qsim, train
-from qhbm.embed import PixelProbabilities
+from qhbm import anomaly, ebm, io, qsim, train
+from qhbm.embed import PixelImage, PixelProbabilities
 
 from oracles import hamiltonian_from_energies
 
@@ -141,6 +141,64 @@ def test_traced_fit_calls_every_train_8q_hook():
         train.fit(config, events[:3], events[3:])
     counts, _ = tracer.layer_stats()
     assert {hook: counts[f"{hook}.calls"] for hook in sorted(hooks) if not counts[f"{hook}.calls"]} == {}
+
+
+# Hooks on the ``qhbm anomaly`` path, all of them placed on cli-6q.
+ANOMALY_COMMAND_HOOKS = {
+    "cli.anomaly",
+    "io.load_checkpoint",
+    "io.read_image_container",
+    "io.write_csv_with_provenance",
+    "qsim.ansatz_unitary",
+    "embed.bernoulli_index_samples",
+    "anomaly.expectation_score",
+    "anomaly.time_evolution_series",
+    "anomaly.spectral_score",
+    "metrics.power_spectrum",
+    "metrics.roc_from_scores",
+}
+
+
+def test_traced_anomaly_command_calls_every_cli_6q_hook(tmp_path):
+    """A traced cli-6q run raises HookError for a mapped hook with no call.
+
+    A small ``qhbm anomaly`` run takes the code paths of the cli-6q anomaly
+    step, so each hook that ``layer_map.json`` places on cli-6q along that
+    command must have calls, and the per-event scoring ratios must exist.
+    """
+    tracing = load_tracing()
+    rows = json.loads(LAYER_MAP.read_text())
+    hooks = {".".join(row["metric"].split(".")[:2]) for row in rows if "cli-6q" in row["on"]}
+    assert ANOMALY_COMMAND_HOOKS <= hooks & set(tracing.HOOKS)
+    config = train.TrainConfig(
+        n_qubits=3, n_layers=1, n_mc_samples=20, n_embed_samples=10, batch_size=2,
+        max_epochs=1, seed=3,
+    )
+    probs = [np.array([0.2, 0.5, 0.8 - 0.1 * i]) for i in range(5)]
+    events = [PixelProbabilities(p) for p in probs]
+    state, history = train.fit(config, events[:3], events[3:])
+    io.save_checkpoint(tmp_path / "model.qhbm", state, config, history)
+    for name, split in (("signal", probs[:2]), ("background", probs[2:])):
+        io.write_image_container(
+            tmp_path / f"{name}.qhbimg",
+            [PixelImage(p.reshape(1, -1)) for p in split],
+            {"kind": "probabilities"},
+        )
+    argv = [
+        "anomaly", "--checkpoint", str(tmp_path / "model.qhbm"),
+        "--signal", str(tmp_path / "signal.qhbimg"),
+        "--background", str(tmp_path / "background.qhbimg"),
+        "--outdir", str(tmp_path / "anomaly"),
+        "--total-time", "5", "--dt", "0.1", "--n-draws", "4", "--f-min", "0.5",
+    ]
+    with tracing.Tracer(qhbm) as tracer:
+        assert qhbm.cli.main(argv) == 0
+    counts, _ = tracer.layer_stats()
+    missing = {hook for hook in ANOMALY_COMMAND_HOOKS if not counts[f"{hook}.calls"]}
+    assert missing == set()
+    assert counts["qsim.ansatz_unitary.calls"] == 1
+    assert "qsim.ansatz_unitary.calls_per_event" in counts
+    assert "anomaly.time_evolution_series.calls_per_event" in counts
 
 
 def test_repeated_traced_fits_agree_bitwise():

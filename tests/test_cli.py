@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qhbm import anomaly, qsim
 from qhbm.cli import TRAIN_KEYS, build_parser, main
 from qhbm.embed import PixelImage
 from qhbm.io import (
@@ -490,6 +491,61 @@ class TestAnomaly:
         _, series_rows = read_csv_skip_provenance(outdir / "series_signal.csv")
         assert len(series_rows) == 201
 
+    def test_one_routing_table_per_run(self, pipeline, tmp_path, monkeypatch):
+        """Every pass reads one table, with the outputs of one table per pass.
+
+        The per-pass run drops the ``table`` argument, so each scoring and
+        series pass builds its own table as a separate call would.
+        """
+        def anomaly_run(outdir):
+            calls = []
+            unitary = qsim.ansatz_unitary
+
+            def counted(ansatz):
+                calls.append(ansatz)
+                return unitary(ansatz)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(qsim, "ansatz_unitary", counted)
+                assert run(
+                    "anomaly", "--checkpoint", str(pipeline["checkpoint"]),
+                    "--signal", str(pipeline["signal"]),
+                    "--background", str(pipeline["valid"]),
+                    "--outdir", str(outdir),
+                    "--total-time", "20", "--dt", "0.1", "--n-draws", "16",
+                    "--f-min", "0.2", "--n-thresholds", "50", "--seed", "3",
+                ) == 0
+            return len(calls)
+
+        def per_pass(fn):
+            def call(*args, table=None, **kwargs):
+                return fn(*args, **kwargs)
+
+            return call
+
+        assert anomaly_run(tmp_path / "shared") == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(anomaly, "score_events", per_pass(anomaly.score_events))
+            patch.setattr(anomaly, "event_series", per_pass(anomaly.event_series))
+            # The run's own table, now unused, then one per pass: t_zero
+            # scores, spectral scores and the series, for each class.
+            assert anomaly_run(tmp_path / "per_pass") == 1 + 6
+
+        def values(outdir, name):
+            header, rows = read_csv_skip_provenance(outdir / name)
+            numeric = [i for i, column in enumerate(header) if column not in ("event", "label")]
+            return np.array([[float(row[i]) for i in numeric] for row in rows])
+
+        for name in ("scores_t_zero.csv", "roc_t_zero.csv"):
+            shared, own = (tmp_path / run_dir / name for run_dir in ("shared", "per_pass"))
+            assert shared.read_text() == own.read_text()
+        for name in (
+            "scores_spectral.csv", "series_signal.csv", "series_background.csv",
+            "spectrum_signal.csv", "spectrum_background.csv",
+        ):
+            got, want = values(tmp_path / "shared", name), values(tmp_path / "per_pass", name)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--total-time", "inf"), ("--total-time", "nan"), ("--dt", "nan"), ("--f-min", "nan")],
@@ -552,6 +608,34 @@ def test_bad_probability_rows_exit_3(pipeline, tmp_path, capsys, command, rows):
     }[command]
     assert run(command, *argv, "--outdir", str(outdir)) == 3
     assert f"data error: {bad} event {bad_event}: " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+# Containers that are not one row of probabilities per event: images and meta.
+NOT_PROBABILITY_CONTAINERS = {
+    # Probabilities, but 2x2 images: four pixels that are not a preprocessed row.
+    "probabilities_2x2": ([PixelImage(np.full((2, 2), 0.5))] * 2, {"kind": "probabilities"}),
+    "raw_one_row": ([PixelImage(np.full((1, 4), 0.5))] * 2, {"kind": "raw"}),
+}
+
+
+@pytest.mark.parametrize("container", sorted(NOT_PROBABILITY_CONTAINERS))
+@pytest.mark.parametrize("command", ["train", "anomaly"])
+def test_non_probability_container_exit_3(pipeline, tmp_path, capsys, command, container):
+    images, meta = NOT_PROBABILITY_CONTAINERS[container]
+    bad = tmp_path / "bad.qhbimg"
+    write_image_container(bad, images, meta)
+    outdir = tmp_path / "out"
+    argv = {
+        "train": ["--train-data", str(bad), "--valid-data", str(pipeline["valid"]),
+                  "--n-qubits", "4", "--max-epochs", "1"],
+        "anomaly": ["--checkpoint", str(pipeline["checkpoint"]), "--signal", str(bad),
+                    "--background", str(pipeline["valid"])],
+    }[command]
+    assert run(command, *argv, "--outdir", str(outdir)) == 3
+    assert f"data error: {bad} is not a preprocessed probability container" in (
+        capsys.readouterr().err
+    )
     assert not outdir.exists()
 
 

@@ -310,7 +310,19 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum(np.zeros(10), dt=0.0)
         with pytest.raises(ValueError):
-            power_spectrum(np.zeros((4, 4)), dt=0.1)
+            power_spectrum(np.zeros((4, 1)), dt=0.1)
+        with pytest.raises(ValueError):
+            power_spectrum(np.float64(1.0), dt=0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 201, 2001])
+    def test_stacked_rows_match_single_calls_bitwise(self, rng, n):
+        values = rng.uniform(0.0, 1.0, size=(2, 3, n))
+        stacked = power_spectrum(values, dt=0.1)
+        assert stacked.power.shape == (2, 3, n // 2 + 1)
+        for index in np.ndindex(values.shape[:-1]):
+            single = power_spectrum(values[index], dt=0.1)
+            assert stacked.power[index].tobytes() == single.power.tobytes()
+            assert stacked.frequencies.tobytes() == single.frequencies.tobytes()
 
 
 class TestRocFromScores:
