@@ -60,24 +60,62 @@ def check_time_grid(total_time: float, dt: float) -> int:
     return n_steps
 
 
-def _phase_grid(n_points: int, dt: float, energies: np.ndarray) -> np.ndarray:
-    """exp(i k dt E) for k = 0 .. n_points - 1, state-major: shape (S, n_points).
+# A row fill works in tiles of up to _TILE_STATES basis states by a
+# block of time steps.  A tile's buffers, its phases and its overlaps,
+# take at most 1/_TILE_SHARE of the row store's bytes: a 6-qubit table
+# then peaks below 1.5 times its row store, while a 10-qubit fill gets
+# blocks wide enough to keep its matrix products efficient.
+_TILE_STATES = 128
+_TILE_SHARE = 4
+# An event whose draws hit at least 1/_DENSE_SHARE of the basis states is
+# dense: it fills every row and reads them all with one product.
+_DENSE_SHARE = 4
 
-    Each entry is the product coarse[b] * fine[j] with k = b m + j and
-    m = ceil(sqrt(n_points)), so only about 2 sqrt(n_points) S angles go
-    through the exponential.  The coarse angles are those of the direct
-    grid at k = b m and the fine ones are small, so the product is as
-    accurate as evaluating every angle directly.  Each state's row is
-    contiguous in time, so ``.view(np.float64)`` interleaves its real and
-    imaginary parts.
+
+def _coarse_step(n_points: int) -> int:
+    """Steps per coarse phase block, m = ceil(sqrt(n_points))."""
+    return math.isqrt(n_points - 1) + 1
+
+
+def _blocks_per_tile(n_states: int, n_phases: int, n_points: int) -> int:
+    """Coarse phase blocks per tile of a fill; at least one."""
+    m = _coarse_step(n_points)
+    # Complex phases of n_phases states and real (Re, Im) overlaps of a
+    # state tile, per coarse block of m steps.
+    block_bytes = 16 * m * (n_phases + min(_TILE_STATES, n_states))
+    return max(1, 8 * n_states * n_points // (_TILE_SHARE * block_bytes))
+
+
+def _phase_blocks(
+    n_points: int, dt: float, energies: np.ndarray, n_blocks: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """exp(i k dt E) for k = 0 .. n_points - 1, one block of time steps at a time.
+
+    Yields (k0, phases) in time order, with phases[s, j] = exp(i (k0 + j)
+    dt E_s): state-major, so ``.view(np.float64)`` interleaves the real
+    and imaginary parts of each state's row.  Each entry is the product
+    coarse[b] * fine[j] with k = b m + j and m = ``_coarse_step``, so only
+    about 2 sqrt(n_points) S angles go through the exponential.  The
+    coarse angles are those of the direct grid at k = b m and the fine
+    ones are small, so the product is as accurate as evaluating every
+    angle directly.  A block spans ``n_blocks`` coarse steps, and every
+    block is written into one buffer: ``phases`` holds until the next
+    block is drawn.
     """
-    m = math.isqrt(n_points - 1) + 1
-    n_blocks = -(-n_points // m)
+    m = _coarse_step(n_points)
+    n_coarse = -(-n_points // m)
     e = energies[:, None]
     fine = np.exp(1j * (dt * np.arange(m)) * e)
-    coarse = np.exp(1j * (dt * np.arange(0, n_blocks * m, m)) * e)
-    grid = coarse[:, :, None] * fine[:, None, :]
-    return grid.reshape(e.size, n_blocks * m)[:, :n_points]
+    buffer = np.empty(e.size * min(n_blocks, n_coarse) * m, dtype=np.complex128)
+    for b0 in range(0, n_coarse, n_blocks):
+        b1 = min(b0 + n_blocks, n_coarse)
+        coarse = np.exp(1j * (dt * np.arange(b0 * m, b1 * m, m)) * e)
+        block = buffer[: e.size * (b1 - b0) * m].reshape(e.size, b1 - b0, m)
+        # One outer product per state; np.multiply would allocate a
+        # buffer for each broadcast operand.
+        np.matmul(coarse[:, :, None], fine[:, None, :], out=block)
+        k0 = b0 * m
+        yield k0, block.reshape(e.size, -1)[:, : n_points - k0]
 
 
 class RoutingTable:
@@ -85,11 +123,22 @@ class RoutingTable:
 
     Holds, per basis state x, the support probabilities <z|U|x>**2 (one
     circuit unitary for the whole table), the off-support mass and the
-    t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also keeps
-    the fidelity series of each state an event has hit, one row per
-    state, filled from one phase grid when the state is first hit.  A
-    table depends only on the model and the grid, so one table can serve
-    every scoring pass of a run.
+    t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also holds
+    the row store: the fidelity series of each basis state an event has
+    read, one row each, filled in tiles of states by time steps.
+
+    How a spectral read fills and reads rows depends on the share of the
+    2**n basis states its event hits.  A dense event, one that hits at
+    least 1/_DENSE_SHARE of them, fills every row still empty; its
+    series is its weights, scattered over all rows, times the row store.
+    A sparse event fills only the states it hits and gathers their rows.
+    Sparse fills read a phase grid that the table builds once and keeps,
+    so a run of sparse events pays for the phases once, not per event.
+    A dense fill reads that grid too if it exists; otherwise it builds
+    the phases one block of time steps at a time and drops them.  A
+    table depends only on the model and the grid, so one table can
+    serve every scoring pass of a run.  A row's last bits may depend on
+    which other states were filled in the same tile.
     """
 
     def __init__(
@@ -102,13 +151,10 @@ class RoutingTable:
         self.off_mass = 1.0 - self.probs.sum(axis=0)
         self.t_zero = state.hamiltonian.energies @ self.probs
         self.grid = None if dt is None else (check_time_grid(total_time, dt) + 1, dt)
+        # Row of each basis state in the row store, -1 until filled.
         self._slot = np.full(2**self.n_qubits, -1, dtype=np.int64)
         self._n_rows = 0
-        # Set on the first fidelity_rows call: the phase grid as real pairs,
-        # each state's routed weights, the row store and one scratch buffer
-        # for fills and gathers.  Each is allocated once per table and
-        # sized for every basis state; pages never written are never mapped.
-        self._phases = self._routed = self._rows = self._scratch = None
+        self._rows = self._phases = None
 
     def draw(
         self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
@@ -125,42 +171,65 @@ class RoutingTable:
         cols = np.flatnonzero(counts)
         return counts[cols] / n_draws, cols
 
-    def _start_rows(self) -> None:
+    def _phase_tiles(self, n_blocks: int, keep: bool) -> Iterator[tuple[int, np.ndarray]]:
+        """The kept phase grid as one block, or blocks of ``n_blocks`` coarse steps.
+
+        With ``keep`` the whole grid is built and kept first.  Without it
+        and with no kept grid, each block is built as it is drawn.  A
+        kept grid is read whole: cut into blocks, the same fill takes
+        more and smaller matrix products, which run slower.
+        """
         n_points, dt = self.grid
         # An extra zero-energy state carries the off-support mass, so a
         # state's overlap off_x + sum_z p_zx exp(i t E_z) is one dot product.
         energies = np.append(self.state.hamiltonian.energies, 0.0)
-        self._phases = _phase_grid(n_points, dt, energies).view(np.float64)
-        self._routed = np.concatenate([self.probs, self.off_mass[None]]).T.copy()
-        self._rows = np.empty((self._slot.size, n_points))
-        self._scratch = np.empty(2 * self._rows.size)
+        if self._phases is None:
+            if not keep:
+                return _phase_blocks(n_points, dt, energies, n_blocks)
+            ((_, self._phases),) = _phase_blocks(n_points, dt, energies, n_points)
+        return iter([(0, self._phases)])
 
-    def _buffer(self, n_rows: int, width: int) -> np.ndarray:
-        return self._scratch[: n_rows * width].reshape(n_rows, width)
+    def _fill(self, states: np.ndarray, keep: bool) -> None:
+        """Fill the rows of ``states`` into the next free rows of the store."""
+        n_points = self.grid[0]
+        start, self._n_rows = self._n_rows, self._n_rows + states.size
+        self._slot[states] = np.arange(start, self._n_rows)
+        rows = self._rows[start : self._n_rows]
+        # The weights are state-major, so a tile of states is C-contiguous.
+        routed = np.column_stack([self.probs[:, states].T, self.off_mass[states]])
+        tile_states = min(_TILE_STATES, states.size)
+        n_blocks = _blocks_per_tile(self._slot.size, routed.shape[1], n_points)
+        amp_buffer = None
+        for k0, phases in self._phase_tiles(n_blocks, keep):
+            k1 = k0 + phases.shape[1]
+            # Columns alternate Re, Im of the overlap at each time step.
+            pairs = phases.view(np.float64)
+            if amp_buffer is None:  # the first block is the widest
+                amp_buffer = np.empty(tile_states * pairs.shape[1])
+            for x0 in range(0, states.size, tile_states):
+                x = slice(x0, x0 + tile_states)
+                weights = routed[x]
+                amp = amp_buffer[: weights.shape[0] * pairs.shape[1]].reshape(weights.shape[0], -1)
+                np.matmul(weights, pairs, out=amp)
+                np.square(amp, out=amp)
+                np.add(amp[:, 0::2], amp[:, 1::2], out=rows[x, k0:k1])
 
-    def fidelity_rows(self, cols: np.ndarray) -> np.ndarray:
-        """(state, time) fidelity |off_x + sum_z p_zx exp(i t E_z)|**2 of each x in ``cols``.
+    def mean_fidelity(self, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """sum_x w_x F_x(t) over the basis states ``cols`` with weights ``weights``, a new array.
 
-        The result is a view of a buffer that the next call overwrites.
+        F_x(t) = |off_x + sum_z p_zx exp(i t E_z)|**2 is the fidelity series of x.
         """
         if self._rows is None:
-            self._start_rows()
-        n_points = self._rows.shape[1]
-        new = cols[self._slot[cols] < 0]
+            self._rows = np.empty((self._slot.size, self.grid[0]))
+        dense = _DENSE_SHARE * cols.size >= self._slot.size
+        new = np.flatnonzero(self._slot < 0) if dense else cols[self._slot[cols] < 0]
         if new.size:
-            end = self._n_rows + new.size
-            # Columns alternate Re, Im of the overlap at each time step.
-            amp = self._buffer(new.size, 2 * n_points)
-            np.matmul(self._routed[new], self._phases, out=amp)
-            np.square(amp, out=amp)
-            np.add(amp[:, 0::2], amp[:, 1::2], out=self._rows[self._n_rows : end])
-            self._slot[new] = np.arange(self._n_rows, end)
-            self._n_rows = end
-        gathered = self._buffer(cols.size, n_points)
-        # Every slot is valid here; mode "clip" writes into ``out`` without
-        # the temporary copy that the default mode makes.
-        np.take(self._rows, self._slot[cols], axis=0, out=gathered, mode="clip")
-        return gathered
+            self._fill(new, keep=not dense)
+        if dense:
+            scattered = np.zeros(self._slot.size)
+            scattered[self._slot[cols]] = weights
+            return scattered @ self._rows
+        return weights @ self._rows[self._slot[cols]]
 
 
 def time_evolution_series(
@@ -197,7 +266,7 @@ def time_evolution_series(
     elif table.grid != (n_points, dt):
         raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
     weights, cols = table.draw(state, event, n_draws, rng)
-    return FidelitySeries(dt, weights @ table.fidelity_rows(cols))
+    return FidelitySeries(dt, table.mean_fidelity(weights, cols))
 
 
 def event_series(
@@ -311,15 +380,11 @@ def discrimination_report(
     n_draws: int = 1,
     n_thresholds: int = 200,
 ) -> RocCurve:
-    """ROC over per-event scores of the two samples."""
-    signal_scores = score_events(
-        state, signal_events, mode, rng,
-        f_min=f_min, total_time=total_time, dt=dt, n_draws=n_draws,
-    )
-    background_scores = score_events(
-        state, background_events, mode, rng,
-        f_min=f_min, total_time=total_time, dt=dt, n_draws=n_draws,
-    )
+    """ROC over per-event scores of the two samples, both read from one routing table."""
+    table = RoutingTable(state, total_time, dt) if mode == "spectral" else RoutingTable(state)
+    kwargs = dict(f_min=f_min, total_time=total_time, dt=dt, n_draws=n_draws, table=table)
+    signal_scores = score_events(state, signal_events, mode, rng, **kwargs)
+    background_scores = score_events(state, background_events, mode, rng, **kwargs)
     return roc_from_scores(signal_scores, background_scores, n_thresholds)
 
 

@@ -316,7 +316,7 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
     }
 
     # The table depends on the model and the time grid only, so every pass
-    # below reads the same circuit matrix, phase grid and fidelity rows.
+    # below reads the same circuit matrix and row store.
     table = anomaly.RoutingTable(state, args.total_time, args.dt)
     summary: dict = {"n_signal": len(signal), "n_background": len(background)}
     for mode in ("t_zero", "spectral"):

@@ -20,6 +20,8 @@ from .errors import DataError
 from .qsim import MAX_QUBITS
 
 PROB_FLOOR = 1e-6
+# Most product distributions exact_mixed_state builds at once, in values.
+_MIXED_CHUNK_ENTRIES = 2**16
 LABELS = ("signal", "background", "unlabelled")
 
 
@@ -226,20 +228,35 @@ def exact_mixed_state(
     if any(e.n_qubits != n for e in events):
         raise ValueError("all events must have the same qubit count")
     alphas = _normalised_weights(events, weights)
+    probs = np.array([e.probs for e in events])
+    # (event, qubit, bit) factors; the products run over the qubits in
+    # order, qubit 0 most significant, as a chain of Kronecker products does.
+    factors = np.stack([1.0 - probs, probs], axis=-1)
     diag = np.zeros(2**n)
-    for alpha, event in zip(alphas, events):
-        dist = np.array([1.0])
-        for p in event.probs:
-            dist = np.kron(dist, np.array([1.0 - p, p]))
-        diag += alpha * dist
+    # Events go in chunks, so the distributions in hand stay within
+    # _MIXED_CHUNK_ENTRIES values however many events there are.
+    chunk = max(1, _MIXED_CHUNK_ENTRIES >> n)
+    for c0 in range(0, len(events), chunk):
+        dists = np.ones((factors[c0 : c0 + chunk].shape[0], 1))
+        for q in range(n):
+            dists = (dists[:, :, None] * factors[c0 : c0 + chunk, q, None, :]).reshape(
+                dists.shape[0], -1
+            )
+        for alpha, dist in zip(alphas[c0 : c0 + chunk], dists):
+            diag += alpha * dist
     return diag
 
 
 def _deposit_blob(
-    grid: np.ndarray, row: float, col: float, sigma: float, energy: float
+    grid: np.ndarray,
+    rr: np.ndarray,
+    cc: np.ndarray,
+    row: float,
+    col: float,
+    sigma: float,
+    energy: float,
 ) -> None:
-    size = grid.shape[0]
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    """Add a Gaussian blob; ``rr`` and ``cc`` are the grid's row and column indices."""
     grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))
 
 
@@ -267,6 +284,8 @@ def synth_toy_jets(
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
     centre = (grid - 1) / 2.0
+    # Row and column indices as a column and a row; they broadcast to the grid.
+    rr, cc = np.ogrid[:grid, :grid]
     images: list[PixelImage] = []
     for _ in range(n_events):
         canvas = np.zeros((grid, grid))
@@ -275,13 +294,13 @@ def synth_toy_jets(
             row = centre + 0.3 * rng.standard_normal()
             col = centre + 0.3 * rng.standard_normal()
             sigma = rng.uniform(2.0, 2.2)
-            _deposit_blob(canvas, row, col, sigma, energy)
+            _deposit_blob(canvas, rr, cc, row, col, sigma, energy)
         else:
             # A soft wide core matches the background's central block;
             # the prongs carry the discriminating off-centre energy.
             row = centre + 0.3 * rng.standard_normal()
             col = centre + 0.3 * rng.standard_normal()
-            _deposit_blob(canvas, row, col, rng.uniform(2.0, 2.5), 0.38 * energy)
+            _deposit_blob(canvas, rr, cc, row, col, rng.uniform(2.0, 2.5), 0.38 * energy)
             rotation = np.deg2rad(rng.normal(0.0, 9.0))
             fractions = np.array([0.45, 0.275, 0.275]) + 0.03 * rng.standard_normal(3)
             fractions = np.abs(fractions) / np.abs(fractions).sum()
@@ -291,7 +310,7 @@ def synth_toy_jets(
                 angle = np.deg2rad(base_deg) + rotation
                 row = centre - rad * grid * np.sin(angle)
                 col = centre + rad * grid * np.cos(angle)
-                _deposit_blob(canvas, row, col, sigma, 2.1 * frac * energy)
+                _deposit_blob(canvas, rr, cc, row, col, sigma, 2.1 * frac * energy)
         canvas += np.abs(rng.normal(0.0, noise, size=canvas.shape))
         images.append(PixelImage(canvas, label=kind))
     return images

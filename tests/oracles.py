@@ -412,3 +412,21 @@ def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
     bits = (rng.random((n_samples, probs.n_qubits)) < probs.probs).astype(np.int64)
     shifts = np.arange(probs.n_qubits - 1, -1, -1)
     return (bits << shifts).sum(axis=1)
+
+
+def exact_mixed_state_reference(events, alphas) -> np.ndarray:
+    """``embed.exact_mixed_state`` by one Kronecker chain per event, with normalised ``alphas``."""
+    diag = np.zeros(2 ** events[0].n_qubits)
+    for alpha, event in zip(alphas, events):
+        dist = np.array([1.0])
+        for p in event.probs:
+            dist = np.kron(dist, np.array([1.0 - p, p]))
+        diag += alpha * dist
+    return diag
+
+
+def deposit_blob_reference(grid, row, col, sigma, energy) -> None:
+    """``embed._deposit_blob`` with its own coordinate grid per blob."""
+    size = grid.shape[0]
+    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))

@@ -1,5 +1,7 @@
 """Tests for time-evolution scoring, spectra, and site-entropy profiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +11,11 @@ from qhbm.anomaly import (
     SCENARIOS,
     FidelitySeries,
     RoutingTable,
+    _TILE_STATES,
+    _blocks_per_tile,
+    _coarse_step,
     _pair_reduced,
-    _phase_grid,
+    _phase_blocks,
     check_spectral_args,
     discrimination_report,
     expectation_score,
@@ -20,7 +25,7 @@ from qhbm.anomaly import (
     time_evolution_series,
 )
 from qhbm.embed import PixelProbabilities, bernoulli_index_samples
-from qhbm.metrics import RocCurve, power_spectrum
+from qhbm.metrics import RocCurve, power_spectrum, roc_from_scores
 from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState
 
@@ -170,15 +175,29 @@ class TestTimeEvolutionSeries:
 
 
 class TestPhaseGrid:
-    @pytest.mark.parametrize("n_points", [1, 2, 3, 4, 5, 16, 17, 2001, 3000])
+    """The phase grid, built one block of time steps at a time."""
+
+    # Coarse/fine boundaries m**2 and m**2 + 1, an overhang past the last
+    # coarse block, and grids one step around a whole number of tiles
+    # (42 = 6 coarse blocks of 7 steps, 2070 = 45 blocks of 46).
+    @pytest.mark.parametrize(
+        "n_points", [1, 2, 3, 4, 5, 16, 17, 41, 42, 43, 2001, 2025, 2026, 2069, 2070, 2071, 3000]
+    )
     def test_matches_direct_exponential(self, rng, n_points):
         dt = 0.1
         energies = rng.uniform(-50.0, 50.0, size=7)
-        grid = _phase_grid(n_points, dt, energies)
-        angles = np.outer(energies, dt * np.arange(n_points))
-        direct = np.exp(1j * angles)
-        assert grid.shape == (energies.size, n_points)
-        assert np.all(np.abs(grid - direct) <= 8 * np.finfo(float).eps * (1.0 + np.abs(angles)))
+        eps = np.finfo(float).eps
+        for n_blocks in (1, 2, 3, 7):
+            block_steps = n_blocks * _coarse_step(n_points)
+            end = 0
+            for k0, phases in _phase_blocks(n_points, dt, energies, n_blocks):
+                assert k0 == end
+                assert phases.shape == (energies.size, min(block_steps, n_points - k0))
+                angles = np.outer(energies, dt * np.arange(k0, k0 + phases.shape[1]))
+                direct = np.exp(1j * angles)
+                assert np.all(np.abs(phases - direct) <= 8 * eps * (1.0 + np.abs(angles)))
+                end = k0 + phases.shape[1]
+            assert end == n_points
 
 
 def random_scoring_state(n, support_size, e_max, seed):
@@ -300,6 +319,120 @@ class TestSharedTableMatchesPerDrawOracle:
             time_evolution_series(
                 state, event, 1.0, 0.1, np.random.default_rng(0), table=RoutingTable(state)
             )
+
+
+class TestTiledRowStore:
+    """Row fills whose tiles end inside the state or time range."""
+
+    @staticmethod
+    def block_end(n, n_phases, limit):
+        """Largest grid size up to ``limit`` whose fill ends on a whole time block.
+
+        The block width is the same one step shorter and longer, and the
+        grid spans at least two blocks.
+        """
+
+        def width(n_points):
+            return _blocks_per_tile(2**n, n_phases, n_points) * _coarse_step(n_points)
+
+        return next(
+            k for k in range(limit, 2, -1)
+            if k % width(k) == 0 and k >= 2 * width(k) and width(k - 1) == width(k) == width(k + 1)
+        )
+
+    # Seven and eight qubits fill one or two whole state tiles of 128.
+    # Short grids have one coarse block per tile, long ones several.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("limit", [100, 2100])
+    @pytest.mark.parametrize("n, support_size", [(7, 37), (8, 256), (8, 37), (4, 0)])
+    def test_series_match_per_draw_oracle(self, n, support_size, limit, offset):
+        assert 2**7 == _TILE_STATES
+        n_points = self.block_end(n, support_size + 1, limit) + offset
+        state, event = random_scoring_state(n, support_size, 20.0, 100 * n + n_points)
+        dt = min(0.1, 1000.0 / ((n_points - 1) * 20.0))
+        total_time = (n_points - 1) * dt
+        table = RoutingTable(state, total_time, dt)
+        fast_rng, slow_rng = np.random.default_rng(n_points), np.random.default_rng(n_points)
+        for n_draws in (1, 300):
+            series = time_evolution_series(
+                state, event, total_time, dt, fast_rng, n_draws, table=table
+            )
+            values = time_evolution_series_per_draw(
+                state, event, total_time, dt, slow_rng, n_draws
+            )
+            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_sparse_and_dense_events_on_one_table_match_per_draw_oracle(self):
+        n, n_points, dt = 7, 301, 0.1
+        total_time = (n_points - 1) * dt
+        state, _ = random_scoring_state(n, 37, 20.0, 11)
+        gen = np.random.default_rng(12)
+        events = [PixelProbabilities(gen.uniform(0.05, 0.95, size=n)) for _ in range(5)]
+        # The first event nearly always hits state 127 and the second then
+        # adds 126, so the store holds those rows out of basis order.
+        events[0] = PixelProbabilities(np.full(n, 0.99))
+        events[1] = PixelProbabilities(np.array([0.99] * (n - 1) + [0.5]))
+        table = RoutingTable(state, total_time, dt)
+        fast_rng, slow_rng = np.random.default_rng(13), np.random.default_rng(13)
+        filled = []
+        # Sparse events fill only the states they hit, from a kept phase
+        # grid; the dense one then fills every other row from that grid.
+        for event, n_draws in zip(events, (1, 5, 3, 400, 2)):
+            series = time_evolution_series(
+                state, event, total_time, dt, fast_rng, n_draws, table=table
+            )
+            values = time_evolution_series_per_draw(
+                state, event, total_time, dt, slow_rng, n_draws
+            )
+            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+            filled.append(int(np.count_nonzero(table._slot >= 0)))
+            if len(filled) == 2:
+                assert table._slot[126] > table._slot[127] >= 0
+        assert filled[0] == 1
+        assert filled[0] <= filled[1] <= filled[2] <= 9
+        assert filled[3] == filled[4] == 2**n
+
+    def test_a_dense_first_event_fills_every_row_without_a_kept_grid(self):
+        n, dt = 6, 0.1
+        state, event = random_scoring_state(n, 20, 20.0, 14)
+        table = RoutingTable(state, 30.0, dt)
+        time_evolution_series(state, event, 30.0, dt, np.random.default_rng(15), 512, table=table)
+        assert np.all(table._slot >= 0)
+        assert table._phases is None
+
+    def test_a_long_grid_has_several_blocks_per_tile(self):
+        n_points = self.block_end(8, 38, 2100)
+        assert _blocks_per_tile(2**8, 38, n_points) > 1
+
+    def test_series_is_not_changed_by_the_next_call(self):
+        state, event = random_scoring_state(5, 20, 20.0, 3)
+        table = RoutingTable(state, 50.0, 0.1)
+        rng = np.random.default_rng(4)
+        first = time_evolution_series(state, event, 50.0, 0.1, rng, 64, table=table)
+        kept = first.values.copy()
+        other = PixelProbabilities(np.full(5, 0.9))
+        second = time_evolution_series(state, other, 50.0, 0.1, rng, 64, table=table)
+        assert not np.shares_memory(first.values, second.values)
+        assert np.array_equal(first.values, kept)
+
+    def test_peak_memory_of_a_scoring_pass(self):
+        n, n_points = 6, 2001
+        state, _ = random_scoring_state(n, 2**n, 20.0, 5)
+        gen = np.random.default_rng(6)
+        events = [PixelProbabilities(gen.uniform(0.05, 0.95, size=n)) for _ in range(12)]
+        row_store_bytes = 2**n * n_points * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_events(
+                state, events, "spectral", np.random.default_rng(7),
+                f_min=0.05, total_time=(n_points - 1) * 0.1, dt=0.1, n_draws=2048,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * row_store_bytes
 
 
 class TestSpectralScore:
@@ -443,6 +576,34 @@ class TestDiscriminationReport:
         )
         assert isinstance(curve, RocCurve)
         assert 0.5 <= curve.auc <= 1.0
+
+    @pytest.mark.parametrize("mode", ["t_zero", "spectral"])
+    def test_both_classes_share_one_table(self, rng, monkeypatch, mode):
+        n = 3
+        state, _ = random_scoring_state(n, 5, 10.0, 8)
+        signal = [PixelProbabilities(rng.uniform(0.6, 0.9, size=n)) for _ in range(6)]
+        background = [PixelProbabilities(rng.uniform(0.1, 0.4, size=n)) for _ in range(6)]
+        kwargs = dict(f_min=0.5, total_time=30.0, dt=0.1, n_draws=16)
+        # One table per class, as before the classes shared one.
+        separate_rng = np.random.default_rng(9)
+        sig = score_events(state, signal, mode, separate_rng, **kwargs)
+        bkg = score_events(state, background, mode, separate_rng, **kwargs)
+        expected = roc_from_scores(sig, bkg, 200)
+
+        calls = []
+        unitary = qsim.ansatz_unitary
+
+        def counted(ansatz):
+            calls.append(ansatz)
+            return unitary(ansatz)
+
+        monkeypatch.setattr(qsim, "ansatz_unitary", counted)
+        curve = discrimination_report(
+            state, signal, background, mode, np.random.default_rng(9), **kwargs
+        )
+        assert len(calls) == 1
+        for field in ("tpr", "fpr", "thresholds", "auc", "direction"):
+            assert np.array_equal(getattr(curve, field), getattr(expected, field)), field
 
 
 class TestTwoSiteReduced:

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -229,3 +231,20 @@ def test_repeated_traced_fits_agree_bitwise():
 
 def bits(history):
     return [np.float64(value).tobytes() for row in history for value in row.values()]
+
+
+def test_traced_score_benchmark_smoke_run():
+    """One short traced score-6q run: every hook fires and exact values repeat.
+
+    The run keeps its scratch directory at the root of the checkout and
+    writes no bytecode, so ``bench/`` is only read.
+    """
+    root = TRACING.parents[1]
+    argv = [sys.executable, "bench/run.py", "--workload", "score-6q", "--seed", "11",
+            "--seconds", "0.01", "--trace", "1"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "HookError" not in proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout

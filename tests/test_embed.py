@@ -1,11 +1,13 @@
 """Tests for image preprocessing, Bernoulli embedding, and toy-jet synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 from scipy.special import expit, logit
 
-from qhbm import metrics
+from qhbm import embed, metrics
 from qhbm.embed import (
     PixelImage,
     PixelProbabilities,
@@ -25,7 +27,11 @@ from qhbm.qsim import index_bits
 from qhbm.rng import substream
 from qhbm.train import _batch_distribution
 
-from oracles import bernoulli_index_samples_reference
+from oracles import (
+    bernoulli_index_samples_reference,
+    deposit_blob_reference,
+    exact_mixed_state_reference,
+)
 
 
 def flat_image(value, shape=(8, 8), label="unlabelled"):
@@ -400,6 +406,37 @@ class TestExactMixedState:
         with pytest.raises(ValueError):
             exact_mixed_state([])
 
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_matches_kronecker_chain_bitwise(self, rng, n_qubits):
+        events = [
+            PixelProbabilities(rng.uniform(0.01, 0.99, size=n_qubits))
+            for _ in range(int(rng.integers(1, 40)))
+        ]
+        weights = rng.uniform(0.0, 3.0, size=len(events))
+        alphas = weights / weights.sum()
+        got = exact_mixed_state(events, weights)
+        assert np.array_equal(got, exact_mixed_state_reference(events, alphas))
+
+    def test_chunks_of_events_match_kronecker_chain_bitwise(self, rng):
+        # 150 ten-qubit events span three chunks of 64, the last one partial.
+        events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(150)]
+        weights = rng.uniform(0.0, 3.0, size=len(events))
+        alphas = weights / weights.sum()
+        got = exact_mixed_state(events, weights)
+        assert np.array_equal(got, exact_mixed_state_reference(events, alphas))
+
+    def test_peak_memory_stays_within_a_chunk(self, rng):
+        events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(1000)]
+        all_dists_bytes = len(events) * 2**10 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            exact_mixed_state(events)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= all_dists_bytes / 4
+
 
 class TestSynthToyJets:
     def test_rejects_bad_arguments(self):
@@ -426,6 +463,17 @@ class TestSynthToyJets:
         a = synth_toy_jets(2, "background", 16, np.random.default_rng(11))
         b = synth_toy_jets(2, "background", 16, np.random.default_rng(11))
         for x, y in zip(a, b):
+            assert np.array_equal(x.intensities, y.intensities)
+
+    @pytest.mark.parametrize("kind", ["signal", "background"])
+    def test_matches_per_blob_coordinate_grids_bitwise(self, monkeypatch, kind):
+        fast = synth_toy_jets(40, kind, 16, np.random.default_rng(12))
+        monkeypatch.setattr(
+            embed, "_deposit_blob",
+            lambda grid, rr, cc, *blob: deposit_blob_reference(grid, *blob),
+        )
+        slow = synth_toy_jets(40, kind, 16, np.random.default_rng(12))
+        for x, y in zip(fast, slow, strict=True):
             assert np.array_equal(x.intensities, y.intensities)
 
     def test_background_mean_peaks_centrally(self):
