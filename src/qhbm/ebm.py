@@ -12,13 +12,14 @@ diagonal modular Hamiltonian K = sum_z F(z) |z><z|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
 
 from .qsim import MAX_QUBITS, index_bits
+from .special import expit, logsumexp, softmax
 
 
 @dataclass
@@ -136,7 +137,7 @@ def metropolis_sample(
     path = []
     for cand, uniform in zip(candidates, uniforms):
         delta = current_energy - table[cand]
-        if delta >= 0.0 or uniform < np.exp(delta):
+        if delta >= 0.0 or uniform < math.exp(delta):
             current = cand
             current_energy = table[cand]
         path.append(current)
@@ -192,7 +193,7 @@ def build_hamiltonian(
     unique, first = np.unique(samples, return_index=True)
     support = unique[np.argsort(first)]
     energies = free_energies(model, support)
-    return ModularHamiltonian(model.n_visible, support, energies, float(logsumexp(-energies)))
+    return ModularHamiltonian(model.n_visible, support, energies, logsumexp(-energies))
 
 
 @dataclass

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
 from .qsim import MAX_QUBITS
+from .special import expit
 
 PROB_FLOOR = 1e-6
 # Most product distributions exact_mixed_state builds at once, in values.

@@ -373,27 +373,26 @@ def roc_rates_reference(signal, background, thresholds) -> tuple[np.ndarray, np.
 
 
 def metropolis_sample_reference(model, chain, burn_in: int, n_collect: int):
-    """``ebm.metropolis_sample`` as a loop over NumPy arrays and scalars.
+    """``ebm.metropolis_sample`` with NumPy's ``exp`` on each uphill proposal.
 
-    Same draws in the same order, so the chain must agree bit for bit.
+    The package's loop before it called ``math.exp``: same draws in the
+    same order, so the chain must agree bit for bit.
     """
-    table = ebm.free_energies(model, np.arange(2**model.n_visible))
+    table = ebm.free_energies(model, np.arange(2**model.n_visible)).tolist()
     rng = chain.rng
     steps = burn_in + n_collect
     current = int(chain.current)
     current_energy = table[current]
-    candidates = rng.integers(0, 2**model.n_visible, size=steps)
-    uniforms = rng.random(steps)
-    collected = np.empty(n_collect, dtype=np.int64)
-    for i in range(steps):
-        cand = int(candidates[i])
+    candidates = rng.integers(0, 2**model.n_visible, size=steps).tolist()
+    uniforms = rng.random(steps).tolist()
+    path = []
+    for cand, uniform in zip(candidates, uniforms):
         delta = current_energy - table[cand]
-        if delta >= 0.0 or uniforms[i] < np.exp(delta):
+        if delta >= 0.0 or uniform < np.exp(delta):
             current = cand
             current_energy = table[cand]
-        if i >= burn_in:
-            collected[i - burn_in] = current
-    return collected, ebm.MarkovChainState(current, float(current_energy), rng)
+        path.append(current)
+    return np.array(path[burn_in:], dtype=np.int64), ebm.MarkovChainState(current, current_energy, rng)
 
 
 def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:

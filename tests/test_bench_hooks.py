@@ -7,7 +7,6 @@ The table is read, never modified.
 """
 
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -24,19 +23,14 @@ from qhbm import anomaly, ebm, io, qsim, train
 from qhbm.embed import PixelImage, PixelProbabilities
 
 from oracles import hamiltonian_from_energies
+from script_runner import load_bench_module
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 LAYER_MAP = TRACING.parent / "layer_map.json"
 
 
 def load_tracing():
-    if "bench_tracing" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses resolves the defining module through sys.modules.
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return sys.modules["bench_tracing"]
+    return load_bench_module("tracing")
 
 
 def bound_arguments(fn, *args):

@@ -1,11 +1,14 @@
 """Tests for the classical energy model, sampler, and modular Hamiltonian."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import logsumexp, softmax
 from scipy.stats import chisquare
 
+from qhbm import ebm
 from qhbm.ebm import (
     EnergyModel,
     ModularHamiltonian,
@@ -29,6 +32,7 @@ from oracles import (
     hamiltonian_from_energies,
     metropolis_sample_reference,
 )
+from script_runner import load_bench_module, run_script
 
 
 def zero_model(n_visible, n_hidden):
@@ -43,6 +47,18 @@ def random_model(n_visible, n_hidden, rng, scale=0.5):
         scale * rng.standard_normal(n_visible),
         scale * rng.standard_normal(n_hidden),
     )
+
+
+def assert_chain_matches_reference(model, chain, burn_in, n_collect):
+    """Run the sampler and its reference loop from copies of ``chain``; demand equal bits."""
+    ref_chain = copy.deepcopy(chain)
+    samples, after = metropolis_sample(model, chain, burn_in, n_collect)
+    ref_samples, ref_after = metropolis_sample_reference(model, ref_chain, burn_in, n_collect)
+    assert samples.dtype == np.int64 and np.array_equal(samples, ref_samples)
+    assert after.current == ref_after.current
+    assert np.float64(after.current_energy).tobytes() == np.float64(ref_after.current_energy).tobytes()
+    assert after.rng.bit_generator.state == ref_after.rng.bit_generator.state
+    return samples, after
 
 
 def free_energy(model, index):
@@ -242,16 +258,50 @@ class TestMetropolis:
         assert stat.pvalue > 0.01
 
     @pytest.mark.parametrize("n_visible,burn_in,n_collect", [(1, 0, 30), (4, 0, 0), (8, 100, 1000)])
-    def test_matches_array_loop_bitwise(self, n_visible, burn_in, n_collect):
+    def test_matches_reference_loop_bitwise(self, n_visible, burn_in, n_collect):
         model = EnergyModel.initialize(n_visible, rng=np.random.default_rng(n_visible), weight_scale=0.8)
-        chain = initial_chain(model, np.random.default_rng(5))
-        ref_chain = initial_chain(model, np.random.default_rng(5))
-        samples, after = metropolis_sample(model, chain, burn_in, n_collect)
-        ref_samples, ref_after = metropolis_sample_reference(model, ref_chain, burn_in, n_collect)
-        assert samples.dtype == np.int64 and np.array_equal(samples, ref_samples)
-        assert after.current == ref_after.current
-        assert after.current_energy == ref_after.current_energy
-        assert after.rng.bit_generator.state == ref_after.rng.bit_generator.state
+        assert_chain_matches_reference(model, initial_chain(model, np.random.default_rng(5)), burn_in, n_collect)
+
+    @pytest.mark.parametrize("n_visible", range(2, 9))
+    @pytest.mark.parametrize("weight_scale", [0.3, 2.0])
+    def test_long_chains_match_reference_loop_bitwise(self, n_visible, weight_scale):
+        """math.exp decides every uphill proposal as NumPy's exp did."""
+        model = EnergyModel.initialize(
+            n_visible, rng=substream(n_visible, "init", str(weight_scale)), weight_scale=weight_scale
+        )
+        model.visible_bias[:] = substream(n_visible, "bias", str(weight_scale)).normal(0.0, weight_scale, n_visible)
+        chain = initial_chain(model, substream(n_visible, "chain", str(weight_scale)))
+        assert_chain_matches_reference(model, chain, 100, 20_000)
+
+    def test_acceptance_sampler_chains_match_reference_loop_bitwise(self):
+        """The chains of acceptance check A3, including its peaked control."""
+        for n_visible, seed in ((3, 5), (4, 5)):
+            model = EnergyModel.initialize(n_visible, rng=substream(seed, "init"), weight_scale=0.05)
+            assert_chain_matches_reference(model, initial_chain(model, substream(seed, "chain")), 100, 100_000)
+        peaked = EnergyModel(np.array([[45.0], [45.0]]), np.zeros(2), np.array([-80.0]))
+        assert_chain_matches_reference(peaked, initial_chain(peaked, substream(6, "chain")), 100, 100_000)
+
+    @pytest.mark.parametrize("pipeline", ["a10-sweep", "bench-train-8q"])
+    def test_pipeline_chains_match_reference_loop_bitwise(self, pipeline, monkeypatch, tmp_path):
+        """Every chain of one A10 run and of the train-8q benchmark fit, step for step."""
+        calls = []
+
+        def checked(model, chain, burn_in, n_collect):
+            calls.append(burn_in + n_collect)
+            return assert_chain_matches_reference(model, chain, burn_in, n_collect)
+
+        monkeypatch.setattr(ebm, "metropolis_sample", checked)
+        if pipeline == "a10-sweep":
+            assert run_script("run_embedding_sweep", [
+                "--samples", "500", "--n-seeds", "1", "--first-seed", "101",
+                "--steps", "300", "--n-mc-samples", "500",
+                "--grid", "16", "--crop", "2", "--pool", "2", "--synth-seed", "21",
+            ]) == 0
+            assert len(calls) == 1 + 300  # the initial chain, then one call per step
+        else:
+            workloads = load_bench_module("workloads")
+            outcome = workloads.run_train_8q(workloads.setup_train_8q(11, tmp_path))
+            assert outcome.failed_ops == 0 and len(calls) > outcome.ops
 
     def test_rejects_bad_arguments(self, rng):
         model = random_model(2, 2, rng)
