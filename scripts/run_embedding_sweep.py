@@ -19,7 +19,7 @@ from qhbm.rng import substream
 
 def train_on_draws(event, config, draws, n_steps, anneal):
     state = train.init_train_state(config)
-    batch = [draws]
+    batch = embed.frequency_row(draws, event.n_qubits)[None]
     for step in range(n_steps):
         for at, rate in anneal:
             if step == at:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qsim
 from .ebm import ModularHamiltonian
-from .embed import PixelProbabilities, bernoulli_index_samples
+from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
 from .metrics import RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
 from .train import TrainState
 
@@ -166,10 +166,9 @@ class RoutingTable:
             raise ValueError(f"event has {event.n_qubits} qubits but model has {self.n_qubits}")
         if n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        idx = bernoulli_index_samples(event, n_draws, rng)
-        counts = np.bincount(idx, minlength=2**self.n_qubits)
-        cols = np.flatnonzero(counts)
-        return counts[cols] / n_draws, cols
+        row = frequency_row(bernoulli_index_samples(event, n_draws, rng), self.n_qubits)
+        cols = np.flatnonzero(row)
+        return row[cols], cols
 
     def _phase_tiles(self, n_blocks: int, keep: bool) -> Iterator[tuple[int, np.ndarray]]:
         """The kept phase grid as one block, or blocks of ``n_blocks`` coarse steps.

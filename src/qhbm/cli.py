@@ -295,6 +295,50 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The per-class statistics of ``anomaly`` read the (events, time steps)
+# series in blocks of this many events and time steps, so no temporary is
+# as large as the series themselves.
+_EVENT_BLOCK = 16
+_TIME_BLOCK = 2048
+
+
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each of ``rows`` in turn; with no total, start from the first row.
+
+    This is the order in which NumPy reduces a C-contiguous array over
+    axis 0, so the sums match ``np.sum(axis=0)`` bit for bit.
+    """
+    if total is None:
+        total, rows = rows[0].copy(), rows[1:]
+    for row in rows:
+        total += row
+    return total
+
+
+def _series_moments(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``stack.mean(axis=0)`` and ``stack.std(axis=0)``, bit for bit, taken in blocks."""
+    n_events, n_points = stack.shape
+    mean, std = np.empty(n_points), np.empty(n_points)
+    for c0 in range(0, n_points, _TIME_BLOCK):
+        cols = slice(c0, c0 + _TIME_BLOCK)
+        mean[cols] = _add_rows(None, stack[:, cols]) / n_events
+        squares = None
+        for e0 in range(0, n_events, _EVENT_BLOCK):
+            dev = stack[e0 : e0 + _EVENT_BLOCK, cols] - mean[cols]
+            squares = _add_rows(squares, np.multiply(dev, dev, out=dev))
+        std[cols] = np.sqrt(squares / n_events)
+    return mean, std
+
+
+def _mean_power(stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and ``power_spectrum(stack, dt).power.mean(axis=0)``, taken in event blocks."""
+    total = None
+    for e0 in range(0, len(stack), _EVENT_BLOCK):
+        spectrum = metrics.power_spectrum(stack[e0 : e0 + _EVENT_BLOCK], dt)
+        total = _add_rows(total, spectrum.power)
+    return spectrum.frequencies, total / len(stack)
+
+
 def cmd_anomaly(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     signal = _load_probability_events(args.signal)
@@ -355,32 +399,32 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
         summary[f"auc_{mode}"] = roc.auc
         summary[f"direction_{mode}"] = roc.direction
 
+    n_points = table.grid[0]
+    times = args.dt * np.arange(n_points)
     for label, events in (("signal", signal), ("background", background)):
         rng = substream(args.seed, "embedding", "anomaly", "series", label)
-        series_stack = np.array([
-            series.values
-            for series in anomaly.event_series(
-                state, events, args.total_time, args.dt, rng, args.n_draws, table=table
-            )
-        ])
-        spectrum = metrics.power_spectrum(series_stack, args.dt)
-        times = args.dt * np.arange(series_stack.shape[1])
+        # The class's one copy of its series: a row per event.
+        stack = np.empty((len(events), n_points))
+        series = anomaly.event_series(
+            state, events, args.total_time, args.dt, rng, args.n_draws, table=table
+        )
+        for row, fidelity in zip(stack, series):
+            row[:] = fidelity.values
+        mean, std = _series_moments(stack)
+        frequencies, mean_power = _mean_power(stack, args.dt)
         io.write_csv_with_provenance(
             outdir / f"series_{label}.csv",
             ["time", "mean_fidelity", "std_fidelity"],
             (
                 [repr(float(t)), repr(float(m)), repr(float(s))]
-                for t, m, s in zip(times, series_stack.mean(axis=0), series_stack.std(axis=0))
+                for t, m, s in zip(times, mean, std)
             ),
             run_meta,
         )
         io.write_csv_with_provenance(
             outdir / f"spectrum_{label}.csv",
             ["frequency", "mean_power"],
-            (
-                [repr(float(f)), repr(float(p))]
-                for f, p in zip(spectrum.frequencies, spectrum.power.mean(axis=0))
-            ),
+            ([repr(float(f)), repr(float(p))] for f, p in zip(frequencies, mean_power)),
             run_meta,
         )
 

@@ -201,6 +201,17 @@ def bernoulli_index_samples(
     return ((rng.random((n_samples, probs.n_qubits)) < probs.probs) @ powers).astype(np.int64)
 
 
+def frequency_row(indices: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Share of ``indices`` at each of the 2**n_qubits basis states, a float64 row.
+
+    This is how an event's embedded draws are held: the training objective
+    and the anomaly scores read the draws only through this distribution.
+    """
+    if len(indices) == 0:
+        raise ValueError("an event needs at least one embedded draw")
+    return np.bincount(indices, minlength=2**n_qubits) / len(indices)
+
+
 def _normalised_weights(events: Sequence[PixelProbabilities], weights) -> np.ndarray:
     if weights is None:
         weights = np.array([e.weight for e in events], dtype=np.float64)

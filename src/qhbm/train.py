@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ebm, qsim
-from .embed import PixelProbabilities, bernoulli_index_samples
+from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
 from .errors import ConfigError, NumericError
 from .rng import substream
 
@@ -198,22 +198,22 @@ def _theta_params(model: ebm.EnergyModel) -> dict[str, np.ndarray]:
     }
 
 
-Batch = Sequence[np.ndarray]
+# One embedded event per row: its draws' frequency at each basis state.
+Batch = np.ndarray
 
 
-def _batch_distribution(groups: Batch, dim: int) -> np.ndarray:
+def _batch_distribution(rows: Batch) -> np.ndarray:
     """Mean over events of each event's empirical distribution over the basis.
 
-    Each group holds one event's embedded draws as basis indices.
+    ``rows`` holds one ``embed.frequency_row`` per event.  They are added
+    in batch order onto zeros, so a seeded run repeats q bit for bit.
     """
-    if len(groups) == 0:
+    if len(rows) == 0:
         raise ValueError("batch must not be empty")
-    q = np.zeros(dim)
-    for idx in groups:
-        if len(idx) == 0:
-            raise ValueError("each batch group needs at least one embedded sample")
-        q += np.bincount(idx, minlength=dim) / len(idx)
-    q /= len(groups)
+    q = np.zeros(rows.shape[1])
+    for row in rows:
+        q += row
+    q /= len(rows)
     return q
 
 
@@ -249,7 +249,7 @@ def batch_objective(
     probabilities averaged the same way, so that sum_z w_z E(z)
     reproduces the mean expectation exactly.
     """
-    q = _batch_distribution(batch, 2**config.n_qubits)
+    q = _batch_distribution(batch)
     return _loss(qsim.ansatz_unitary(state.ansatz), state.hamiltonian, q, config)
 
 
@@ -306,7 +306,7 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
         state.energy_model, state.chain, config.mc_burn_in, config.n_mc_samples
     )
     ham = ebm.build_hamiltonian(state.energy_model, samples)
-    q = _batch_distribution(batch, 2**config.n_qubits)
+    q = _batch_distribution(batch)
     u = qsim.ansatz_unitary(state.ansatz)
     loss, _, weights = _loss(u, ham, q, config)
     phi_grad = config.beta * _phi_gradient(state.ansatz, u, ham, q)
@@ -345,17 +345,18 @@ def _embed_events(
     n_samples: int,
     seed: int,
     tag: str,
-) -> list[np.ndarray]:
-    groups = []
+) -> np.ndarray:
+    """One frequency row per event, from ``n_samples`` draws on the event's own substream."""
+    rows = np.empty((len(events), 2 ** events[0].n_qubits))
     for d, event in enumerate(events):
         rng = substream(seed, "embedding", tag, d)
-        groups.append(bernoulli_index_samples(event, n_samples, rng))
-    return groups
+        rows[d] = frequency_row(bernoulli_index_samples(event, n_samples, rng), event.n_qubits)
+    return rows
 
 
 def _validation_loss(
     state: TrainState,
-    groups: Sequence[np.ndarray],
+    rows: Batch,
     config: TrainConfig,
     epoch: int,
 ) -> float:
@@ -367,7 +368,7 @@ def _validation_loss(
     fork = dataclasses.replace(state.chain, rng=substream(config.seed, "validation", epoch))
     samples, _ = ebm.metropolis_sample(state.energy_model, fork, config.mc_burn_in, config.n_mc_samples)
     ham = ebm.build_hamiltonian(state.energy_model, samples)
-    return batch_objective(dataclasses.replace(state, hamiltonian=ham), groups, config)[0]
+    return batch_objective(dataclasses.replace(state, hamiltonian=ham), rows, config)[0]
 
 
 def snapshot(state: TrainState) -> TrainState:
@@ -400,8 +401,8 @@ def fit(
     state = initial if initial is not None else init_train_state(config)
     history: list[dict] = list(initial_history) if initial_history else []
 
-    valid_groups = _embed_events(valid_events, config.n_embed_samples, config.seed, "valid")
-    train_groups = _embed_events(train_events, config.n_embed_samples, config.seed, "train")
+    valid_rows = _embed_events(valid_events, config.n_embed_samples, config.seed, "valid")
+    train_rows = _embed_events(train_events, config.n_embed_samples, config.seed, "train")
 
     best = snapshot(state)
     since_improve = 0
@@ -410,14 +411,13 @@ def fit(
         order = substream(config.seed, "shuffle", epoch).permutation(len(train_events))
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size), 1):
-            batch_idx = order[start : start + config.batch_size]
-            batch = [train_groups[i] for i in batch_idx]
+            batch = train_rows[order[start : start + config.batch_size]]
             try:
                 state, loss = train_step(state, batch, config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch + 1} step {step}: {exc}") from exc
             epoch_losses.append(loss)
-        valid_loss = _validation_loss(state, valid_groups, config, epoch)
+        valid_loss = _validation_loss(state, valid_rows, config, epoch)
         state.epoch = epoch + 1
         history.append(
             {

@@ -429,3 +429,16 @@ def deposit_blob_reference(grid, row, col, sigma, energy) -> None:
     size = grid.shape[0]
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))
+
+
+def batch_distribution_reference(groups, dim: int) -> np.ndarray:
+    """``train._batch_distribution`` over index groups: one bincount per event at every step."""
+    if len(groups) == 0:
+        raise ValueError("batch must not be empty")
+    q = np.zeros(dim)
+    for idx in groups:
+        if len(idx) == 0:
+            raise ValueError("each batch group needs at least one embedded sample")
+        q += np.bincount(idx, minlength=dim) / len(idx)
+    q /= len(groups)
+    return q

@@ -98,15 +98,18 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             column = u[:, index]
             expected = np.real(column.conj() @ k_dense @ column)
             state = _manual_state(model, ansatz, ham)
-            _, routed, _ = train.batch_objective(state, [np.array([index])], config)
+            rows = embed.frequency_row(np.array([index]), n)[None]
+            _, routed, _ = train.batch_objective(state, rows, config)
             worst = max(worst, abs(routed - expected))
 
             samples = gen.integers(0, dim, size=6)
             model_ham = ebm.build_hamiltonian(model, samples)
-            batch = [gen.integers(0, dim, size=8) for _ in range(3)]
+            batch = np.array(
+                [embed.frequency_row(gen.integers(0, dim, size=8), n) for _ in range(3)]
+            )
             q = np.zeros(dim)
-            for group in batch:
-                q += np.bincount(group, minlength=dim) / group.size
+            for row in batch:
+                q += row
             q /= len(batch)
             sigma = np.diag(q).astype(complex)
             k_model = diagonal_hamiltonian_matrix(n, model_ham.support, model_ham.energies)
@@ -143,7 +146,7 @@ def test_a2_gradients_match_finite_differences(capsys):
         ansatz = qsim.CircuitAnsatz(n, n_layers, gen.uniform(-np.pi, np.pi, n_angles))
         support_size = int(gen.integers(2, dim + 1))
         support = gen.choice(dim, size=support_size, replace=False)
-        batch = [gen.integers(0, dim, size=12) for _ in range(2)]
+        batch = np.array([embed.frequency_row(gen.integers(0, dim, size=12), n) for _ in range(2)])
 
         def loss_of(m, a):
             # The support set is frozen; only the energies move with theta.
@@ -154,8 +157,8 @@ def test_a2_gradients_match_finite_differences(capsys):
 
         _, base_ham, base_weights = loss_of(model, ansatz)
         q = np.zeros(dim)
-        for group in batch:
-            q += np.bincount(group, minlength=dim) / group.size
+        for row in batch:
+            q += row
         q /= len(batch)
 
         phi_analytic = config.beta * train._phi_gradient(

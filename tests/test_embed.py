@@ -15,6 +15,7 @@ from qhbm.embed import (
     crop_and_pool,
     exact_mixed_state,
     fit_scale_max,
+    frequency_row,
     images_to_events,
     pixel_layout,
     select_pixels,
@@ -339,8 +340,10 @@ class TestBernoulliEmbed:
 
 def sampled_mixed_state(events, n_samples, rng):
     """The training estimate of the dataset state: the mean of the events' draw distributions."""
-    groups = [bernoulli_index_samples(e, n_samples, rng) for e in events]
-    return _batch_distribution(groups, 2 ** events[0].n_qubits)
+    rows = np.array(
+        [frequency_row(bernoulli_index_samples(e, n_samples, rng), e.n_qubits) for e in events]
+    )
+    return _batch_distribution(rows)
 
 
 class TestDatasetMixedState:
@@ -377,9 +380,9 @@ class TestDatasetMixedState:
     def test_rejects_bad_inputs(self):
         probs = PixelProbabilities(np.array([0.5]))
         with pytest.raises(ValueError):
-            _batch_distribution([], 2)
+            _batch_distribution([])
         with pytest.raises(ValueError):
-            _batch_distribution([np.zeros(0, dtype=np.int64)], 2)
+            frequency_row(np.zeros(0, dtype=np.int64), 1)
         with pytest.raises(ValueError):
             exact_mixed_state([probs, PixelProbabilities(np.array([0.5, 0.5]))])
         with pytest.raises(ValueError):

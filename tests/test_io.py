@@ -10,7 +10,7 @@ import pytest
 
 import qhbm
 from qhbm import ebm
-from qhbm.embed import PixelImage, PixelProbabilities
+from qhbm.embed import PixelImage, PixelProbabilities, frequency_row
 from qhbm.errors import DataError
 from qhbm.io import (
     CKPT_MAGIC,
@@ -393,7 +393,7 @@ class TestCheckpoint:
         )
         state = init_train_state(cfg)
         for _ in range(2):
-            state, _ = train_step(state, [np.array([0, 1, 3])], cfg)
+            state, _ = train_step(state, frequency_row(np.array([0, 1, 3]), 2)[None], cfg)
         path = tmp_path / "steps.qhbm"
         save_checkpoint(path, state, cfg, [])
         loaded, _, history = load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.stats import chisquare
 
 from qhbm import ebm, qsim, train
 from qhbm.anomaly import SCENARIOS, site_entropy_profile
-from qhbm.embed import PixelProbabilities
+from qhbm.embed import PixelProbabilities, bernoulli_index_samples, frequency_row
 from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
     AdamState,
@@ -23,12 +24,15 @@ from qhbm.train import (
     model_state,
     snapshot,
     train_step,
+    _batch_distribution,
+    _embed_events,
     _loss,
     _phi_gradient,
 )
 from qhbm.rng import substream
 
 from oracles import (
+    batch_distribution_reference,
     batch_parameter_shift_gradient,
     boltzmann_distribution,
     diagonal_hamiltonian_matrix,
@@ -76,8 +80,11 @@ def identity_ansatz(n_qubits):
     return qsim.CircuitAnsatz(n_qubits, 0, np.zeros(0))
 
 
-def index_batch(indices_per_event):
-    return [np.asarray(idx, dtype=np.int64) for idx in indices_per_event]
+def row_batch(indices_per_event, n_qubits):
+    """One ``frequency_row`` per event of basis indices: the batch ``fit`` hands a step."""
+    return np.array(
+        [frequency_row(np.asarray(idx, dtype=np.int64), n_qubits) for idx in indices_per_event]
+    )
 
 
 class TestTrainConfig:
@@ -220,7 +227,7 @@ class TestBatchObjective:
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
         cfg = small_config(n_layers=0)
-        batch = index_batch([[z] * 10])
+        batch = row_batch([[z] * 10], cfg.n_qubits)
         loss, mean_exp, weights = batch_objective(state, batch, cfg)
         # <K> = E(z) and log Z = -E(z), so the two terms cancel exactly.
         assert mean_exp == pytest.approx(ham.energies[0], abs=1e-12)
@@ -233,7 +240,7 @@ class TestBatchObjective:
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
         cfg = small_config(n_layers=0, k_beta=1.3)
-        loss, mean_exp, _ = batch_objective(state, index_batch([[x] * 5]), cfg)
+        loss, mean_exp, _ = batch_objective(state, row_batch([[x] * 5], cfg.n_qubits), cfg)
         assert mean_exp == pytest.approx(0.0, abs=1e-12)
         assert loss == pytest.approx(1.3 * ham.log_partition, abs=1e-12)
 
@@ -250,7 +257,7 @@ class TestBatchObjective:
             rng.integers(0, 2**n, size=20),
             rng.integers(0, 2**n, size=12),
         ]
-        loss, mean_exp, weights = batch_objective(state, index_batch(groups), cfg)
+        loss, mean_exp, weights = batch_objective(state, row_batch(groups, n), cfg)
 
         u = staircase_unitary(n, 2, angles)
         k = diagonal_hamiltonian_matrix(n, support_idx, ham.energies)
@@ -275,7 +282,47 @@ class TestBatchObjective:
         with pytest.raises(ValueError):
             batch_objective(state, [], small_config(n_layers=0))
         with pytest.raises(ValueError):
-            batch_objective(state, index_batch([[]]), small_config(n_layers=0))
+            batch_objective(state, row_batch([[]], 2), small_config(n_layers=0))
+
+
+class TestRowBatches:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_row_sum_matches_index_groups_bitwise(self, n):
+        gen = np.random.default_rng(100 + n)
+        for batch_size in range(1, 31):
+            groups = [
+                gen.integers(0, 2**n, size=int(gen.integers(1, 3 * 2**n)))
+                for _ in range(batch_size)
+            ]
+            q = _batch_distribution(row_batch(groups, n))
+            assert q.tobytes() == batch_distribution_reference(groups, 2**n).tobytes()
+
+    def test_embedded_rows_are_the_draws_of_each_event_substream(self):
+        events = TestFit.events(5, 3, 21)
+        rows = _embed_events(events, 40, 9, "train")
+        assert rows.shape == (5, 8)
+        for d, (row, event) in enumerate(zip(rows, events)):
+            draws = bernoulli_index_samples(event, 40, substream(9, "embedding", "train", d))
+            assert row.tobytes() == (np.bincount(draws, minlength=8) / 40).tobytes()
+
+    def test_fit_memory_does_not_grow_with_embedding_draws(self):
+        """Each event is held as one row of 2**n shares, whatever the draw count."""
+        events = TestFit.events(40, 6, 22)
+        peaks = {}
+        for n_draws in (200, 20000):
+            cfg = TrainConfig(
+                n_qubits=6, n_layers=1, n_mc_samples=50, n_embed_samples=n_draws,
+                batch_size=10, max_epochs=1, seed=3,
+            )
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fit(cfg, events[:30], events[30:])
+                peaks[n_draws] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        # Holding every draw would add 40 x 20000 int64 indices.
+        assert peaks[20000] - peaks[200] < len(events) * 20000 * 8 / 4
 
 
 class TestPhiGradient:
@@ -385,7 +432,7 @@ class TestPhiGradient:
 class TestTrainStep:
     def test_deterministic(self):
         cfg = small_config()
-        batch = index_batch([[0, 1, 3, 3, 2], [1, 1, 0, 2, 3]])
+        batch = row_batch([[0, 1, 3, 3, 2], [1, 1, 0, 2, 3]], cfg.n_qubits)
         finals = []
         for _ in range(2):
             state = init_train_state(cfg)
@@ -399,14 +446,14 @@ class TestTrainStep:
         cfg = small_config()
         state = init_train_state(cfg)
         before = state.energy_model
-        after, _ = train_step(state, index_batch([[0, 1, 2]]), cfg)
+        after, _ = train_step(state, row_batch([[0, 1, 2]], cfg.n_qubits), cfg)
         expected = ebm.free_energies(before, after.hamiltonian.support)
         assert np.allclose(after.hamiltonian.energies, expected, rtol=0.0, atol=1e-10)
 
     def test_parameters_move_and_adam_ticks(self):
         cfg = small_config()
         state = init_train_state(cfg)
-        after, _ = train_step(state, index_batch([[0, 0, 1, 2]]), cfg)
+        after, _ = train_step(state, row_batch([[0, 0, 1, 2]], cfg.n_qubits), cfg)
         assert not np.array_equal(after.energy_model.weights, state.energy_model.weights)
         assert after.adam_theta.t == 1
         assert after.adam_phi.t == 1
@@ -414,7 +461,7 @@ class TestTrainStep:
     def test_chain_energy_invariant(self):
         cfg = small_config()
         state = init_train_state(cfg)
-        after, _ = train_step(state, index_batch([[0, 1]]), cfg)
+        after, _ = train_step(state, row_batch([[0, 1]], cfg.n_qubits), cfg)
         # The chain tracks the pre-update model it was sampled from.
         assert after.chain.current_energy == pytest.approx(
             ebm.free_energies(state.energy_model, [after.chain.current])[0], abs=1e-10
@@ -423,7 +470,7 @@ class TestTrainStep:
     def test_returns_loss_of_incoming_state_under_fresh_hamiltonian(self):
         cfg = small_config(n_qubits=3, n_layers=2)
         state = init_train_state(cfg)
-        batch = index_batch([[0, 1, 5, 5, 7], [2, 3, 3, 6]])
+        batch = row_batch([[0, 1, 5, 5, 7], [2, 3, 3, 6]], cfg.n_qubits)
         for _ in range(3):
             chain = copy.deepcopy(state.chain)
             after, loss = train_step(state, batch, cfg)
@@ -448,7 +495,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(qsim, "ansatz_unitary", counted)
         for expected in (1, 2):
-            state, _ = train_step(state, index_batch([[0, 1, 2], [3, 3, 4]]), cfg)
+            state, _ = train_step(state, row_batch([[0, 1, 2], [3, 3, 4]], cfg.n_qubits), cfg)
             assert len(calls) == expected
 
 
@@ -699,7 +746,7 @@ class TestSnapshot:
         replay = snapshot(frozen)
         # Advancing the original consumes its chain RNG; the snapshots
         # must still replay the exact same future sample sequence.
-        train_step(state, index_batch([[0, 1, 2]]), cfg)
+        train_step(state, row_batch([[0, 1, 2]], cfg.n_qubits), cfg)
         a, _ = ebm.metropolis_sample(frozen.energy_model, frozen.chain, 0, 20)
         b, _ = ebm.metropolis_sample(replay.energy_model, replay.chain, 0, 20)
         assert np.array_equal(a, b)
