@@ -60,15 +60,15 @@ def check_time_grid(total_time: float, dt: float) -> int:
     return n_steps
 
 
-# A row fill works in tiles of up to _TILE_STATES basis states by a
-# block of time steps.  A tile's buffers, its phases and its overlaps,
-# take at most 1/_TILE_SHARE of the row store's bytes: a 6-qubit table
-# then peaks below 1.5 times its row store, while a 10-qubit fill gets
-# blocks wide enough to keep its matrix products efficient.
+# The fill works in tiles of up to _TILE_STATES basis states by a block
+# of time steps, whose phases and overlaps take at most 1/_TILE_SHARE of
+# the row store's bytes: a 6-qubit table peaks below 1.5 times its row
+# store, and a 10-qubit fill gets blocks wide enough for fast products.
 _TILE_STATES = 128
 _TILE_SHARE = 4
 # An event whose draws hit at least 1/_DENSE_SHARE of the basis states is
-# dense: it fills every row and reads them all with one product.
+# dense: its weights are scattered over all rows and read with one
+# product.  A sparse event gathers the rows it hits.
 _DENSE_SHARE = 4
 
 
@@ -124,21 +124,13 @@ class RoutingTable:
     Holds, per basis state x, the support probabilities <z|U|x>**2 (one
     circuit unitary for the whole table), the off-support mass and the
     t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also holds
-    the row store: the fidelity series of each basis state an event has
-    read, one row each, filled in tiles of states by time steps.
-
-    How a spectral read fills and reads rows depends on the share of the
-    2**n basis states its event hits.  A dense event, one that hits at
-    least 1/_DENSE_SHARE of them, fills every row still empty; its
-    series is its weights, scattered over all rows, times the row store.
-    A sparse event fills only the states it hits and gathers their rows.
-    Sparse fills read a phase grid that the table builds once and keeps,
-    so a run of sparse events pays for the phases once, not per event.
-    A dense fill reads that grid too if it exists; otherwise it builds
-    the phases one block of time steps at a time and drops them.  A
-    table depends only on the model and the grid, so one table can
-    serve every scoring pass of a run.  A row's last bits may depend on
-    which other states were filled in the same tile.
+    the row store: every basis state's fidelity series in basis order,
+    filled once when the table is built, from phases streamed in blocks
+    of time steps.  A table depends only on the model and the grid and
+    never changes, so it can serve every scoring pass of a run, and an
+    event's series does not depend on the events read before it.  A
+    dense read (an event hitting 1/_DENSE_SHARE or more of the states)
+    scatters its weights over all rows; a sparse one gathers its rows.
     """
 
     def __init__(
@@ -146,15 +138,12 @@ class RoutingTable:
     ):
         self.state = state
         self.n_qubits = state.ansatz.n_qubits
-        u = qsim.ansatz_unitary(state.ansatz)
-        self.probs = u[state.hamiltonian.support] ** 2  # (support, basis state)
+        # (support, basis state); the circuit matrix is freed before the fill.
+        self.probs = qsim.ansatz_unitary(state.ansatz)[state.hamiltonian.support] ** 2
         self.off_mass = 1.0 - self.probs.sum(axis=0)
         self.t_zero = state.hamiltonian.energies @ self.probs
         self.grid = None if dt is None else (check_time_grid(total_time, dt) + 1, dt)
-        # Row of each basis state in the row store, -1 until filled.
-        self._slot = np.full(2**self.n_qubits, -1, dtype=np.int64)
-        self._n_rows = 0
-        self._rows = self._phases = None
+        self._rows = None if dt is None else self._fill()
 
     def draw(
         self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
@@ -170,65 +159,48 @@ class RoutingTable:
         cols = np.flatnonzero(row)
         return row[cols], cols
 
-    def _phase_tiles(self, n_blocks: int, keep: bool) -> Iterator[tuple[int, np.ndarray]]:
-        """The kept phase grid as one block, or blocks of ``n_blocks`` coarse steps.
-
-        With ``keep`` the whole grid is built and kept first.  Without it
-        and with no kept grid, each block is built as it is drawn.  A
-        kept grid is read whole: cut into blocks, the same fill takes
-        more and smaller matrix products, which run slower.
-        """
+    def _fill(self) -> np.ndarray:
+        """The fidelity series of every basis state, one read-only row each."""
         n_points, dt = self.grid
+        n_states = self.off_mass.size
+        rows = np.empty((n_states, n_points))
         # An extra zero-energy state carries the off-support mass, so a
-        # state's overlap off_x + sum_z p_zx exp(i t E_z) is one dot product.
+        # state's overlap off_x + sum_z p_zx exp(i t E_z) is one dot
+        # product.  The weights are C-contiguous: an F-ordered tile takes
+        # another BLAS path and moves rows in their last bits.
         energies = np.append(self.state.hamiltonian.energies, 0.0)
-        if self._phases is None:
-            if not keep:
-                return _phase_blocks(n_points, dt, energies, n_blocks)
-            ((_, self._phases),) = _phase_blocks(n_points, dt, energies, n_points)
-        return iter([(0, self._phases)])
-
-    def _fill(self, states: np.ndarray, keep: bool) -> None:
-        """Fill the rows of ``states`` into the next free rows of the store."""
-        n_points = self.grid[0]
-        start, self._n_rows = self._n_rows, self._n_rows + states.size
-        self._slot[states] = np.arange(start, self._n_rows)
-        rows = self._rows[start : self._n_rows]
-        # The weights are state-major, so a tile of states is C-contiguous.
-        routed = np.column_stack([self.probs[:, states].T, self.off_mass[states]])
-        tile_states = min(_TILE_STATES, states.size)
-        n_blocks = _blocks_per_tile(self._slot.size, routed.shape[1], n_points)
+        routed = np.empty((n_states, energies.size))
+        routed[:, :-1] = self.probs.T
+        routed[:, -1] = self.off_mass
+        # Both counts are powers of two, so every tile is whole.
+        tile = min(_TILE_STATES, n_states)
+        n_blocks = _blocks_per_tile(n_states, routed.shape[1], n_points)
         amp_buffer = None
-        for k0, phases in self._phase_tiles(n_blocks, keep):
+        for k0, phases in _phase_blocks(n_points, dt, energies, n_blocks):
             k1 = k0 + phases.shape[1]
             # Columns alternate Re, Im of the overlap at each time step.
             pairs = phases.view(np.float64)
             if amp_buffer is None:  # the first block is the widest
-                amp_buffer = np.empty(tile_states * pairs.shape[1])
-            for x0 in range(0, states.size, tile_states):
-                x = slice(x0, x0 + tile_states)
-                weights = routed[x]
-                amp = amp_buffer[: weights.shape[0] * pairs.shape[1]].reshape(weights.shape[0], -1)
-                np.matmul(weights, pairs, out=amp)
+                amp_buffer = np.empty(tile * pairs.shape[1])
+            amp = amp_buffer[: tile * pairs.shape[1]].reshape(tile, -1)
+            for x0 in range(0, n_states, tile):
+                np.matmul(routed[x0 : x0 + tile], pairs, out=amp)
                 np.square(amp, out=amp)
-                np.add(amp[:, 0::2], amp[:, 1::2], out=rows[x, k0:k1])
+                np.add(amp[:, 0::2], amp[:, 1::2], out=rows[x0 : x0 + tile, k0:k1])
+        rows.flags.writeable = False
+        return rows
 
     def mean_fidelity(self, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """sum_x w_x F_x(t) over the basis states ``cols`` with weights ``weights``, a new array.
 
         F_x(t) = |off_x + sum_z p_zx exp(i t E_z)|**2 is the fidelity series of x.
         """
-        if self._rows is None:
-            self._rows = np.empty((self._slot.size, self.grid[0]))
-        dense = _DENSE_SHARE * cols.size >= self._slot.size
-        new = np.flatnonzero(self._slot < 0) if dense else cols[self._slot[cols] < 0]
-        if new.size:
-            self._fill(new, keep=not dense)
-        if dense:
-            scattered = np.zeros(self._slot.size)
-            scattered[self._slot[cols]] = weights
+        n_states = self._rows.shape[0]
+        if _DENSE_SHARE * cols.size >= n_states:
+            scattered = np.zeros(n_states)
+            scattered[cols] = weights
             return scattered @ self._rows
-        return weights @ self._rows[self._slot[cols]]
+        return weights @ self._rows[cols]
 
 
 def time_evolution_series(
@@ -256,8 +228,8 @@ def time_evolution_series(
     starts at 1 and stays within [0, 1].
 
     ``table`` is a routing table of ``state`` on the same time grid,
-    shared by the events of a run; without it a one-event table is
-    built.
+    shared by the events of a run.  Without it a table is built for this
+    event, which fills the series of every basis state.
     """
     n_points = check_time_grid(total_time, dt) + 1
     if table is None:

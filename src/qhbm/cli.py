@@ -102,19 +102,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     rng = substream(args.seed, "synthesis", args.kind)
     images = embed.synth_toy_jets(args.n_events, args.kind, args.grid, rng)
     meta = {"kind": "raw", "generator": "toy_jets", "grid": args.grid, "seed": args.seed}
-    if args.format == "csv":
-        io.write_images_csv(args.out, images, meta)
-    else:
-        io.write_image_container(args.out, images, meta)
+    io.write_image_container(args.out, images, meta)
     print(f"wrote {len(images)} {args.kind} events to {args.out}")
     return 0
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    if args.input.endswith(".csv"):
-        images = io.read_images_csv(args.input)
-    else:
-        images, _ = io.read_image_container(args.input)
+    images, _ = io.read_image_container(args.input)
     if not images:
         raise DataError(f"{args.input} holds no images")
     layout = [int(x) for x in args.layout.split(",")] if args.layout else None
@@ -464,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-events", type=int, required=True)
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -9,8 +9,7 @@ Image container layout (all integers little-endian):
     f32    width * height pixels per image, row-major, count times
 
 Labels, weights and pipeline metadata live in a JSON sidecar next to the
-container (same path + ".json").  A CSV alternative stores one flattened
-image per row with label and weight as the last two columns.
+container (same path + ".json").
 
 Checkpoint layout:
 
@@ -179,41 +178,6 @@ def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
         for i in range(count)
     ]
     return images, meta
-
-
-def write_images_csv(path: str | Path, images: Sequence[PixelImage], config: dict | None = None) -> None:
-    """CSV alternative: flattened pixels, then label and weight columns."""
-    if not images:
-        raise DataError("CSV container needs at least one image to fix the shape")
-    height, width = images[0].intensities.shape
-    if any(im.intensities.shape != (height, width) for im in images):
-        raise DataError("all images in a container must share one shape")
-    header = [f"r{r}c{c}" for r in range(height) for c in range(width)] + ["label", "weight"]
-    rows = (
-        [repr(float(x)) for x in im.intensities.reshape(-1)] + [im.label, repr(float(im.weight))]
-        for im in images
-    )
-    write_csv_with_provenance(path, header, rows, config or {})
-
-
-def read_images_csv(path: str | Path) -> list[PixelImage]:
-    header, rows = read_csv_skip_provenance(path)
-    if len(header) < 3 or header[-2:] != ["label", "weight"]:
-        raise DataError(f"{path}: expected pixel columns plus label,weight")
-    last_pixel = header[-3]
-    try:
-        r, c = last_pixel[1:].split("c")
-        height, width = int(r) + 1, int(c) + 1
-    except ValueError as exc:
-        raise DataError(f"{path}: cannot parse pixel column {last_pixel!r}") from exc
-    if height * width != len(header) - 2:
-        raise DataError(f"{path}: header names a {height}x{width} grid but has {len(header) - 2} pixel columns")
-    images = []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row length {len(row)} does not match header")
-        images.append(_read_image(path, i, row[:-2], (height, width), row[-2], row[-1]))
-    return images
 
 
 def _payload_manifest(arrays: dict[str, np.ndarray]) -> list[dict]:

@@ -369,15 +369,12 @@ class TestTiledRowStore:
         state, _ = random_scoring_state(n, 37, 20.0, 11)
         gen = np.random.default_rng(12)
         events = [PixelProbabilities(gen.uniform(0.05, 0.95, size=n)) for _ in range(5)]
-        # The first event nearly always hits state 127 and the second then
-        # adds 126, so the store holds those rows out of basis order.
+        # Sparse reads of one or a few states around the one dense read
+        # (400 draws).
         events[0] = PixelProbabilities(np.full(n, 0.99))
         events[1] = PixelProbabilities(np.array([0.99] * (n - 1) + [0.5]))
         table = RoutingTable(state, total_time, dt)
         fast_rng, slow_rng = np.random.default_rng(13), np.random.default_rng(13)
-        filled = []
-        # Sparse events fill only the states they hit, from a kept phase
-        # grid; the dense one then fills every other row from that grid.
         for event, n_draws in zip(events, (1, 5, 3, 400, 2)):
             series = time_evolution_series(
                 state, event, total_time, dt, fast_rng, n_draws, table=table
@@ -386,20 +383,26 @@ class TestTiledRowStore:
                 state, event, total_time, dt, slow_rng, n_draws
             )
             np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
-            filled.append(int(np.count_nonzero(table._slot >= 0)))
-            if len(filled) == 2:
-                assert table._slot[126] > table._slot[127] >= 0
-        assert filled[0] == 1
-        assert filled[0] <= filled[1] <= filled[2] <= 9
-        assert filled[3] == filled[4] == 2**n
 
-    def test_a_dense_first_event_fills_every_row_without_a_kept_grid(self):
-        n, dt = 6, 0.1
-        state, event = random_scoring_state(n, 20, 20.0, 14)
-        table = RoutingTable(state, 30.0, dt)
-        time_evolution_series(state, event, 30.0, dt, np.random.default_rng(15), 512, table=table)
-        assert np.all(table._slot >= 0)
-        assert table._phases is None
+    @pytest.mark.parametrize("seed", range(10))
+    def test_series_do_not_depend_on_earlier_reads(self, seed):
+        n, n_points, dt = 7, 301, 0.1
+        total_time = (n_points - 1) * dt
+        state, event = random_scoring_state(n, 37, 20.0, 200 + seed)
+        used = RoutingTable(state, total_time, dt)
+        sparse = PixelProbabilities(np.full(n, 0.99))
+        time_evolution_series(
+            state, sparse, total_time, dt, np.random.default_rng(seed), 1, table=used
+        )
+        # A sparse read (3 draws) and a dense one (400 draws).
+        for n_draws in (3, 400):
+            fresh = time_evolution_series(
+                state, event, total_time, dt, np.random.default_rng(seed), n_draws
+            )
+            again = time_evolution_series(
+                state, event, total_time, dt, np.random.default_rng(seed), n_draws, table=used
+            )
+            assert np.array_equal(fresh.values, again.values)
 
     def test_a_long_grid_has_several_blocks_per_tile(self):
         n_points = self.block_end(8, 38, 2100)
@@ -416,7 +419,9 @@ class TestTiledRowStore:
         assert not np.shares_memory(first.values, second.values)
         assert np.array_equal(first.values, kept)
 
-    def test_peak_memory_of_a_scoring_pass(self):
+    # Dense reads at 2048 draws per event, sparse ones at 10.
+    @pytest.mark.parametrize("n_draws", [2048, 10])
+    def test_peak_memory_of_a_scoring_pass(self, n_draws):
         n, n_points = 6, 2001
         state, _ = random_scoring_state(n, 2**n, 20.0, 5)
         gen = np.random.default_rng(6)
@@ -427,7 +432,7 @@ class TestTiledRowStore:
             before = tracemalloc.get_traced_memory()[0]
             score_events(
                 state, events, "spectral", np.random.default_rng(7),
-                f_min=0.05, total_time=(n_points - 1) * 0.1, dt=0.1, n_draws=2048,
+                f_min=0.05, total_time=(n_points - 1) * 0.1, dt=0.1, n_draws=n_draws,
             )
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:

@@ -16,7 +16,6 @@ from qhbm.io import (
     load_checkpoint,
     read_csv_skip_provenance,
     read_image_container,
-    read_images_csv,
     write_image_container,
 )
 
@@ -94,15 +93,16 @@ class TestSynth:
             ) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format_is_unknown_exit_2(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
-        assert run(
-            "synth", "--kind", "background", "--n-events", "2", "--grid", "8",
-            "--seed", "0", "--format", "csv", "--out", str(out),
-        ) == 0
-        images = read_images_csv(out)
-        assert len(images) == 2
-        assert images[0].intensities.shape == (8, 8)
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "synth", "--kind", "background", "--n-events", "2", "--grid", "8",
+                "--seed", "0", "--format", "csv", "--out", str(out),
+            )
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_events(self, tmp_path):
         out = tmp_path / "none.qhbimg"
@@ -185,15 +185,9 @@ class TestPreprocess:
         )
         assert code == 3
 
-    def test_non_numeric_csv_cell_exit_3(self, tmp_path, capsys):
+    def test_csv_input_exit_3(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
-        assert run(
-            "synth", "--kind", "background", "--n-events", "2", "--grid", "8",
-            "--seed", "0", "--format", "csv", "--out", str(raw),
-        ) == 0
-        lines = raw.read_text().splitlines()
-        lines[2] = "abc," + lines[2].split(",", 1)[1]
-        raw.write_text("\n".join(lines) + "\n")
+        raw.write_text("r0c0,r0c1,label,weight\n0.5,0.25,background,1.0\n")
         out = tmp_path / "o.qhbimg"
         code = run("preprocess", "--input", str(raw), "--out", str(out), "--n-qubits", "4")
         assert code == 3

@@ -19,11 +19,9 @@ from qhbm.io import (
     load_checkpoint,
     read_csv_skip_provenance,
     read_image_container,
-    read_images_csv,
     save_checkpoint,
     write_csv_with_provenance,
     write_image_container,
-    write_images_csv,
     write_json,
 )
 from qhbm.train import TrainConfig, fit, init_train_state, snapshot, train_step
@@ -70,30 +68,15 @@ def _nan_first_pixel(path):
     path.write_bytes(bytes(raw))
 
 
-def _csv_cell(column, value):
-    def corrupt(path):
-        lines = path.read_text().splitlines()
-        # Line 0 is the provenance comment and line 1 the header.
-        cells = lines[2].split(",")
-        cells[column] = value
-        lines[2] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-    return corrupt
-
-
-# Format and corruption of each malformed image file.
+# Corruption of each malformed image container.
 MALFORMED_FILES = {
-    "sidecar_not_json": ("bin", _sidecar_text("{labels: [")),
-    "sidecar_not_object": ("bin", _sidecar_text("[1, 2, 3]")),
-    "sidecar_labels_not_list": ("bin", _sidecar_with(labels=3)),
-    "sidecar_unknown_label": ("bin", _sidecar_with(labels=["muon", "signal", "signal"])),
-    "sidecar_text_weight": ("bin", _sidecar_with(weights=["heavy", 1.0, 1.0])),
-    "sidecar_nan_weight": ("bin", _sidecar_with(weights=[float("nan"), 1.0, 1.0])),
-    "nan_pixel": ("bin", _nan_first_pixel),
-    "csv_text_cell": ("csv", _csv_cell(0, "abc")),
-    "csv_inf_cell": ("csv", _csv_cell(0, "inf")),
-    "csv_unknown_label": ("csv", _csv_cell(-2, "muon")),
-    "csv_text_weight": ("csv", _csv_cell(-1, "heavy")),
+    "sidecar_not_json": _sidecar_text("{labels: ["),
+    "sidecar_not_object": _sidecar_text("[1, 2, 3]"),
+    "sidecar_labels_not_list": _sidecar_with(labels=3),
+    "sidecar_unknown_label": _sidecar_with(labels=["muon", "signal", "signal"]),
+    "sidecar_text_weight": _sidecar_with(weights=["heavy", 1.0, 1.0]),
+    "sidecar_nan_weight": _sidecar_with(weights=[float("nan"), 1.0, 1.0]),
+    "nan_pixel": _nan_first_pixel,
 }
 
 
@@ -272,54 +255,11 @@ class TestImageContainer:
 class TestMalformedImageFiles:
     @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
     def test_raises_data_error_naming_the_file(self, tmp_path, case):
-        fmt, corrupt = MALFORMED_FILES[case]
-        if fmt == "bin":
-            path = tmp_path / "events.qhbimg"
-            write_image_container(path, sample_images())
-            read = read_image_container
-        else:
-            path = tmp_path / "events.csv"
-            write_images_csv(path, sample_images())
-            read = read_images_csv
-        corrupt(path)
+        path = tmp_path / "events.qhbimg"
+        write_image_container(path, sample_images())
+        MALFORMED_FILES[case](path)
         with pytest.raises(DataError, match=re.escape(str(path))):
-            read(path)
-
-
-class TestImagesCsv:
-    def test_round_trip_exact(self, tmp_path):
-        path = tmp_path / "events.csv"
-        rng = np.random.default_rng(8)
-        images = [
-            PixelImage(rng.uniform(0, 5, size=(3, 3)), "signal", 0.75),
-            PixelImage(rng.uniform(0, 5, size=(3, 3)), "background", 1.25),
-        ]
-        write_images_csv(path, images, {"seed": 8})
-        loaded = read_images_csv(path)
-        for orig, back in zip(images, loaded):
-            assert np.array_equal(orig.intensities, back.intensities)
-            assert back.label == orig.label
-            assert back.weight == orig.weight
-        assert path.read_text().startswith("# qhbm ")
-
-    def test_rejects_empty(self, tmp_path):
-        with pytest.raises(DataError):
-            write_images_csv(tmp_path / "none.csv", [])
-
-    def test_rejects_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(DataError):
-            read_images_csv(path)
-
-    def test_rejects_short_row(self, tmp_path):
-        path = tmp_path / "events.csv"
-        write_images_csv(path, [PixelImage(np.ones((2, 2)))])
-        lines = path.read_text().splitlines()
-        lines[-1] = lines[-1].rsplit(",", 1)[0]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError):
-            read_images_csv(path)
+            read_image_container(path)
 
 
 class TestCheckpoint:
