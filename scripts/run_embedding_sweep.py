@@ -3,8 +3,10 @@
 
 Fixes one synthetic event and its exact embedded mixed state, then trains
 a fresh model per (sample count, seed) pair on Bernoulli draws of that
-event with everything else held constant.  Reports median fidelity to the
-exact state and median divergence between the pixel distributions.
+event with everything else held constant.  A seed's samples are nested:
+its larger samples extend its smaller ones, so sample sizes are compared
+on shared draws.  Reports median fidelity to the exact state and median
+divergence between the pixel distributions.
 """
 
 import argparse
@@ -17,9 +19,23 @@ from qhbm import embed, io, metrics, train
 from qhbm.rng import substream
 
 
-def train_on_draws(event, config, draws, n_steps, anneal):
+def nested_counts(event, sample_counts, rng):
+    """Draw counts of ``event`` at each sample count, nested: each extends the smaller ones.
+
+    A larger sample's counts are the running sum of count draws of the
+    differences between successive sample counts, all from ``rng``.
+    """
+    counts = {}
+    total, drawn = 0, 0
+    for n in sorted(set(sample_counts)):
+        total = total + embed.bernoulli_index_samples(event, n - drawn, rng)
+        counts[n], drawn = total, n
+    return counts
+
+
+def train_on_counts(config, counts, n_steps, anneal):
     state = train.init_train_state(config)
-    batch = embed.frequency_row(draws, event.n_qubits)[None]
+    batch = embed.frequency_row(counts)[None]
     for step in range(n_steps):
         for at, rate in anneal:
             if step == at:
@@ -55,6 +71,10 @@ def main(argv=None):
     seeds = range(args.first_seed, args.first_seed + args.n_seeds)
     sample_counts = [int(s) for s in args.samples.split(",")]
     report = {"config": vars(args), "results": {}}
+    counts = {
+        seed: nested_counts(event, sample_counts, substream(seed, "embedding", "sweep", 0))
+        for seed in seeds
+    }
     t0 = time.monotonic()
     for n_embed in sample_counts:
         t_sweep = time.monotonic()
@@ -64,10 +84,7 @@ def main(argv=None):
                 n_qubits=4, n_mc_samples=args.n_mc_samples, n_embed_samples=n_embed,
                 batch_size=1, max_epochs=1, seed=seed,
             )
-            draws = embed.bernoulli_index_samples(
-                event, n_embed, substream(seed, "embedding", "sweep", 0)
-            )
-            state = train_on_draws(event, config, draws, args.steps, anneal)
+            state = train_on_counts(config, counts[seed][n_embed], args.steps, anneal)
             w, p = train.model_state(state)
             fids.append(metrics.fidelity(target, w, p))
             # The model's basis distribution is the diagonal of W diag(p) W^T.

@@ -155,7 +155,7 @@ class RoutingTable:
             raise ValueError(f"event has {event.n_qubits} qubits but model has {self.n_qubits}")
         if n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        row = frequency_row(bernoulli_index_samples(event, n_draws, rng), self.n_qubits)
+        row = frequency_row(bernoulli_index_samples(event, n_draws, rng))
         cols = np.flatnonzero(row)
         return row[cols], cols
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -445,7 +446,13 @@ def cmd_site_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qhbm`` parser, built once per process.
+
+    It binds no command function: ``main`` looks ``cmd_<command>`` up on
+    this module at call time, so a replaced command is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="qhbm",
         description="Quantum Hamiltonian-based model training and anomaly detection",
@@ -459,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="crop, pool, standardise and select pixels")
     p.add_argument("--input", required=True)
@@ -470,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", help="comma-separated flat pixel indices")
     p.add_argument("--scale-max", type=float, help="reuse a fitted standardisation maximum")
     p.add_argument("--strict", action="store_true", help="reject non-divisible crop sizes")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="fit the model on preprocessed events")
     p.add_argument("--config", help="JSON config file; flags override its keys")
@@ -487,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("lr_halve_patience", int), ("early_stop_patience", int), ("seed", int),
     ):
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="batch metrics of a checkpoint on a test set")
     p.add_argument("--checkpoint", required=True)
@@ -496,14 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=25)
     p.add_argument("--generation-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="sample events from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n-events", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("anomaly", help="score signal vs background events")
     p.add_argument("--checkpoint", required=True)
@@ -516,22 +518,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-min", type=float, default=0.2)
     p.add_argument("--n-thresholds", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_anomaly)
 
     p = sub.add_parser("site-entropy", help="adjacent-pair ground-state entropies")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=("dressed", "diagonal"), default="dressed")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_site_entropy)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,9 @@ Calorimeter-style images are cropped, down-sampled by non-overlapping
 block means and linearly standardised into [0, pi] against a fitted
 maximum.  Selected pixel intensities are squashed through a logistic
 into Bernoulli probabilities, which drive random basis-state draws.
+An event's draws are held only as their count at each of the 2**n basis
+states, drawn at once as one multinomial over the event's product
+distribution; no per-draw array is formed.
 The dataset's mixed state is diagonal in the computational basis, so it
 is held as its diagonal s, a real length-2**n probability vector.
 """
@@ -189,27 +192,47 @@ def images_to_events(
     return [select_pixels(im, layout) for im in standardised], scale_max, layout
 
 
+def _product_distributions(probs: np.ndarray) -> np.ndarray:
+    """(event, 2**n) product-Bernoulli distributions of an (event, n) probability array.
+
+    The products run over the qubits in order, qubit 0 most significant,
+    as a chain of Kronecker products does.
+    """
+    # (event, qubit, bit) factors.
+    factors = np.stack([1.0 - probs, probs], axis=-1)
+    dists = factors[:, 0]
+    for q in range(1, probs.shape[1]):
+        dists = (dists[:, :, None] * factors[:, q, None, :]).reshape(dists.shape[0], -1)
+    return dists
+
+
 def bernoulli_index_samples(
     probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n_samples`` basis indices (int64), bit k set with probability probs[k]."""
+    """Count (int64) of ``n_samples`` draws at each of the 2**n basis indices.
+
+    Each draw sets bit k (qubit 0 most significant) with probability
+    probs[k].  The counts are one multinomial over the event's product
+    distribution: the law of the counts of that many i.i.d. draws, from
+    2**n - 1 binomials instead of one uniform per draw and qubit.  The
+    name is the layer's name in the benchmark traces, which count
+    ``n_samples`` as its draws.
+    """
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    # Sums of distinct powers of two up to 2**9 are exact in float64, so one
-    # matmul packs the bits (qubit 0 most significant) before the int cast.
-    powers = 2.0 ** np.arange(probs.n_qubits - 1, -1, -1)
-    return ((rng.random((n_samples, probs.n_qubits)) < probs.probs) @ powers).astype(np.int64)
+    return rng.multinomial(n_samples, _product_distributions(probs.probs[None])[0])
 
 
-def frequency_row(indices: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Share of ``indices`` at each of the 2**n_qubits basis states, a float64 row.
+def frequency_row(counts: np.ndarray) -> np.ndarray:
+    """Share of the draws at each basis state, a float64 row, from their ``counts``.
 
     This is how an event's embedded draws are held: the training objective
     and the anomaly scores read the draws only through this distribution.
     """
-    if len(indices) == 0:
+    n_draws = counts.sum()
+    if n_draws == 0:
         raise ValueError("an event needs at least one embedded draw")
-    return np.bincount(indices, minlength=2**n_qubits) / len(indices)
+    return counts / n_draws
 
 
 def _normalised_weights(events: Sequence[PixelProbabilities], weights) -> np.ndarray:
@@ -240,19 +263,12 @@ def exact_mixed_state(
         raise ValueError("all events must have the same qubit count")
     alphas = _normalised_weights(events, weights)
     probs = np.array([e.probs for e in events])
-    # (event, qubit, bit) factors; the products run over the qubits in
-    # order, qubit 0 most significant, as a chain of Kronecker products does.
-    factors = np.stack([1.0 - probs, probs], axis=-1)
     diag = np.zeros(2**n)
     # Events go in chunks, so the distributions in hand stay within
     # _MIXED_CHUNK_ENTRIES values however many events there are.
     chunk = max(1, _MIXED_CHUNK_ENTRIES >> n)
     for c0 in range(0, len(events), chunk):
-        dists = np.ones((factors[c0 : c0 + chunk].shape[0], 1))
-        for q in range(n):
-            dists = (dists[:, :, None] * factors[c0 : c0 + chunk, q, None, :]).reshape(
-                dists.shape[0], -1
-            )
+        dists = _product_distributions(probs[c0 : c0 + chunk])
         for alpha, dist in zip(alphas[c0 : c0 + chunk], dists):
             diag += alpha * dist
     return diag

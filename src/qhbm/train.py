@@ -350,7 +350,7 @@ def _embed_events(
     rows = np.empty((len(events), 2 ** events[0].n_qubits))
     for d, event in enumerate(events):
         rng = substream(seed, "embedding", tag, d)
-        rows[d] = frequency_row(bernoulli_index_samples(event, n_samples, rng), event.n_qubits)
+        rows[d] = frequency_row(bernoulli_index_samples(event, n_samples, rng))
     return rows
 
 

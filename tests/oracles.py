@@ -326,7 +326,7 @@ def batch_parameter_shift_gradient(ansatz, ham, q) -> np.ndarray:
 
 def _per_draw_probabilities(state, event, n_draws, rng):
     """(draw, support) routed probabilities and off-support mass, one row per draw."""
-    idx = bernoulli_index_samples(event, n_draws, rng)
+    idx = draw_indices(bernoulli_index_samples(event, n_draws, rng))
     u = qsim.ansatz_unitary(state.ansatz)
     on_support = (u * u)[state.hamiltonian.support][:, idx].T
     return on_support, 1.0 - on_support.sum(axis=1)
@@ -407,10 +407,18 @@ def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:
 
 
 def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
-    """``embed.bernoulli_index_samples`` by an int64 cast, a shift and a sum."""
-    bits = (rng.random((n_samples, probs.n_qubits)) < probs.probs).astype(np.int64)
-    shifts = np.arange(probs.n_qubits - 1, -1, -1)
-    return (bits << shifts).sum(axis=1)
+    """``embed.bernoulli_index_samples``: one multinomial over the event's Kronecker chain."""
+    return rng.multinomial(n_samples, exact_mixed_state_reference([probs], [1.0]))
+
+
+def basis_counts(indices, n_qubits: int) -> np.ndarray:
+    """Count of ``indices`` at each of the 2**n_qubits basis states, as the sampler returns."""
+    return np.bincount(np.asarray(indices, dtype=np.int64), minlength=2**n_qubits)
+
+
+def draw_indices(counts) -> np.ndarray:
+    """The basis index of every draw that ``counts`` holds, in basis order."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 def exact_mixed_state_reference(events, alphas) -> np.ndarray:

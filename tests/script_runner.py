@@ -8,12 +8,17 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 BENCH = SCRIPTS.parent / "bench"
 
 
-def run_script(name, argv):
-    """``scripts/<name>.py``'s ``main(argv)``; returns its exit code."""
+def load_script(name):
+    """``scripts/<name>.py`` as a fresh module, without running its ``main``."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main(argv)
+    return module
+
+
+def run_script(name, argv):
+    """``scripts/<name>.py``'s ``main(argv)``; returns its exit code."""
+    return load_script(name).main(argv)
 
 
 def load_bench_module(name):

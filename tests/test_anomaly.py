@@ -30,6 +30,7 @@ from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState
 
 from oracles import (
+    draw_indices,
     empty_hamiltonian,
     evolve_diagonal,
     expectation_score_per_draw,
@@ -120,7 +121,7 @@ class TestTimeEvolutionSeries:
         series = time_evolution_series(
             state, event, steps * dt, dt, substream(11, "generation")
         )
-        draw = bernoulli_index_samples(event, 1, substream(11, "generation"))[0]
+        draw = draw_indices(bernoulli_index_samples(event, 1, substream(11, "generation")))[0]
         psi0 = staircase_unitary(n, 1, angles)[:, draw]
         for k in range(steps + 1):
             if k == 0:
@@ -519,7 +520,7 @@ class TestExpectationScore:
         event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
         got = expectation_score(state, event, substream(4, "generation"), n_draws=16)
 
-        draws = bernoulli_index_samples(event, 16, substream(4, "generation"))
+        draws = draw_indices(bernoulli_index_samples(event, 16, substream(4, "generation")))
         u = staircase_unitary(n, 2, angles)
         probs = np.abs(u) ** 2
         expected = np.mean(

@@ -669,6 +669,18 @@ class TestSiteEntropy:
 
 
 class TestParser:
+    def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "bg.qhbimg"
+        assert run("synth", "--kind", "background", "--n-events", "1", "--out", str(out)) == 0
+        assert build_parser() is build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args) or 7)
+        argv = ("generate", "--checkpoint", "m.qhbm", "--n-events", "3", "--out", "g.csv")
+        assert run(*argv) == 7
+        assert [(a.command, a.n_events) for a in calls] == [("generate", 3)]
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             run("--version")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 from scipy.special import expit, logit
+from scipy.stats import chisquare
 
 from qhbm import embed, metrics
 from qhbm.embed import (
@@ -302,46 +303,69 @@ class TestBernoulliEmbed:
         high = PixelProbabilities(np.full(4, 1.0 - 1e-6))
         zeros = bernoulli_index_samples(low, 200, rng)
         ones = bernoulli_index_samples(high, 200, rng)
-        assert zeros.dtype == np.int64 and np.all(zeros == 0)
-        assert np.all(ones == 15)
+        assert zeros.dtype == np.int64 and zeros.shape == (16,)
+        assert zeros[0] == 200 and ones[15] == 200
 
     def test_empirical_means(self):
         rng = np.random.default_rng(99)
         probs = PixelProbabilities(np.array([0.3, 0.7]))
-        draws = bernoulli_index_samples(probs, 100_000, rng)
-        bits = index_bits(draws, 2)
-        assert np.allclose(bits.mean(axis=0), [0.3, 0.7], atol=0.01)
-
-    def test_index_samples_match_config_draws(self):
-        probs = PixelProbabilities(np.array([0.4, 0.6, 0.2]))
-        # Row k of the uniforms sets bit k of the big-endian index when below probs[k].
-        uniforms = substream(3, "embedding").random((500, 3))
-        configs = ["".join("1" if b else "0" for b in row < probs.probs) for row in uniforms]
-        indices = bernoulli_index_samples(probs, 500, substream(3, "embedding"))
-        assert [int(bits, 2) for bits in configs] == indices.tolist()
+        counts = bernoulli_index_samples(probs, 100_000, rng)
+        bit_means = counts @ index_bits(np.arange(4), 2) / counts.sum()
+        assert np.allclose(bit_means, [0.3, 0.7], atol=0.01)
 
     @pytest.mark.parametrize("n_qubits", range(1, 11))
-    @pytest.mark.parametrize("n_samples", [0, 1, 777])
+    @pytest.mark.parametrize("n_samples", [0, 1, 777, 5000])
     def test_packed_indices_match_shift_and_sum(self, n_qubits, n_samples):
+        # The name is that of the index sampler's packing check; the counts
+        # over the packed basis indices now match the multinomial over the
+        # Kronecker chain, on the same stream and to the same end state.
         probs = PixelProbabilities(np.random.default_rng(n_qubits).uniform(0.0, 1.0, n_qubits))
         rng, ref_rng = substream(n_qubits, "embedding"), substream(n_qubits, "embedding")
-        indices = bernoulli_index_samples(probs, n_samples, rng)
+        counts = bernoulli_index_samples(probs, n_samples, rng)
         expected = bernoulli_index_samples_reference(probs, n_samples, ref_rng)
-        assert indices.dtype == np.int64 and indices.shape == (n_samples,)
-        assert np.array_equal(indices, expected)
+        assert counts.dtype == np.int64 and counts.shape == (2**n_qubits,)
+        assert counts.sum() == n_samples
+        assert np.array_equal(counts, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_pooled_counts_fit_the_product_distribution(self, n_qubits):
+        gen = np.random.default_rng(500 + n_qubits)
+        event = PixelProbabilities(gen.uniform(0.05, 0.95, n_qubits))
+        rng = substream(n_qubits, "embedding", "chi-square")
+        pooled = sum(bernoulli_index_samples(event, 2500, rng) for _ in range(40))
+        expected = exact_mixed_state([event]) * pooled.sum()
+        assert chi_square_pvalue(pooled, expected) > 1e-3
+        # The same test rejects the qubit-reversed distribution, which
+        # differs whenever the probabilities are not a palindrome.
+        if n_qubits > 1:
+            flipped = exact_mixed_state([PixelProbabilities(event.probs[::-1])]) * pooled.sum()
+            assert chi_square_pvalue(pooled, flipped) < 1e-6
 
     def test_zero_samples_and_errors(self):
         probs = PixelProbabilities(np.array([0.5]))
-        assert bernoulli_index_samples(probs, 0, np.random.default_rng(0)).shape == (0,)
+        counts = bernoulli_index_samples(probs, 0, np.random.default_rng(0))
+        assert np.array_equal(counts, [0, 0])
+        with pytest.raises(ValueError):
+            frequency_row(counts)
         with pytest.raises(ValueError):
             bernoulli_index_samples(probs, -1, np.random.default_rng(0))
+
+
+def chi_square_pvalue(counts, expected):
+    """Pearson chi-square p-value, states expected below 5 draws pooled into one bin."""
+    small = expected < 5.0
+    observed, predicted = counts[~small], expected[~small]
+    if small.any():
+        observed = np.append(observed, counts[small].sum())
+        predicted = np.append(predicted, expected[small].sum())
+    return chisquare(observed, predicted).pvalue
 
 
 def sampled_mixed_state(events, n_samples, rng):
     """The training estimate of the dataset state: the mean of the events' draw distributions."""
     rows = np.array(
-        [frequency_row(bernoulli_index_samples(e, n_samples, rng), e.n_qubits) for e in events]
+        [frequency_row(bernoulli_index_samples(e, n_samples, rng)) for e in events]
     )
     return _batch_distribution(rows)
 
@@ -382,7 +406,7 @@ class TestDatasetMixedState:
         with pytest.raises(ValueError):
             _batch_distribution([])
         with pytest.raises(ValueError):
-            frequency_row(np.zeros(0, dtype=np.int64), 1)
+            frequency_row(np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
             exact_mixed_state([probs, PixelProbabilities(np.array([0.5, 0.5]))])
         with pytest.raises(ValueError):

@@ -333,7 +333,7 @@ class TestCheckpoint:
         )
         state = init_train_state(cfg)
         for _ in range(2):
-            state, _ = train_step(state, frequency_row(np.array([0, 1, 3]), 2)[None], cfg)
+            state, _ = train_step(state, frequency_row(np.array([1, 1, 0, 1]))[None], cfg)
         path = tmp_path / "steps.qhbm"
         save_checkpoint(path, state, cfg, [])
         loaded, _, history = load_checkpoint(path)

@@ -2,7 +2,12 @@
 
 import json
 
-from script_runner import run_script
+import numpy as np
+
+from qhbm.embed import PixelProbabilities
+from qhbm.rng import substream
+
+from script_runner import load_script, run_script
 
 
 def test_embedding_sweep_writes_report(tmp_path):
@@ -17,6 +22,23 @@ def test_embedding_sweep_writes_report(tmp_path):
         assert set(row) == {"median_fidelity", "median_kl", "fidelities", "kls", "seconds"}
         assert 0.0 <= row["median_fidelity"] <= 1.0
         assert row["median_kl"] >= 0.0
+
+
+def test_embedding_sweep_samples_are_nested():
+    # Each seed's larger samples extend its smaller ones, whatever order
+    # the sample counts are given in.  Independent samples of 100 and
+    # 101 draws would almost never be elementwise ordered.
+    sweep = load_script("run_embedding_sweep")
+    event = PixelProbabilities(np.array([0.2, 0.5, 0.7, 0.9]))
+    sizes = [500, 1, 50, 5000, 50, *range(109, 99, -1)]
+    for seed in (101, 102, 103):
+        counts = sweep.nested_counts(event, sizes, substream(seed, "embedding", "sweep", 0))
+        assert sorted(counts) == sorted(set(sizes))
+        for n, row in counts.items():
+            assert row.shape == (16,) and row.sum() == n
+        ordered = [counts[n] for n in sorted(counts)]
+        for smaller, larger in zip(ordered, ordered[1:]):
+            assert np.all(smaller <= larger)
 
 
 def test_anomaly_study_writes_report(tmp_path):
