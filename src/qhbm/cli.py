@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError, NumericError
 from .rng import substream
 
 TRAIN_KEYS = {f.name for f in dataclasses.fields(train.TrainConfig)}
-EXTRA_KEYS = {"train_data", "valid_data", "outdir", "scenario", "pixel_layout"}
+EXTRA_KEYS = {"train_data", "valid_data", "outdir", "scenario"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -85,7 +85,7 @@ def _load_probability_events(path: str | Path) -> list[embed.PixelProbabilities]
     events = []
     for i, im in enumerate(images):
         try:
-            events.append(embed.PixelProbabilities(im.intensities.reshape(-1), im.label, im.weight))
+            events.append(embed.PixelProbabilities(im.intensities.reshape(-1), im.label))
         except ValueError as exc:
             raise DataError(f"{path} event {i}: {exc}") from exc
     return events
@@ -117,9 +117,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         images, args.crop, args.pool, args.n_qubits,
         scale_max=args.scale_max, layout=layout, trim_remainder=not args.strict,
     )
-    rows = [
-        embed.PixelImage(e.probs.reshape(1, -1), e.label, e.weight) for e in events
-    ]
+    rows = [embed.PixelImage(e.probs.reshape(1, -1), e.label) for e in events]
     meta = {
         "kind": "probabilities",
         "scale_max": scale_max,

@@ -209,16 +209,13 @@ def theta_gradient(
     model: EnergyModel,
     ham: ModularHamiltonian,
     support_weights: Sequence[float] | np.ndarray,
-    beta: float = 1.0,
-    k_beta: float = 1.0,
 ) -> ThetaGradient:
-    """Analytic gradient of beta * sum_z w_z F(z) + k_beta * log Z.
+    """Analytic gradient of sum_z w_z F(z) + log Z.
 
     The support is treated as fixed.  ``support_weights`` holds the data
     weights w_z aligned with ``ham.support``.  The partition term
     contributes through the Boltzmann distribution over the support, so
-    the gradient vanishes when the weights equal softmax(-E) and
-    beta == k_beta.
+    the gradient vanishes when the weights equal softmax(-E).
     """
     if ham.support.size == 0:
         raise ValueError("hamiltonian support is empty")
@@ -227,7 +224,7 @@ def theta_gradient(
         raise ValueError(f"{ham.support.size} support states but weight shape {w.shape}")
     bits = index_bits(ham.support, ham.n_qubits)
     boltzmann = softmax(-ham.energies)
-    coef = beta * w - k_beta * boltzmann
+    coef = w - boltzmann
     hidden = expit(bits @ model.weights + model.hidden_bias)
     # dF/db_vis = -v, dF/db_hid = -sigmoid(vW + b_hid), dF/dW = outer of the two.
     d_visible = -(bits.T @ coef)

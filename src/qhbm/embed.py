@@ -7,8 +7,10 @@ into Bernoulli probabilities, which drive random basis-state draws.
 An event's draws are held only as their count at each of the 2**n basis
 states, drawn at once as one multinomial over the event's product
 distribution; no per-draw array is formed.
-The dataset's mixed state is diagonal in the computational basis, so it
-is held as its diagonal s, a real length-2**n probability vector.
+The dataset's mixed state, the uniform mixture of its events that the
+training loss mean <K> + log Z is taken over, is diagonal in the
+computational basis, so it is held as its diagonal s, a real
+length-2**n probability vector.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ LABELS = ("signal", "background", "unlabelled")
 
 @dataclass
 class PixelImage:
-    """A rectangular intensity grid with an event label and weight."""
+    """A rectangular intensity grid with an event label."""
 
     intensities: np.ndarray
     label: str = "unlabelled"
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.intensities = np.asarray(self.intensities, dtype=np.float64)
@@ -60,7 +61,6 @@ class PixelProbabilities:
 
     probs: np.ndarray
     label: str = "unlabelled"
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -104,7 +104,7 @@ def crop_and_pool(
         grid = grid[: gh - gh % pool, : gw - gw % pool]
         gh, gw = grid.shape
     pooled = grid.reshape(gh // pool, pool, gw // pool, pool).mean(axis=(1, 3))
-    return PixelImage(pooled, image.label, image.weight)
+    return PixelImage(pooled, image.label)
 
 
 def fit_scale_max(images: Sequence[PixelImage]) -> float:
@@ -122,7 +122,7 @@ def standardise(image: PixelImage, scale_max: float) -> PixelImage:
     if not (np.isfinite(scale_max) and scale_max > 0.0):
         raise ValueError(f"scale_max must be finite and positive, got {scale_max}")
     scaled = np.clip(image.intensities / scale_max, 0.0, 1.0) * np.pi
-    return PixelImage(scaled, image.label, image.weight)
+    return PixelImage(scaled, image.label)
 
 
 def pixel_layout(side: int, n_qubits: int) -> list[int]:
@@ -160,7 +160,7 @@ def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilitie
     if idx.min() < 0 or idx.max() >= flat.size:
         raise ValueError(f"layout indices out of range for {image.height}x{image.width} image")
     probs = np.clip(expit(flat[idx]), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return PixelProbabilities(probs, image.label, image.weight)
+    return PixelProbabilities(probs, image.label)
 
 
 def images_to_events(
@@ -235,41 +235,26 @@ def frequency_row(counts: np.ndarray) -> np.ndarray:
     return counts / n_draws
 
 
-def _normalised_weights(events: Sequence[PixelProbabilities], weights) -> np.ndarray:
-    if weights is None:
-        weights = np.array([e.weight for e in events], dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(events),):
-        raise ValueError(f"{len(events)} events but weight shape {weights.shape}")
-    if np.any(weights < 0.0) or weights.sum() <= 0.0:
-        raise ValueError("weights must be non-negative with positive total")
-    return weights / weights.sum()
-
-
-def exact_mixed_state(
-    events: Sequence[PixelProbabilities],
-    weights: Sequence[float] | None = None,
-) -> np.ndarray:
+def exact_mixed_state(events: Sequence[PixelProbabilities]) -> np.ndarray:
     """Diagonal s of the events' mixed state, a length-2**n vector.
 
-    Each event enters as its exact product-Bernoulli distribution, mixed
-    with its normalised weight; this is the limit of its embedded draws.
+    Each event enters as its exact product-Bernoulli distribution, the
+    limit of its embedded draws, and the events are mixed uniformly, as
+    training averages them.
     """
     if not events:
         raise ValueError("need at least one event")
     n = events[0].n_qubits
     if any(e.n_qubits != n for e in events):
         raise ValueError("all events must have the same qubit count")
-    alphas = _normalised_weights(events, weights)
+    alpha = 1.0 / len(events)
     probs = np.array([e.probs for e in events])
     diag = np.zeros(2**n)
     # Events go in chunks, so the distributions in hand stay within
     # _MIXED_CHUNK_ENTRIES values however many events there are.
     chunk = max(1, _MIXED_CHUNK_ENTRIES >> n)
     for c0 in range(0, len(events), chunk):
-        dists = _product_distributions(probs[c0 : c0 + chunk])
-        for alpha, dist in zip(alphas[c0 : c0 + chunk], dists):
+        for dist in _product_distributions(probs[c0 : c0 + chunk]):
             diag += alpha * dist
     return diag
 

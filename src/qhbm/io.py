@@ -8,8 +8,10 @@ Image container layout (all integers little-endian):
     u32    height
     f32    width * height pixels per image, row-major, count times
 
-Labels, weights and pipeline metadata live in a JSON sidecar next to the
-container (same path + ".json").
+Labels and pipeline metadata live in a JSON sidecar next to the
+container (same path + ".json").  Every event enters training and the
+data state with the same weight, so the sidecar stores none; a legacy
+"weights" list loads only when every entry is 1.0.
 
 Checkpoint layout:
 
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__, ebm, qsim, train
-from .embed import LABELS, PixelImage
+from .embed import PixelImage
 from .errors import ConfigError, DataError
 from .rng import generator_state, restore_generator
 
@@ -100,13 +102,10 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _read_image(path: Path, index: int, pixels, shape, label, weight) -> PixelImage:
-    """One stored image; malformed pixels, labels or weights are a DataError."""
+def _read_image(path: Path, index: int, pixels, shape, label) -> PixelImage:
+    """One stored image; malformed pixels or labels are a DataError."""
     try:
-        weight = float(weight)
-        if not np.isfinite(weight):
-            raise ValueError(f"weight must be finite, got {weight}")
-        return PixelImage(np.asarray(pixels, dtype=np.float64).reshape(shape), label, weight)
+        return PixelImage(np.asarray(pixels, dtype=np.float64).reshape(shape), label)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: image {index}: {exc}") from exc
 
@@ -133,7 +132,6 @@ def write_image_container(
         "width": width,
         "height": height,
         "labels": [im.label for im in images],
-        "weights": [float(im.weight) for im in images],
         "meta": meta or {},
     }
     sidecar_text = json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
@@ -165,16 +163,22 @@ def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
     try:
         sidecar = json.loads(sidecar_file.read_text()) if sidecar_file.exists() else {}
         labels = list(sidecar.get("labels", ["unlabelled"] * count))
-        weights = list(sidecar.get("weights", [1.0] * count))
+        # Builds that stored per-event weights wrote 1.0 for every event.
+        legacy_weights = sidecar.get("weights", [1.0] * count)
         meta = dict(sidecar.get("meta", {}))
     except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"{sidecar_file}: malformed sidecar: {exc}") from exc
-    if len(labels) != count or len(weights) != count:
+    if len(labels) != count:
         raise DataError(f"{sidecar_file} does not match the container image count")
+    if legacy_weights != [1.0] * count:
+        raise DataError(
+            f"{sidecar_file}: per-event weights are not supported; "
+            "a stored weights list must hold 1.0 for every image"
+        )
     size = width * height
     pixels = np.frombuffer(raw, dtype="<f4", count=count * size, offset=offset)
     images = [
-        _read_image(path, i, pixels[i * size : (i + 1) * size], (height, width), labels[i], weights[i])
+        _read_image(path, i, pixels[i * size : (i + 1) * size], (height, width), labels[i])
         for i in range(count)
     ]
     return images, meta
@@ -280,12 +284,14 @@ def _rebuild_state(
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
 
     stored = dict(metadata["config"])
-    # Older checkpoints store the retired protocol modes and circuit
-    # orientation.  Only the values that are now built in describe a model
-    # this build can represent.
+    # Older checkpoints store the retired protocol modes, circuit
+    # orientation, loss scales, initial scales and Adam constants.  Only the
+    # values that are now built in describe a model this build can represent.
     retired = {"embed_mode": "presampled", "proposal": "uniform", "duplicate_mode": "dedupe",
                "partition_mode": "support", "latent_mode": "thermal",
-               "adjoint_convention": False}
+               "adjoint_convention": False, "beta": 1.0, "k_beta": 1.0,
+               "weight_scale": 0.01, "angle_scale": 0.01, "adam_beta1": 0.9,
+               "adam_beta2": 0.999, "adam_eps": 1e-8}
     for key, built_in in retired.items():
         value = stored.pop(key, built_in)
         if value != built_in:
@@ -312,16 +318,16 @@ def _rebuild_state(
         ),
         current_energy=float(metadata["chain"]["current_energy"]),
     )
+    # Each optimiser holds one first and one second moment per parameter,
+    # shaped like it: anything else would fail only when training resumes.
     adam_states = {}
-    for tag in ("theta", "phi"):
-        m = {}
-        v = {}
-        prefix_m, prefix_v = f"adam_{tag}_m_", f"adam_{tag}_v_"
-        for name, arr in arrays.items():
-            if name.startswith(prefix_m):
-                m[name[len(prefix_m):]] = arr
-            elif name.startswith(prefix_v):
-                v[name[len(prefix_v):]] = arr
+    for tag, params in (("theta", train._theta_params(model)), ("phi", {"angles": ansatz.angles})):
+        prefix = f"adam_{tag}_"
+        shapes = {name: arr.shape for name, arr in arrays.items() if name.startswith(prefix)}
+        expected = {f"{prefix}{kind}_{key}": p.shape for kind in "mv" for key, p in params.items()}
+        if shapes != expected:
+            raise ValueError(f"optimiser moments {shapes}, expected {expected}")
+        m, v = ({key: arrays[f"{prefix}{kind}_{key}"] for key in params} for kind in "mv")
         adam_states[tag] = train.AdamState(m, v, int(metadata["adam_t"][tag]))
     state = train.TrainState(
         energy_model=model,

@@ -3,18 +3,19 @@
 Each step re-estimates the modular Hamiltonian by continuing a
 persistent Metropolis chain, evaluates the bound
 
-    loss = beta * mean <K> + k_beta * log Z
+    loss = mean <K> + log Z
 
-over a batch of embedded events, and applies one Adam update to both
-parameter sets: circuit angles through an adjoint-mode backward sweep of
-the real-valued circuit (scaled by beta), model parameters through the
-analytic gradient with the support held fixed.  The step builds the
-circuit matrix once and takes the loss, the support weights and the
-start of the backward sweep from it; the loss it returns, that of the
-incoming parameters under the step's fresh Hamiltonian, is what ``fit``
-averages into an epoch's ``train_loss``.  The loss is bounded below by
-the von Neumann entropy of the data's mixed state, reached when the
-model matches the data.
+over a batch of embedded events, the quantum cross-entropy of the data
+against the model state (Verdon et al., arXiv:1910.02071), and applies
+one Adam update to both parameter sets: circuit angles through an
+adjoint-mode backward sweep of the real-valued circuit, model parameters
+through the analytic gradient with the support held fixed.  The step
+builds the circuit matrix once and takes the loss, the support weights
+and the start of the backward sweep from it; the loss it returns, that
+of the incoming parameters under the step's fresh Hamiltonian, is what
+``fit`` averages into an epoch's ``train_loss``.  The loss is bounded
+below by the von Neumann entropy of the data's mixed state, reached when
+the model matches the data.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
 from .errors import ConfigError, NumericError
 from .rng import substream
 
+# Adam's (beta1, beta2, eps) and the spread of the initial circuit angles.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ANGLE_SCALE = 0.01
+
 
 @dataclass
 class TrainConfig:
@@ -43,19 +48,12 @@ class TrainConfig:
     n_mc_samples: int = 200
     n_embed_samples: int = 500
     batch_size: int = 25
-    beta: float = 1.0
-    k_beta: float = 1.0
     learning_rate: float = 1e-2
     lr_halve_patience: int = 25
     early_stop_patience: int = 50
     max_epochs: int = 100
     mc_burn_in: int = 100
     seed: int = 0
-    weight_scale: float = 0.01
-    angle_scale: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
         integers = (
@@ -82,22 +80,14 @@ class TrainConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        finite_positive = {
-            "learning_rate": self.learning_rate,
-            "beta": self.beta,
-            "k_beta": self.k_beta,
-            "weight_scale": self.weight_scale,
-            "angle_scale": self.angle_scale,
-            "adam_eps": self.adam_eps,
-        }
-        for name, value in finite_positive.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        for name, value in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.n_layers < 0 or self.mc_burn_in < 0:
-            raise ConfigError("n_layers and mc_burn_in must be >= 0")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not (
+            math.isfinite(rate) and rate > 0
+        ):
+            raise ConfigError(f"learning_rate must be finite and positive, got {rate!r}")
+        for name in ("n_layers", "mc_burn_in", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_hidden is not None and self.n_hidden < 1:
             raise ConfigError(f"n_hidden must be >= 1, got {self.n_hidden}")
         return self
@@ -126,24 +116,18 @@ class AdamState:
         )
 
     def update(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-        beta1: float,
-        beta2: float,
-        eps: float,
+        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float
     ) -> dict[str, np.ndarray]:
         """One step; mutates the moments and returns fresh parameter arrays."""
         self.t += 1
         out: dict[str, np.ndarray] = {}
         for key, p in params.items():
             g = grads[key]
-            self.m[key] = beta1 * self.m[key] + (1.0 - beta1) * g
-            self.v[key] = beta2 * self.v[key] + (1.0 - beta2) * g**2
-            m_hat = self.m[key] / (1.0 - beta1**self.t)
-            v_hat = self.v[key] / (1.0 - beta2**self.t)
-            out[key] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * g**2
+            m_hat = self.m[key] / (1.0 - ADAM_BETA1**self.t)
+            v_hat = self.v[key] / (1.0 - ADAM_BETA2**self.t)
+            out[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return out
 
 
@@ -169,9 +153,8 @@ def init_train_state(config: TrainConfig) -> TrainState:
         config.n_qubits,
         config.hidden_units,
         substream(config.seed, "init", "theta"),
-        config.weight_scale,
     )
-    angles = config.angle_scale * substream(config.seed, "init", "phi").standard_normal(
+    angles = ANGLE_SCALE * substream(config.seed, "init", "phi").standard_normal(
         2 * (config.n_qubits - 1) * config.n_layers
     )
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, angles)
@@ -218,10 +201,7 @@ def _batch_distribution(rows: Batch) -> np.ndarray:
 
 
 def _loss(
-    u: np.ndarray,
-    ham: ebm.ModularHamiltonian,
-    q: np.ndarray,
-    config: TrainConfig,
+    u: np.ndarray, ham: ebm.ModularHamiltonian, q: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
     """Loss, mean <K> and support weights for basis draws distributed as ``q``.
 
@@ -233,14 +213,10 @@ def _loss(
     """
     weights = ((u * u) @ q)[ham.support]
     mean_exp = float(ham.energies @ weights)
-    return config.beta * mean_exp + config.k_beta * ham.log_partition, mean_exp, weights
+    return mean_exp + ham.log_partition, mean_exp, weights
 
 
-def batch_objective(
-    state: TrainState,
-    batch: Batch,
-    config: TrainConfig,
-) -> tuple[float, float, np.ndarray]:
+def batch_objective(state: TrainState, batch: Batch) -> tuple[float, float, np.ndarray]:
     """Loss, mean expectation and support weights for one batch.
 
     Every event's expectation is the mean over its embedded draws; the
@@ -250,7 +226,7 @@ def batch_objective(
     reproduces the mean expectation exactly.
     """
     q = _batch_distribution(batch)
-    return _loss(qsim.ansatz_unitary(state.ansatz), state.hamiltonian, q, config)
+    return _loss(qsim.ansatz_unitary(state.ansatz), state.hamiltonian, q)
 
 
 def _phi_gradient(
@@ -308,17 +284,14 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
     ham = ebm.build_hamiltonian(state.energy_model, samples)
     q = _batch_distribution(batch)
     u = qsim.ansatz_unitary(state.ansatz)
-    loss, _, weights = _loss(u, ham, q, config)
-    phi_grad = config.beta * _phi_gradient(state.ansatz, u, ham, q)
-    theta_grad = ebm.theta_gradient(
-        state.energy_model, ham, weights, config.beta, config.k_beta
-    )
-    adam = (state.lr_current, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    loss, _, weights = _loss(u, ham, q)
+    phi_grad = _phi_gradient(state.ansatz, u, ham, q)
+    theta_grad = ebm.theta_gradient(state.energy_model, ham, weights)
     new_angles = state.adam_phi.update(
-        {"angles": state.ansatz.angles}, {"angles": phi_grad}, *adam
+        {"angles": state.ansatz.angles}, {"angles": phi_grad}, state.lr_current
     )["angles"]
     new_theta = state.adam_theta.update(
-        _theta_params(state.energy_model), vars(theta_grad), *adam
+        _theta_params(state.energy_model), vars(theta_grad), state.lr_current
     )
 
     updated = {"angles": new_angles, **new_theta}
@@ -368,7 +341,7 @@ def _validation_loss(
     fork = dataclasses.replace(state.chain, rng=substream(config.seed, "validation", epoch))
     samples, _ = ebm.metropolis_sample(state.energy_model, fork, config.mc_burn_in, config.n_mc_samples)
     ham = ebm.build_hamiltonian(state.energy_model, samples)
-    return batch_objective(dataclasses.replace(state, hamiltonian=ham), rows, config)[0]
+    return batch_objective(dataclasses.replace(state, hamiltonian=ham), rows)[0]
 
 
 def snapshot(state: TrainState) -> TrainState:

@@ -3,7 +3,7 @@
 Each fault rewrites a valid checkpoint with correct magic, version,
 lengths and payload framing, so only the contents are wrong.
 ``save_with_stored_config`` writes a checkpoint whose stored config holds
-extra keys, as builds before the retired protocol modes wrote them.
+extra keys, as builds before the retired settings wrote them.
 """
 
 import json
@@ -18,6 +18,17 @@ from qhbm.io import CKPT_MAGIC, CKPT_VERSION, save_checkpoint
 def _drop_weights_payload(metadata, arrays):
     metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != "weights"]
     del arrays["weights"]
+
+
+def _drop_adam_phi_m_angles(metadata, arrays):
+    metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != "adam_phi_m_angles"]
+    del arrays["adam_phi_m_angles"]
+
+
+def _short_adam_theta_v_weights(metadata, arrays):
+    entry = next(e for e in metadata["payloads"] if e["name"] == "adam_theta_v_weights")
+    entry["shape"] = [3]
+    arrays["adam_theta_v_weights"] = arrays["adam_theta_v_weights"][:3]
 
 
 def _drop_chain(metadata, arrays):
@@ -45,6 +56,8 @@ FAULTS = {
     "config_max_epochs_true": _config_boolean_max_epochs,
     "config_n_qubits_20": _config_out_of_range,
     "no_weights_payload": _drop_weights_payload,
+    "no_adam_phi_m_angles": _drop_adam_phi_m_angles,
+    "adam_theta_v_weights_3_entries": _short_adam_theta_v_weights,
     "no_chain": _drop_chain,
     "support_index_1e6": _support_index_out_of_range,
 }

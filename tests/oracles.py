@@ -408,7 +408,7 @@ def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:
 
 def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
     """``embed.bernoulli_index_samples``: one multinomial over the event's Kronecker chain."""
-    return rng.multinomial(n_samples, exact_mixed_state_reference([probs], [1.0]))
+    return rng.multinomial(n_samples, exact_mixed_state_reference([probs]))
 
 
 def basis_counts(indices, n_qubits: int) -> np.ndarray:
@@ -421,10 +421,11 @@ def draw_indices(counts) -> np.ndarray:
     return np.repeat(np.arange(len(counts)), counts)
 
 
-def exact_mixed_state_reference(events, alphas) -> np.ndarray:
-    """``embed.exact_mixed_state`` by one Kronecker chain per event, with normalised ``alphas``."""
+def exact_mixed_state_reference(events) -> np.ndarray:
+    """``embed.exact_mixed_state`` by one Kronecker chain per event, mixed uniformly."""
+    alpha = 1.0 / len(events)
     diag = np.zeros(2 ** events[0].n_qubits)
-    for alpha, event in zip(alphas, events):
+    for event in events:
         dist = np.array([1.0])
         for p in event.probs:
             dist = np.kron(dist, np.array([1.0 - p, p]))

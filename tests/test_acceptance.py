@@ -96,12 +96,11 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             ham = hamiltonian_from_energies(n, indices, energies)
             k_dense = diagonal_hamiltonian_matrix(n, indices, energies)
             model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.3)
-            config = train.TrainConfig(n_qubits=n, n_layers=n_layers)
             column = u[:, index]
             expected = np.real(column.conj() @ k_dense @ column)
             state = _manual_state(model, ansatz, ham)
             rows = embed.frequency_row(basis_counts([index], n))[None]
-            _, routed, _ = train.batch_objective(state, rows, config)
+            _, routed, _ = train.batch_objective(state, rows)
             worst = max(worst, abs(routed - expected))
 
             samples = gen.integers(0, dim, size=6)
@@ -119,9 +118,9 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             sigma = np.diag(q).astype(complex)
             k_model = diagonal_hamiltonian_matrix(n, model_ham.support, model_ham.energies)
             state = _manual_state(model, ansatz, model_ham)
-            loss, mean_exp, _ = train.batch_objective(state, batch, config)
+            loss, mean_exp, _ = train.batch_objective(state, batch)
             dense_exp = float(np.real(np.trace(u @ sigma @ u.conj().T @ k_model)))
-            dense_loss = config.beta * dense_exp + config.k_beta * model_ham.log_partition
+            dense_loss = dense_exp + model_ham.log_partition
             worst = max(worst, abs(mean_exp - dense_exp), abs(loss - dense_loss))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -145,7 +144,6 @@ def test_a2_gradients_match_finite_differences(capsys):
         n = int(gen.integers(2, 5))
         dim = 2**n
         n_layers = int(gen.integers(1, 3))
-        config = train.TrainConfig(n_qubits=n, n_layers=n_layers)
         model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.4)
         n_angles = 2 * (n - 1) * n_layers
         ansatz = qsim.CircuitAnsatz(n, n_layers, gen.uniform(-np.pi, np.pi, n_angles))
@@ -159,7 +157,7 @@ def test_a2_gradients_match_finite_differences(capsys):
             # The support set is frozen; only the energies move with theta.
             ham = ebm.build_hamiltonian(m, support)
             state = _manual_state(m, a, ham)
-            loss, _, weights = train.batch_objective(state, batch, config)
+            loss, _, weights = train.batch_objective(state, batch)
             return loss, ham, weights
 
         _, base_ham, base_weights = loss_of(model, ansatz)
@@ -168,18 +166,14 @@ def test_a2_gradients_match_finite_differences(capsys):
             q += row
         q /= len(batch)
 
-        phi_analytic = config.beta * train._phi_gradient(
-            ansatz, qsim.ansatz_unitary(ansatz), base_ham, q
-        )
+        phi_analytic = train._phi_gradient(ansatz, qsim.ansatz_unitary(ansatz), base_ham, q)
         for k in range(n_angles):
             up, _, _ = loss_of(model, shifted(ansatz, k, +eps))
             down, _, _ = loss_of(model, shifted(ansatz, k, -eps))
             fd = (up - down) / (2.0 * eps)
             worst = max(worst, abs(phi_analytic[k] - fd) / max(abs(fd), 1.0))
 
-        theta_analytic = ebm.theta_gradient(
-            model, base_ham, base_weights, config.beta, config.k_beta
-        )
+        theta_analytic = ebm.theta_gradient(model, base_ham, base_weights)
         for field in ("weights", "visible_bias", "hidden_bias"):
             values = getattr(model, field)
             grads = getattr(theta_analytic, field)

@@ -258,6 +258,18 @@ class TestTrain:
         assert run("train", "--print-config", "--config", str(tmp_path / "no.json")) == 2
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("pixel_layout", [8, 9, 14, 15]), ("adam_eps", 1e-8), ("beta", 1.0)],
+    )
+    def test_unread_config_key_exit_2(self, tmp_path, capsys, key, value):
+        # Training reads preprocessed containers, and the loss and optimiser
+        # constants are built in, so these keys are unknown, at any value.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"n_qubits": 4, key: value}))
+        assert run("train", "--print-config", "--config", str(cfg)) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "setting", [{"batch_size": 2.5}, {"n_qubits": 4.0}, {"max_epochs": True}]
     )
     def test_non_integer_config_value_exit_2(self, pipeline, tmp_path, capsys, setting):
@@ -653,6 +665,27 @@ def test_non_probability_container_exit_3(pipeline, tmp_path, capsys, command, c
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_weighted_sidecar_exit_3(pipeline, tmp_path, capsys, command):
+    # Events mix uniformly in training and in the data state, so a stored
+    # weight other than 1.0 is refused rather than read as 1.0.
+    images, meta = read_image_container(pipeline["valid"])
+    weighted = tmp_path / "weighted.qhbimg"
+    write_image_container(weighted, images, meta)
+    sidecar = tmp_path / "weighted.qhbimg.json"
+    weights = [2.0] + [1.0] * (len(images) - 1)
+    sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"weights": weights}))
+    outdir = tmp_path / "out"
+    argv = {
+        "train": ["--train-data", str(pipeline["train"]), "--valid-data", str(weighted),
+                  "--n-qubits", "4", "--max-epochs", "1"],
+        "evaluate": ["--checkpoint", str(pipeline["checkpoint"]), "--test", str(weighted)],
+    }[command]
+    assert run(command, *argv, "--outdir", str(outdir)) == 3
+    assert f"data error: {sidecar}: per-event weights" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 class TestSiteEntropy:
     @pytest.mark.parametrize("mode", ["dressed", "diagonal"])
     def test_profile_csv(self, pipeline, tmp_path, mode):
@@ -691,14 +724,13 @@ class TestParser:
             run()
         assert exc.value.code == 2
 
-    def test_readme_lists_train_flags_and_config_file_keys(self):
-        # The README's "Training configuration" section names every
-        # TrainConfig field once: as a flag of `train` or as a key that
-        # only a config file can set.
+    def test_readme_lists_a_train_flag_for_every_config_field(self):
+        # Every TrainConfig field has a flag of `train`, so no setting is
+        # left to config files alone, and the README's "Training
+        # configuration" section lists each of those flags.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Training configuration", 1)[1].split("\n## ", 1)[0]
         flag_text = re.search(r"fields have flags:(.*?)\.\s", section, re.S).group(1)
-        key_text = re.search(r"The rest\s+\((.*?)\)\s+are config-file keys only", section, re.S).group(1)
 
         subparsers = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -708,8 +740,8 @@ class TestParser:
             for a in subparsers.choices["train"]._actions
             if a.dest in TRAIN_KEYS
         }
+        assert set(flagged) == TRAIN_KEYS
         assert set(re.findall(r"`(--[a-z-]+)`", flag_text)) == set(flagged.values())
-        assert set(re.findall(r"`([a-z_0-9]+)`", key_text)) == TRAIN_KEYS - set(flagged)
 
     def test_readme_toy_run_parses(self):
         # Every `qhbm` command of the README toy run is accepted by the parser.

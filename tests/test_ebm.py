@@ -438,9 +438,9 @@ class TestBuildHamiltonian:
 
 class TestThetaGradient:
     @staticmethod
-    def _objective(model, support, weights, beta, k_beta):
+    def _objective(model, support, weights):
         f = np.array([free_energy(model, c) for c in support])
-        return beta * float(weights @ f) + k_beta * float(logsumexp(-f))
+        return float(weights @ f) + float(logsumexp(-f))
 
     def test_vanishes_at_boltzmann_weights(self, rng):
         model = random_model(3, 4, rng)
@@ -454,9 +454,9 @@ class TestThetaGradient:
         model = random_model(2, 3, rng)
         v = 0b10
         ham = build_hamiltonian(model, [v])
-        beta, k_beta, w = 1.7, 0.6, 0.8
-        grad = theta_gradient(model, ham, [w], beta=beta, k_beta=k_beta)
-        coef = beta * w - k_beta
+        w = 0.8
+        grad = theta_gradient(model, ham, [w])
+        coef = w - 1.0
         bits = np.array([1.0, 0.0])
         sig = conditional_hidden_prob(model, bits)
         assert np.allclose(grad.visible_bias, coef * (-bits), atol=1e-12)
@@ -472,10 +472,8 @@ class TestThetaGradient:
             idx = rng.choice(2**nv, size=min(3, 2**nv), replace=False)
             support = [int(i) for i in idx]
             weights = np.array([float(rng.random()) for _ in support])
-            beta = float(rng.uniform(0.5, 2.0))
-            k_beta = float(rng.uniform(0.5, 2.0))
             ham = build_hamiltonian(model, support)
-            grad = theta_gradient(model, ham, weights, beta=beta, k_beta=k_beta)
+            grad = theta_gradient(model, ham, weights)
 
             def perturbed(field, i, j, delta):
                 w = model.weights.copy()
@@ -488,7 +486,7 @@ class TestThetaGradient:
                 else:
                     bh[j] += delta
                 pert = EnergyModel(w, bv, bh)
-                return self._objective(pert, support, weights, beta, k_beta)
+                return self._objective(pert, support, weights)
 
             for i in range(nv):
                 for j in range(nh):
@@ -516,15 +514,6 @@ class TestThetaGradient:
         assert np.allclose(first.weights, last.weights, rtol=0.0, atol=1e-15)
         assert np.allclose(first.visible_bias, last.visible_bias, rtol=0.0, atol=1e-15)
         assert np.allclose(first.hidden_bias, last.hidden_bias, rtol=0.0, atol=1e-15)
-
-    def test_linear_in_beta(self, rng):
-        model = random_model(2, 3, rng)
-        ham = build_hamiltonian(model, [0b01, 0b10])
-        weights = [0.3, 0.7]
-        g1 = theta_gradient(model, ham, weights, beta=1.0, k_beta=0.0)
-        g2 = theta_gradient(model, ham, weights, beta=2.0, k_beta=0.0)
-        assert np.allclose(g2.weights, 2 * g1.weights, atol=1e-12)
-        assert np.allclose(g2.visible_bias, 2 * g1.visible_bias, atol=1e-12)
 
     def test_rejects_empty_support(self, rng):
         model = random_model(2, 2, rng)

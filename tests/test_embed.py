@@ -42,11 +42,10 @@ def flat_image(value, shape=(8, 8), label="unlabelled"):
 
 class TestPixelImage:
     def test_fields_and_shape(self):
-        im = PixelImage(np.ones((3, 5)), label="signal", weight=2.0)
+        im = PixelImage(np.ones((3, 5)), label="signal")
         assert im.height == 3
         assert im.width == 5
         assert im.label == "signal"
-        assert im.weight == 2.0
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
@@ -147,11 +146,9 @@ class TestCropAndPool:
         with pytest.raises(ValueError):
             crop_and_pool(im, crop=3, pool=1)
 
-    def test_preserves_label_and_weight(self):
-        im = PixelImage(np.ones((4, 4)), label="background", weight=0.5)
-        out = crop_and_pool(im, crop=1, pool=1)
-        assert out.label == "background"
-        assert out.weight == 0.5
+    def test_preserves_label(self):
+        im = PixelImage(np.ones((4, 4)), label="background")
+        assert crop_and_pool(im, crop=1, pool=1).label == "background"
 
 
 class TestFitScaleMax:
@@ -234,7 +231,7 @@ class TestImagesToEvents:
         assert len(events) == len(expected)
         for got, want in zip(events, expected):
             assert np.array_equal(got.probs, want.probs)
-            assert (got.label, got.weight) == (want.label, want.weight)
+            assert got.label == want.label
 
     def test_rejects_non_square_grid_and_no_images(self):
         with pytest.raises(DataError, match="square grid"):
@@ -384,15 +381,6 @@ class TestDatasetMixedState:
         assert q.shape == (8,) and np.all(q >= 0.0)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_weight_scaling_invariance(self):
-        events = [
-            PixelProbabilities(np.array([0.3, 0.6])),
-            PixelProbabilities(np.array([0.8, 0.2])),
-        ]
-        a = exact_mixed_state(events, weights=[1.0, 2.0])
-        b = exact_mixed_state(events, weights=[2.0, 4.0])
-        assert np.array_equal(a, b)
-
     def test_converges_to_exact_state(self):
         events = [
             PixelProbabilities(np.array([0.3, 0.8])),
@@ -409,10 +397,6 @@ class TestDatasetMixedState:
             frequency_row(np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
             exact_mixed_state([probs, PixelProbabilities(np.array([0.5, 0.5]))])
-        with pytest.raises(ValueError):
-            exact_mixed_state([probs], weights=[-1.0])
-        with pytest.raises(ValueError):
-            exact_mixed_state([probs], weights=[0.0])
 
 
 class TestExactMixedState:
@@ -423,9 +407,10 @@ class TestExactMixedState:
         assert von_neumann_entropy(s) == pytest.approx(1.1112667255930813, abs=1e-12)
 
     def test_mixture_weights(self):
+        # Events mix uniformly: a repeated event counts once per copy.
         a = PixelProbabilities(np.array([0.2]))
         b = PixelProbabilities(np.array([0.9]))
-        s = exact_mixed_state([a, b], weights=[0.25, 0.75])
+        s = exact_mixed_state([a, b, b, b])
         expected = 0.25 * np.array([0.8, 0.2]) + 0.75 * np.array([0.1, 0.9])
         assert np.allclose(s, expected, atol=1e-12)
 
@@ -439,18 +424,12 @@ class TestExactMixedState:
             PixelProbabilities(rng.uniform(0.01, 0.99, size=n_qubits))
             for _ in range(int(rng.integers(1, 40)))
         ]
-        weights = rng.uniform(0.0, 3.0, size=len(events))
-        alphas = weights / weights.sum()
-        got = exact_mixed_state(events, weights)
-        assert np.array_equal(got, exact_mixed_state_reference(events, alphas))
+        assert np.array_equal(exact_mixed_state(events), exact_mixed_state_reference(events))
 
     def test_chunks_of_events_match_kronecker_chain_bitwise(self, rng):
         # 150 ten-qubit events span three chunks of 64, the last one partial.
         events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(150)]
-        weights = rng.uniform(0.0, 3.0, size=len(events))
-        alphas = weights / weights.sum()
-        got = exact_mixed_state(events, weights)
-        assert np.array_equal(got, exact_mixed_state_reference(events, alphas))
+        assert np.array_equal(exact_mixed_state(events), exact_mixed_state_reference(events))
 
     def test_peak_memory_stays_within_a_chunk(self, rng):
         events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(1000)]

@@ -1,5 +1,6 @@
 """Tests for containers, checkpoints, and provenance-stamped CSV files."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -34,12 +35,12 @@ def sample_images():
     # Quarter-steps survive the f32 storage format bit-exactly.
     grids = np.round(rng.uniform(0, 8, size=(3, 4, 5)) * 4) / 4.0
     labels = ["signal", "background", "unlabelled"]
-    weights = [1.0, 0.5, 2.0]
-    return [PixelImage(g, lab, w) for g, lab, w in zip(grids, labels, weights)]
+    return [PixelImage(g, lab) for g, lab in zip(grids, labels)]
 
 
-# The retired protocol modes and circuit orientation at the values that
-# are now built in, as checkpoints written before their removal store them.
+# The retired protocol modes, circuit orientation, loss scales, initial
+# scales and Adam constants at the values that are now built in, as
+# checkpoints written before their removal store them.
 BUILT_IN_MODES = {
     "embed_mode": "presampled",
     "proposal": "uniform",
@@ -47,6 +48,13 @@ BUILT_IN_MODES = {
     "partition_mode": "support",
     "latent_mode": "thermal",
     "adjoint_convention": False,
+    "beta": 1.0,
+    "k_beta": 1.0,
+    "weight_scale": 0.01,
+    "angle_scale": 0.01,
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-8,
 }
 
 
@@ -76,8 +84,14 @@ MALFORMED_FILES = {
     "sidecar_unknown_label": _sidecar_with(labels=["muon", "signal", "signal"]),
     "sidecar_text_weight": _sidecar_with(weights=["heavy", 1.0, 1.0]),
     "sidecar_nan_weight": _sidecar_with(weights=[float("nan"), 1.0, 1.0]),
+    "sidecar_weight_2": _sidecar_with(weights=[1.0, 2.0, 1.0]),
     "nan_pixel": _nan_first_pixel,
 }
+
+
+def sample_events():
+    rng = np.random.default_rng(5)
+    return [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(4)]
 
 
 def trained_state():
@@ -90,8 +104,7 @@ def trained_state():
         max_epochs=2,
         seed=13,
     )
-    rng = np.random.default_rng(5)
-    events = [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(4)]
+    events = sample_events()
     best, history = fit(cfg, events[:3], events[3:])
     return best, cfg, history
 
@@ -172,7 +185,6 @@ class TestImageContainer:
         for orig, back in zip(images, loaded):
             assert np.array_equal(orig.intensities, back.intensities)
             assert back.label == orig.label
-            assert back.weight == orig.weight
 
     def test_magic_and_sidecar(self, tmp_path):
         path = tmp_path / "events.qhbimg"
@@ -180,8 +192,17 @@ class TestImageContainer:
         assert path.read_bytes()[: len(IMAGE_MAGIC)] == IMAGE_MAGIC
         sidecar = json.loads((tmp_path / "events.qhbimg.json").read_text())
         assert sidecar["labels"] == ["signal", "background", "unlabelled"]
-        assert sidecar["weights"] == [1.0, 0.5, 2.0]
+        assert sorted(sidecar) == ["height", "labels", "meta", "width"]
         assert sidecar["width"] == 5 and sidecar["height"] == 4
+
+    def test_legacy_unit_weights_load(self, tmp_path):
+        # Builds that stored per-event weights wrote 1.0 for every event.
+        path = tmp_path / "events.qhbimg"
+        write_image_container(path, sample_images(), {"kind": "raw"})
+        _sidecar_with(weights=[1.0, 1.0, 1.0])(path)
+        loaded, meta = read_image_container(path)
+        assert [im.label for im in loaded] == ["signal", "background", "unlabelled"]
+        assert meta == {"kind": "raw"}
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "none.qhbimg"
@@ -233,7 +254,7 @@ class TestImageContainer:
             # The last image cannot be stored as float32, so the container
             # fails after its header and the first images are written.
             images.append(SimpleNamespace(
-                intensities=np.full((4, 5), object()), label="signal", weight=1.0
+                intensities=np.full((4, 5), object()), label="signal"
             ))
         else:
             meta["bad"] = object()
@@ -248,7 +269,6 @@ class TestImageContainer:
         (tmp_path / "events.qhbimg.json").unlink()
         loaded, meta = read_image_container(path)
         assert [im.label for im in loaded] == ["unlabelled"] * 3
-        assert [im.weight for im in loaded] == [1.0] * 3
         assert meta == {}
 
 
@@ -404,6 +424,20 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "direct.qhbm", state, cfg, history)
         assert (tmp_path / "again.qhbm").read_bytes() == (tmp_path / "direct.qhbm").read_bytes()
 
+    def test_stored_config_with_built_in_modes_resumes_like_a_fresh_save(self, tmp_path):
+        state, cfg, history = trained_state()
+        save_with_stored_config(tmp_path / "old.qhbm", state, cfg, history, BUILT_IN_MODES)
+        save_checkpoint(tmp_path / "fresh.qhbm", state, cfg, history)
+        events = sample_events()
+        for name in ("old", "fresh"):
+            loaded, loaded_cfg, loaded_history = load_checkpoint(tmp_path / f"{name}.qhbm")
+            longer = dataclasses.replace(loaded_cfg, max_epochs=4)
+            best, longer_history = fit(longer, events[:3], events[3:], loaded, loaded_history)
+            save_checkpoint(tmp_path / f"{name}_resumed.qhbm", best, longer, longer_history)
+        assert len(longer_history) == 4
+        resumed = (tmp_path / "old_resumed.qhbm").read_bytes()
+        assert resumed == (tmp_path / "fresh_resumed.qhbm").read_bytes()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -413,6 +447,13 @@ class TestCheckpoint:
             ("partition_mode", "full"),
             ("latent_mode", "maximally_mixed"),
             ("adjoint_convention", True),
+            ("beta", 2.0),
+            ("k_beta", 0.5),
+            ("weight_scale", 0.1),
+            ("angle_scale", 0.0),
+            ("adam_beta1", 0.5),
+            ("adam_beta2", 0.99),
+            ("adam_eps", 1e-6),
         ],
     )
     def test_rejects_stored_config_with_other_mode(self, tmp_path, key, value):

@@ -239,7 +239,7 @@ class TestBlockEngine:
 
 def mean_energy(ham, q, n_qubits):
     """The objective's mean <K> for basis draws distributed as ``q``, with no circuit."""
-    return train._loss(np.eye(2**n_qubits), ham, q, train.TrainConfig(n_qubits=n_qubits, n_layers=0))[1]
+    return train._loss(np.eye(2**n_qubits), ham, q)[1]
 
 
 class TestDiagonalExpectation:
@@ -286,7 +286,7 @@ class TestCircuitExpectation:
             u = oracles.staircase_unitary(3, 2, ansatz.angles)
             k = oracles.diagonal_hamiltonian_matrix(3, indices, energies)
             forward = np.real(basis(index, 3) @ (u.conj().T @ k @ u) @ basis(index, 3))
-            got = train._loss(qsim.ansatz_unitary(ansatz), ham, basis(index, 3), config)[1]
+            got = train._loss(qsim.ansatz_unitary(ansatz), ham, basis(index, 3))[1]
             assert got == pytest.approx(forward, abs=1e-10)
             w, _ = train.model_state(dataclasses.replace(state, ansatz=ansatz))
             assert basis(index, 3) @ (w @ k.real @ w.T) @ basis(index, 3) == pytest.approx(
