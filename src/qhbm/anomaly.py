@@ -39,7 +39,7 @@ SCENARIOS = {
 
 @dataclass
 class FidelitySeries:
-    """|<psi(t)|psi(0)>|**2 sampled on a uniform time grid starting at 0."""
+    """|<psi(t)|psi(0)>|**2 on a uniform time grid from 0: one series (N,) or a stack (..., N)."""
 
     dt: float
     values: np.ndarray
@@ -70,6 +70,8 @@ _TILE_SHARE = 4
 # dense: its weights are scattered over all rows and read with one
 # product.  A sparse event gathers the rows it hits.
 _DENSE_SHARE = 4
+# Spectral scores transform a stack of series this many rows at a time.
+_EVENT_BLOCK = 16
 
 
 def _coarse_step(n_points: int) -> int:
@@ -249,18 +251,19 @@ def event_series(
     n_draws: int = 1,
     *,
     table: RoutingTable | None = None,
-) -> Iterator[FidelitySeries]:
-    """Fidelity series of each event in order, all read from one routing table.
+) -> np.ndarray:
+    """Fidelity series of each event in order, one row each, all read from one routing table.
 
     ``table`` is a routing table of ``state`` on the same time grid; without
     it one is built for this call.
     """
     if table is None:
         table = RoutingTable(state, total_time, dt)
-    return (
-        time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
-        for event in events
-    )
+    stack = np.empty((len(events), check_time_grid(total_time, dt) + 1))
+    for row, event in zip(stack, events):
+        series = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
+        row[:] = series.values
+    return stack
 
 
 def _check_f_min(f_min: float, nyquist: float) -> None:
@@ -274,17 +277,25 @@ def check_spectral_args(total_time: float, dt: float, f_min: float) -> None:
     _check_f_min(f_min, np.fft.rfftfreq(n_points, d=dt)[-1])
 
 
-def spectral_score(series: FidelitySeries, f_min: float) -> float:
-    """Integrated spectral power of the series at and above ``f_min``.
+def spectral_score(series: FidelitySeries, f_min: float) -> float | np.ndarray:
+    """Integrated spectral power of each series at and above ``f_min``.
 
     The score is sum_k P(f_k) * df over bins with f_k >= f_min, i.e. the
     variance share carried by fast oscillations.  ``f_min`` must not
-    exceed the Nyquist frequency 1 / (2 dt).
+    exceed the Nyquist frequency 1 / (2 dt).  A stack (..., N) of series
+    gives one score per series, each equal to that of its own call.
     """
-    spectrum = power_spectrum(series.values, series.dt)
-    _check_f_min(f_min, spectrum.frequencies[-1])
-    mask = spectrum.frequencies >= f_min
-    return float(spectrum.power[mask].sum() * spectrum.resolution)
+    values = np.asarray(series.values)
+    rows = values.reshape(-1, values.shape[-1])
+    scores = np.empty(len(rows))
+    for e0 in range(0, len(rows), _EVENT_BLOCK):
+        spectrum = power_spectrum(rows[e0 : e0 + _EVENT_BLOCK], series.dt)
+        _check_f_min(f_min, spectrum.frequencies[-1])
+        mask = spectrum.frequencies >= f_min
+        for i, power in enumerate(spectrum.power, e0):
+            # Summed as 1-d: a 2-d masked sum adds in another order.
+            scores[i] = power[mask].sum() * spectrum.resolution
+    return float(scores[0]) if values.ndim == 1 else scores.reshape(values.shape[:-1])
 
 
 def expectation_score(
@@ -334,7 +345,7 @@ def score_events(
         if f_min is None:
             raise ValueError("spectral mode needs f_min")
         series = event_series(state, events, total_time, dt, rng, n_draws, table=table)
-        return np.array([spectral_score(s, f_min) for s in series])
+        return spectral_score(FidelitySeries(dt, series), f_min)
     raise ValueError(f"unknown mode {mode!r}")
 
 

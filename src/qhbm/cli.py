@@ -332,6 +332,11 @@ def _mean_power(stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return spectrum.frequencies, total / len(stack)
 
 
+def _repr_rows(*columns: np.ndarray):
+    """CSV rows of the ``repr`` of each column's floats, one row per index."""
+    return zip(*(map(repr, column.tolist()) for column in columns))
+
+
 def cmd_anomaly(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
     signal = _load_probability_events(args.signal)
@@ -355,71 +360,54 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
     # The table depends on the model and the time grid only, so every pass
     # below reads the same circuit matrix and row store.
     table = anomaly.RoutingTable(state, args.total_time, args.dt)
-    summary: dict = {"n_signal": len(signal), "n_background": len(background)}
-    for mode in ("t_zero", "spectral"):
-        rng = substream(args.seed, "embedding", "anomaly", mode)
-        kwargs = dict(
-            f_min=args.f_min if mode == "spectral" else None,
-            total_time=args.total_time,
-            dt=args.dt,
-            n_draws=args.n_draws,
-            table=table,
-        )
-        sig_scores = anomaly.score_events(state, signal, mode, rng, **kwargs)
-        bkg_scores = anomaly.score_events(state, background, mode, rng, **kwargs)
-        roc = metrics.roc_from_scores(sig_scores, bkg_scores, args.n_thresholds)
-        io.write_csv_with_provenance(
-            outdir / f"scores_{mode}.csv",
-            ["event", "label", "score"],
-            (
-                [i, lab, repr(float(s))]
-                for i, (lab, s) in enumerate(
-                    [("signal", s) for s in sig_scores]
-                    + [("background", s) for s in bkg_scores]
-                )
-            ),
-            run_meta,
-        )
-        io.write_csv_with_provenance(
-            outdir / f"roc_{mode}.csv",
-            ["threshold", "tpr", "fpr"],
-            (
-                [repr(float(t)), repr(float(tp)), repr(float(fp))]
-                for t, tp, fp in zip(roc.thresholds, roc.tpr, roc.fpr)
-            ),
-            run_meta,
-        )
-        summary[f"auc_{mode}"] = roc.auc
-        summary[f"direction_{mode}"] = roc.direction
-
-    n_points = table.grid[0]
-    times = args.dt * np.arange(n_points)
+    scores: dict = {"t_zero": [], "spectral": []}
+    rngs = {mode: substream(args.seed, "embedding", "anomaly", mode) for mode in scores}
+    times = args.dt * np.arange(table.grid[0])
     for label, events in (("signal", signal), ("background", background)):
-        rng = substream(args.seed, "embedding", "anomaly", "series", label)
-        # The class's one copy of its series: a row per event.
-        stack = np.empty((len(events), n_points))
-        series = anomaly.event_series(
-            state, events, args.total_time, args.dt, rng, args.n_draws, table=table
+        scores["t_zero"].append(anomaly.score_events(
+            state, events, "t_zero", rngs["t_zero"], n_draws=args.n_draws, table=table
+        ))
+        # The class's one copy of its series, a row per event: its spectral
+        # scores, mean series and mean spectrum all come from it.
+        stack = anomaly.event_series(
+            state, events, args.total_time, args.dt, rngs["spectral"], args.n_draws, table=table
         )
-        for row, fidelity in zip(stack, series):
-            row[:] = fidelity.values
-        mean, std = _series_moments(stack)
-        frequencies, mean_power = _mean_power(stack, args.dt)
+        series = anomaly.FidelitySeries(args.dt, stack)
+        scores["spectral"].append(anomaly.spectral_score(series, args.f_min))
         io.write_csv_with_provenance(
             outdir / f"series_{label}.csv",
             ["time", "mean_fidelity", "std_fidelity"],
-            (
-                [repr(float(t)), repr(float(m)), repr(float(s))]
-                for t, m, s in zip(times, mean, std)
-            ),
+            _repr_rows(times, *_series_moments(stack)),
             run_meta,
         )
         io.write_csv_with_provenance(
             outdir / f"spectrum_{label}.csv",
             ["frequency", "mean_power"],
-            ([repr(float(f)), repr(float(p))] for f, p in zip(frequencies, mean_power)),
+            _repr_rows(*_mean_power(stack, args.dt)),
             run_meta,
         )
+        # Only one class's stack is held at a time.
+        del stack, series
+
+    summary: dict = {"n_signal": len(signal), "n_background": len(background)}
+    for mode, (sig_scores, bkg_scores) in scores.items():
+        roc = metrics.roc_from_scores(sig_scores, bkg_scores, args.n_thresholds)
+        labels = ["signal"] * len(sig_scores) + ["background"] * len(bkg_scores)
+        values = map(repr, np.concatenate([sig_scores, bkg_scores]).tolist())
+        io.write_csv_with_provenance(
+            outdir / f"scores_{mode}.csv",
+            ["event", "label", "score"],
+            zip(range(len(labels)), labels, values),
+            run_meta,
+        )
+        io.write_csv_with_provenance(
+            outdir / f"roc_{mode}.csv",
+            ["threshold", "tpr", "fpr"],
+            _repr_rows(roc.thresholds, roc.tpr, roc.fpr),
+            run_meta,
+        )
+        summary[f"auc_{mode}"] = roc.auc
+        summary[f"direction_{mode}"] = roc.direction
 
     io.write_json(outdir / "auc_summary.json", summary)
     print(

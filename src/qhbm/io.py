@@ -40,6 +40,7 @@ from . import __version__, ebm, qsim, train
 from .embed import PixelImage
 from .errors import ConfigError, DataError
 from .rng import generator_state, restore_generator
+from .special import logsumexp
 
 IMAGE_MAGIC = b"QHBIMG1"
 CKPT_MAGIC = b"QHBMCKPT"
@@ -261,10 +262,11 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
     offset += meta_len
     # A well-framed file can still hold missing keys, wrong types or
     # out-of-range values (the stored config included); rebuilding the
-    # state raises those as KeyError/TypeError/ValueError/ConfigError.
+    # state raises those as KeyError/TypeError/ValueError/ConfigError, and
+    # an out-of-range generator state as OverflowError.
     try:
         return _rebuild_state(path, raw, offset, metadata)
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"{path}: corrupt checkpoint contents: {exc!r}") from exc
 
 
@@ -309,6 +311,11 @@ def _rebuild_state(
         arrays["support_energies"],
         float(arrays["log_partition"][0]),
     )
+    # A saved log_partition is logsumexp(-energies) of the saved energies, bit for bit.
+    if ham.log_partition != logsumexp(-ham.energies):
+        raise ValueError(f"log_partition {ham.log_partition!r} is not logsumexp(-energies)")
+    if not train.is_rate(lr := metadata["lr_current"]):
+        raise ValueError(f"lr_current must be finite and positive, got {lr!r}")
     # initial_chain checks the index; the stored energy is kept as saved.
     chain = dataclasses.replace(
         ebm.initial_chain(

@@ -38,6 +38,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ANGLE_SCALE = 0.01
 
 
+def is_rate(value) -> bool:
+    """Whether ``value`` is a finite, positive real number; a bool is not one."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and math.isfinite(value) and value > 0
+
+
 @dataclass
 class TrainConfig:
     """Protocol knobs; defaults follow the reference training recipe."""
@@ -80,10 +86,7 @@ class TrainConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not (
-            math.isfinite(rate) and rate > 0
-        ):
+        if not is_rate(rate := self.learning_rate):
             raise ConfigError(f"learning_rate must be finite and positive, got {rate!r}")
         for name in ("n_layers", "mc_burn_in", "seed"):
             if getattr(self, name) < 0:

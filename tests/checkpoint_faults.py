@@ -51,6 +51,24 @@ def _config_boolean_max_epochs(metadata, arrays):
     metadata["config"]["max_epochs"] = True
 
 
+def _rng_state(key, value):
+    def fault(metadata, arrays):
+        metadata["chain"]["rng_state"][key] = value
+
+    return fault
+
+
+def _lr_current(value):
+    def fault(metadata, arrays):
+        metadata["lr_current"] = value
+
+    return fault
+
+
+def _log_partition_nan(metadata, arrays):
+    arrays["log_partition"][0] = np.nan
+
+
 FAULTS = {
     "config_batch_size_2.5": _config_fractional_batch_size,
     "config_max_epochs_true": _config_boolean_max_epochs,
@@ -60,6 +78,15 @@ FAULTS = {
     "adam_theta_v_weights_3_entries": _short_adam_theta_v_weights,
     "no_chain": _drop_chain,
     "support_index_1e6": _support_index_out_of_range,
+    # The generator rejects these as OverflowError, not ValueError.
+    "rng_uinteger_-1": _rng_state("uinteger", -1),
+    "rng_uinteger_1e308": _rng_state("uinteger", 1e308),
+    "rng_has_uint32_1e308": _rng_state("has_uint32", 1e308),
+    "lr_current_-1": _lr_current(-1.0),
+    "lr_current_0": _lr_current(0.0),
+    "lr_current_nan": _lr_current(float("nan")),
+    "lr_current_true": _lr_current(True),
+    "log_partition_nan": _log_partition_nan,
 }
 
 

@@ -491,6 +491,22 @@ class TestSpectralScore:
             with pytest.raises(ValueError, match="f_min"):
                 spectral_score(series, f_min)
 
+    def test_stack_scores_each_row_as_its_own_call_bitwise(self):
+        # 40 rows cross the event blocks, and their magnitudes lie far apart, so
+        # that a 2-d masked sum over the stack adds in another order.
+        gen = np.random.default_rng(5)
+        dt, f_min = 0.1, 0.7
+        stack = gen.random((40, 301)) * 10.0 ** gen.integers(-8, 1, (40, 1))
+        got = spectral_score(FidelitySeries(dt, stack), f_min)
+        want = np.array([spectral_score(FidelitySeries(dt, row), f_min) for row in stack])
+        assert type(spectral_score(FidelitySeries(dt, stack[0]), f_min)) is float
+        assert got.tobytes() == want.tobytes()
+        spectrum = power_spectrum(stack, dt)
+        whole = spectrum.power[:, spectrum.frequencies >= f_min].sum(axis=1) * spectrum.resolution
+        assert whole.tobytes() != want.tobytes()
+        nested = spectral_score(FidelitySeries(dt, stack.reshape(4, 10, -1)), f_min)
+        assert nested.tobytes() == want.reshape(4, 10).tobytes()
+
     def test_check_spectral_args(self):
         # 201 points at dt = 0.1 reach the bin 100 / 20.1 = 4.975...
         check_spectral_args(20.0, 0.1, 4.97)

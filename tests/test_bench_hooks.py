@@ -194,7 +194,8 @@ def test_traced_anomaly_command_calls_every_cli_6q_hook(tmp_path):
     assert missing == set()
     assert counts["qsim.ansatz_unitary.calls"] == 1
     assert "qsim.ansatz_unitary.calls_per_event" in counts
-    assert "anomaly.time_evolution_series.calls_per_event" in counts
+    # The spectral pass's series are the only ones: one per event.
+    assert counts["anomaly.time_evolution_series.calls_per_event"] == 1.0
 
 
 def test_repeated_traced_fits_agree_bitwise():

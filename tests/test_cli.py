@@ -450,7 +450,7 @@ class TestGenerate:
             "--n-events", "3", "--out", str(tmp_path / "generated.csv"),
         )
         assert code == 3
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {bad}: corrupt checkpoint contents" in capsys.readouterr().err
 
     def test_retired_mode_in_checkpoint_exit_3(self, pipeline, tmp_path, capsys):
         state, config, history = load_checkpoint(pipeline["checkpoint"])
@@ -534,8 +534,8 @@ class TestAnomaly:
             patch.setattr(anomaly, "score_events", per_pass(anomaly.score_events))
             patch.setattr(anomaly, "event_series", per_pass(anomaly.event_series))
             # The run's own table, now unused, then one per pass: t_zero
-            # scores, spectral scores and the series, for each class.
-            assert anomaly_run(tmp_path / "per_pass") == 1 + 6
+            # scores and the spectral series, for each class.
+            assert anomaly_run(tmp_path / "per_pass") == 1 + 4
 
         def values(outdir, name):
             header, rows = read_csv_skip_provenance(outdir / name)
@@ -551,6 +551,25 @@ class TestAnomaly:
         ):
             got, want = values(tmp_path / "shared", name), values(tmp_path / "per_pass", name)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_one_series_per_event(self, pipeline, tmp_path, monkeypatch):
+        """The spectral scores, mean series and spectra share one series per event."""
+        events = []
+        series = anomaly.time_evolution_series
+
+        def counted(state, event, *args, **kwargs):
+            events.append(event)
+            return series(state, event, *args, **kwargs)
+
+        monkeypatch.setattr(anomaly, "time_evolution_series", counted)
+        assert run(
+            "anomaly", "--checkpoint", str(pipeline["checkpoint"]),
+            "--signal", str(pipeline["signal"]),
+            "--background", str(pipeline["valid"]),
+            "--outdir", str(tmp_path / "anomaly"),
+            "--total-time", "20", "--dt", "0.1", "--n-draws", "4", "--f-min", "0.2",
+        ) == 0
+        assert len(events) == len({id(event) for event in events}) == 8
 
     @pytest.mark.parametrize("blocks", [None, (3, 5)], ids=["module_blocks", "small_blocks"])
     @pytest.mark.parametrize("n_events, n_points", [(1, 201), (7, 201), (40, 13), (40, 2049)])
@@ -683,6 +702,27 @@ def test_weighted_sidecar_exit_3(pipeline, tmp_path, capsys, command):
     }[command]
     assert run(command, *argv, "--outdir", str(outdir)) == 3
     assert f"data error: {sidecar}: per-event weights" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("command", ["train", "evaluate", "anomaly", "site-entropy"])
+def test_corrupt_checkpoint_exit_3_on_other_commands(pipeline, tmp_path, capsys, command, fault):
+    """The commands besides ``generate`` (see TestGenerate) name a corrupt checkpoint."""
+    bad = tmp_path / "bad.qhbm"
+    write_corrupt_checkpoint(pipeline["checkpoint"], bad, fault)
+    outdir = tmp_path / "out"
+    argv = {
+        "train": ["--resume", str(bad), "--train-data", str(pipeline["train"]),
+                  "--valid-data", str(pipeline["valid"]), "--outdir", str(outdir)],
+        "evaluate": ["--checkpoint", str(bad), "--test", str(pipeline["valid"]),
+                     "--outdir", str(outdir)],
+        "anomaly": ["--checkpoint", str(bad), "--signal", str(pipeline["signal"]),
+                    "--background", str(pipeline["valid"]), "--outdir", str(outdir)],
+        "site-entropy": ["--checkpoint", str(bad), "--out", str(outdir)],
+    }[command]
+    assert run(command, *argv) == 3
+    assert f"data error: {bad}: corrupt checkpoint contents" in capsys.readouterr().err
     assert not outdir.exists()
 
 
