@@ -123,9 +123,8 @@ def _phase_blocks(
 class RoutingTable:
     """Routing of every basis state through one model, shared by its events.
 
-    Holds, per basis state x, the support probabilities <z|U|x>**2 (one
-    circuit unitary for the whole table), the off-support mass and the
-    t = 0 energy sum_z E_z <z|U|x>**2.  With a time grid it also holds
+    Holds, per basis state x, the t = 0 energy sum_z E_z <z|U|x>**2 (one
+    circuit unitary for the whole table).  With a time grid it also holds
     the row store: every basis state's fidelity series in basis order,
     filled once when the table is built, from phases streamed in blocks
     of time steps.  A table depends only on the model and the grid and
@@ -139,13 +138,11 @@ class RoutingTable:
         self, state: TrainState, total_time: float | None = None, dt: float | None = None
     ):
         self.state = state
-        self.n_qubits = state.ansatz.n_qubits
         # (support, basis state); the circuit matrix is freed before the fill.
-        self.probs = qsim.ansatz_unitary(state.ansatz)[state.hamiltonian.support] ** 2
-        self.off_mass = 1.0 - self.probs.sum(axis=0)
-        self.t_zero = state.hamiltonian.energies @ self.probs
+        probs = qsim.ansatz_unitary(state.ansatz)[state.hamiltonian.support] ** 2
+        self.t_zero = state.hamiltonian.energies @ probs
         self.grid = None if dt is None else (check_time_grid(total_time, dt) + 1, dt)
-        self._rows = None if dt is None else self._fill()
+        self._rows = None if dt is None else self._fill(probs)
 
     def draw(
         self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
@@ -153,18 +150,18 @@ class RoutingTable:
         """(share of draws, basis index) of each distinct state ``n_draws`` embeddings hit."""
         if state is not self.state:
             raise ValueError("routing table was built for another model")
-        if event.n_qubits != self.n_qubits:
-            raise ValueError(f"event has {event.n_qubits} qubits but model has {self.n_qubits}")
+        if event.n_qubits != (n_qubits := state.ansatz.n_qubits):
+            raise ValueError(f"event has {event.n_qubits} qubits but model has {n_qubits}")
         if n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {n_draws}")
         row = frequency_row(bernoulli_index_samples(event, n_draws, rng))
         cols = np.flatnonzero(row)
         return row[cols], cols
 
-    def _fill(self) -> np.ndarray:
-        """The fidelity series of every basis state, one read-only row each."""
+    def _fill(self, probs: np.ndarray) -> np.ndarray:
+        """The fidelity series of every basis state x from its <z|U|x>**2 in ``probs[:, x]``."""
         n_points, dt = self.grid
-        n_states = self.off_mass.size
+        n_states = probs.shape[1]
         rows = np.empty((n_states, n_points))
         # An extra zero-energy state carries the off-support mass, so a
         # state's overlap off_x + sum_z p_zx exp(i t E_z) is one dot
@@ -172,8 +169,8 @@ class RoutingTable:
         # another BLAS path and moves rows in their last bits.
         energies = np.append(self.state.hamiltonian.energies, 0.0)
         routed = np.empty((n_states, energies.size))
-        routed[:, :-1] = self.probs.T
-        routed[:, -1] = self.off_mass
+        routed[:, :-1] = probs.T
+        routed[:, -1] = 1.0 - probs.sum(axis=0)
         # Both counts are powers of two, so every tile is whole.
         tile = min(_TILE_STATES, n_states)
         n_blocks = _blocks_per_tile(n_states, routed.shape[1], n_points)

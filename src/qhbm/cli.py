@@ -144,6 +144,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
             raise ConfigError(f"--resume takes its settings from the checkpoint; it ignores {flags}")
     resolved = _resolve_train_config(args)
+    initial = None
+    history: list[dict] = []
+    if args.resume:
+        initial, stored, history = io.load_checkpoint(args.resume)
+        # Every setting but --max-epochs comes from the checkpoint.
+        resolved = stored.as_dict() | resolved
     if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return 0
@@ -153,15 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for key in ("train_data", "valid_data"):
         if not Path(resolved[key]).exists():
             raise DataError(f"dataset not found: {resolved[key]}")
-
-    initial = None
-    history: list[dict] = []
-    if args.resume:
-        initial, config, history = io.load_checkpoint(args.resume)
-        if args.max_epochs is not None:
-            config = dataclasses.replace(config, max_epochs=args.max_epochs)
-    else:
-        config = _train_config_from(resolved)
+    config = _train_config_from(resolved)
 
     train_events = _load_probability_events(resolved["train_data"])
     valid_events = _load_probability_events(resolved["valid_data"])
@@ -175,11 +173,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     io.save_checkpoint(outdir / "checkpoint.qhbm", best, config, history)
     io.write_csv_with_provenance(
         outdir / "history.csv",
-        ["epoch", "train_loss", "validation_loss", "learning_rate"],
-        (
-            [h["epoch"], repr(h["train_loss"]), repr(h["validation_loss"]), repr(h["learning_rate"])]
-            for h in history
-        ),
+        train.HISTORY_KEYS,
+        ([h["epoch"], *(repr(h[key]) for key in train.HISTORY_KEYS[1:])] for h in history),
         config.as_dict(),
     )
     snapshot = _metric_snapshot(best, config, valid_events)

@@ -90,7 +90,6 @@ class MarkovChainState:
     """Position of a persistent Metropolis chain (a basis index), including its RNG."""
 
     current: int
-    current_energy: float
     rng: np.random.Generator
 
 
@@ -103,7 +102,7 @@ def initial_chain(
     if start is None:
         start = 2**model.n_visible - 1
     _check_indices(np.array([start]), model.n_visible, "start")
-    return MarkovChainState(int(start), float(free_energies(model, [start])[0]), rng)
+    return MarkovChainState(int(start), rng)
 
 
 def metropolis_sample(
@@ -143,7 +142,7 @@ def metropolis_sample(
         path.append(current)
     collected = np.array(path[burn_in:], dtype=np.int64)
 
-    return collected, MarkovChainState(current, current_energy, rng)
+    return collected, MarkovChainState(current, rng)
 
 
 @dataclass(eq=False)
@@ -151,14 +150,13 @@ class ModularHamiltonian:
     """Diagonal operator K = sum_z E(z) |z><z| over a sampled support.
 
     ``support`` holds distinct int64 basis indices and ``energies`` the
-    aligned E(z).  ``log_partition`` is log sum_z exp(-E(z)) over the
-    stored support.
+    aligned E(z).  ``log_partition`` is derived from them: log sum_z
+    exp(-E(z)) over the stored support, -inf for an empty one.
     """
 
     n_qubits: int
     support: np.ndarray
     energies: np.ndarray
-    log_partition: float
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -175,6 +173,7 @@ class ModularHamiltonian:
         _check_indices(self.support, self.n_qubits, "support")
         if np.unique(self.support).size != self.support.size:
             raise ValueError("support states must be unique")
+        self.log_partition = logsumexp(-self.energies) if self.energies.size else -np.inf
 
 
 def build_hamiltonian(
@@ -192,8 +191,7 @@ def build_hamiltonian(
     _check_indices(samples, model.n_visible, "sample")
     unique, first = np.unique(samples, return_index=True)
     support = unique[np.argsort(first)]
-    energies = free_energies(model, support)
-    return ModularHamiltonian(model.n_visible, support, energies, logsumexp(-energies))
+    return ModularHamiltonian(model.n_visible, support, free_energies(model, support))
 
 
 @dataclass

@@ -16,7 +16,7 @@ data state with the same weight, so the sidecar stores none; a legacy
 Checkpoint layout:
 
     magic  b"QHBMCKPT"
-    u32    format version (currently 1)
+    u32    format version (currently 2; ``_upgrade_v1`` reads version 1)
     u64    metadata length in bytes
     JSON   metadata: config, epoch, chain state, history, payload manifest
     f64    payload arrays, little-endian, in manifest order
@@ -25,7 +25,6 @@ Checkpoint layout:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -44,7 +43,7 @@ from .special import logsumexp
 
 IMAGE_MAGIC = b"QHBIMG1"
 CKPT_MAGIC = b"QHBMCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def config_hash(config: dict) -> str:
@@ -185,10 +184,6 @@ def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
     return images, meta
 
 
-def _payload_manifest(arrays: dict[str, np.ndarray]) -> list[dict]:
-    return [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
-
-
 def save_checkpoint(
     path: str | Path,
     state: train.TrainState,
@@ -197,32 +192,26 @@ def save_checkpoint(
 ) -> None:
     """Serialise a training state atomically; bit-identical for identical runs."""
     path = Path(path)
-    payloads: dict[str, np.ndarray] = {
-        "weights": state.energy_model.weights,
-        "visible_bias": state.energy_model.visible_bias,
-        "hidden_bias": state.energy_model.hidden_bias,
-        "angles": state.ansatz.angles,
+    params = train.parameters(state.energy_model, state.ansatz)
+    payloads: dict[str, np.ndarray] = params | {
         "support_indices": state.hamiltonian.support.astype(np.float64),
         "support_energies": state.hamiltonian.energies,
-        "log_partition": np.array([state.hamiltonian.log_partition]),
     }
-    for tag, adam in (("theta", state.adam_theta), ("phi", state.adam_phi)):
-        for key in sorted(adam.m):
-            payloads[f"adam_{tag}_m_{key}"] = adam.m[key]
-            payloads[f"adam_{tag}_v_{key}"] = adam.v[key]
+    for key in params:
+        payloads[f"adam_m_{key}"] = state.adam.m[key]
+        payloads[f"adam_v_{key}"] = state.adam.v[key]
     metadata = {
         "config": config.as_dict(),
         "epoch": state.epoch,
         "best_validation_loss": state.best_validation_loss,
         "lr_current": state.lr_current,
-        "adam_t": {"theta": state.adam_theta.t, "phi": state.adam_phi.t},
+        "adam_t": state.adam.t,
         "chain": {
             "current_index": int(state.chain.current),
-            "current_energy": state.chain.current_energy,
             "rng_state": generator_state(state.chain.rng),
         },
         "history": list(history),
-        "payloads": _payload_manifest(payloads),
+        "payloads": [{"name": k, "shape": list(v.shape)} for k, v in payloads.items()],
     }
     blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
     with _replacing(path, "wb") as fh:
@@ -249,9 +238,9 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
     if len(raw) < head + 12 or raw[:head] != CKPT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack_from("<I", raw, head)
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise DataError(
-            f"{path} has format version {version}, this build reads {CKPT_VERSION}"
+            f"{path} has format version {version}, this build reads 1 and {CKPT_VERSION}"
         )
     (meta_len,) = struct.unpack_from("<Q", raw, head + 4)
     offset = head + 12
@@ -265,13 +254,38 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
     # state raises those as KeyError/TypeError/ValueError/ConfigError, and
     # an out-of-range generator state as OverflowError.
     try:
-        return _rebuild_state(path, raw, offset, metadata)
+        return _rebuild_state(path, raw, offset, metadata, version)
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"{path}: corrupt checkpoint contents: {exc!r}") from exc
 
 
+def _count(value, what: str) -> int:
+    """``value`` if it is an integer in [0, 2**63); a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
+        raise ValueError(f"{what} must be an integer in [0, 2**63), got {value!r}")
+    return value
+
+
+def _upgrade_v1(metadata: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Rewrite a version-1 layout into version 2 in place.
+
+    Version 1 kept two optimisers with a step count each (they must be equal),
+    log Z (it must be the one the energies give) and the chain energy (unread).
+    """
+    for name in [n for n in arrays if n.startswith(("adam_theta_", "adam_phi_"))]:
+        arrays["adam_" + name.split("_", 2)[2]] = arrays.pop(name)
+    steps = metadata["adam_t"]
+    if steps != {"theta": steps["theta"], "phi": steps["theta"]}:
+        raise ValueError(f"adam_t {steps!r} does not hold one step count")
+    metadata["adam_t"] = steps["theta"]
+    (log_partition,) = arrays.pop("log_partition")
+    # ModularHamiltonian derives log Z the same way, bit for bit.
+    if log_partition != logsumexp(-arrays["support_energies"]):
+        raise ValueError(f"log_partition {log_partition!r} is not logsumexp(-energies)")
+
+
 def _rebuild_state(
-    path: Path, raw: bytes, offset: int, metadata: dict
+    path: Path, raw: bytes, offset: int, metadata: dict, version: int
 ) -> tuple[train.TrainState, train.TrainConfig, list[dict]]:
     arrays: dict[str, np.ndarray] = {}
     for entry in metadata["payloads"]:
@@ -284,6 +298,8 @@ def _rebuild_state(
         offset = end
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
+    if version == 1:
+        _upgrade_v1(metadata, arrays)
 
     stored = dict(metadata["config"])
     # Older checkpoints store the retired protocol modes, circuit
@@ -305,46 +321,41 @@ def _rebuild_state(
         arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"]
     )
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, arrays["angles"])
-    ham = ebm.ModularHamiltonian(
-        config.n_qubits,
-        arrays["support_indices"].astype(np.int64),
-        arrays["support_energies"],
-        float(arrays["log_partition"][0]),
-    )
-    # A saved log_partition is logsumexp(-energies) of the saved energies, bit for bit.
-    if ham.log_partition != logsumexp(-ham.energies):
-        raise ValueError(f"log_partition {ham.log_partition!r} is not logsumexp(-energies)")
+    support = arrays.pop("support_indices").astype(np.int64)
+    ham = ebm.ModularHamiltonian(config.n_qubits, support, arrays.pop("support_energies"))
     if not train.is_rate(lr := metadata["lr_current"]):
         raise ValueError(f"lr_current must be finite and positive, got {lr!r}")
-    # initial_chain checks the index; the stored energy is kept as saved.
-    chain = dataclasses.replace(
-        ebm.initial_chain(
-            model,
-            restore_generator(metadata["chain"]["rng_state"]),
-            int(metadata["chain"]["current_index"]),
-        ),
-        current_energy=float(metadata["chain"]["current_energy"]),
+    if not isinstance(history := metadata["history"], list) or not all(
+        isinstance(row, dict) and set(row) == set(train.HISTORY_KEYS) for row in history
+    ):
+        raise ValueError(f"history must be a list of rows with the keys {train.HISTORY_KEYS}")
+    chain = ebm.initial_chain(
+        model,
+        restore_generator(metadata["chain"]["rng_state"]),
+        _count(metadata["chain"]["current_index"], "chain.current_index"),
     )
-    # Each optimiser holds one first and one second moment per parameter,
-    # shaped like it: anything else would fail only when training resumes.
-    adam_states = {}
-    for tag, params in (("theta", train._theta_params(model)), ("phi", {"angles": ansatz.angles})):
-        prefix = f"adam_{tag}_"
-        shapes = {name: arr.shape for name, arr in arrays.items() if name.startswith(prefix)}
-        expected = {f"{prefix}{kind}_{key}": p.shape for kind in "mv" for key, p in params.items()}
-        if shapes != expected:
-            raise ValueError(f"optimiser moments {shapes}, expected {expected}")
-        m, v = ({key: arrays[f"{prefix}{kind}_{key}"] for key in params} for kind in "mv")
-        adam_states[tag] = train.AdamState(m, v, int(metadata["adam_t"][tag]))
+    # The other payloads are the parameters, the couplings shaped as the
+    # config says, and one first and one second moment of each parameter,
+    # shaped like it: anything else would run another model or fail only
+    # when training resumes.  Second moments go into a square root.
+    params = train.parameters(model, ansatz)
+    expected = {key: p.shape for key, p in params.items()}
+    expected["weights"] = (config.n_qubits, config.hidden_units)
+    expected |= {f"adam_{kind}_{key}": p.shape for kind in "mv" for key, p in params.items()}
+    if (shapes := {name: arr.shape for name, arr in arrays.items()}) != expected:
+        raise ValueError(f"payloads {shapes}, expected {expected}")
+    m, v = ({key: arrays[f"adam_{kind}_{key}"] for key in params} for kind in "mv")
+    moments = [*m.values(), *v.values()]
+    if not all(np.isfinite(a).all() for a in moments) or any((a < 0).any() for a in v.values()):
+        raise ValueError("optimiser moments must be finite, and second moments >= 0")
     state = train.TrainState(
         energy_model=model,
         ansatz=ansatz,
         hamiltonian=ham,
         chain=chain,
-        adam_theta=adam_states["theta"],
-        adam_phi=adam_states["phi"],
-        epoch=int(metadata["epoch"]),
+        adam=train.AdamState(m, v, _count(metadata["adam_t"], "adam_t")),
+        epoch=_count(metadata["epoch"], "epoch"),
         best_validation_loss=float(metadata["best_validation_loss"]),
         lr_current=float(metadata["lr_current"]),
     )
-    return state, config, list(metadata["history"])
+    return state, config, history

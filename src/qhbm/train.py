@@ -142,8 +142,7 @@ class TrainState:
     ansatz: qsim.CircuitAnsatz
     hamiltonian: ebm.ModularHamiltonian
     chain: ebm.MarkovChainState
-    adam_theta: AdamState
-    adam_phi: AdamState
+    adam: AdamState
     epoch: int = 0
     best_validation_loss: float = np.inf
     lr_current: float = 1e-2
@@ -164,23 +163,23 @@ def init_train_state(config: TrainConfig) -> TrainState:
     chain = ebm.initial_chain(model, substream(config.seed, "chain"))
     samples, chain = ebm.metropolis_sample(model, chain, config.mc_burn_in, config.n_mc_samples)
     ham = ebm.build_hamiltonian(model, samples)
-    theta_params = _theta_params(model)
     return TrainState(
         energy_model=model,
         ansatz=ansatz,
         hamiltonian=ham,
         chain=chain,
-        adam_theta=AdamState.zeros_like(theta_params),
-        adam_phi=AdamState.zeros_like({"angles": angles}),
+        adam=AdamState.zeros_like(parameters(model, ansatz)),
         lr_current=config.learning_rate,
     )
 
 
-def _theta_params(model: ebm.EnergyModel) -> dict[str, np.ndarray]:
+def parameters(model: ebm.EnergyModel, ansatz: qsim.CircuitAnsatz) -> dict[str, np.ndarray]:
+    """Every trained array by name: the model's three, then the circuit angles."""
     return {
         "weights": model.weights,
         "visible_bias": model.visible_bias,
         "hidden_bias": model.hidden_bias,
+        "angles": ansatz.angles,
     }
 
 
@@ -277,8 +276,8 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
     support is rebuilt from the fresh samples.  One circuit matrix gives
     the loss of the incoming parameters under that fresh Hamiltonian, the
     support weights of the model gradient and the start of the angle
-    gradient's backward sweep.  Both parameter sets then receive one Adam
-    update at the shared current learning rate.  Raises NumericError when
+    gradient's backward sweep.  Both parameter sets then take one Adam
+    update at the current learning rate.  Raises NumericError when
     the update leaves non-finite parameters or free energies.
     """
     samples, chain = ebm.metropolis_sample(
@@ -288,20 +287,15 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
     q = _batch_distribution(batch)
     u = qsim.ansatz_unitary(state.ansatz)
     loss, _, weights = _loss(u, ham, q)
-    phi_grad = _phi_gradient(state.ansatz, u, ham, q)
     theta_grad = ebm.theta_gradient(state.energy_model, ham, weights)
-    new_angles = state.adam_phi.update(
-        {"angles": state.ansatz.angles}, {"angles": phi_grad}, state.lr_current
-    )["angles"]
-    new_theta = state.adam_theta.update(
-        _theta_params(state.energy_model), vars(theta_grad), state.lr_current
-    )
-
-    updated = {"angles": new_angles, **new_theta}
+    grads = vars(theta_grad) | {"angles": _phi_gradient(state.ansatz, u, ham, q)}
+    params = parameters(state.energy_model, state.ansatz)
+    updated = state.adam.update(params, grads, state.lr_current)
     blown = [name for name, values in updated.items() if not np.all(np.isfinite(values))]
     if blown:
         raise NumericError(f"update left non-finite {', '.join(blown)}")
-    model = ebm.EnergyModel(**new_theta)
+    new_angles = updated.pop("angles")
+    model = ebm.EnergyModel(**updated)
     # Finite parameters can still overflow the free energies that the next
     # step's sampler and Hamiltonian are built from.
     if not np.all(np.isfinite(ebm.free_energies(model, np.arange(2**config.n_qubits)))):
@@ -350,6 +344,10 @@ def _validation_loss(
 def snapshot(state: TrainState) -> TrainState:
     """Deep copy, including the chain RNG position."""
     return copy.deepcopy(state)
+
+
+# The keys of each history row ``fit`` appends, as ``history.csv`` orders them.
+HISTORY_KEYS = ("epoch", "train_loss", "validation_loss", "learning_rate")
 
 
 def fit(
@@ -417,7 +415,6 @@ def fit(
         if since_improve >= config.early_stop_patience:
             break
     best.epoch = state.epoch
-    best.best_validation_loss = state.best_validation_loss
     return best, history
 
 

@@ -1,9 +1,12 @@
 """Well-framed but corrupt checkpoints for the loader's error paths.
 
 Each fault rewrites a valid checkpoint with correct magic, version,
-lengths and payload framing, so only the contents are wrong.
-``save_with_stored_config`` writes a checkpoint whose stored config holds
-extra keys, as builds before the retired settings wrote them.
+lengths and payload framing, so only the contents are wrong.  The faults
+named after the version-1 payloads (``log_partition``, ``adam_theta_*``,
+``adam_phi_*``) and step counts first rewrite the file in that layout
+(``to_version_1``).  ``write_version_1`` writes a valid version-1 copy,
+and ``save_with_stored_config`` writes a checkpoint whose stored config
+holds extra keys, as builds before the retired settings wrote them.
 """
 
 import json
@@ -12,97 +15,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from qhbm import ebm
 from qhbm.io import CKPT_MAGIC, CKPT_VERSION, save_checkpoint
+from qhbm.special import logsumexp
+
+# The version-1 optimisers: the model's moments in sorted key order, then the angles'.
+_V1_OPTIMISERS = (("theta", ("hidden_bias", "visible_bias", "weights")), ("phi", ("angles",)))
 
 
-def _drop_weights_payload(metadata, arrays):
-    metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != "weights"]
-    del arrays["weights"]
-
-
-def _drop_adam_phi_m_angles(metadata, arrays):
-    metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != "adam_phi_m_angles"]
-    del arrays["adam_phi_m_angles"]
-
-
-def _short_adam_theta_v_weights(metadata, arrays):
-    entry = next(e for e in metadata["payloads"] if e["name"] == "adam_theta_v_weights")
-    entry["shape"] = [3]
-    arrays["adam_theta_v_weights"] = arrays["adam_theta_v_weights"][:3]
-
-
-def _drop_chain(metadata, arrays):
-    del metadata["chain"]
-
-
-def _support_index_out_of_range(metadata, arrays):
-    arrays["support_indices"][0] = 1e6
-
-
-def _config_out_of_range(metadata, arrays):
-    metadata["config"]["n_qubits"] = 20
-
-
-def _config_fractional_batch_size(metadata, arrays):
-    metadata["config"]["batch_size"] = 2.5
-
-
-def _config_boolean_max_epochs(metadata, arrays):
-    metadata["config"]["max_epochs"] = True
-
-
-def _rng_state(key, value):
-    def fault(metadata, arrays):
-        metadata["chain"]["rng_state"][key] = value
-
-    return fault
-
-
-def _lr_current(value):
-    def fault(metadata, arrays):
-        metadata["lr_current"] = value
-
-    return fault
-
-
-def _log_partition_nan(metadata, arrays):
-    arrays["log_partition"][0] = np.nan
-
-
-FAULTS = {
-    "config_batch_size_2.5": _config_fractional_batch_size,
-    "config_max_epochs_true": _config_boolean_max_epochs,
-    "config_n_qubits_20": _config_out_of_range,
-    "no_weights_payload": _drop_weights_payload,
-    "no_adam_phi_m_angles": _drop_adam_phi_m_angles,
-    "adam_theta_v_weights_3_entries": _short_adam_theta_v_weights,
-    "no_chain": _drop_chain,
-    "support_index_1e6": _support_index_out_of_range,
-    # The generator rejects these as OverflowError, not ValueError.
-    "rng_uinteger_-1": _rng_state("uinteger", -1),
-    "rng_uinteger_1e308": _rng_state("uinteger", 1e308),
-    "rng_has_uint32_1e308": _rng_state("has_uint32", 1e308),
-    "lr_current_-1": _lr_current(-1.0),
-    "lr_current_0": _lr_current(0.0),
-    "lr_current_nan": _lr_current(float("nan")),
-    "lr_current_true": _lr_current(True),
-    "log_partition_nan": _log_partition_nan,
-}
-
-
-def save_with_stored_config(path, state, config, history, extra) -> None:
-    """Save a checkpoint whose stored config also holds the keys in ``extra``."""
-    save_checkpoint(path, state, SimpleNamespace(as_dict=lambda: config.as_dict() | extra), history)
-
-
-def write_corrupt_checkpoint(src, dst, fault: str | None) -> None:
-    """Copy the checkpoint at ``src`` to ``dst`` with ``FAULTS[fault]`` applied.
-
-    ``fault=None`` re-frames the contents unchanged.
-    """
-    raw = src.read_bytes()
+def read_layout(path):
+    """(format version, metadata, flat payload arrays in manifest order) of a checkpoint."""
+    raw = path.read_bytes()
     head = len(CKPT_MAGIC)
-    (meta_len,) = struct.unpack_from("<Q", raw, head + 4)
+    version, meta_len = struct.unpack_from("<IQ", raw, head)
     offset = head + 12
     metadata = json.loads(raw[offset : offset + meta_len])
     offset += meta_len
@@ -111,8 +36,174 @@ def write_corrupt_checkpoint(src, dst, fault: str | None) -> None:
         n_items = int(np.prod(entry["shape"]))
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=n_items, offset=offset).copy()
         offset += 8 * n_items
-    if fault is not None:
-        FAULTS[fault](metadata, arrays)
+    return version, metadata, arrays
+
+
+def to_version_1(metadata, arrays) -> int:
+    """Rewrite a version-2 layout in place as version 1 stored it; return 1.
+
+    Version 1 kept one optimiser for the model and one for the angles, each
+    with its own step count, the chain's current energy and log Z.
+    """
+    shapes = {e["name"]: e["shape"] for e in metadata["payloads"]}
+    model = ebm.EnergyModel(
+        *(arrays[k].reshape(shapes[k]) for k in ("weights", "visible_bias", "hidden_bias"))
+    )
+    chain = metadata["chain"]
+    chain["current_energy"] = float(ebm.free_energies(model, [chain["current_index"]])[0])
+    metadata["adam_t"] = {"theta": metadata["adam_t"], "phi": metadata["adam_t"]}
+    names = ["weights", "visible_bias", "hidden_bias", "angles", "support_indices", "support_energies"]
+    legacy = {name: (arrays[name], shapes[name]) for name in names}
+    log_z = logsumexp(-arrays["support_energies"])
+    legacy["log_partition"] = (np.array([log_z]), [1])
+    for tag, keys in _V1_OPTIMISERS:
+        for key in keys:
+            for kind in "mv":
+                name = f"adam_{kind}_{key}"
+                legacy[f"adam_{tag}_{kind}_{key}"] = (arrays[name], shapes[name])
+    arrays.clear()
+    arrays.update({name: values for name, (values, _) in legacy.items()})
+    metadata["payloads"] = [{"name": name, "shape": shape} for name, (_, shape) in legacy.items()]
+    return 1
+
+
+def _version_1(fault):
+    def legacy_fault(metadata, arrays):
+        version = to_version_1(metadata, arrays)
+        fault(metadata, arrays)
+        return version
+
+    return legacy_fault
+
+
+def _set(*keys, value):
+    """Set the metadata entry at ``keys`` to ``value``."""
+    def fault(metadata, arrays):
+        target = metadata
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return fault
+
+
+def _entry(name, value):
+    """Set the first entry of payload ``name`` to ``value``."""
+    def fault(metadata, arrays):
+        arrays[name][0] = value
+
+    return fault
+
+
+def _drop(name):
+    def fault(metadata, arrays):
+        metadata["payloads"] = [e for e in metadata["payloads"] if e["name"] != name]
+        del arrays[name]
+
+    return fault
+
+
+def _truncate(name, n_items):
+    def fault(metadata, arrays):
+        entry = next(e for e in metadata["payloads"] if e["name"] == name)
+        entry["shape"] = [n_items]
+        arrays[name] = arrays[name][:n_items]
+
+    return fault
+
+
+def _drop_chain(metadata, arrays):
+    del metadata["chain"]
+
+
+def _hidden_units_above_payloads(metadata, arrays):
+    # The stored couplings keep their hidden units; the config implies one more.
+    n_hidden = next(e["shape"][1] for e in metadata["payloads"] if e["name"] == "weights")
+    metadata["config"]["n_hidden"] = n_hidden + 1
+
+
+def _correct_log_partition_payload(metadata, arrays):
+    # Version 2 stores no log Z, not even the value the energies give.
+    metadata["payloads"].append({"name": "log_partition", "shape": [1]})
+    arrays["log_partition"] = np.array([logsumexp(-arrays["support_energies"])])
+
+
+def _history_row_without_epoch(metadata, arrays):
+    del metadata["history"][0]["epoch"]
+
+
+def _unequal_step_counts(metadata, arrays):
+    metadata["adam_t"]["phi"] += 1
+
+
+FAULTS = {
+    "config_batch_size_2.5": _set("config", "batch_size", value=2.5),
+    "config_max_epochs_true": _set("config", "max_epochs", value=True),
+    "config_n_qubits_20": _set("config", "n_qubits", value=20),
+    "config_n_hidden_above_payloads": _hidden_units_above_payloads,
+    "no_weights_payload": _drop("weights"),
+    "no_adam_m_angles": _drop("adam_m_angles"),
+    "adam_v_weights_3_entries": _truncate("adam_v_weights", 3),
+    "adam_v_angles_-1": _entry("adam_v_angles", -1.0),
+    "adam_m_angles_nan": _entry("adam_m_angles", np.nan),
+    "log_partition_payload": _correct_log_partition_payload,
+    "no_chain": _drop_chain,
+    "chain_current_index_true": _set("chain", "current_index", value=True),
+    "chain_current_index_2.5": _set("chain", "current_index", value=2.5),
+    "epoch_-1": _set("epoch", value=-1),
+    "epoch_2.5": _set("epoch", value=2.5),
+    "epoch_true": _set("epoch", value=True),
+    "epoch_1e308": _set("epoch", value=1e308),
+    "adam_t_-1": _set("adam_t", value=-1),
+    "adam_t_2.5": _set("adam_t", value=2.5),
+    "adam_t_true": _set("adam_t", value=True),
+    # Resuming would overflow in the bias correction 0.9**t.
+    "adam_t_10**400": _set("adam_t", value=10**400),
+    "history_x": _set("history", value="x"),
+    "history_list_of_1": _set("history", value=[1]),
+    "history_row_without_epoch": _history_row_without_epoch,
+    "support_index_1e6": _entry("support_indices", 1e6),
+    # The generator rejects these as OverflowError, not ValueError.
+    "rng_uinteger_-1": _set("chain", "rng_state", "uinteger", value=-1),
+    "rng_uinteger_1e308": _set("chain", "rng_state", "uinteger", value=1e308),
+    "rng_has_uint32_1e308": _set("chain", "rng_state", "has_uint32", value=1e308),
+    "lr_current_-1": _set("lr_current", value=-1.0),
+    "lr_current_0": _set("lr_current", value=0.0),
+    "lr_current_nan": _set("lr_current", value=float("nan")),
+    "lr_current_true": _set("lr_current", value=True),
+    # Version-1 layout.
+    "log_partition_nan": _version_1(_entry("log_partition", np.nan)),
+    "no_adam_phi_m_angles": _version_1(_drop("adam_phi_m_angles")),
+    "adam_theta_v_weights_3_entries": _version_1(_truncate("adam_theta_v_weights", 3)),
+    "adam_t_theta_phi_unequal": _version_1(_unequal_step_counts),
+}
+
+
+def save_with_stored_config(path, state, config, history, extra) -> None:
+    """Save a checkpoint whose stored config also holds the keys in ``extra``."""
+    save_checkpoint(path, state, SimpleNamespace(as_dict=lambda: config.as_dict() | extra), history)
+
+
+def _rewrite(src, dst, edit) -> None:
+    """Copy the checkpoint at ``src`` to ``dst`` with ``edit(metadata, arrays)`` applied.
+
+    ``edit`` returns the format version to write, or None for the current one.
+    """
+    _, metadata, arrays = read_layout(src)
+    version = (edit(metadata, arrays) if edit else None) or CKPT_VERSION
     blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
     payload = b"".join(arr.astype("<f8").tobytes() for arr in arrays.values())
-    dst.write_bytes(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob + payload)
+    dst.write_bytes(CKPT_MAGIC + struct.pack("<IQ", version, len(blob)) + blob + payload)
+
+
+def write_corrupt_checkpoint(src, dst, fault: str | None) -> None:
+    """Copy the checkpoint at ``src`` to ``dst`` with ``FAULTS[fault]`` applied.
+
+    ``fault=None`` re-frames the contents unchanged.
+    """
+    _rewrite(src, dst, FAULTS[fault] if fault is not None else None)
+
+
+def write_version_1(src, dst) -> None:
+    """Copy the version-2 checkpoint at ``src`` to ``dst`` in the version-1 layout."""
+    _rewrite(src, dst, to_version_1)

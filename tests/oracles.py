@@ -11,23 +11,22 @@ loops, kept to check that faster paths draw the same numbers.
 """
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from qhbm import ebm, qsim
 from qhbm.embed import bernoulli_index_samples
 
 
 def hamiltonian_from_energies(n_qubits, support, energies) -> ebm.ModularHamiltonian:
-    """A modular Hamiltonian straight from basis indices and their energies, with log Z."""
+    """A modular Hamiltonian straight from basis indices and their energies."""
     if len(support) == 0:
         raise ValueError("need at least one support state")
-    energies = np.asarray(energies, dtype=np.float64)
-    return ebm.ModularHamiltonian(n_qubits, support, energies, float(logsumexp(-energies)))
+    return ebm.ModularHamiltonian(n_qubits, support, energies)
 
 
 def empty_hamiltonian(n_qubits) -> ebm.ModularHamiltonian:
     """A modular Hamiltonian with no support states (log Z = -inf)."""
-    return ebm.ModularHamiltonian(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0), -np.inf)
+    return ebm.ModularHamiltonian(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -392,7 +391,7 @@ def metropolis_sample_reference(model, chain, burn_in: int, n_collect: int):
             current = cand
             current_energy = table[cand]
         path.append(current)
-    return np.array(path[burn_in:], dtype=np.int64), ebm.MarkovChainState(current, current_energy, rng)
+    return np.array(path[burn_in:], dtype=np.int64), ebm.MarkovChainState(current, rng)
 
 
 def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:

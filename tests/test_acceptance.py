@@ -59,14 +59,7 @@ def _manual_state(model, ansatz, ham, seed=0):
         ansatz=ansatz,
         hamiltonian=ham,
         chain=chain,
-        adam_theta=train.AdamState.zeros_like(
-            {
-                "weights": model.weights,
-                "visible_bias": model.visible_bias,
-                "hidden_bias": model.hidden_bias,
-            }
-        ),
-        adam_phi=train.AdamState.zeros_like({"angles": ansatz.angles}),
+        adam=train.AdamState.zeros_like(train.parameters(model, ansatz)),
     )
 
 

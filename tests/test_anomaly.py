@@ -27,7 +27,7 @@ from qhbm.anomaly import (
 from qhbm.embed import PixelProbabilities, bernoulli_index_samples
 from qhbm.metrics import RocCurve, power_spectrum, roc_from_scores
 from qhbm.rng import substream
-from qhbm.train import AdamState, TrainState
+from qhbm.train import AdamState, TrainState, parameters
 
 from oracles import (
     draw_indices,
@@ -51,8 +51,7 @@ def make_state(ansatz, ham, rng_seed=0):
         ansatz=ansatz,
         hamiltonian=ham,
         chain=chain,
-        adam_theta=AdamState.zeros_like({"w": model.weights}),
-        adam_phi=AdamState.zeros_like({"angles": ansatz.angles}),
+        adam=AdamState.zeros_like(parameters(model, ansatz)),
     )
 
 
@@ -408,6 +407,16 @@ class TestTiledRowStore:
     def test_a_long_grid_has_several_blocks_per_tile(self):
         n_points = self.block_end(8, 38, 2100)
         assert _blocks_per_tile(2**8, 38, n_points) > 1
+
+    def test_table_keeps_only_what_scoring_reads(self):
+        # The support probabilities and off-support mass feed the fill alone.
+        state, _ = random_scoring_state(5, 20, 20.0, 3)
+        assert sorted(vars(RoutingTable(state))) == ["_rows", "grid", "state", "t_zero"]
+        table = RoutingTable(state, 50.0, 0.1)
+        assert sorted(vars(table)) == ["_rows", "grid", "state", "t_zero"]
+        assert table.t_zero.shape == (2**5,) and table._rows.shape == (2**5, 501)
+        with pytest.raises(ValueError, match="event has 4 qubits but model has 5"):
+            table.draw(state, PixelProbabilities(np.full(4, 0.5)), 1, np.random.default_rng(0))
 
     def test_series_is_not_changed_by_the_next_call(self):
         state, event = random_scoring_state(5, 20, 20.0, 3)

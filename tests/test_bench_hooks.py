@@ -99,13 +99,13 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
         monkeypatch.setattr(module, attr, counted)
 
     model = ebm.EnergyModel.initialize(3, rng=np.random.default_rng(0))
+    ansatz = qsim.CircuitAnsatz(3, 1, np.full(4, 0.3))
     state = train.TrainState(
         energy_model=model,
-        ansatz=qsim.CircuitAnsatz(3, 1, np.full(4, 0.3)),
+        ansatz=ansatz,
         hamiltonian=hamiltonian_from_energies(3, [0, 5, 6], [0.1, 0.7, 1.3]),
         chain=ebm.initial_chain(model, np.random.default_rng(1)),
-        adam_theta=train.AdamState.zeros_like({"w": model.weights}),
-        adam_phi=train.AdamState.zeros_like({"angles": np.zeros(4)}),
+        adam=train.AdamState.zeros_like(train.parameters(model, ansatz)),
     )
     events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(3)]
     anomaly.score_events(

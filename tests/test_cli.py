@@ -19,7 +19,12 @@ from qhbm.io import (
     write_image_container,
 )
 
-from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
+from checkpoint_faults import (
+    FAULTS,
+    save_with_stored_config,
+    write_corrupt_checkpoint,
+    write_version_1,
+)
 
 
 def run(*argv):
@@ -351,6 +356,22 @@ class TestTrain:
         ) == 0
         _, rows = read_csv_skip_provenance(outdir / "history.csv")
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+
+    def test_resume_prints_checkpoint_config(self, pipeline, tmp_path, capsys):
+        # The settings a resumed run uses: the checkpoint's, with --max-epochs.
+        _, config, _ = load_checkpoint(pipeline["checkpoint"])
+        assert run(
+            "train", "--resume", str(pipeline["checkpoint"]), "--print-config",
+            "--train-data", "t.qhbimg", "--max-epochs", "7",
+        ) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert resolved == config.as_dict() | {"max_epochs": 7, "train_data": "t.qhbimg"}
+        assert run("train", "--resume", str(pipeline["checkpoint"]), "--print-config") == 0
+        assert json.loads(capsys.readouterr().out) == config.as_dict()
+        bad = tmp_path / "bad.qhbm"
+        write_corrupt_checkpoint(pipeline["checkpoint"], bad, "history_x")
+        assert run("train", "--resume", str(bad), "--print-config") == 3
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "extra, named",
@@ -724,6 +745,35 @@ def test_corrupt_checkpoint_exit_3_on_other_commands(pipeline, tmp_path, capsys,
     assert run(command, *argv) == 3
     assert f"data error: {bad}: corrupt checkpoint contents" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_version_1_checkpoint_gives_the_same_outputs(pipeline, tmp_path):
+    """A version-1 file runs every command as its version-2 copy does, byte for byte."""
+    legacy = tmp_path / "legacy.qhbm"
+    write_version_1(pipeline["checkpoint"], legacy)
+    outputs = {}
+    for name, checkpoint in (("current", pipeline["checkpoint"]), ("legacy", legacy)):
+        d = tmp_path / name
+        ckpt = str(checkpoint)
+        for argv in (
+            ["evaluate", "--checkpoint", ckpt, "--test", str(pipeline["valid"]),
+             "--outdir", str(d / "eval"), "--generation-samples", "200"],
+            ["generate", "--checkpoint", ckpt, "--n-events", "10", "--out", str(d / "gen.csv")],
+            ["anomaly", "--checkpoint", ckpt, "--signal", str(pipeline["signal"]),
+             "--background", str(pipeline["valid"]), "--outdir", str(d / "anomaly"),
+             "--total-time", "20", "--n-draws", "4", "--n-thresholds", "20"],
+            ["site-entropy", "--checkpoint", ckpt, "--out", str(d / "pairs.csv")],
+            ["train", "--resume", ckpt, "--train-data", str(pipeline["train"]),
+             "--valid-data", str(pipeline["valid"]), "--outdir", str(d / "run"),
+             "--max-epochs", "3"],
+        ):
+            assert run(*argv) == 0
+        outputs[name] = {
+            path.relative_to(d): path.read_bytes() for path in sorted(d.rglob("*")) if path.is_file()
+        }
+    assert len(outputs["current"]) == 16
+    # Both resumed runs save the same state in the current layout.
+    assert outputs["legacy"] == outputs["current"]
 
 
 class TestSiteEntropy:

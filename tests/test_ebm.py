@@ -56,7 +56,6 @@ def assert_chain_matches_reference(model, chain, burn_in, n_collect):
     ref_samples, ref_after = metropolis_sample_reference(model, ref_chain, burn_in, n_collect)
     assert samples.dtype == np.int64 and np.array_equal(samples, ref_samples)
     assert after.current == ref_after.current
-    assert np.float64(after.current_energy).tobytes() == np.float64(ref_after.current_energy).tobytes()
     assert after.rng.bit_generator.state == ref_after.rng.bit_generator.state
     return samples, after
 
@@ -179,18 +178,12 @@ class TestInitialChain:
         model = zero_model(3, 2)
         chain = initial_chain(model, np.random.default_rng(0))
         assert chain.current == 0b111
-        assert chain.current_energy == pytest.approx(
-            free_energy(model, chain.current), abs=1e-12
-        )
 
     def test_custom_start(self, rng):
         model = random_model(2, 2, rng)
         start = 0b01
         chain = initial_chain(model, np.random.default_rng(0), start=start)
         assert chain.current == start
-        assert chain.current_energy == pytest.approx(
-            free_energy(model, start), abs=1e-12
-        )
 
     def test_start_width_mismatch(self, rng):
         model = random_model(2, 2, rng)
@@ -207,9 +200,6 @@ class TestMetropolis:
         samples, new_chain = metropolis_sample(model, chain, burn_in=10, n_collect=57)
         assert samples.shape == (57,) and samples.dtype == np.int64
         assert new_chain.current == samples[-1]
-        assert new_chain.current_energy == pytest.approx(
-            free_energy(model, new_chain.current), abs=1e-10
-        )
 
     def test_zero_collect_returns_empty(self, rng):
         model = random_model(2, 2, rng)
@@ -351,7 +341,7 @@ class TestModularHamiltonian:
         with pytest.raises(ValueError):
             hamiltonian_from_energies(2, [-1], [0.0])
         with pytest.raises(ValueError):
-            ModularHamiltonian(11, [0], [0.0], 0.0)
+            ModularHamiltonian(11, [0], [0.0])
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,13 @@ from qhbm.io import (
 )
 from qhbm.train import TrainConfig, fit, init_train_state, snapshot, train_step
 
-from checkpoint_faults import FAULTS, save_with_stored_config, write_corrupt_checkpoint
+from checkpoint_faults import (
+    FAULTS,
+    read_layout,
+    save_with_stored_config,
+    write_corrupt_checkpoint,
+    write_version_1,
+)
 
 
 def sample_images():
@@ -305,17 +311,42 @@ class TestCheckpoint:
         assert np.array_equal(loaded.hamiltonian.energies, state.hamiltonian.energies)
         assert loaded.hamiltonian.log_partition == state.hamiltonian.log_partition
         assert loaded.chain.current == state.chain.current
-        assert loaded.chain.current_energy == state.chain.current_energy
         assert loaded.epoch == state.epoch
         assert loaded.best_validation_loss == state.best_validation_loss
         assert loaded.lr_current == state.lr_current
-        for tag in ("adam_theta", "adam_phi"):
-            orig, back = getattr(state, tag), getattr(loaded, tag)
-            assert back.t == orig.t
-            assert sorted(back.m) == sorted(orig.m)
-            for key in orig.m:
-                assert np.array_equal(back.m[key], orig.m[key])
-                assert np.array_equal(back.v[key], orig.v[key])
+        orig, back = state.adam, loaded.adam
+        assert back.t == orig.t
+        assert sorted(back.m) == sorted(orig.m)
+        for key in orig.m:
+            assert np.array_equal(back.m[key], orig.m[key])
+            assert np.array_equal(back.v[key], orig.v[key])
+
+    def test_layout_holds_each_fact_once(self, tmp_path):
+        # Nothing derived is stored: no log Z, no chain energy, one optimiser.
+        state, cfg, history = trained_state()
+        path = tmp_path / "model.qhbm"
+        save_checkpoint(path, state, cfg, history)
+        version, metadata, arrays = read_layout(path)
+        assert version == 2
+        assert sorted(metadata) == [
+            "adam_t", "best_validation_loss", "chain", "config", "epoch", "history",
+            "lr_current", "payloads",
+        ]
+        assert sorted(metadata["chain"]) == ["current_index", "rng_state"]
+        assert metadata["adam_t"] == state.adam.t == 2
+        params = ["weights", "visible_bias", "hidden_bias", "angles"]
+        moments = [f"adam_{kind}_{key}" for key in params for kind in "mv"]
+        assert list(arrays) == params + ["support_indices", "support_energies"] + moments
+
+    def test_version_1_loads_as_the_same_state(self, tmp_path):
+        state, cfg, history = trained_state()
+        path = tmp_path / "model.qhbm"
+        save_checkpoint(path, state, cfg, history)
+        write_version_1(path, tmp_path / "legacy.qhbm")
+        assert read_layout(tmp_path / "legacy.qhbm")[0] == 1
+        loaded, loaded_cfg, loaded_history = load_checkpoint(tmp_path / "legacy.qhbm")
+        save_checkpoint(tmp_path / "again.qhbm", loaded, loaded_cfg, loaded_history)
+        assert (tmp_path / "again.qhbm").read_bytes() == path.read_bytes()
 
     def test_chain_rng_resumes_identically(self, tmp_path):
         state, cfg, history = trained_state()
@@ -341,7 +372,7 @@ class TestCheckpoint:
         # The last payload cannot be stored as float64, so the save fails
         # after the header and the other payloads have been written.
         broken = snapshot(state)
-        broken.adam_phi.v["angles"] = np.array(["not a number"], dtype=object)
+        broken.adam.v["angles"] = np.array(["not a number"], dtype=object)
         with pytest.raises(ValueError):
             save_checkpoint(path, broken, cfg, history + [{"epoch": 3}])
         assert path.read_bytes() == before
