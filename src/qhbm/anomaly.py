@@ -11,7 +11,6 @@ either the integrated high-frequency power of the fidelity series
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import qsim
 from .ebm import ModularHamiltonian
 from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
-from .metrics import RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
+from .metrics import PowerSpectrum, RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
 from .train import TrainState
 
 # Reference run shapes for the two anomaly scenarios.
@@ -35,14 +34,6 @@ SCENARIOS = {
         "n_embed_samples": 5000,
     },
 }
-
-
-@dataclass
-class FidelitySeries:
-    """|<psi(t)|psi(0)>|**2 on a uniform time grid from 0: one series (N,) or a stack (..., N)."""
-
-    dt: float
-    values: np.ndarray
 
 
 def check_time_grid(total_time: float, dt: float) -> int:
@@ -70,8 +61,10 @@ _TILE_SHARE = 4
 # dense: its weights are scattered over all rows and read with one
 # product.  A sparse event gathers the rows it hits.
 _DENSE_SHARE = 4
-# Spectral scores transform a stack of series this many rows at a time.
+# Per-class reductions read a stack of series this many events and time
+# steps at a time, so no temporary is as large as the stack.
 _EVENT_BLOCK = 16
+_TIME_BLOCK = 2048
 
 
 def _coarse_step(n_points: int) -> int:
@@ -211,8 +204,8 @@ def time_evolution_series(
     n_draws: int = 1,
     *,
     table: RoutingTable | None = None,
-) -> FidelitySeries:
-    """Fidelity to the initial state along the quantised time grid.
+) -> np.ndarray:
+    """Fidelity to the initial state along the quantised time grid, an (N,) array.
 
     The event is embedded ``n_draws`` times; each draw's basis state is
     routed through the circuit and evolved under the diagonal
@@ -236,7 +229,7 @@ def time_evolution_series(
     elif table.grid != (n_points, dt):
         raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
     weights, cols = table.draw(state, event, n_draws, rng)
-    return FidelitySeries(dt, table.mean_fidelity(weights, cols))
+    return table.mean_fidelity(weights, cols)
 
 
 def event_series(
@@ -258,8 +251,7 @@ def event_series(
         table = RoutingTable(state, total_time, dt)
     stack = np.empty((len(events), check_time_grid(total_time, dt) + 1))
     for row, event in zip(stack, events):
-        series = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
-        row[:] = series.values
+        row[:] = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
     return stack
 
 
@@ -274,25 +266,58 @@ def check_spectral_args(total_time: float, dt: float, f_min: float) -> None:
     _check_f_min(f_min, np.fft.rfftfreq(n_points, d=dt)[-1])
 
 
-def spectral_score(series: FidelitySeries, f_min: float) -> float | np.ndarray:
-    """Integrated spectral power of each series at and above ``f_min``.
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each of ``rows`` in turn; with no total, start from the first row.
 
-    The score is sum_k P(f_k) * df over bins with f_k >= f_min, i.e. the
-    variance share carried by fast oscillations.  ``f_min`` must not
-    exceed the Nyquist frequency 1 / (2 dt).  A stack (..., N) of series
-    gives one score per series, each equal to that of its own call.
+    This is the order in which NumPy reduces a C-contiguous array over
+    axis 0, so the sums match ``np.sum(axis=0)`` bit for bit.
     """
-    values = np.asarray(series.values)
-    rows = values.reshape(-1, values.shape[-1])
-    scores = np.empty(len(rows))
-    for e0 in range(0, len(rows), _EVENT_BLOCK):
-        spectrum = power_spectrum(rows[e0 : e0 + _EVENT_BLOCK], series.dt)
-        _check_f_min(f_min, spectrum.frequencies[-1])
-        mask = spectrum.frequencies >= f_min
-        for i, power in enumerate(spectrum.power, e0):
+    if total is None:
+        total, rows = rows[0].copy(), rows[1:]
+    for row in rows:
+        total += row
+    return total
+
+
+def spectral_score(stack: np.ndarray, dt: float, f_min: float) -> tuple[np.ndarray, PowerSpectrum]:
+    """Each row's integrated spectral power at and above ``f_min``, and the mean spectrum.
+
+    ``stack`` (E, N) holds one series per row, ``dt`` apart.  A score is
+    sum_k P(f_k) * df over bins with f_k >= f_min, the variance share of
+    fast oscillations; ``f_min`` must not exceed the Nyquist frequency
+    1 / (2 dt).  One transform per ``_EVENT_BLOCK`` rows gives both: each
+    score is bitwise that of its row alone, and the mean (NaN for no rows)
+    is bitwise ``power_spectrum(stack, dt).power.mean(axis=0)``.
+    """
+    if stack.ndim != 2 or stack.shape[1] < 2 or not dt > 0.0:
+        raise ValueError(f"need an (E, N >= 2) stack and dt > 0, got {stack.shape} and {dt}")
+    frequencies = np.fft.rfftfreq(stack.shape[1], d=dt)
+    _check_f_min(f_min, frequencies[-1])
+    mask, resolution = frequencies >= f_min, frequencies[1] - frequencies[0]
+    scores, total = np.empty(len(stack)), None
+    for e0 in range(0, len(stack), _EVENT_BLOCK):
+        power = power_spectrum(stack[e0 : e0 + _EVENT_BLOCK], dt).power
+        for i, row in enumerate(power, e0):
             # Summed as 1-d: a 2-d masked sum adds in another order.
-            scores[i] = power[mask].sum() * spectrum.resolution
-    return float(scores[0]) if values.ndim == 1 else scores.reshape(values.shape[:-1])
+            scores[i] = row[mask].sum() * resolution
+        total = _add_rows(total, power)
+    mean = np.full(frequencies.size, np.nan) if total is None else total / len(stack)
+    return scores, PowerSpectrum(frequencies, mean)
+
+
+def series_moments(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``stack.mean(axis=0)`` and ``stack.std(axis=0)``, bit for bit, taken in blocks."""
+    n_events, n_points = stack.shape
+    mean, std = np.empty(n_points), np.empty(n_points)
+    for c0 in range(0, n_points, _TIME_BLOCK):
+        cols = slice(c0, c0 + _TIME_BLOCK)
+        mean[cols] = _add_rows(None, stack[:, cols]) / n_events
+        squares = None
+        for e0 in range(0, n_events, _EVENT_BLOCK):
+            dev = stack[e0 : e0 + _EVENT_BLOCK, cols] - mean[cols]
+            squares = _add_rows(squares, np.multiply(dev, dev, out=dev))
+        std[cols] = np.sqrt(squares / n_events)
+    return mean, std
 
 
 def expectation_score(
@@ -342,7 +367,7 @@ def score_events(
         if f_min is None:
             raise ValueError("spectral mode needs f_min")
         series = event_series(state, events, total_time, dt, rng, n_draws, table=table)
-        return spectral_score(FidelitySeries(dt, series), f_min)
+        return spectral_score(series, dt, f_min)[0]
     raise ValueError(f"unknown mode {mode!r}")
 
 

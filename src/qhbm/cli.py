@@ -283,50 +283,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-# The per-class statistics of ``anomaly`` read the (events, time steps)
-# series in blocks of this many events and time steps, so no temporary is
-# as large as the series themselves.
-_EVENT_BLOCK = 16
-_TIME_BLOCK = 2048
-
-
-def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """``total`` plus each of ``rows`` in turn; with no total, start from the first row.
-
-    This is the order in which NumPy reduces a C-contiguous array over
-    axis 0, so the sums match ``np.sum(axis=0)`` bit for bit.
-    """
-    if total is None:
-        total, rows = rows[0].copy(), rows[1:]
-    for row in rows:
-        total += row
-    return total
-
-
-def _series_moments(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``stack.mean(axis=0)`` and ``stack.std(axis=0)``, bit for bit, taken in blocks."""
-    n_events, n_points = stack.shape
-    mean, std = np.empty(n_points), np.empty(n_points)
-    for c0 in range(0, n_points, _TIME_BLOCK):
-        cols = slice(c0, c0 + _TIME_BLOCK)
-        mean[cols] = _add_rows(None, stack[:, cols]) / n_events
-        squares = None
-        for e0 in range(0, n_events, _EVENT_BLOCK):
-            dev = stack[e0 : e0 + _EVENT_BLOCK, cols] - mean[cols]
-            squares = _add_rows(squares, np.multiply(dev, dev, out=dev))
-        std[cols] = np.sqrt(squares / n_events)
-    return mean, std
-
-
-def _mean_power(stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and ``power_spectrum(stack, dt).power.mean(axis=0)``, taken in event blocks."""
-    total = None
-    for e0 in range(0, len(stack), _EVENT_BLOCK):
-        spectrum = metrics.power_spectrum(stack[e0 : e0 + _EVENT_BLOCK], dt)
-        total = _add_rows(total, spectrum.power)
-    return spectrum.frequencies, total / len(stack)
-
-
 def _repr_rows(*columns: np.ndarray):
     """CSV rows of the ``repr`` of each column's floats, one row per index."""
     return zip(*(map(repr, column.tolist()) for column in columns))
@@ -367,22 +323,22 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
         stack = anomaly.event_series(
             state, events, args.total_time, args.dt, rngs["spectral"], args.n_draws, table=table
         )
-        series = anomaly.FidelitySeries(args.dt, stack)
-        scores["spectral"].append(anomaly.spectral_score(series, args.f_min))
+        class_scores, spectrum = anomaly.spectral_score(stack, args.dt, args.f_min)
+        scores["spectral"].append(class_scores)
         io.write_csv_with_provenance(
             outdir / f"series_{label}.csv",
             ["time", "mean_fidelity", "std_fidelity"],
-            _repr_rows(times, *_series_moments(stack)),
+            _repr_rows(times, *anomaly.series_moments(stack)),
             run_meta,
         )
         io.write_csv_with_provenance(
             outdir / f"spectrum_{label}.csv",
             ["frequency", "mean_power"],
-            _repr_rows(*_mean_power(stack, args.dt)),
+            _repr_rows(spectrum.frequencies, spectrum.power),
             run_meta,
         )
         # Only one class's stack is held at a time.
-        del stack, series
+        del stack
 
     summary: dict = {"n_signal": len(signal), "n_background": len(background)}
     for mode, (sig_scores, bkg_scores) in scores.items():

@@ -321,10 +321,21 @@ def _rebuild_state(
         arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"]
     )
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, arrays["angles"])
-    support = arrays.pop("support_indices").astype(np.int64)
-    ham = ebm.ModularHamiltonian(config.n_qubits, support, arrays.pop("support_energies"))
+    # Checked before the int64 cast, which would load an index of 2.5 as 2
+    # and one of inf or 1e300 as an arbitrary integer.
+    support = arrays.pop("support_indices")
+    if not ((support == np.trunc(support)) & (0 <= support) & (support < 2**config.n_qubits)).all():
+        raise ValueError(f"support_indices must be integers in [0, 2**{config.n_qubits})")
+    ham = ebm.ModularHamiltonian(
+        config.n_qubits, support.astype(np.int64), arrays.pop("support_energies")
+    )
     if not train.is_rate(lr := metadata["lr_current"]):
         raise ValueError(f"lr_current must be finite and positive, got {lr!r}")
+    # +inf is the value before any epoch; NaN and -inf would keep every later epoch from
+    # being the best one.
+    best = metadata["best_validation_loss"]
+    if isinstance(best, bool) or not isinstance(best, (int, float)) or not best > -np.inf:
+        raise ValueError(f"best_validation_loss must be a real number above -inf, got {best!r}")
     if not isinstance(history := metadata["history"], list) or not all(
         isinstance(row, dict) and set(row) == set(train.HISTORY_KEYS) for row in history
     ):
@@ -355,7 +366,7 @@ def _rebuild_state(
         chain=chain,
         adam=train.AdamState(m, v, _count(metadata["adam_t"], "adam_t")),
         epoch=_count(metadata["epoch"], "epoch"),
-        best_validation_loss=float(metadata["best_validation_loss"]),
+        best_validation_loss=float(best),
         lr_current=float(metadata["lr_current"]),
     )
     return state, config, history

@@ -132,6 +132,11 @@ def _history_row_without_epoch(metadata, arrays):
     del metadata["history"][0]["epoch"]
 
 
+def _shift_first_support_index(metadata, arrays):
+    # A truncating cast would load the first support state at its old index.
+    arrays["support_indices"][0] += 0.5
+
+
 def _unequal_step_counts(metadata, arrays):
     metadata["adam_t"]["phi"] += 1
 
@@ -163,6 +168,7 @@ FAULTS = {
     "history_list_of_1": _set("history", value=[1]),
     "history_row_without_epoch": _history_row_without_epoch,
     "support_index_1e6": _entry("support_indices", 1e6),
+    "support_index_plus_0.5": _shift_first_support_index,
     # The generator rejects these as OverflowError, not ValueError.
     "rng_uinteger_-1": _set("chain", "rng_state", "uinteger", value=-1),
     "rng_uinteger_1e308": _set("chain", "rng_state", "uinteger", value=1e308),
@@ -171,6 +177,10 @@ FAULTS = {
     "lr_current_0": _set("lr_current", value=0.0),
     "lr_current_nan": _set("lr_current", value=float("nan")),
     "lr_current_true": _set("lr_current", value=True),
+    "best_validation_loss_nan": _set("best_validation_loss", value=float("nan")),
+    "best_validation_loss_-inf": _set("best_validation_loss", value=float("-inf")),
+    "best_validation_loss_str_1e3": _set("best_validation_loss", value="1e3"),
+    "best_validation_loss_true": _set("best_validation_loss", value=True),
     # Version-1 layout.
     "log_partition_nan": _version_1(_entry("log_partition", np.nan)),
     "no_adam_phi_m_angles": _version_1(_drop("adam_phi_m_angles")),

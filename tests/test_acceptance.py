@@ -329,19 +329,19 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     draw = draw_indices(embed.bernoulli_index_samples(event, 1, substream(7, "generation")))[0]
     psi0 = staircase_unitary(n, 2, angles)[:, draw]
     stepped = psi0
-    deviation = abs(series.values[0] - 1.0)
+    deviation = abs(series[0] - 1.0)
     for k in range(1, 5001):
         stepped, _ = evolve_diagonal(stepped, ham, 0.1, 0.1)
-        deviation = max(deviation, abs(series.values[k] - abs(np.vdot(psi0, stepped)) ** 2))
+        deviation = max(deviation, abs(series[k] - abs(np.vdot(psi0, stepped)) ** 2))
     elapsed = time.monotonic() - t0
-    ok = deviation <= 1e-9 and series.values.size == 5001 and elapsed < 10.0
+    ok = deviation <= 1e-9 and series.size == 5001 and elapsed < 10.0
     _emit(
         capsys,
         f"A7 (5000-step vs one-shot evolution, T=500): {_verdict(ok)} "
         f"max|diff|={deviation:.3e} (tol 1e-9), {elapsed:.1f}s of 10s",
     )
     assert deviation <= 1e-9
-    assert series.values.size == 5001
+    assert series.size == 5001
     assert elapsed < 10.0
 
 

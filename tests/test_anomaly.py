@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from qhbm import ebm, qsim
 from qhbm.anomaly import (
     SCENARIOS,
-    FidelitySeries,
     RoutingTable,
     _TILE_STATES,
     _blocks_per_tile,
@@ -20,6 +19,7 @@ from qhbm.anomaly import (
     discrimination_report,
     expectation_score,
     score_events,
+    series_moments,
     site_entropy_profile,
     spectral_score,
     time_evolution_series,
@@ -69,6 +69,11 @@ def ham_from(indices, energies, n):
     return hamiltonian_from_energies(n, indices, energies)
 
 
+def one_score(series, dt, f_min):
+    """The spectral score of one series, scored as a one-row stack."""
+    return spectral_score(series[None], dt, f_min)[0][0]
+
+
 class TestTimeEvolutionSeries:
     def test_starts_at_one_and_stays_bounded(self, rng):
         n = 3
@@ -78,23 +83,23 @@ class TestTimeEvolutionSeries:
         )
         event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
         series = time_evolution_series(state, event, 20.0, 0.1, np.random.default_rng(0), n_draws=4)
-        assert series.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(series.values >= -1e-9)
-        assert np.all(series.values <= 1.0 + 1e-9)
+        assert series[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(series >= -1e-9)
+        assert np.all(series <= 1.0 + 1e-9)
 
     def test_eigenstate_is_flat(self):
         state = make_state(identity_ansatz(2), ham_from([2], [1.7], 2))
         series = time_evolution_series(
             state, sharp_event((1, 0)), 50.0, 0.1, np.random.default_rng(1)
         )
-        assert np.allclose(series.values, 1.0, atol=1e-9)
+        assert np.allclose(series, 1.0, atol=1e-9)
 
     def test_empty_support_is_flat(self):
         state = make_state(identity_ansatz(2), empty_hamiltonian(2))
         series = time_evolution_series(
             state, sharp_event((0, 1)), 10.0, 0.1, np.random.default_rng(2)
         )
-        assert np.allclose(series.values, 1.0, atol=1e-12)
+        assert np.allclose(series, 1.0, atol=1e-12)
 
     def test_two_level_beat(self):
         # Angles (pi/2, 0) rotate |00> into (|00> + |11>)/sqrt(2), so the
@@ -105,9 +110,9 @@ class TestTimeEvolutionSeries:
         series = time_evolution_series(
             state, sharp_event((0, 0)), 30.0, 0.1, np.random.default_rng(3)
         )
-        times = series.dt * np.arange(series.values.size)
+        times = 0.1 * np.arange(series.size)
         expected = np.cos((e1 - e0) * times / 2.0) ** 2
-        assert np.allclose(series.values, expected, atol=1e-9)
+        assert np.allclose(series, expected, atol=1e-9)
 
     def test_matches_step_by_step_propagation(self, rng):
         n = 2
@@ -129,13 +134,13 @@ class TestTimeEvolutionSeries:
                 psi_t, actual = evolve_diagonal(psi0, ham, k * dt, dt)
                 assert actual == pytest.approx(k * dt, abs=1e-12)
             overlap = np.vdot(psi0, psi_t)
-            assert series.values[k] == pytest.approx(abs(overlap) ** 2, abs=1e-9)
+            assert series[k] == pytest.approx(abs(overlap) ** 2, abs=1e-9)
 
     def test_grid_sizes(self):
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         event = sharp_event((0, 0))
         series = time_evolution_series(state, event, 1.04, 0.1, np.random.default_rng(0))
-        assert series.values.size == 11
+        assert series.shape == (11,)
 
     def test_error_paths(self):
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
@@ -231,9 +236,9 @@ class TestMatchesPerDrawOracle:
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         series = time_evolution_series(state, event, total_time, dt, fast_rng, n_draws)
         values = time_evolution_series_per_draw(state, event, total_time, dt, slow_rng, n_draws)
-        assert series.values.size == n_points
+        assert series.shape == (n_points,)
         # Values lie in [0, 1]; atol covers entries near zero.
-        np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(series, values, rtol=1e-12, atol=1e-12)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
         got = expectation_score(state, event, fast_rng, n_draws)
@@ -277,7 +282,7 @@ class TestSharedTableMatchesPerDrawOracle:
             values = time_evolution_series_per_draw(
                 state, event, total_time, dt, slow_rng, n_draws
             )
-            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(series, values, rtol=1e-12, atol=1e-12)
             got = expectation_score(state, event, fast_rng, n_draws, table=table)
             expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
@@ -296,11 +301,9 @@ class TestSharedTableMatchesPerDrawOracle:
         )
         slow_rng = np.random.default_rng(rng_seed)
         expected = [
-            spectral_score(
-                FidelitySeries(dt, time_evolution_series_per_draw(
-                    state, e, total_time, dt, slow_rng, n_draws
-                )),
-                f_min,
+            one_score(
+                time_evolution_series_per_draw(state, e, total_time, dt, slow_rng, n_draws),
+                dt, f_min,
             )
             for e in events
         ]
@@ -360,7 +363,7 @@ class TestTiledRowStore:
             values = time_evolution_series_per_draw(
                 state, event, total_time, dt, slow_rng, n_draws
             )
-            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(series, values, rtol=1e-12, atol=1e-12)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
     def test_sparse_and_dense_events_on_one_table_match_per_draw_oracle(self):
@@ -382,7 +385,7 @@ class TestTiledRowStore:
             values = time_evolution_series_per_draw(
                 state, event, total_time, dt, slow_rng, n_draws
             )
-            np.testing.assert_allclose(series.values, values, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(series, values, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_series_do_not_depend_on_earlier_reads(self, seed):
@@ -402,7 +405,7 @@ class TestTiledRowStore:
             again = time_evolution_series(
                 state, event, total_time, dt, np.random.default_rng(seed), n_draws, table=used
             )
-            assert np.array_equal(fresh.values, again.values)
+            assert np.array_equal(fresh, again)
 
     def test_a_long_grid_has_several_blocks_per_tile(self):
         n_points = self.block_end(8, 38, 2100)
@@ -423,11 +426,11 @@ class TestTiledRowStore:
         table = RoutingTable(state, 50.0, 0.1)
         rng = np.random.default_rng(4)
         first = time_evolution_series(state, event, 50.0, 0.1, rng, 64, table=table)
-        kept = first.values.copy()
+        kept = first.copy()
         other = PixelProbabilities(np.full(5, 0.9))
         second = time_evolution_series(state, other, 50.0, 0.1, rng, 64, table=table)
-        assert not np.shares_memory(first.values, second.values)
-        assert np.array_equal(first.values, kept)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
 
     # Dense reads at 2048 draws per event, sparse ones at 10.
     @pytest.mark.parametrize("n_draws", [2048, 10])
@@ -454,27 +457,26 @@ class TestSpectralScore:
     @staticmethod
     def beat_series(f0, dt=0.1, n_values=251):
         t = dt * np.arange(n_values)
-        return FidelitySeries(dt, np.cos(np.pi * f0 * t) ** 2)
+        return np.cos(np.pi * f0 * t) ** 2
 
     def test_flat_series_scores_zero(self):
-        series = FidelitySeries(0.1, np.ones(101))
-        assert spectral_score(series, 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert one_score(np.ones(101), 0.1, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_oscillation_lands_in_one_bin(self):
         dt, n_values = 0.1, 251
         k = 40
         f0 = k / (n_values * dt)
         series = self.beat_series(f0, dt, n_values)
-        spec = power_spectrum(series.values, series.dt)
+        spec = power_spectrum(series, dt)
         assert int(np.argmax(spec.power)) == k
         # The cos^2 series carries variance 1/8 at frequency f0.
-        assert spectral_score(series, f0 - 0.01) == pytest.approx(0.125, rel=1e-9)
-        assert spectral_score(series, f0 + 0.01) == pytest.approx(0.0, abs=1e-12)
+        assert one_score(series, dt, f0 - 0.01) == pytest.approx(0.125, rel=1e-9)
+        assert one_score(series, dt, f0 + 0.01) == pytest.approx(0.0, abs=1e-12)
 
     def test_f_min_zero_recovers_variance(self):
         series = self.beat_series(0.8)
-        got = spectral_score(series, 0.0)
-        assert got == pytest.approx(float(np.var(series.values)), rel=1e-10)
+        got = one_score(series, 0.1, 0.0)
+        assert got == pytest.approx(float(np.var(series)), rel=1e-10)
 
     def test_two_level_state_peak_frequency(self):
         # Peak shows up at dE / (2 pi) for a two-level superposition.
@@ -486,19 +488,27 @@ class TestSpectralScore:
         series = time_evolution_series(
             state, sharp_event((0, 0)), (n_values - 1) * dt, dt, np.random.default_rng(0)
         )
-        spec = power_spectrum(series.values, series.dt)
+        spec = power_spectrum(series, dt)
         assert int(np.argmax(spec.power)) == k
         assert spec.frequencies[k] == pytest.approx(delta_e / (2 * np.pi), abs=1e-12)
 
     def test_range_validation(self):
-        series = FidelitySeries(0.1, np.ones(10))
+        stack = np.ones((1, 10))
         with pytest.raises(ValueError):
-            spectral_score(series, -0.1)
+            spectral_score(stack, 0.1, -0.1)
         with pytest.raises(ValueError):
-            spectral_score(series, 5.0 + 0.1)
+            spectral_score(stack, 0.1, 5.0 + 0.1)
         for f_min in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="f_min"):
-                spectral_score(series, f_min)
+                spectral_score(stack, 0.1, f_min)
+
+        with pytest.raises(ValueError, match="dt > 0"):
+            spectral_score(stack, 0.0, 0.2)
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 3, 10), (3, 1)])
+    def test_takes_only_a_stack_of_series(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            spectral_score(np.ones(shape), 0.1, 0.2)
 
     def test_stack_scores_each_row_as_its_own_call_bitwise(self):
         # 40 rows cross the event blocks, and their magnitudes lie far apart, so
@@ -506,15 +516,18 @@ class TestSpectralScore:
         gen = np.random.default_rng(5)
         dt, f_min = 0.1, 0.7
         stack = gen.random((40, 301)) * 10.0 ** gen.integers(-8, 1, (40, 1))
-        got = spectral_score(FidelitySeries(dt, stack), f_min)
-        want = np.array([spectral_score(FidelitySeries(dt, row), f_min) for row in stack])
-        assert type(spectral_score(FidelitySeries(dt, stack[0]), f_min)) is float
+        got, _ = spectral_score(stack, dt, f_min)
+        want = np.array([one_score(row, dt, f_min) for row in stack])
         assert got.tobytes() == want.tobytes()
         spectrum = power_spectrum(stack, dt)
         whole = spectrum.power[:, spectrum.frequencies >= f_min].sum(axis=1) * spectrum.resolution
         assert whole.tobytes() != want.tobytes()
-        nested = spectral_score(FidelitySeries(dt, stack.reshape(4, 10, -1)), f_min)
-        assert nested.tobytes() == want.reshape(4, 10).tobytes()
+
+    def test_empty_stack_has_no_scores(self):
+        scores, mean = spectral_score(np.empty((0, 11)), 0.1, 0.2)
+        assert scores.shape == (0,)
+        assert mean.frequencies.tobytes() == np.fft.rfftfreq(11, d=0.1).tobytes()
+        assert np.isnan(mean.power).all() and mean.power.shape == (6,)
 
     def test_check_spectral_args(self):
         # 201 points at dt = 0.1 reach the bin 100 / 20.1 = 4.975...
@@ -522,6 +535,28 @@ class TestSpectralScore:
         for args in ((20.0, 0.1, 4.98), (20.0, 0.1, np.nan), (np.inf, 0.1, 0.2), (20.0, np.nan, 0.2)):
             with pytest.raises(ValueError):
                 check_spectral_args(*args)
+
+
+@pytest.mark.parametrize("blocks", [None, (3, 5)], ids=["module_blocks", "small_blocks"])
+@pytest.mark.parametrize("n_events, n_points", [(1, 201), (7, 201), (40, 13), (40, 2049)])
+def test_class_statistics_match_whole_array_reductions_bitwise(
+    monkeypatch, blocks, n_events, n_points
+):
+    """The blocked per-class series statistics are NumPy's axis-0 ones, bit for bit."""
+    if blocks is not None:
+        monkeypatch.setattr("qhbm.anomaly._EVENT_BLOCK", blocks[0])
+        monkeypatch.setattr("qhbm.anomaly._TIME_BLOCK", blocks[1])
+    gen = np.random.default_rng(n_events * n_points)
+    # Magnitudes far apart, so that any other order of addition changes low bits.
+    stack = gen.random((n_events, n_points)) * 10.0 ** gen.integers(-8, 1, (n_events, 1))
+    mean, std = series_moments(stack)
+    assert mean.tobytes() == np.mean(stack, axis=0).tobytes()
+    assert std.tobytes() == np.std(stack, axis=0).tobytes()
+    scores, mean_power = spectral_score(stack, 0.1, 0.5)
+    spectrum = power_spectrum(stack, 0.1)
+    assert mean_power.frequencies.tobytes() == spectrum.frequencies.tobytes()
+    assert mean_power.power.tobytes() == spectrum.power.mean(axis=0).tobytes()
+    assert scores.tobytes() == np.array([one_score(row, 0.1, 0.5) for row in stack]).tobytes()
 
 
 class TestExpectationScore:
@@ -581,8 +616,16 @@ class TestScoreEvents:
         manual = []
         for e in events:
             series = time_evolution_series(state, e, 20.0, 0.1, manual_rng)
-            manual.append(spectral_score(series, 0.05))
+            manual.append(one_score(series, 0.1, 0.05))
         assert np.allclose(got, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["t_zero", "spectral"])
+    def test_no_events_score_as_an_empty_array(self, rng, mode):
+        state = self.setup_state(rng)
+        gen = np.random.default_rng(0)
+        scores = score_events(state, [], mode, gen, f_min=0.05, total_time=20.0, dt=0.1)
+        assert isinstance(scores, np.ndarray) and scores.shape == (0,)
+        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_error_paths(self, rng):
         state = self.setup_state(rng)

@@ -196,6 +196,9 @@ def test_traced_anomaly_command_calls_every_cli_6q_hook(tmp_path):
     assert "qsim.ansatz_unitary.calls_per_event" in counts
     # The spectral pass's series are the only ones: one per event.
     assert counts["anomaly.time_evolution_series.calls_per_event"] == 1.0
+    # One transform per block of up to 16 events gives a class's scores and
+    # mean spectrum: one block for each of the two classes here.
+    assert counts["metrics.power_spectrum.calls"] == 2
 
 
 def test_repeated_traced_fits_agree_bitwise():

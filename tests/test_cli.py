@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhbm import anomaly, cli, metrics, qsim
+from qhbm import anomaly, cli, qsim
 from qhbm.cli import TRAIN_KEYS, build_parser, main
 from qhbm.embed import PixelImage
 from qhbm.io import (
@@ -591,26 +591,6 @@ class TestAnomaly:
             "--total-time", "20", "--dt", "0.1", "--n-draws", "4", "--f-min", "0.2",
         ) == 0
         assert len(events) == len({id(event) for event in events}) == 8
-
-    @pytest.mark.parametrize("blocks", [None, (3, 5)], ids=["module_blocks", "small_blocks"])
-    @pytest.mark.parametrize("n_events, n_points", [(1, 201), (7, 201), (40, 13), (40, 2049)])
-    def test_class_statistics_match_whole_array_reductions_bitwise(
-        self, monkeypatch, blocks, n_events, n_points
-    ):
-        """The blocked per-class series statistics are NumPy's axis-0 ones, bit for bit."""
-        if blocks is not None:
-            monkeypatch.setattr(cli, "_EVENT_BLOCK", blocks[0])
-            monkeypatch.setattr(cli, "_TIME_BLOCK", blocks[1])
-        gen = np.random.default_rng(n_events * n_points)
-        # Magnitudes far apart, so that any other order of addition changes low bits.
-        stack = gen.random((n_events, n_points)) * 10.0 ** gen.integers(-8, 1, (n_events, 1))
-        mean, std = cli._series_moments(stack)
-        assert mean.tobytes() == np.mean(stack, axis=0).tobytes()
-        assert std.tobytes() == np.std(stack, axis=0).tobytes()
-        frequencies, mean_power = cli._mean_power(stack, 0.1)
-        spectrum = metrics.power_spectrum(stack, 0.1)
-        assert frequencies.tobytes() == spectrum.frequencies.tobytes()
-        assert mean_power.tobytes() == spectrum.power.mean(axis=0).tobytes()
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -436,6 +436,13 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(tmp_path / "same.qhbm")
         assert np.array_equal(loaded.hamiltonian.support, state.hamiltonian.support)
 
+    def test_loads_an_infinite_best_validation_loss(self, tmp_path):
+        # +inf is the best loss before any epoch has been validated.
+        state, cfg, history = trained_state()
+        state.best_validation_loss = np.inf
+        save_checkpoint(tmp_path / "model.qhbm", state, cfg, history)
+        assert load_checkpoint(tmp_path / "model.qhbm")[0].best_validation_loss == np.inf
+
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_rejects_corrupt_contents(self, tmp_path, fault):
         state, cfg, history = trained_state()
