@@ -201,9 +201,9 @@ def time_evolution_series(
     total_time: float,
     dt: float,
     rng: np.random.Generator,
-    n_draws: int = 1,
+    n_draws: int,
     *,
-    table: RoutingTable | None = None,
+    table: RoutingTable,
 ) -> np.ndarray:
     """Fidelity to the initial state along the quantised time grid, an (N,) array.
 
@@ -220,13 +220,10 @@ def time_evolution_series(
     starts at 1 and stays within [0, 1].
 
     ``table`` is a routing table of ``state`` on the same time grid,
-    shared by the events of a run.  Without it a table is built for this
-    event, which fills the series of every basis state.
+    shared by the events of a run.
     """
     n_points = check_time_grid(total_time, dt) + 1
-    if table is None:
-        table = RoutingTable(state, total_time, dt)
-    elif table.grid != (n_points, dt):
+    if table.grid != (n_points, dt):
         raise ValueError(f"routing table grid {table.grid} differs from ({n_points}, {dt})")
     weights, cols = table.draw(state, event, n_draws, rng)
     return table.mean_fidelity(weights, cols)
@@ -238,17 +235,11 @@ def event_series(
     total_time: float,
     dt: float,
     rng: np.random.Generator,
-    n_draws: int = 1,
+    n_draws: int,
     *,
-    table: RoutingTable | None = None,
+    table: RoutingTable,
 ) -> np.ndarray:
-    """Fidelity series of each event in order, one row each, all read from one routing table.
-
-    ``table`` is a routing table of ``state`` on the same time grid; without
-    it one is built for this call.
-    """
-    if table is None:
-        table = RoutingTable(state, total_time, dt)
+    """Fidelity series of each event in order, one row each, all read from one routing table."""
     stack = np.empty((len(events), check_time_grid(total_time, dt) + 1))
     for row, event in zip(stack, events):
         row[:] = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
@@ -324,19 +315,27 @@ def expectation_score(
     state: TrainState,
     event: PixelProbabilities,
     rng: np.random.Generator,
-    n_draws: int = 1,
+    n_draws: int,
     *,
-    table: RoutingTable | None = None,
+    table: RoutingTable,
 ) -> float:
     """Mean <K> of the routed event at t = 0; empty support scores 0.
 
-    ``table`` is a routing table of ``state`` shared by the events of a
-    run; without it a one-event table is built.
+    ``table`` is a routing table of ``state`` shared by the events of a run.
     """
-    if table is None:
-        table = RoutingTable(state)
     weights, cols = table.draw(state, event, n_draws, rng)
     return float(table.t_zero[cols] @ weights)
+
+
+def _is_spectral(
+    mode: str, f_min: float | None, total_time: float | None, dt: float | None
+) -> bool:
+    """Whether ``mode`` is the spectral one, which needs ``f_min`` and the time grid."""
+    if mode not in ("t_zero", "spectral"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "spectral" and None in (f_min, total_time, dt):
+        raise ValueError("spectral mode needs f_min, total_time and dt")
+    return mode == "spectral"
 
 
 def score_events(
@@ -345,30 +344,29 @@ def score_events(
     mode: str,
     rng: np.random.Generator,
     *,
+    n_draws: int,
     f_min: float | None = None,
-    total_time: float = 500.0,
-    dt: float = 0.1,
-    n_draws: int = 1,
+    total_time: float | None = None,
+    dt: float | None = None,
     table: RoutingTable | None = None,
 ) -> np.ndarray:
     """Per-event anomaly scores in a fixed order, from one routing table.
 
-    ``table`` is a routing table of ``state`` (on the ``total_time``/``dt``
-    grid in spectral mode) that may serve other passes of the same run;
-    without it one is built for this call.
+    Spectral mode needs ``f_min`` and the ``total_time``/``dt`` grid.
+    ``table`` is a routing table of ``state`` (on that grid in spectral
+    mode) that may serve other passes of the same run; without it one is
+    built for this call.
     """
-    if mode == "t_zero":
+    if not _is_spectral(mode, f_min, total_time, dt):
         if table is None:
             table = RoutingTable(state)
-        return np.array(
-            [expectation_score(state, e, rng, n_draws, table=table) for e in events]
-        )
-    if mode == "spectral":
-        if f_min is None:
-            raise ValueError("spectral mode needs f_min")
-        series = event_series(state, events, total_time, dt, rng, n_draws, table=table)
-        return spectral_score(series, dt, f_min)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+        return np.array([expectation_score(state, e, rng, n_draws, table=table) for e in events])
+    # A table built here is freed before the transforms run.
+    series = event_series(
+        state, events, total_time, dt, rng, n_draws,
+        table=RoutingTable(state, total_time, dt) if table is None else table,
+    )
+    return spectral_score(series, dt, f_min)[0]
 
 
 def discrimination_report(
@@ -378,18 +376,18 @@ def discrimination_report(
     mode: str,
     rng: np.random.Generator,
     *,
+    n_draws: int,
     f_min: float | None = None,
-    total_time: float = 500.0,
-    dt: float = 0.1,
-    n_draws: int = 1,
-    n_thresholds: int = 200,
+    total_time: float | None = None,
+    dt: float | None = None,
 ) -> RocCurve:
     """ROC over per-event scores of the two samples, both read from one routing table."""
-    table = RoutingTable(state, total_time, dt) if mode == "spectral" else RoutingTable(state)
-    kwargs = dict(f_min=f_min, total_time=total_time, dt=dt, n_draws=n_draws, table=table)
+    spectral = _is_spectral(mode, f_min, total_time, dt)
+    table = RoutingTable(state, total_time, dt) if spectral else RoutingTable(state)
+    kwargs = dict(n_draws=n_draws, f_min=f_min, total_time=total_time, dt=dt, table=table)
     signal_scores = score_events(state, signal_events, mode, rng, **kwargs)
     background_scores = score_events(state, background_events, mode, rng, **kwargs)
-    return roc_from_scores(signal_scores, background_scores, n_thresholds)
+    return roc_from_scores(signal_scores, background_scores)
 
 
 def _pair_reduced(phi: np.ndarray, i: int) -> np.ndarray:
@@ -403,14 +401,11 @@ def _pair_reduced(phi: np.ndarray, i: int) -> np.ndarray:
     return np.einsum("lark,lbrk->ab", v, v) / phi.shape[1]
 
 
-def site_entropy_profile(
-    ham: ModularHamiltonian,
-    w: np.ndarray | None = None,
-) -> np.ndarray:
+def site_entropy_profile(ham: ModularHamiltonian, w: np.ndarray | None) -> np.ndarray:
     """Von Neumann entropy of each adjacent qubit pair in the ground state.
 
     The ground state is the uniform mixture over support states within
-    1e-9 of the minimal energy.  Without ``w`` the mixture is taken
+    1e-9 of the minimal energy.  With ``w`` None the mixture is taken
     literally over those basis states ("diagonal"); with the model's
     rotation W of ``train.model_state`` each ground state z becomes
     column z of W ("dressed"), i.e. the ground space of W K W^T.

@@ -422,13 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-data", dest="train_data")
     p.add_argument("--valid-data", dest="valid_data")
     p.add_argument("--outdir")
-    for key, kind in (
-        ("n_qubits", int), ("n_layers", int), ("n_hidden", int),
-        ("n_mc_samples", int), ("n_embed_samples", int), ("batch_size", int),
-        ("learning_rate", float), ("max_epochs", int), ("mc_burn_in", int),
-        ("lr_halve_patience", int), ("early_stop_patience", int), ("seed", int),
-    ):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
+    # One flag per TrainConfig field: the learning rate is a float, every other an int.
+    for f in dataclasses.fields(train.TrainConfig):
+        kind = float if isinstance(f.default, float) else int
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind)
 
     p = sub.add_parser("evaluate", help="batch metrics of a checkpoint on a test set")
     p.add_argument("--checkpoint", required=True)
@@ -453,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--n-draws", type=int, default=10)
     p.add_argument("--f-min", type=float, default=0.2)
-    p.add_argument("--n-thresholds", type=int, default=200)
+    p.add_argument("--n-thresholds", type=int, default=metrics.N_THRESHOLDS)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("site-entropy", help="adjacent-pair ground-state entropies")

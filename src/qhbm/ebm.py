@@ -21,6 +21,9 @@ import numpy as np
 from .qsim import MAX_QUBITS, index_bits
 from .special import expit, logsumexp, softmax
 
+# Spread of the initial couplings.
+WEIGHT_SCALE = 0.01
+
 
 @dataclass
 class EnergyModel:
@@ -57,19 +60,9 @@ class EnergyModel:
         return self.weights.shape[1]
 
     @classmethod
-    def initialize(
-        cls,
-        n_visible: int,
-        n_hidden: int | None = None,
-        rng: np.random.Generator | None = None,
-        weight_scale: float = 0.01,
-    ) -> "EnergyModel":
-        """Small random couplings, zero biases; n_hidden defaults to 2*n_visible."""
-        if n_hidden is None:
-            n_hidden = 2 * n_visible
-        if rng is None:
-            rng = np.random.default_rng()
-        weights = weight_scale * rng.standard_normal((n_visible, n_hidden))
+    def initialize(cls, n_visible: int, n_hidden: int, rng: np.random.Generator) -> "EnergyModel":
+        """Small random couplings (``WEIGHT_SCALE`` standard normals) and zero biases."""
+        weights = WEIGHT_SCALE * rng.standard_normal((n_visible, n_hidden))
         return cls(weights, np.zeros(n_visible), np.zeros(n_hidden))
 
 
@@ -194,21 +187,12 @@ def build_hamiltonian(
     return ModularHamiltonian(model.n_visible, support, free_energies(model, support))
 
 
-@dataclass
-class ThetaGradient:
-    """Gradient w.r.t. the model parameters, mirroring EnergyModel's shapes."""
-
-    weights: np.ndarray
-    visible_bias: np.ndarray
-    hidden_bias: np.ndarray
-
-
 def theta_gradient(
     model: EnergyModel,
     ham: ModularHamiltonian,
     support_weights: Sequence[float] | np.ndarray,
-) -> ThetaGradient:
-    """Analytic gradient of sum_z w_z F(z) + log Z.
+) -> dict[str, np.ndarray]:
+    """Analytic gradient of sum_z w_z F(z) + log Z, keyed like the model's ``train.parameters``.
 
     The support is treated as fixed.  ``support_weights`` holds the data
     weights w_z aligned with ``ham.support``.  The partition term
@@ -228,7 +212,7 @@ def theta_gradient(
     d_visible = -(bits.T @ coef)
     d_hidden = -(hidden.T @ coef)
     d_weights = -(bits.T @ (coef[:, None] * hidden))
-    return ThetaGradient(d_weights, d_visible, d_hidden)
+    return {"weights": d_weights, "visible_bias": d_visible, "hidden_bias": d_hidden}
 
 
 def thermal_state(ham: ModularHamiltonian) -> np.ndarray:

@@ -25,6 +25,8 @@ from .qsim import MAX_QUBITS
 from .special import expit
 
 PROB_FLOOR = 1e-6
+# Spread of the folded-normal noise on every synthetic pixel.
+JET_NOISE = 0.3
 # Most product distributions exact_mixed_state builds at once, in values.
 _MIXED_CHUNK_ENTRIES = 2**16
 LABELS = ("signal", "background", "unlabelled")
@@ -277,7 +279,6 @@ def synth_toy_jets(
     kind: str,
     grid: int,
     rng: np.random.Generator,
-    noise: float = 0.3,
 ) -> list[PixelImage]:
     """Synthetic jet images: one central blob vs. three displaced prongs.
 
@@ -287,7 +288,7 @@ def synth_toy_jets(
     with per-event rotation and radial jitter; the core amplitude is
     tuned so the central region looks similar for both kinds, leaving
     the discriminating energy in the off-centre pixels.  Intensities
-    are non-negative with additive folded-normal noise.
+    are non-negative with additive folded-normal noise of scale ``JET_NOISE``.
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
@@ -323,6 +324,6 @@ def synth_toy_jets(
                 row = centre - rad * grid * np.sin(angle)
                 col = centre + rad * grid * np.cos(angle)
                 _deposit_blob(canvas, rr, cc, row, col, sigma, 2.1 * frac * energy)
-        canvas += np.abs(rng.normal(0.0, noise, size=canvas.shape))
+        canvas += np.abs(rng.normal(0.0, JET_NOISE, size=canvas.shape))
         images.append(PixelImage(canvas, label=kind))
     return images

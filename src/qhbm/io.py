@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -87,17 +88,6 @@ def write_json(path: str | Path, data: dict) -> None:
         fh.write("\n")
 
 
-def read_csv_skip_provenance(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    with path.open() as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if not rows:
-        raise DataError(f"{path} has no CSV content")
-    return rows[0], rows[1:]
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
@@ -113,7 +103,7 @@ def _read_image(path: Path, index: int, pixels, shape, label) -> PixelImage:
 def write_image_container(
     path: str | Path,
     images: Sequence[PixelImage],
-    meta: dict | None = None,
+    meta: dict,
 ) -> None:
     """Write the binary container plus its JSON sidecar, each replaced atomically.
 
@@ -132,7 +122,7 @@ def write_image_container(
         "width": width,
         "height": height,
         "labels": [im.label for im in images],
-        "meta": meta or {},
+        "meta": meta,
     }
     sidecar_text = json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
     with _replacing(path, "wb") as fh:
@@ -259,11 +249,25 @@ def load_checkpoint(path: str | Path) -> tuple[train.TrainState, train.TrainConf
         raise DataError(f"{path}: corrupt checkpoint contents: {exc!r}") from exc
 
 
-def _count(value, what: str) -> int:
-    """``value`` if it is an integer in [0, 2**63); a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
-        raise ValueError(f"{what} must be an integer in [0, 2**63), got {value!r}")
+def _count(value, what: str, bits: int) -> int:
+    """``value`` if it is an integer in [0, 2**bits); a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**bits:
+        raise ValueError(f"{what} must be an integer in [0, 2**{bits}), got {value!r}")
     return value
+
+
+def _check_pcg64(rng_state: dict) -> None:
+    """Reject PCG64 fields that are not integers in range.
+
+    PCG64's setter stores True as 1, 2.5 as 2 and a negative ``has_uint32``
+    as it is, instead of rejecting them, so a resumed chain would draw
+    other numbers.
+    """
+    if rng_state["bit_generator"] != "PCG64":
+        return
+    fields = rng_state["state"] | {key: rng_state[key] for key in ("has_uint32", "uinteger")}
+    for key, bits in (("state", 128), ("inc", 128), ("has_uint32", 1), ("uinteger", 32)):
+        _count(fields[key], f"chain.rng_state {key}", bits)
 
 
 def _upgrade_v1(metadata: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -340,10 +344,19 @@ def _rebuild_state(
         isinstance(row, dict) and set(row) == set(train.HISTORY_KEYS) for row in history
     ):
         raise ValueError(f"history must be a list of rows with the keys {train.HISTORY_KEYS}")
+    # ``fit`` appends one row per epoch and keeps the lowest validation loss
+    # as the best, so a resume continues the numbering and the selection.
+    if (epoch := _count(metadata["epoch"], "epoch", 63)) != len(history):
+        raise ValueError(f"epoch {epoch} does not count the {len(history)} history rows")
+    if math.isfinite(best):
+        lowest = min((row["validation_loss"] for row in history), default=None)
+        if lowest is None or float(lowest).hex() != float(best).hex():
+            raise ValueError(f"best_validation_loss {best!r} is not history's lowest, {lowest!r}")
+    _check_pcg64(metadata["chain"]["rng_state"])
     chain = ebm.initial_chain(
         model,
         restore_generator(metadata["chain"]["rng_state"]),
-        _count(metadata["chain"]["current_index"], "chain.current_index"),
+        _count(metadata["chain"]["current_index"], "chain.current_index", 63),
     )
     # The other payloads are the parameters, the couplings shaped as the
     # config says, and one first and one second moment of each parameter,
@@ -364,8 +377,8 @@ def _rebuild_state(
         ansatz=ansatz,
         hamiltonian=ham,
         chain=chain,
-        adam=train.AdamState(m, v, _count(metadata["adam_t"], "adam_t")),
-        epoch=_count(metadata["epoch"], "epoch"),
+        adam=train.AdamState(m, v, _count(metadata["adam_t"], "adam_t", 63)),
+        epoch=epoch,
         best_validation_loss=float(best),
         lr_current=float(metadata["lr_current"]),
     )

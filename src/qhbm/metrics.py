@@ -17,6 +17,8 @@ from .errors import NumericError
 
 NORM_TOL = 1e-8
 EIG_FLOOR = 1e-12
+# Thresholds of an ROC sweep unless the caller asks for another count.
+N_THRESHOLDS = 200
 
 
 def _distribution(values) -> np.ndarray:
@@ -175,7 +177,7 @@ def _anchored_auc(tpr: np.ndarray, fpr: np.ndarray) -> float:
 def roc_from_scores(
     signal_scores: np.ndarray,
     background_scores: np.ndarray,
-    n_thresholds: int = 200,
+    n_thresholds: int = N_THRESHOLDS,
 ) -> RocCurve:
     """ROC curve from per-event scores of the two classes.
 

@@ -190,16 +190,13 @@ Batch = np.ndarray
 def _batch_distribution(rows: Batch) -> np.ndarray:
     """Mean over events of each event's empirical distribution over the basis.
 
-    ``rows`` holds one ``embed.frequency_row`` per event.  They are added
-    in batch order onto zeros, so a seeded run repeats q bit for bit.
+    ``rows`` holds one ``embed.frequency_row`` per event.  NumPy adds the
+    rows of a C-contiguous array in batch order, so a seeded run repeats
+    q bit for bit.
     """
     if len(rows) == 0:
         raise ValueError("batch must not be empty")
-    q = np.zeros(rows.shape[1])
-    for row in rows:
-        q += row
-    q /= len(rows)
-    return q
+    return rows.mean(axis=0)
 
 
 def _loss(
@@ -287,8 +284,8 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
     q = _batch_distribution(batch)
     u = qsim.ansatz_unitary(state.ansatz)
     loss, _, weights = _loss(u, ham, q)
-    theta_grad = ebm.theta_gradient(state.energy_model, ham, weights)
-    grads = vars(theta_grad) | {"angles": _phi_gradient(state.ansatz, u, ham, q)}
+    grads = ebm.theta_gradient(state.energy_model, ham, weights)
+    grads["angles"] = _phi_gradient(state.ansatz, u, ham, q)
     params = parameters(state.energy_model, state.ansatz)
     updated = state.adam.update(params, grads, state.lr_current)
     blown = [name for name, values in updated.items() if not np.all(np.isfinite(values))]

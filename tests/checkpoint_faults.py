@@ -141,6 +141,15 @@ def _unequal_step_counts(metadata, arrays):
     metadata["adam_t"]["phi"] += 1
 
 
+def _epoch_above_history(metadata, arrays):
+    metadata["epoch"] = len(metadata["history"]) + 1
+
+
+def _best_one_ulp_above_lowest(metadata, arrays):
+    lowest = min(row["validation_loss"] for row in metadata["history"])
+    metadata["best_validation_loss"] = float(np.nextafter(lowest, np.inf))
+
+
 FAULTS = {
     "config_batch_size_2.5": _set("config", "batch_size", value=2.5),
     "config_max_epochs_true": _set("config", "max_epochs", value=True),
@@ -159,6 +168,9 @@ FAULTS = {
     "epoch_2.5": _set("epoch", value=2.5),
     "epoch_true": _set("epoch", value=True),
     "epoch_1e308": _set("epoch", value=1e308),
+    # A resume would number its epochs from the stored epoch.
+    "epoch_0": _set("epoch", value=0),
+    "epoch_above_history": _epoch_above_history,
     "adam_t_-1": _set("adam_t", value=-1),
     "adam_t_2.5": _set("adam_t", value=2.5),
     "adam_t_true": _set("adam_t", value=True),
@@ -173,6 +185,14 @@ FAULTS = {
     "rng_uinteger_-1": _set("chain", "rng_state", "uinteger", value=-1),
     "rng_uinteger_1e308": _set("chain", "rng_state", "uinteger", value=1e308),
     "rng_has_uint32_1e308": _set("chain", "rng_state", "has_uint32", value=1e308),
+    # The generator stores these as another position instead of rejecting them.
+    "rng_has_uint32_-1": _set("chain", "rng_state", "has_uint32", value=-1),
+    "rng_has_uint32_true": _set("chain", "rng_state", "has_uint32", value=True),
+    "rng_has_uint32_2.5": _set("chain", "rng_state", "has_uint32", value=2.5),
+    "rng_state_true": _set("chain", "rng_state", "state", "state", value=True),
+    "rng_state_2.5": _set("chain", "rng_state", "state", "state", value=2.5),
+    "rng_inc_true": _set("chain", "rng_state", "state", "inc", value=True),
+    "rng_inc_2.5": _set("chain", "rng_state", "state", "inc", value=2.5),
     "lr_current_-1": _set("lr_current", value=-1.0),
     "lr_current_0": _set("lr_current", value=0.0),
     "lr_current_nan": _set("lr_current", value=float("nan")),
@@ -181,6 +201,9 @@ FAULTS = {
     "best_validation_loss_-inf": _set("best_validation_loss", value=float("-inf")),
     "best_validation_loss_str_1e3": _set("best_validation_loss", value="1e3"),
     "best_validation_loss_true": _set("best_validation_loss", value=True),
+    # A finite best is the history's lowest validation loss, bit for bit.
+    "best_validation_loss_1e308": _set("best_validation_loss", value=1e308),
+    "best_validation_loss_one_ulp_above_lowest": _best_one_ulp_above_lowest,
     # Version-1 layout.
     "log_partition_nan": _version_1(_entry("log_partition", np.nan)),
     "no_adam_phi_m_angles": _version_1(_drop("adam_phi_m_angles")),

@@ -7,14 +7,19 @@ parameter-shift gradients differentiate the routed expectation with the
 circuit matrix of the per-gate walker (``gate_walk_unitary``, itself
 checked against ``staircase_unitary``), so that they isolate the fused
 block sweep.  The ``*_reference`` functions are the package's earlier
-loops, kept to check that faster paths draw the same numbers.
+loops, kept to check that faster paths draw the same numbers.  The last
+helpers build test inputs and read outputs the package only writes.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from qhbm import ebm, qsim
 from qhbm.embed import bernoulli_index_samples
+from qhbm.errors import DataError
 
 
 def hamiltonian_from_energies(n_qubits, support, energies) -> ebm.ModularHamiltonian:
@@ -450,3 +455,21 @@ def batch_distribution_reference(groups, dim: int) -> np.ndarray:
         q += np.bincount(idx, minlength=dim) / len(idx)
     q /= len(groups)
     return q
+
+
+def scaled_model(n_visible: int, rng, weight_scale: float) -> ebm.EnergyModel:
+    """The model ``EnergyModel.initialize(n, 2 * n, rng)`` builds, at another coupling spread."""
+    n_hidden = 2 * n_visible
+    weights = weight_scale * rng.standard_normal((n_visible, n_hidden))
+    return ebm.EnergyModel(weights, np.zeros(n_visible), np.zeros(n_hidden))
+
+
+def read_csv_skip_provenance(path) -> tuple[list[str], list[list[str]]]:
+    """(header, rows) of a CSV from ``io.write_csv_with_provenance``, comments dropped."""
+    path = Path(path)
+    with path.open() as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    rows = list(csv.reader(lines))
+    if not rows:
+        raise DataError(f"{path} has no CSV content")
+    return rows[0], rows[1:]

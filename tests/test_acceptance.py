@@ -36,6 +36,7 @@ from oracles import (
     hamiltonian_from_energies,
     random_density_matrix,
     random_structured_state,
+    scaled_model,
     shifted,
     staircase_unitary,
 )
@@ -88,7 +89,7 @@ def test_a1_simulator_and_objective_match_dense_oracles(capsys):
             energies = gen.standard_normal(support_size)
             ham = hamiltonian_from_energies(n, indices, energies)
             k_dense = diagonal_hamiltonian_matrix(n, indices, energies)
-            model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.3)
+            model = scaled_model(n, gen, 0.3)
             column = u[:, index]
             expected = np.real(column.conj() @ k_dense @ column)
             state = _manual_state(model, ansatz, ham)
@@ -137,7 +138,7 @@ def test_a2_gradients_match_finite_differences(capsys):
         n = int(gen.integers(2, 5))
         dim = 2**n
         n_layers = int(gen.integers(1, 3))
-        model = ebm.EnergyModel.initialize(n, rng=gen, weight_scale=0.4)
+        model = scaled_model(n, gen, 0.4)
         n_angles = 2 * (n - 1) * n_layers
         ansatz = qsim.CircuitAnsatz(n, n_layers, gen.uniform(-np.pi, np.pi, n_angles))
         support_size = int(gen.integers(2, dim + 1))
@@ -169,7 +170,7 @@ def test_a2_gradients_match_finite_differences(capsys):
         theta_analytic = ebm.theta_gradient(model, base_ham, base_weights)
         for field in ("weights", "visible_bias", "hidden_bias"):
             values = getattr(model, field)
-            grads = getattr(theta_analytic, field)
+            grads = theta_analytic[field]
             for index in np.ndindex(values.shape):
                 losses = []
                 for sign in (+eps, -eps):
@@ -196,9 +197,7 @@ def test_a3_sampler_matches_boltzmann_weights(capsys):
     t0 = time.monotonic()
     pvalues = []
     for n_visible, seed in ((3, 5), (4, 5)):
-        model = ebm.EnergyModel.initialize(
-            n_visible, rng=substream(seed, "init"), weight_scale=0.05
-        )
+        model = scaled_model(n_visible, substream(seed, "init"), 0.05)
         chain = ebm.initial_chain(model, substream(seed, "chain"))
         samples, _ = ebm.metropolis_sample(model, chain, 100, 100_000)
         counts = np.bincount(samples, minlength=2**n_visible)
@@ -322,10 +321,13 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     ham = hamiltonian_from_energies(n, indices, gen.standard_normal(10))
     angles = gen.uniform(-np.pi, np.pi, 2 * (n - 1) * 2)
     state = _manual_state(
-        ebm.EnergyModel.initialize(n, rng=gen), qsim.CircuitAnsatz(n, 2, angles), ham
+        ebm.EnergyModel.initialize(n, 2 * n, gen), qsim.CircuitAnsatz(n, 2, angles), ham
     )
     event = embed.PixelProbabilities(gen.uniform(0.2, 0.8, size=n))
-    series = anomaly.time_evolution_series(state, event, 500.0, 0.1, substream(7, "generation"))
+    table = anomaly.RoutingTable(state, 500.0, 0.1)
+    series = anomaly.time_evolution_series(
+        state, event, 500.0, 0.1, substream(7, "generation"), 1, table=table
+    )
     draw = draw_indices(embed.bernoulli_index_samples(event, 1, substream(7, "generation")))[0]
     psi0 = staircase_unitary(n, 2, angles)[:, draw]
     stepped = psi0

@@ -42,9 +42,8 @@ from oracles import (
 
 
 def make_state(ansatz, ham, rng_seed=0):
-    model = ebm.EnergyModel.initialize(
-        ansatz.n_qubits, rng=np.random.default_rng(rng_seed)
-    )
+    n = ansatz.n_qubits
+    model = ebm.EnergyModel.initialize(n, 2 * n, np.random.default_rng(rng_seed))
     chain = ebm.initial_chain(model, np.random.default_rng(rng_seed))
     return TrainState(
         energy_model=model,
@@ -69,6 +68,17 @@ def ham_from(indices, energies, n):
     return hamiltonian_from_energies(n, indices, energies)
 
 
+def own_table_series(state, event, total_time, dt, rng, n_draws):
+    """One event's series, read from a routing table built for it alone."""
+    table = RoutingTable(state, total_time, dt)
+    return time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
+
+
+def own_table_score(state, event, rng, n_draws):
+    """One event's t_zero score, read from a routing table built for it alone."""
+    return expectation_score(state, event, rng, n_draws, table=RoutingTable(state))
+
+
 def one_score(series, dt, f_min):
     """The spectral score of one series, scored as a one-row stack."""
     return spectral_score(series[None], dt, f_min)[0][0]
@@ -82,23 +92,21 @@ class TestTimeEvolutionSeries:
             qsim.CircuitAnsatz(n, 1, angles), ham_from([1, 4, 6], rng.standard_normal(3), n)
         )
         event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
-        series = time_evolution_series(state, event, 20.0, 0.1, np.random.default_rng(0), n_draws=4)
+        series = own_table_series(state, event, 20.0, 0.1, np.random.default_rng(0), 4)
         assert series[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series >= -1e-9)
         assert np.all(series <= 1.0 + 1e-9)
 
     def test_eigenstate_is_flat(self):
         state = make_state(identity_ansatz(2), ham_from([2], [1.7], 2))
-        series = time_evolution_series(
-            state, sharp_event((1, 0)), 50.0, 0.1, np.random.default_rng(1)
-        )
+        rng = np.random.default_rng(1)
+        series = own_table_series(state, sharp_event((1, 0)), 50.0, 0.1, rng, 1)
         assert np.allclose(series, 1.0, atol=1e-9)
 
     def test_empty_support_is_flat(self):
         state = make_state(identity_ansatz(2), empty_hamiltonian(2))
-        series = time_evolution_series(
-            state, sharp_event((0, 1)), 10.0, 0.1, np.random.default_rng(2)
-        )
+        rng = np.random.default_rng(2)
+        series = own_table_series(state, sharp_event((0, 1)), 10.0, 0.1, rng, 1)
         assert np.allclose(series, 1.0, atol=1e-12)
 
     def test_two_level_beat(self):
@@ -107,9 +115,8 @@ class TestTimeEvolutionSeries:
         e0, e1 = 0.4, 2.9
         ansatz = qsim.CircuitAnsatz(2, 1, np.array([np.pi / 2.0, 0.0]))
         state = make_state(ansatz, ham_from([0, 3], [e0, e1], 2))
-        series = time_evolution_series(
-            state, sharp_event((0, 0)), 30.0, 0.1, np.random.default_rng(3)
-        )
+        rng = np.random.default_rng(3)
+        series = own_table_series(state, sharp_event((0, 0)), 30.0, 0.1, rng, 1)
         times = 0.1 * np.arange(series.size)
         expected = np.cos((e1 - e0) * times / 2.0) ** 2
         assert np.allclose(series, expected, atol=1e-9)
@@ -122,9 +129,7 @@ class TestTimeEvolutionSeries:
         state = make_state(ansatz, ham)
         event = PixelProbabilities(rng.uniform(0.3, 0.7, size=n))
         dt, steps = 0.1, 20
-        series = time_evolution_series(
-            state, event, steps * dt, dt, substream(11, "generation")
-        )
+        series = own_table_series(state, event, steps * dt, dt, substream(11, "generation"), 1)
         draw = draw_indices(bernoulli_index_samples(event, 1, substream(11, "generation")))[0]
         psi0 = staircase_unitary(n, 1, angles)[:, draw]
         for k in range(steps + 1):
@@ -139,24 +144,22 @@ class TestTimeEvolutionSeries:
     def test_grid_sizes(self):
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         event = sharp_event((0, 0))
-        series = time_evolution_series(state, event, 1.04, 0.1, np.random.default_rng(0))
+        series = own_table_series(state, event, 1.04, 0.1, np.random.default_rng(0), 1)
         assert series.shape == (11,)
 
     def test_error_paths(self):
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         event = sharp_event((0, 0))
+        table = RoutingTable(state, 10.0, 0.1)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            time_evolution_series(state, event, 10.0, 0.0, np.random.default_rng(0))
+            time_evolution_series(state, event, 10.0, 0.0, rng, 1, table=table)
         with pytest.raises(ValueError):
-            time_evolution_series(state, event, 0.04, 0.1, np.random.default_rng(0))
+            time_evolution_series(state, event, 0.04, 0.1, rng, 1, table=table)
         with pytest.raises(ValueError):
-            time_evolution_series(
-                state, sharp_event((0, 0, 1)), 10.0, 0.1, np.random.default_rng(0)
-            )
+            time_evolution_series(state, sharp_event((0, 0, 1)), 10.0, 0.1, rng, 1, table=table)
         with pytest.raises(ValueError):
-            time_evolution_series(
-                state, event, 10.0, 0.1, np.random.default_rng(0), n_draws=0
-            )
+            time_evolution_series(state, event, 10.0, 0.1, rng, 0, table=table)
 
     @pytest.mark.parametrize(
         "total_time, dt, name",
@@ -174,8 +177,9 @@ class TestTimeEvolutionSeries:
         state = make_state(identity_ansatz(2), ham_from([0], [0.5], 2))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
+        table = RoutingTable(state, 10.0, 0.1)
         with pytest.raises(ValueError, match=name):
-            time_evolution_series(state, sharp_event((0, 0)), total_time, dt, rng)
+            time_evolution_series(state, sharp_event((0, 0)), total_time, dt, rng, 1, table=table)
         assert rng.bit_generator.state == before
 
 
@@ -234,14 +238,14 @@ class TestMatchesPerDrawOracle:
         total_time = (n_points - 1) * dt
 
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        series = time_evolution_series(state, event, total_time, dt, fast_rng, n_draws)
+        series = own_table_series(state, event, total_time, dt, fast_rng, n_draws)
         values = time_evolution_series_per_draw(state, event, total_time, dt, slow_rng, n_draws)
         assert series.shape == (n_points,)
         # Values lie in [0, 1]; atol covers entries near zero.
         np.testing.assert_allclose(series, values, rtol=1e-12, atol=1e-12)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
-        got = expectation_score(state, event, fast_rng, n_draws)
+        got = own_table_score(state, event, fast_rng, n_draws)
         expected = expectation_score_per_draw(state, event, slow_rng, n_draws)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + e_max))
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
@@ -315,12 +319,12 @@ class TestSharedTableMatchesPerDrawOracle:
         event = sharp_event((0, 0))
         table = RoutingTable(state, 1.0, 0.1)
         with pytest.raises(ValueError, match="another model"):
-            expectation_score(other, event, np.random.default_rng(0), table=table)
+            expectation_score(other, event, np.random.default_rng(0), 1, table=table)
         with pytest.raises(ValueError, match="grid"):
-            time_evolution_series(state, event, 2.0, 0.1, np.random.default_rng(0), table=table)
+            time_evolution_series(state, event, 2.0, 0.1, np.random.default_rng(0), 1, table=table)
         with pytest.raises(ValueError, match="grid"):
             time_evolution_series(
-                state, event, 1.0, 0.1, np.random.default_rng(0), table=RoutingTable(state)
+                state, event, 1.0, 0.1, np.random.default_rng(0), 1, table=RoutingTable(state)
             )
 
 
@@ -399,7 +403,7 @@ class TestTiledRowStore:
         )
         # A sparse read (3 draws) and a dense one (400 draws).
         for n_draws in (3, 400):
-            fresh = time_evolution_series(
+            fresh = own_table_series(
                 state, event, total_time, dt, np.random.default_rng(seed), n_draws
             )
             again = time_evolution_series(
@@ -485,8 +489,8 @@ class TestSpectralScore:
         delta_e = 2 * np.pi * k / (n_values * dt)
         ansatz = qsim.CircuitAnsatz(2, 1, np.array([np.pi / 2.0, 0.0]))
         state = make_state(ansatz, ham_from([0, 3], [0.0, delta_e], 2))
-        series = time_evolution_series(
-            state, sharp_event((0, 0)), (n_values - 1) * dt, dt, np.random.default_rng(0)
+        series = own_table_series(
+            state, sharp_event((0, 0)), (n_values - 1) * dt, dt, np.random.default_rng(0), 1
         )
         spec = power_spectrum(series, dt)
         assert int(np.argmax(spec.power)) == k
@@ -562,12 +566,12 @@ def test_class_statistics_match_whole_array_reductions_bitwise(
 class TestExpectationScore:
     def test_eigenstate_energy(self):
         state = make_state(identity_ansatz(2), ham_from([2], [2.4], 2))
-        got = expectation_score(state, sharp_event((1, 0)), np.random.default_rng(0))
+        got = own_table_score(state, sharp_event((1, 0)), np.random.default_rng(0), 1)
         assert got == pytest.approx(2.4, abs=1e-9)
 
     def test_empty_support_scores_zero(self):
         state = make_state(identity_ansatz(2), empty_hamiltonian(2))
-        got = expectation_score(state, sharp_event((0, 1)), np.random.default_rng(0))
+        got = own_table_score(state, sharp_event((0, 1)), np.random.default_rng(0), 1)
         assert got == 0.0
 
     def test_matches_dense_oracle(self, rng):
@@ -578,7 +582,7 @@ class TestExpectationScore:
         energies = rng.standard_normal(3)
         state = make_state(ansatz, ham_from(support_idx, energies, n))
         event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
-        got = expectation_score(state, event, substream(4, "generation"), n_draws=16)
+        got = own_table_score(state, event, substream(4, "generation"), 16)
 
         draws = draw_indices(bernoulli_index_samples(event, 16, substream(4, "generation")))
         u = staircase_unitary(n, 2, angles)
@@ -602,7 +606,7 @@ class TestScoreEvents:
         events = [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(4)]
         got = score_events(state, events, "t_zero", substream(6, "generation"), n_draws=3)
         manual_rng = substream(6, "generation")
-        manual = [expectation_score(state, e, manual_rng, 3) for e in events]
+        manual = [own_table_score(state, e, manual_rng, 3) for e in events]
         assert np.allclose(got, manual, atol=1e-12)
 
     def test_spectral_matches_manual_loop(self, rng):
@@ -610,12 +614,12 @@ class TestScoreEvents:
         events = [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(3)]
         got = score_events(
             state, events, "spectral", substream(7, "generation"),
-            f_min=0.05, total_time=20.0, dt=0.1,
+            n_draws=1, f_min=0.05, total_time=20.0, dt=0.1,
         )
         manual_rng = substream(7, "generation")
         manual = []
         for e in events:
-            series = time_evolution_series(state, e, 20.0, 0.1, manual_rng)
+            series = own_table_series(state, e, 20.0, 0.1, manual_rng, 1)
             manual.append(one_score(series, 0.1, 0.05))
         assert np.allclose(got, manual, atol=1e-12)
 
@@ -623,17 +627,20 @@ class TestScoreEvents:
     def test_no_events_score_as_an_empty_array(self, rng, mode):
         state = self.setup_state(rng)
         gen = np.random.default_rng(0)
-        scores = score_events(state, [], mode, gen, f_min=0.05, total_time=20.0, dt=0.1)
+        scores = score_events(state, [], mode, gen, n_draws=1, f_min=0.05, total_time=20.0, dt=0.1)
         assert isinstance(scores, np.ndarray) and scores.shape == (0,)
         assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_error_paths(self, rng):
         state = self.setup_state(rng)
         events = [PixelProbabilities(np.array([0.5, 0.5]))]
+        for missing in ("f_min", "total_time", "dt"):
+            grid = dict(f_min=0.05, total_time=20.0, dt=0.1, n_draws=1)
+            del grid[missing]
+            with pytest.raises(ValueError, match="spectral mode needs"):
+                score_events(state, events, "spectral", np.random.default_rng(0), **grid)
         with pytest.raises(ValueError):
-            score_events(state, events, "spectral", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            score_events(state, events, "entropy", np.random.default_rng(0))
+            score_events(state, events, "entropy", np.random.default_rng(0), n_draws=1)
 
 
 class TestDiscriminationReport:
@@ -650,6 +657,12 @@ class TestDiscriminationReport:
         )
         assert isinstance(curve, RocCurve)
         assert 0.5 <= curve.auc <= 1.0
+        for grid in (dict(f_min=0.5, dt=0.1), dict(f_min=0.5, total_time=5.0), dict(dt=0.1)):
+            with pytest.raises(ValueError, match="spectral mode needs"):
+                discrimination_report(
+                    state, signal, background, "spectral", np.random.default_rng(0),
+                    n_draws=8, **grid,
+                )
 
     @pytest.mark.parametrize("mode", ["t_zero", "spectral"])
     def test_both_classes_share_one_table(self, rng, monkeypatch, mode):
@@ -698,13 +711,13 @@ class TestTwoSiteReduced:
 class TestSiteEntropyProfile:
     def test_unique_ground_state_is_product(self):
         ham = ham_from([5, 2, 7], [0.0, 1.0, 2.0], 3)
-        profile = site_entropy_profile(ham)
+        profile = site_entropy_profile(ham, None)
         assert np.allclose(profile, 0.0, atol=1e-12)
 
     def test_pair_of_ground_states_differing_in_first_qubit(self):
         # 000 and 100 mix only qubit 0, entangling nothing else.
         ham = ham_from([0, 4], [0.0, 0.0], 3)
-        profile = site_entropy_profile(ham)
+        profile = site_entropy_profile(ham, None)
         assert profile[0] == pytest.approx(np.log(2), abs=1e-12)
         assert profile[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -712,12 +725,12 @@ class TestSiteEntropyProfile:
         # 0000 and 1100 share the flip across qubits 0 and 1: both pairs
         # touching those qubits mix, the remaining pair stays pure.
         ham = ham_from([0, 12], [0.5, 0.5], 4)
-        profile = site_entropy_profile(ham)
+        profile = site_entropy_profile(ham, None)
         assert np.allclose(profile, [np.log(2), np.log(2), 0.0], atol=1e-12)
 
     def test_full_degenerate_support_is_maximally_mixed(self):
         ham = ham_from(list(range(16)), np.zeros(16), 4)
-        profile = site_entropy_profile(ham)
+        profile = site_entropy_profile(ham, None)
         assert np.allclose(profile, np.log(4), atol=1e-12)
 
     def test_dressed_profile_matches_dense_oracle(self, rng):
@@ -764,10 +777,10 @@ class TestSiteEntropyProfile:
 
     def test_tie_tolerance_selects_ground_set(self):
         # Energies within 1e-9 of the minimum tie into one ground set.
-        profile = site_entropy_profile(ham_from([0, 3, 2], [0.0, 5e-10, 1.0], 2))
+        profile = site_entropy_profile(ham_from([0, 3, 2], [0.0, 5e-10, 1.0], 2), None)
         # Ground set {00, 11}: a perfectly correlated pair.
         assert profile[0] == pytest.approx(np.log(2), abs=1e-12)
-        apart = site_entropy_profile(ham_from([0, 3, 2], [0.0, 2e-9, 1.0], 2))
+        apart = site_entropy_profile(ham_from([0, 3, 2], [0.0, 2e-9, 1.0], 2), None)
         assert apart[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_mode_selection(self, rng):
@@ -789,7 +802,7 @@ class TestSiteEntropyProfile:
 
     def test_error_paths(self):
         with pytest.raises(ValueError):
-            site_entropy_profile(empty_hamiltonian(2))
+            site_entropy_profile(empty_hamiltonian(2), None)
 
 
 class TestScenarios:

@@ -50,7 +50,7 @@ def test_every_hook_target_is_callable():
 
 def test_sampler_and_hamiltonian_counters_read_real_calls():
     counters = load_tracing().COUNTERS
-    model = ebm.EnergyModel.initialize(3, rng=np.random.default_rng(0))
+    model = ebm.EnergyModel.initialize(3, 6, np.random.default_rng(0))
     chain = ebm.initial_chain(model, np.random.default_rng(1))
 
     sampled = ebm.metropolis_sample(model, chain, 5, 40)
@@ -98,7 +98,7 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
 
         monkeypatch.setattr(module, attr, counted)
 
-    model = ebm.EnergyModel.initialize(3, rng=np.random.default_rng(0))
+    model = ebm.EnergyModel.initialize(3, 6, np.random.default_rng(0))
     ansatz = qsim.CircuitAnsatz(3, 1, np.full(4, 0.3))
     state = train.TrainState(
         energy_model=model,

@@ -12,12 +12,7 @@ import pytest
 from qhbm import anomaly, cli, qsim
 from qhbm.cli import TRAIN_KEYS, build_parser, main
 from qhbm.embed import PixelImage
-from qhbm.io import (
-    load_checkpoint,
-    read_csv_skip_provenance,
-    read_image_container,
-    write_image_container,
-)
+from qhbm.io import load_checkpoint, read_image_container, write_image_container
 
 from checkpoint_faults import (
     FAULTS,
@@ -25,6 +20,7 @@ from checkpoint_faults import (
     write_corrupt_checkpoint,
     write_version_1,
 )
+from oracles import read_csv_skip_provenance
 
 
 def run(*argv):
@@ -521,8 +517,8 @@ class TestAnomaly:
     def test_one_routing_table_per_run(self, pipeline, tmp_path, monkeypatch):
         """Every pass reads one table, with the outputs of one table per pass.
 
-        The per-pass run drops the ``table`` argument, so each scoring and
-        series pass builds its own table as a separate call would.
+        The per-pass run gives each scoring and series pass a table of its
+        own, as a separate call would build.
         """
         def anomaly_run(outdir):
             calls = []
@@ -544,16 +540,18 @@ class TestAnomaly:
                 ) == 0
             return len(calls)
 
-        def per_pass(fn):
-            def call(*args, table=None, **kwargs):
-                return fn(*args, **kwargs)
+        def scores_own_table(*args, table, **kwargs):
+            return score_events(*args, **kwargs)
 
-            return call
+        def series_own_table(state, events, total_time, dt, rng, n_draws, table):
+            own = anomaly.RoutingTable(state, total_time, dt)
+            return event_series(state, events, total_time, dt, rng, n_draws, table=own)
 
+        score_events, event_series = anomaly.score_events, anomaly.event_series
         assert anomaly_run(tmp_path / "shared") == 1
         with monkeypatch.context() as patch:
-            patch.setattr(anomaly, "score_events", per_pass(anomaly.score_events))
-            patch.setattr(anomaly, "event_series", per_pass(anomaly.event_series))
+            patch.setattr(anomaly, "score_events", scores_own_table)
+            patch.setattr(anomaly, "event_series", series_own_table)
             # The run's own table, now unused, then one per pass: t_zero
             # scores and the spectral series, for each class.
             assert anomaly_run(tmp_path / "per_pass") == 1 + 4

@@ -21,6 +21,7 @@ from qhbm.ebm import (
 )
 from qhbm.qsim import index_bits
 from qhbm.rng import substream
+from qhbm.train import TrainConfig
 
 from oracles import (
     boltzmann_distribution,
@@ -31,6 +32,7 @@ from oracles import (
     free_energy_enumerated,
     hamiltonian_from_energies,
     metropolis_sample_reference,
+    scaled_model,
 )
 from script_runner import load_bench_module, run_script
 
@@ -66,19 +68,22 @@ def free_energy(model, index):
 
 class TestEnergyModel:
     def test_initialize_defaults(self):
-        model = EnergyModel.initialize(3, rng=np.random.default_rng(0))
+        # The hidden width's default, 2 * n_visible, lives in TrainConfig.
+        hidden = TrainConfig(n_qubits=3).hidden_units
+        model = EnergyModel.initialize(3, hidden, np.random.default_rng(0))
         assert model.n_visible == 3
         assert model.n_hidden == 6
         assert np.all(model.visible_bias == 0.0)
         assert np.all(model.hidden_bias == 0.0)
 
-    def test_initialize_zero_scale(self):
-        model = EnergyModel.initialize(2, 3, np.random.default_rng(0), weight_scale=0.0)
+    def test_initialize_zero_scale(self, monkeypatch):
+        monkeypatch.setattr(ebm, "WEIGHT_SCALE", 0.0)
+        model = EnergyModel.initialize(2, 3, np.random.default_rng(0))
         assert np.all(model.weights == 0.0)
 
     def test_initialize_reproducible(self):
-        a = EnergyModel.initialize(4, rng=np.random.default_rng(7))
-        b = EnergyModel.initialize(4, rng=np.random.default_rng(7))
+        a = EnergyModel.initialize(4, 8, np.random.default_rng(7))
+        b = EnergyModel.initialize(4, 8, np.random.default_rng(7))
         assert np.array_equal(a.weights, b.weights)
 
     def test_rejects_bad_weight_rank(self):
@@ -239,7 +244,7 @@ class TestMetropolis:
         assert abs(freq - expected) < 0.01
 
     def test_chi_square_against_exact_boltzmann(self):
-        model = EnergyModel.initialize(3, rng=substream(5, "init"), weight_scale=0.05)
+        model = scaled_model(3, substream(5, "init"), 0.05)
         chain = initial_chain(model, substream(5, "chain"))
         samples, _ = metropolis_sample(model, chain, burn_in=100, n_collect=100_000)
         counts = np.bincount(samples, minlength=8)
@@ -249,16 +254,15 @@ class TestMetropolis:
 
     @pytest.mark.parametrize("n_visible,burn_in,n_collect", [(1, 0, 30), (4, 0, 0), (8, 100, 1000)])
     def test_matches_reference_loop_bitwise(self, n_visible, burn_in, n_collect):
-        model = EnergyModel.initialize(n_visible, rng=np.random.default_rng(n_visible), weight_scale=0.8)
+        model = scaled_model(n_visible, np.random.default_rng(n_visible), 0.8)
         assert_chain_matches_reference(model, initial_chain(model, np.random.default_rng(5)), burn_in, n_collect)
 
     @pytest.mark.parametrize("n_visible", range(2, 9))
     @pytest.mark.parametrize("weight_scale", [0.3, 2.0])
     def test_long_chains_match_reference_loop_bitwise(self, n_visible, weight_scale):
         """math.exp decides every uphill proposal as NumPy's exp did."""
-        model = EnergyModel.initialize(
-            n_visible, rng=substream(n_visible, "init", str(weight_scale)), weight_scale=weight_scale
-        )
+        init_rng = substream(n_visible, "init", str(weight_scale))
+        model = scaled_model(n_visible, init_rng, weight_scale)
         model.visible_bias[:] = substream(n_visible, "bias", str(weight_scale)).normal(0.0, weight_scale, n_visible)
         chain = initial_chain(model, substream(n_visible, "chain", str(weight_scale)))
         assert_chain_matches_reference(model, chain, 100, 20_000)
@@ -266,7 +270,7 @@ class TestMetropolis:
     def test_acceptance_sampler_chains_match_reference_loop_bitwise(self):
         """The chains of acceptance check A3, including its peaked control."""
         for n_visible, seed in ((3, 5), (4, 5)):
-            model = EnergyModel.initialize(n_visible, rng=substream(seed, "init"), weight_scale=0.05)
+            model = scaled_model(n_visible, substream(seed, "init"), 0.05)
             assert_chain_matches_reference(model, initial_chain(model, substream(seed, "chain")), 100, 100_000)
         peaked = EnergyModel(np.array([[45.0], [45.0]]), np.zeros(2), np.array([-80.0]))
         assert_chain_matches_reference(peaked, initial_chain(peaked, substream(6, "chain")), 100, 100_000)
@@ -436,9 +440,9 @@ class TestThetaGradient:
         model = random_model(3, 4, rng)
         ham = build_hamiltonian(model, [0, 3, 5, 6])
         grad = theta_gradient(model, ham, softmax(-ham.energies))
-        assert np.max(np.abs(grad.weights)) < 1e-12
-        assert np.max(np.abs(grad.visible_bias)) < 1e-12
-        assert np.max(np.abs(grad.hidden_bias)) < 1e-12
+        assert np.max(np.abs(grad["weights"])) < 1e-12
+        assert np.max(np.abs(grad["visible_bias"])) < 1e-12
+        assert np.max(np.abs(grad["hidden_bias"])) < 1e-12
 
     def test_single_state_analytic(self, rng):
         model = random_model(2, 3, rng)
@@ -449,9 +453,9 @@ class TestThetaGradient:
         coef = w - 1.0
         bits = np.array([1.0, 0.0])
         sig = conditional_hidden_prob(model, bits)
-        assert np.allclose(grad.visible_bias, coef * (-bits), atol=1e-12)
-        assert np.allclose(grad.hidden_bias, coef * (-sig), atol=1e-12)
-        assert np.allclose(grad.weights, coef * (-np.outer(bits, sig)), atol=1e-12)
+        assert np.allclose(grad["visible_bias"], coef * (-bits), atol=1e-12)
+        assert np.allclose(grad["hidden_bias"], coef * (-sig), atol=1e-12)
+        assert np.allclose(grad["weights"], coef * (-np.outer(bits, sig)), atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         eps = 1e-6
@@ -483,17 +487,17 @@ class TestThetaGradient:
                     fd = (perturbed("w", i, j, eps) - perturbed("w", i, j, -eps)) / (
                         2 * eps
                     )
-                    assert grad.weights[i, j] == pytest.approx(fd, abs=1e-5)
+                    assert grad["weights"][i, j] == pytest.approx(fd, abs=1e-5)
             for i in range(nv):
                 fd = (perturbed("bv", i, 0, eps) - perturbed("bv", i, 0, -eps)) / (
                     2 * eps
                 )
-                assert grad.visible_bias[i] == pytest.approx(fd, abs=1e-5)
+                assert grad["visible_bias"][i] == pytest.approx(fd, abs=1e-5)
             for j in range(nh):
                 fd = (perturbed("bh", 0, j, eps) - perturbed("bh", 0, j, -eps)) / (
                     2 * eps
                 )
-                assert grad.hidden_bias[j] == pytest.approx(fd, abs=1e-5)
+                assert grad["hidden_bias"][j] == pytest.approx(fd, abs=1e-5)
 
     def test_missing_weights_count_as_zero(self, rng):
         model = random_model(2, 2, rng)
@@ -501,9 +505,9 @@ class TestThetaGradient:
         # the aligned weight array, wherever it sits in the support.
         first = theta_gradient(model, build_hamiltonian(model, [0b00, 0b11]), [0.4, 0.0])
         last = theta_gradient(model, build_hamiltonian(model, [0b11, 0b00]), [0.0, 0.4])
-        assert np.allclose(first.weights, last.weights, rtol=0.0, atol=1e-15)
-        assert np.allclose(first.visible_bias, last.visible_bias, rtol=0.0, atol=1e-15)
-        assert np.allclose(first.hidden_bias, last.hidden_bias, rtol=0.0, atol=1e-15)
+        assert np.allclose(first["weights"], last["weights"], rtol=0.0, atol=1e-15)
+        assert np.allclose(first["visible_bias"], last["visible_bias"], rtol=0.0, atol=1e-15)
+        assert np.allclose(first["hidden_bias"], last["hidden_bias"], rtol=0.0, atol=1e-15)
 
     def test_rejects_empty_support(self, rng):
         model = random_model(2, 2, rng)

@@ -18,7 +18,6 @@ from qhbm.io import (
     IMAGE_MAGIC,
     config_hash,
     load_checkpoint,
-    read_csv_skip_provenance,
     read_image_container,
     save_checkpoint,
     write_csv_with_provenance,
@@ -34,6 +33,7 @@ from checkpoint_faults import (
     write_corrupt_checkpoint,
     write_version_1,
 )
+from oracles import read_csv_skip_provenance
 
 
 def sample_images():
@@ -194,7 +194,7 @@ class TestImageContainer:
 
     def test_magic_and_sidecar(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images())
+        write_image_container(path, sample_images(), {})
         assert path.read_bytes()[: len(IMAGE_MAGIC)] == IMAGE_MAGIC
         sidecar = json.loads((tmp_path / "events.qhbimg.json").read_text())
         assert sidecar["labels"] == ["signal", "background", "unlabelled"]
@@ -220,7 +220,7 @@ class TestImageContainer:
     def test_rejects_mixed_shapes(self, tmp_path):
         images = [PixelImage(np.ones((2, 2))), PixelImage(np.ones((3, 3)))]
         with pytest.raises(DataError):
-            write_image_container(tmp_path / "bad.qhbimg", images)
+            write_image_container(tmp_path / "bad.qhbimg", images, {})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -234,7 +234,7 @@ class TestImageContainer:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images())
+        write_image_container(path, sample_images(), {})
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(DataError):
@@ -242,7 +242,7 @@ class TestImageContainer:
 
     def test_sidecar_count_mismatch(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images())
+        write_image_container(path, sample_images(), {})
         sidecar_path = tmp_path / "events.qhbimg.json"
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["labels"] = sidecar["labels"][:-1]
@@ -271,7 +271,7 @@ class TestImageContainer:
 
     def test_missing_sidecar_uses_defaults(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images())
+        write_image_container(path, sample_images(), {})
         (tmp_path / "events.qhbimg.json").unlink()
         loaded, meta = read_image_container(path)
         assert [im.label for im in loaded] == ["unlabelled"] * 3
@@ -282,7 +282,7 @@ class TestMalformedImageFiles:
     @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
     def test_raises_data_error_naming_the_file(self, tmp_path, case):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images())
+        write_image_container(path, sample_images(), {})
         MALFORMED_FILES[case](path)
         with pytest.raises(DataError, match=re.escape(str(path))):
             read_image_container(path)

@@ -41,6 +41,7 @@ from oracles import (
     generate_reference,
     hamiltonian_from_energies,
     pair_reduced_matrix,
+    scaled_model,
     staircase_unitary,
 )
 
@@ -215,7 +216,7 @@ class TestInitTrainState:
 
 class TestBatchObjective:
     def test_single_support_identity_circuit_cancels(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng, weight_scale=0.3)
+        model = scaled_model(2, rng, 0.3)
         z = 0b10
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
@@ -228,7 +229,7 @@ class TestBatchObjective:
         assert weights == pytest.approx([1.0], abs=1e-12)
 
     def test_orthogonal_data_leaves_partition_term(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng, weight_scale=0.3)
+        model = scaled_model(2, rng, 0.3)
         z, x = 0b10, 0b01
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
@@ -238,7 +239,7 @@ class TestBatchObjective:
 
     def test_matches_dense_oracle(self, rng):
         n = 3
-        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
+        model = scaled_model(n, rng, 0.4)
         support_idx = [0, 3, 5, 6]
         ham = ebm.build_hamiltonian(model, support_idx)
         angles = rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2)
@@ -265,7 +266,7 @@ class TestBatchObjective:
         assert recomposed == pytest.approx(mean_exp, abs=1e-12)
 
     def test_empty_batch_raises(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng)
+        model = ebm.EnergyModel.initialize(2, 4, rng)
         ham = ebm.build_hamiltonian(model, [0b01])
         state = manual_state(model, identity_ansatz(2), ham)
         with pytest.raises(ValueError):
@@ -590,7 +591,7 @@ class TestFit:
 class TestModelDensityMatrix:
     def test_thermal_mode_matches_dense_oracle(self, rng):
         n = 2
-        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
+        model = scaled_model(n, rng, 0.4)
         ham = ebm.build_hamiltonian(model, [0, 2, 3])
         angles = rng.uniform(-np.pi, np.pi, size=2)
         state = manual_state(model, qsim.CircuitAnsatz(n, 1, angles), ham)
@@ -609,7 +610,7 @@ class TestModelOrientation:
 
     @staticmethod
     def random_state(n, rng, energies):
-        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.4)
+        model = scaled_model(n, rng, 0.4)
         support = rng.choice(2**n, size=len(energies), replace=False)
         ham = hamiltonian_from_energies(n, support, np.asarray(energies))
         ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=4 * (n - 1)))
@@ -654,7 +655,7 @@ class TestModelOrientation:
 
 class TestGenerate:
     def test_identity_circuit_single_support(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng)
+        model = ebm.EnergyModel.initialize(2, 4, rng)
         z = 0b10
         ham = ebm.build_hamiltonian(model, [z])
         state = manual_state(model, identity_ansatz(2), ham)
@@ -672,7 +673,7 @@ class TestGenerate:
         assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 2000)
 
     def test_zero_events(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng)
+        model = ebm.EnergyModel.initialize(2, 4, rng)
         ham = ebm.build_hamiltonian(model, [0b00])
         state = manual_state(model, identity_ansatz(2), ham)
         indices = generate(model_state(state)[0], ham, 0, np.random.default_rng(0))
@@ -684,7 +685,7 @@ class TestGenerate:
         # predict clearly different distributions.
         rng = np.random.default_rng(31)
         n = 3
-        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.5)
+        model = scaled_model(n, rng, 0.5)
         ham = ebm.build_hamiltonian(model, [0, 2, 5, 7])
         ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2))
         state = manual_state(model, ansatz, ham)
@@ -702,7 +703,7 @@ class TestGenerate:
     @pytest.mark.parametrize("n,n_events", [(1, 50), (3, 0), (3, 1), (6, 2000)])
     def test_matches_per_event_search(self, n, n_events):
         rng = np.random.default_rng(40 + n)
-        model = ebm.EnergyModel.initialize(n, rng=rng, weight_scale=0.5)
+        model = scaled_model(n, rng, 0.5)
         ham = ebm.build_hamiltonian(model, rng.integers(0, 2**n, size=3 * 2**n))
         ansatz = qsim.CircuitAnsatz(n, 2, rng.uniform(-np.pi, np.pi, size=2 * (n - 1) * 2))
         w, _ = model_state(manual_state(model, ansatz, ham))
@@ -712,7 +713,7 @@ class TestGenerate:
 
     def test_chunks_match_one_pass(self, monkeypatch):
         rng = np.random.default_rng(12)
-        model = ebm.EnergyModel.initialize(3, rng=rng, weight_scale=0.5)
+        model = scaled_model(3, rng, 0.5)
         ham = ebm.build_hamiltonian(model, np.arange(8))
         ansatz = qsim.CircuitAnsatz(3, 2, rng.uniform(-np.pi, np.pi, size=8))
         w, _ = model_state(manual_state(model, ansatz, ham))
@@ -721,7 +722,7 @@ class TestGenerate:
         assert np.array_equal(generate(w, ham, 100, np.random.default_rng(4)), whole)
 
     def test_error_paths(self, rng):
-        model = ebm.EnergyModel.initialize(2, rng=rng)
+        model = ebm.EnergyModel.initialize(2, 4, rng)
         ham = ebm.build_hamiltonian(model, [0b00])
         state = manual_state(model, identity_ansatz(2), ham)
         with pytest.raises(ValueError):
