@@ -19,8 +19,10 @@ from qhbm import embed, io, metrics, train
 from qhbm.rng import substream
 
 
-def nested_counts(event, sample_counts, rng):
-    """Draw counts of ``event`` at each sample count, nested: each extends the smaller ones.
+def nested_counts(distribution, sample_counts, rng):
+    """Draw counts from an event's ``distribution`` at each sample count, nested.
+
+    Each sample extends the smaller ones.
 
     A larger sample's counts are the running sum of count draws of the
     differences between successive sample counts, all from ``rng``.
@@ -28,7 +30,7 @@ def nested_counts(event, sample_counts, rng):
     counts = {}
     total, drawn = 0, 0
     for n in sorted(set(sample_counts)):
-        total = total + embed.bernoulli_index_samples(event, n - drawn, rng)
+        total = total + embed.bernoulli_index_samples(distribution, n - drawn, rng)
         counts[n], drawn = total, n
     return counts
 
@@ -59,12 +61,13 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="optional JSON report path")
     args = parser.parse_args(argv)
 
-    images = embed.synth_toy_jets(
+    images = embed.toy_jet_images(
         1, "background", args.grid, substream(args.synth_seed, "synthesis", "background")
     )
-    (event,), _, _ = embed.images_to_events(images, args.crop, args.pool, 4)
-    target = embed.exact_mixed_state([event])
-    print("event probs:", np.round(event.probs, 4))
+    probs, _, _ = embed.images_to_events(images, args.crop, args.pool, 4)
+    target = embed.exact_mixed_state(probs)
+    (distribution,) = embed.product_distributions(probs)
+    print("event probs:", np.round(probs[0], 4))
 
     # Learning-rate anneal at 50% and 75% of the step budget.
     anneal = ((args.steps // 2, 5e-3), (args.steps * 3 // 4, 2.5e-3))
@@ -72,7 +75,7 @@ def main(argv=None):
     sample_counts = [int(s) for s in args.samples.split(",")]
     report = {"config": vars(args), "results": {}}
     counts = {
-        seed: nested_counts(event, sample_counts, substream(seed, "embedding", "sweep", 0))
+        seed: nested_counts(distribution, sample_counts, substream(seed, "embedding", "sweep", 0))
         for seed in seeds
     }
     t0 = time.monotonic()

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qsim
 from .ebm import ModularHamiltonian
-from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
+from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row, product_distributions
 from .metrics import PowerSpectrum, RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
 from .train import TrainState
 
@@ -147,7 +147,8 @@ class RoutingTable:
             raise ValueError(f"event has {event.n_qubits} qubits but model has {n_qubits}")
         if n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        row = frequency_row(bernoulli_index_samples(event, n_draws, rng))
+        distribution = product_distributions(event.probs[None])[0]
+        row = frequency_row(bernoulli_index_samples(distribution, n_draws, rng))
         cols = np.flatnonzero(row)
         return row[cols], cols
 

@@ -72,64 +72,64 @@ def _train_config_from(resolved: dict) -> train.TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_probability_events(path: str | Path) -> list[embed.PixelProbabilities]:
-    """Read a preprocessed container of per-event probability rows."""
-    images, meta = io.read_image_container(path)
-    if not images:
+def _load_probability_events(path: str | Path, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, n_qubits) probabilities and the E labels of a preprocessed container."""
+    images, labels, meta = io.read_image_container(path)
+    if not len(images):
         raise DataError(f"{path} holds no events")
-    if meta.get("kind") != "probabilities" or any(im.height != 1 for im in images):
+    if meta.get("kind") != "probabilities" or images.shape[1] != 1:
         raise DataError(
             f"{path} is not a preprocessed probability container (kind "
             "'probabilities', one row per event); run the preprocess command first"
         )
-    events = []
-    for i, im in enumerate(images):
-        try:
-            events.append(embed.PixelProbabilities(im.intensities.reshape(-1), im.label))
-        except ValueError as exc:
-            raise DataError(f"{path} event {i}: {exc}") from exc
-    return events
-
-
-def _check_event_width(events, n_qubits: int, path) -> None:
-    if events[0].n_qubits != n_qubits:
+    probs = images[:, 0]
+    try:
+        embed.check_probabilities(probs)
+    except ValueError as exc:
+        raise DataError(f"{path} {exc}") from exc
+    if probs.shape[1] != n_qubits:
         raise DataError(
-            f"{path} holds {events[0].n_qubits}-qubit events but the model "
-            f"expects {n_qubits}"
+            f"{path} holds {probs.shape[1]}-qubit events but the model expects {n_qubits}"
         )
+    return probs, labels
+
+
+def _events(probs: np.ndarray, labels: np.ndarray) -> list[embed.PixelProbabilities]:
+    """One object per event, for ``train.fit`` and ``anomaly.score_events``."""
+    return [embed.PixelProbabilities(p, label) for p, label in zip(probs, labels)]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     rng = substream(args.seed, "synthesis", args.kind)
-    images = embed.synth_toy_jets(args.n_events, args.kind, args.grid, rng)
+    images = embed.toy_jet_images(args.n_events, args.kind, args.grid, rng)
     meta = {"kind": "raw", "generator": "toy_jets", "grid": args.grid, "seed": args.seed}
-    io.write_image_container(args.out, images, meta)
+    io.write_image_container(args.out, images, [args.kind] * len(images), meta)
     print(f"wrote {len(images)} {args.kind} events to {args.out}")
     return 0
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    images, _ = io.read_image_container(args.input)
-    if not images:
+    images, labels, _ = io.read_image_container(args.input)
+    if not len(images):
         raise DataError(f"{args.input} holds no images")
     layout = [int(x) for x in args.layout.split(",")] if args.layout else None
-    events, scale_max, layout = embed.images_to_events(
+    probs, scale_max, layout = embed.images_to_events(
         images, args.crop, args.pool, args.n_qubits,
         scale_max=args.scale_max, layout=layout, trim_remainder=not args.strict,
     )
-    rows = [embed.PixelImage(e.probs.reshape(1, -1), e.label) for e in events]
     meta = {
         "kind": "probabilities",
         "scale_max": scale_max,
         "crop": args.crop,
         "pool": args.pool,
         # crop_and_pool's side (a remainder is trimmed or rejected); the grid is square.
-        "pooled_side": (images[0].height - 2 * args.crop) // args.pool,
+        "pooled_side": (images.shape[1] - 2 * args.crop) // args.pool,
         "layout": layout,
     }
-    io.write_image_container(args.out, rows, meta)
+    # One 1 x n image per event.
+    io.write_image_container(args.out, probs[:, None], labels, meta)
     print(
-        f"preprocessed {len(rows)} events to {args.out} "
+        f"preprocessed {len(probs)} events to {args.out} "
         f"(scale_max={scale_max:.6g}, layout={layout})"
     )
     return 0
@@ -161,12 +161,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise DataError(f"dataset not found: {resolved[key]}")
     config = _train_config_from(resolved)
 
-    train_events = _load_probability_events(resolved["train_data"])
-    valid_events = _load_probability_events(resolved["valid_data"])
-    _check_event_width(train_events, config.n_qubits, resolved["train_data"])
-    _check_event_width(valid_events, config.n_qubits, resolved["valid_data"])
+    train_events = _events(*_load_probability_events(resolved["train_data"], config.n_qubits))
+    valid_probs, valid_labels = _load_probability_events(resolved["valid_data"], config.n_qubits)
 
-    best, history = train.fit(config, train_events, valid_events, initial, history)
+    best, history = train.fit(
+        config, train_events, _events(valid_probs, valid_labels), initial, history
+    )
 
     outdir = Path(resolved["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -177,7 +177,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         ([h["epoch"], *(repr(h[key]) for key in train.HISTORY_KEYS[1:])] for h in history),
         config.as_dict(),
     )
-    snapshot = _metric_snapshot(best, config, valid_events)
+    snapshot = _metric_snapshot(best, config, valid_probs)
     io.write_json(outdir / "metrics.json", snapshot)
     print(
         f"trained {len(history)} epochs, best validation loss "
@@ -190,12 +190,12 @@ def _model_vs_data(
     w: np.ndarray,
     p: np.ndarray,
     generated: np.ndarray,
-    events: list[embed.PixelProbabilities],
+    probs: np.ndarray,
 ) -> dict:
-    """Model state (W, p) and generated indices against the exact embedded state of ``events``."""
-    s = embed.exact_mixed_state(events)
-    mean_probs = np.mean([e.probs for e in events], axis=0)
-    emitted = qsim.index_bits(generated, events[0].n_qubits)
+    """Model state (W, p) and generated indices against the exact embedded state of ``probs``."""
+    s = embed.exact_mixed_state(probs)
+    mean_probs = probs.mean(axis=0)
+    emitted = qsim.index_bits(generated, probs.shape[1])
     return {
         "fidelity": metrics.fidelity(s, w, p),
         "trace_distance": metrics.trace_distance(s, w, p),
@@ -208,14 +208,14 @@ def _model_vs_data(
 def _metric_snapshot(
     state: train.TrainState,
     config: train.TrainConfig,
-    events: list[embed.PixelProbabilities],
+    probs: np.ndarray,
 ) -> dict:
-    """Model-vs-data measures on one event set (exact data mixed state)."""
+    """Model-vs-data measures on one (E, n) event set (exact data mixed state)."""
     w, p = train.model_state(state)
     generated = train.generate(w, state.hamiltonian, 2000, substream(config.seed, "generation"))
-    return _model_vs_data(w, p, generated, events) | {
+    return _model_vs_data(w, p, generated, probs) | {
         "model_entropy": metrics.von_neumann_entropy(p),
-        "n_events": len(events),
+        "n_events": len(probs),
     }
 
 
@@ -225,8 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     state, config, _ = io.load_checkpoint(args.checkpoint)
-    events = _load_probability_events(args.test)
-    _check_event_width(events, config.n_qubits, args.test)
+    probs, labels = _load_probability_events(args.test, config.n_qubits)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -234,8 +233,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gen_rng = substream(args.seed, "generation")
     rows = []
     per_metric: dict[str, list[float]] = {}
-    for start in range(0, len(events), args.batch_size):
-        batch = events[start : start + args.batch_size]
+    for start in range(0, len(probs), args.batch_size):
+        batch = probs[start : start + args.batch_size]
         generated = train.generate(w, state.hamiltonian, args.generation_samples, gen_rng)
         values = _model_vs_data(w, p, generated, batch)
         rows.append([start // args.batch_size] + [repr(values[k]) for k in sorted(values)])
@@ -243,8 +242,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             per_metric.setdefault(k, []).append(v)
 
     label_entropy = {}
-    for label in sorted({e.label for e in events}):
-        subset = [e for e in events if e.label == label]
+    for label in sorted(set(labels)):
+        subset = probs[labels == label]
         label_entropy[label] = metrics.von_neumann_entropy(embed.exact_mixed_state(subset))
 
     io.write_csv_with_provenance(
@@ -256,13 +255,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = {
         "model_entropy": metrics.von_neumann_entropy(p),
         "label_entropy": label_entropy,
-        "n_events": len(events),
+        "n_events": len(probs),
         "batch_size": args.batch_size,
     }
     for k, vals in per_metric.items():
         summary[k] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
     io.write_json(outdir / "summary.json", summary)
-    print(f"evaluated {len(events)} events in batches of {args.batch_size}; wrote {outdir}")
+    print(f"evaluated {len(probs)} events in batches of {args.batch_size}; wrote {outdir}")
     return 0
 
 
@@ -290,10 +289,8 @@ def _repr_rows(*columns: np.ndarray):
 
 def cmd_anomaly(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
-    signal = _load_probability_events(args.signal)
-    background = _load_probability_events(args.background)
-    _check_event_width(signal, config.n_qubits, args.signal)
-    _check_event_width(background, config.n_qubits, args.background)
+    signal = _events(*_load_probability_events(args.signal, config.n_qubits))
+    background = _events(*_load_probability_events(args.background, config.n_qubits))
     anomaly.check_spectral_args(args.total_time, args.dt, args.f_min)
     if args.n_draws < 1:
         raise ValueError(f"--n-draws must be >= 1, got {args.n_draws}")

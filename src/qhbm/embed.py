@@ -1,12 +1,14 @@
 """Pixel data preparation and basis-state embedding.
 
+An event set is held as arrays: its images as one (E, H, W) float64
+stack and its events as one (E, n) stack of Bernoulli probabilities.
 Calorimeter-style images are cropped, down-sampled by non-overlapping
 block means and linearly standardised into [0, pi] against a fitted
 maximum.  Selected pixel intensities are squashed through a logistic
 into Bernoulli probabilities, which drive random basis-state draws.
 An event's draws are held only as their count at each of the 2**n basis
-states, drawn at once as one multinomial over the event's product
-distribution; no per-draw array is formed.
+states, drawn at once as one multinomial over the event's row of
+``product_distributions``; no per-draw array is formed.
 The dataset's mixed state, the uniform mixture of its events that the
 training loss mean <K> + log Z is taken over, is diagonal in the
 computational basis, so it is held as its diagonal s, a real
@@ -66,24 +68,32 @@ class PixelProbabilities:
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1 or not 1 <= self.probs.size <= MAX_QUBITS:
+        if self.probs.ndim != 1:
             raise ValueError(f"need 1..{MAX_QUBITS} probabilities, got shape {self.probs.shape}")
-        # Written so that NaN fails too: it compares false both ways.
-        if not np.all((self.probs > 0.0) & (self.probs < 1.0)):
-            raise ValueError("probabilities must lie strictly inside (0, 1)")
+        check_probabilities(self.probs[None])
 
     @property
     def n_qubits(self) -> int:
         return self.probs.size
 
 
-def crop_and_pool(
-    image: PixelImage,
-    crop: int,
-    pool: int,
-    trim_remainder: bool = True,
-) -> PixelImage:
-    """Strip ``crop`` pixels from every edge, then average ``pool`` x ``pool`` blocks.
+def check_probabilities(probs: np.ndarray) -> None:
+    """Reject an (E, n) stack unless each event has 1..MAX_QUBITS probabilities inside (0, 1).
+
+    The ValueError names the first bad event.
+    """
+    if probs.ndim != 2 or not 1 <= probs.shape[1] <= MAX_QUBITS:
+        raise ValueError(f"event 0: need 1..{MAX_QUBITS} probabilities, got shape {probs.shape[1:]}")
+    # Written so that NaN fails too: it compares false both ways.
+    inside = ((probs > 0.0) & (probs < 1.0)).all(axis=1)
+    if not inside.all():
+        raise ValueError(f"event {np.argmin(inside)}: probabilities must lie strictly inside (0, 1)")
+
+
+def pool_images(
+    images: np.ndarray, crop: int, pool: int, trim_remainder: bool = True
+) -> np.ndarray:
+    """Strip ``crop`` pixels from every edge of an (E, H, W) stack, then average ``pool`` x ``pool`` blocks.
 
     If the cropped size is not divisible by ``pool``, the remainder rows
     and columns are dropped from the high-index side when
@@ -93,38 +103,37 @@ def crop_and_pool(
         raise ValueError(f"crop must be >= 0, got {crop}")
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
-    h, w = image.height, image.width
+    n_images, h, w = images.shape
     if 2 * crop >= h or 2 * crop >= w:
         raise ValueError(f"crop {crop} exceeds image size {h}x{w}")
-    grid = image.intensities[crop : h - crop, crop : w - crop]
-    gh, gw = grid.shape
+    gh, gw = h - 2 * crop, w - 2 * crop
     if gh % pool or gw % pool:
         if not trim_remainder:
             raise ValueError(
                 f"cropped size {gh}x{gw} is not divisible by pool {pool}"
             )
-        grid = grid[: gh - gh % pool, : gw - gw % pool]
-        gh, gw = grid.shape
-    pooled = grid.reshape(gh // pool, pool, gw // pool, pool).mean(axis=(1, 3))
-    return PixelImage(pooled, image.label)
+        gh, gw = gh - gh % pool, gw - gw % pool
+    grid = images[:, crop : crop + gh, crop : crop + gw]
+    return grid.reshape(n_images, gh // pool, pool, gw // pool, pool).mean(axis=(2, 4))
 
 
-def fit_scale_max(images: Sequence[PixelImage]) -> float:
-    """Largest intensity over a calibration set; the standardisation fit."""
-    if not images:
+def fit_scale_max(images: np.ndarray | Sequence[PixelImage]) -> float:
+    """Largest intensity over a calibration set, an (E, H, W) stack or images; the standardisation fit."""
+    if len(images) == 0:
         raise ValueError("need at least one calibration image")
-    peak = max(float(im.intensities.max()) for im in images)
+    if not isinstance(images, np.ndarray):
+        images = [im.intensities.max() for im in images]
+    peak = float(np.max(images))
     if peak <= 0.0:
         raise ValueError(f"calibration peak must be positive, got {peak}")
     return peak
 
 
-def standardise(image: PixelImage, scale_max: float) -> PixelImage:
-    """Linearly map [0, scale_max] onto [0, pi], clipping above the fit."""
+def standardise_images(images: np.ndarray, scale_max: float) -> np.ndarray:
+    """Linearly map [0, scale_max] onto [0, pi], clipping above the fit, pixel by pixel."""
     if not (np.isfinite(scale_max) and scale_max > 0.0):
         raise ValueError(f"scale_max must be finite and positive, got {scale_max}")
-    scaled = np.clip(image.intensities / scale_max, 0.0, 1.0) * np.pi
-    return PixelImage(scaled, image.label)
+    return np.clip(images / scale_max, 0.0, 1.0) * np.pi
 
 
 def pixel_layout(side: int, n_qubits: int) -> list[int]:
@@ -149,24 +158,23 @@ def pixel_layout(side: int, n_qubits: int) -> list[int]:
     return [r * side + c for r, c in coords]
 
 
-def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilities:
-    """Logistic-squash the selected intensities into Bernoulli probabilities.
+def select_probabilities(images: np.ndarray, layout: Sequence[int]) -> np.ndarray:
+    """Logistic-squash the ``layout`` pixels of an (E, H, W) stack into (E, n) Bernoulli probabilities.
 
     Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] so no
     basis state is ever impossible.
     """
     if len(layout) == 0 or len(set(layout)) != len(layout):
         raise ValueError("layout must be a non-empty list of distinct indices")
-    flat = image.intensities.reshape(-1)
+    n_images, h, w = images.shape
     idx = np.asarray(layout, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= flat.size:
-        raise ValueError(f"layout indices out of range for {image.height}x{image.width} image")
-    probs = np.clip(expit(flat[idx]), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return PixelProbabilities(probs, image.label)
+    if idx.min() < 0 or idx.max() >= h * w:
+        raise ValueError(f"layout indices out of range for {h}x{w} image")
+    return np.clip(expit(images.reshape(n_images, -1)[:, idx]), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def images_to_events(
-    images: Sequence[PixelImage],
+    images: np.ndarray,
     crop: int,
     pool: int,
     n_qubits: int,
@@ -174,28 +182,29 @@ def images_to_events(
     scale_max: float | None = None,
     layout: Sequence[int] | None = None,
     trim_remainder: bool = True,
-) -> tuple[list[PixelProbabilities], float, list[int]]:
-    """Crop and pool, standardise and select pixels: ``(events, scale_max, layout)``.
+) -> tuple[np.ndarray, float, list[int]]:
+    """Crop and pool, standardise and select pixels of an (E, H, W) stack: ``(probs, scale_max, layout)``.
 
-    ``scale_max`` is fitted on the pooled images unless given (held-out
-    splits reuse the training fit), and ``layout`` defaults to the
-    ``n_qubits`` layout of ``pixel_layout``.  A non-square grid is a data error.
+    ``probs`` is the (E, n) probability stack.  ``scale_max`` is fitted on
+    the pooled images unless given (held-out splits reuse the training
+    fit), and ``layout`` defaults to the ``n_qubits`` layout of
+    ``pixel_layout``.  A non-square grid is a data error.
     """
-    if not images:
+    if len(images) == 0:
         raise ValueError("need at least one image")
-    pooled = [crop_and_pool(im, crop, pool, trim_remainder) for im in images]
+    pooled = pool_images(images, crop, pool, trim_remainder)
     if scale_max is None:
         scale_max = fit_scale_max(pooled)
-    standardised = [standardise(im, scale_max) for im in pooled]
-    side, width = standardised[0].intensities.shape
+    standardised = standardise_images(pooled, scale_max)
+    _, side, width = standardised.shape
     if side != width:
         raise DataError(f"pooled images are {side}x{width}; pixel layouts need a square grid")
     layout = pixel_layout(side, n_qubits) if layout is None else list(layout)
-    return [select_pixels(im, layout) for im in standardised], scale_max, layout
+    return select_probabilities(standardised, layout), scale_max, layout
 
 
-def _product_distributions(probs: np.ndarray) -> np.ndarray:
-    """(event, 2**n) product-Bernoulli distributions of an (event, n) probability array.
+def product_distributions(probs: np.ndarray) -> np.ndarray:
+    """(E, 2**n) product-Bernoulli distributions of an (E, n) probability stack.
 
     The products run over the qubits in order, qubit 0 most significant,
     as a chain of Kronecker products does.
@@ -209,20 +218,20 @@ def _product_distributions(probs: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_index_samples(
-    probs: PixelProbabilities, n_samples: int, rng: np.random.Generator
+    distribution: np.ndarray, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Count (int64) of ``n_samples`` draws at each of the 2**n basis indices.
 
-    Each draw sets bit k (qubit 0 most significant) with probability
-    probs[k].  The counts are one multinomial over the event's product
-    distribution: the law of the counts of that many i.i.d. draws, from
-    2**n - 1 binomials instead of one uniform per draw and qubit.  The
-    name is the layer's name in the benchmark traces, which count
-    ``n_samples`` as its draws.
+    ``distribution`` is one event's row of ``product_distributions``, so
+    each draw sets bit k (qubit 0 most significant) with that event's
+    probability k.  The counts are one multinomial over it: the law of the
+    counts of that many i.i.d. draws, from 2**n - 1 binomials instead of
+    one uniform per draw and qubit.  The name is the layer's name in the
+    benchmark traces, which count ``n_samples`` as its draws.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    return rng.multinomial(n_samples, _product_distributions(probs.probs[None])[0])
+    return rng.multinomial(n_samples, distribution)
 
 
 def frequency_row(counts: np.ndarray) -> np.ndarray:
@@ -237,50 +246,48 @@ def frequency_row(counts: np.ndarray) -> np.ndarray:
     return counts / n_draws
 
 
-def exact_mixed_state(events: Sequence[PixelProbabilities]) -> np.ndarray:
-    """Diagonal s of the events' mixed state, a length-2**n vector.
+def exact_mixed_state(probs: np.ndarray) -> np.ndarray:
+    """Diagonal s of the mixed state of an (E, n) probability stack, a length-2**n vector.
 
     Each event enters as its exact product-Bernoulli distribution, the
     limit of its embedded draws, and the events are mixed uniformly, as
     training averages them.
     """
-    if not events:
-        raise ValueError("need at least one event")
-    n = events[0].n_qubits
-    if any(e.n_qubits != n for e in events):
-        raise ValueError("all events must have the same qubit count")
-    alpha = 1.0 / len(events)
-    probs = np.array([e.probs for e in events])
-    diag = np.zeros(2**n)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or len(probs) == 0:
+        raise ValueError(f"need a non-empty (E, n) probability stack, got shape {probs.shape}")
+    alpha = 1.0 / len(probs)
+    diag = np.zeros(2 ** probs.shape[1])
     # Events go in chunks, so the distributions in hand stay within
     # _MIXED_CHUNK_ENTRIES values however many events there are.
-    chunk = max(1, _MIXED_CHUNK_ENTRIES >> n)
-    for c0 in range(0, len(events), chunk):
-        for dist in _product_distributions(probs[c0 : c0 + chunk]):
+    chunk = max(1, _MIXED_CHUNK_ENTRIES >> probs.shape[1])
+    for c0 in range(0, len(probs), chunk):
+        for dist in product_distributions(probs[c0 : c0 + chunk]):
             diag += alpha * dist
     return diag
 
 
-def _deposit_blob(
-    grid: np.ndarray,
+def _deposit_blobs(
+    canvases: np.ndarray,
     rr: np.ndarray,
     cc: np.ndarray,
-    row: float,
-    col: float,
-    sigma: float,
-    energy: float,
+    blobs: np.ndarray,
 ) -> None:
-    """Add a Gaussian blob; ``rr`` and ``cc`` are the grid's row and column indices."""
-    grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))
+    """Add one Gaussian blob to each canvas; ``rr`` and ``cc`` are the grid's row and column indices.
+
+    ``blobs`` holds each canvas's (row, column, 2 sigma**2, energy).
+    """
+    row, col, spread, energy = blobs.T[:, :, None, None]
+    canvases += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / spread)
 
 
-def synth_toy_jets(
+def toy_jet_images(
     n_events: int,
     kind: str,
     grid: int,
     rng: np.random.Generator,
-) -> list[PixelImage]:
-    """Synthetic jet images: one central blob vs. three displaced prongs.
+) -> np.ndarray:
+    """Synthetic jet images, an (E, grid, grid) stack: one central blob vs. three displaced prongs.
 
     Background events deposit a single wide Gaussian blob at the grid
     centre.  Signal events deposit a soft central core plus three
@@ -289,6 +296,8 @@ def synth_toy_jets(
     tuned so the central region looks similar for both kinds, leaving
     the discriminating energy in the off-centre pixels.  Intensities
     are non-negative with additive folded-normal noise of scale ``JET_NOISE``.
+    Each event draws its blobs and then its noise from ``rng``, event by
+    event; the canvases are then built for all events at once.
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
@@ -297,33 +306,66 @@ def synth_toy_jets(
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
     centre = (grid - 1) / 2.0
-    # Row and column indices as a column and a row; they broadcast to the grid.
-    rr, cc = np.ogrid[:grid, :grid]
-    images: list[PixelImage] = []
-    for _ in range(n_events):
-        canvas = np.zeros((grid, grid))
+    # (event, blob, (row, column, 2 sigma**2, energy)).
+    blobs = np.empty((n_events, 1 if kind == "background" else 4, 4))
+    noise = np.empty((n_events, grid, grid))
+    for blob, event_noise in zip(blobs, noise):
         energy = 40.0 * rng.lognormal(0.0, 0.1)
+        row = centre + 0.3 * rng.standard_normal()
+        col = centre + 0.3 * rng.standard_normal()
         if kind == "background":
-            row = centre + 0.3 * rng.standard_normal()
-            col = centre + 0.3 * rng.standard_normal()
             sigma = rng.uniform(2.0, 2.2)
-            _deposit_blob(canvas, rr, cc, row, col, sigma, energy)
+            blob[0] = row, col, 2.0 * sigma**2, energy
         else:
             # A soft wide core matches the background's central block;
             # the prongs carry the discriminating off-centre energy.
-            row = centre + 0.3 * rng.standard_normal()
-            col = centre + 0.3 * rng.standard_normal()
-            _deposit_blob(canvas, rr, cc, row, col, rng.uniform(2.0, 2.5), 0.38 * energy)
+            sigma = rng.uniform(2.0, 2.5)
+            blob[0] = row, col, 2.0 * sigma**2, 0.38 * energy
             rotation = np.deg2rad(rng.normal(0.0, 9.0))
             fractions = np.array([0.45, 0.275, 0.275]) + 0.03 * rng.standard_normal(3)
             fractions = np.abs(fractions) / np.abs(fractions).sum()
             radii = (rng.uniform(0.18, 0.22), rng.uniform(0.21, 0.26), rng.uniform(0.21, 0.26))
             widths = (rng.uniform(1.6, 2.0), rng.uniform(1.7, 2.1), rng.uniform(1.7, 2.1))
-            for base_deg, frac, rad, sigma in zip((90.0, 210.0, 330.0), fractions, radii, widths):
+            prongs = zip((90.0, 210.0, 330.0), fractions, radii, widths)
+            for k, (base_deg, frac, rad, sigma) in enumerate(prongs, 1):
                 angle = np.deg2rad(base_deg) + rotation
                 row = centre - rad * grid * np.sin(angle)
                 col = centre + rad * grid * np.cos(angle)
-                _deposit_blob(canvas, rr, cc, row, col, sigma, 2.1 * frac * energy)
-        canvas += np.abs(rng.normal(0.0, JET_NOISE, size=canvas.shape))
-        images.append(PixelImage(canvas, label=kind))
-    return images
+                blob[k] = row, col, 2.0 * sigma**2, 2.1 * frac * energy
+        event_noise[:] = rng.normal(0.0, JET_NOISE, size=(grid, grid))
+    # Row and column indices as a column and a row; they broadcast to the grid.
+    rr, cc = np.ogrid[:grid, :grid]
+    canvases = np.zeros((n_events, grid, grid))
+    for k in range(blobs.shape[1]):
+        _deposit_blobs(canvases, rr, cc, blobs[:, k])
+    canvases += np.abs(noise)
+    return canvases
+
+
+# One image or event as an object, for the callers that still take them
+# (``train.fit``, ``anomaly.score_events``).  Each function below is the
+# E = 1 case of the stacked function it names.
+
+
+def crop_and_pool(
+    image: PixelImage, crop: int, pool: int, trim_remainder: bool = True
+) -> PixelImage:
+    """``pool_images`` of one image."""
+    return PixelImage(pool_images(image.intensities[None], crop, pool, trim_remainder)[0], image.label)
+
+
+def standardise(image: PixelImage, scale_max: float) -> PixelImage:
+    """``standardise_images`` of one image."""
+    return PixelImage(standardise_images(image.intensities, scale_max), image.label)
+
+
+def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilities:
+    """``select_probabilities`` of one image."""
+    return PixelProbabilities(select_probabilities(image.intensities[None], layout)[0], image.label)
+
+
+def synth_toy_jets(
+    n_events: int, kind: str, grid: int, rng: np.random.Generator
+) -> list[PixelImage]:
+    """``toy_jet_images`` as one labelled image per event."""
+    return [PixelImage(canvas, kind) for canvas in toy_jet_images(n_events, kind, grid, rng)]

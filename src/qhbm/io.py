@@ -6,7 +6,7 @@ Image container layout (all integers little-endian):
     u32    image count
     u32    width
     u32    height
-    f32    width * height pixels per image, row-major, count times
+    f32    the count x height x width pixel stack, row-major
 
 Labels and pipeline metadata live in a JSON sidecar next to the
 container (same path + ".json").  Every event enters training and the
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__, ebm, qsim, train
-from .embed import PixelImage
+from .embed import LABELS
 from .errors import ConfigError, DataError
 from .rng import generator_state, restore_generator
 from .special import logsumexp
@@ -92,50 +92,52 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _read_image(path: Path, index: int, pixels, shape, label) -> PixelImage:
-    """One stored image; malformed pixels or labels are a DataError."""
-    try:
-        return PixelImage(np.asarray(pixels, dtype=np.float64).reshape(shape), label)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: image {index}: {exc}") from exc
-
-
 def write_image_container(
     path: str | Path,
-    images: Sequence[PixelImage],
+    images: np.ndarray,
+    labels: Sequence[str],
     meta: dict,
 ) -> None:
-    """Write the binary container plus its JSON sidecar, each replaced atomically.
+    """Write an (E, H, W) stack and its E labels plus the JSON sidecar, each replaced atomically.
 
-    All images must share one shape; an empty dataset stores its shape
-    as 0 x 0.  The sidecar is serialised before either file is written,
-    so metadata that cannot be stored leaves both earlier files intact.
+    The pixels are stored as one float32 payload; an empty dataset stores
+    its shape as 0 x 0.  The payload and the sidecar are serialised before
+    either file is written, so pixels or metadata that cannot be stored
+    leave both earlier files intact.
     """
     path = Path(path)
-    if images:
-        height, width = images[0].intensities.shape
-        if any(im.intensities.shape != (height, width) for im in images):
-            raise DataError("all images in a container must share one shape")
-    else:
-        height = width = 0
+    try:
+        pixels = np.asarray(images, dtype="<f4")
+    except ValueError as exc:
+        raise DataError(f"{path}: images must share one shape: {exc}") from exc
+    if pixels.ndim != 3 or len(labels) != len(pixels):
+        raise DataError(
+            f"{path}: need an (E, H, W) stack and E labels, got shape {pixels.shape} "
+            f"and {len(labels)} labels"
+        )
+    height, width = pixels.shape[1:] if len(pixels) else (0, 0)
     sidecar = {
         "width": width,
         "height": height,
-        "labels": [im.label for im in images],
+        "labels": list(labels),
         "meta": meta,
     }
     sidecar_text = json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
     with _replacing(path, "wb") as fh:
         fh.write(IMAGE_MAGIC)
-        fh.write(struct.pack("<III", len(images), width, height))
-        for im in images:
-            fh.write(im.intensities.astype("<f4").tobytes())
+        fh.write(struct.pack("<III", len(pixels), width, height))
+        fh.write(pixels.tobytes())
     with _replacing(_sidecar_path(path), "w") as fh:
         fh.write(sidecar_text)
 
 
-def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
-    """Read a container; returns the images and the sidecar metadata."""
+def read_image_container(path: str | Path) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Read a container: its (E, H, W) float64 images, its E labels and the sidecar metadata.
+
+    Pixels and labels are checked once per array.  A non-finite pixel is a
+    DataError naming the first image that holds one; a label outside
+    ``embed.LABELS`` or a label count other than E is one naming the sidecar.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"container not found: {path}")
@@ -165,13 +167,17 @@ def read_image_container(path: str | Path) -> tuple[list[PixelImage], dict]:
             f"{sidecar_file}: per-event weights are not supported; "
             "a stored weights list must hold 1.0 for every image"
         )
-    size = width * height
-    pixels = np.frombuffer(raw, dtype="<f4", count=count * size, offset=offset)
-    images = [
-        _read_image(path, i, pixels[i * size : (i + 1) * size], (height, width), labels[i])
-        for i in range(count)
-    ]
-    return images, meta
+    if bad := [i for i, label in enumerate(labels) if label not in LABELS]:
+        raise DataError(
+            f"{sidecar_file}: image {bad[0]}: label must be one of {LABELS}, "
+            f"got {labels[bad[0]]!r}"
+        )
+    pixels = np.frombuffer(raw, dtype="<f4", count=count * width * height, offset=offset)
+    pixels = pixels.reshape(count, height, width)
+    finite = np.isfinite(pixels).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(f"{path}: image {np.argmin(finite)}: intensities must be finite")
+    return pixels.astype(np.float64), np.array(labels, dtype=str), meta
 
 
 def save_checkpoint(

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ebm, qsim
-from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row
+from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row, product_distributions
 from .errors import ConfigError, NumericError
 from .rng import substream
 
@@ -145,7 +145,8 @@ class TrainState:
     adam: AdamState
     epoch: int = 0
     best_validation_loss: float = np.inf
-    lr_current: float = 1e-2
+    # Starts at ``TrainConfig.learning_rate``, which the caller passes; ``fit`` halves it.
+    lr_current: float = dataclasses.field(kw_only=True)
 
 
 def init_train_state(config: TrainConfig) -> TrainState:
@@ -313,11 +314,16 @@ def _embed_events(
     seed: int,
     tag: str,
 ) -> np.ndarray:
-    """One frequency row per event, from ``n_samples`` draws on the event's own substream."""
-    rows = np.empty((len(events), 2 ** events[0].n_qubits))
-    for d, event in enumerate(events):
+    """One frequency row per event, from ``n_samples`` draws on the event's own substream.
+
+    The set's product distributions are built in one call; only the draws
+    go event by event.
+    """
+    rows = product_distributions(np.array([event.probs for event in events]))
+    # Each row's distribution gives way to its draws' frequencies.
+    for d, distribution in enumerate(rows):
         rng = substream(seed, "embedding", tag, d)
-        rows[d] = frequency_row(bernoulli_index_samples(event, n_samples, rng))
+        distribution[:] = frequency_row(bernoulli_index_samples(distribution, n_samples, rng))
     return rows
 
 

@@ -18,8 +18,9 @@ import numpy as np
 from scipy.special import expit
 
 from qhbm import ebm, qsim
-from qhbm.embed import bernoulli_index_samples
+from qhbm.embed import JET_NOISE, PROB_FLOOR, pixel_layout
 from qhbm.errors import DataError
+from qhbm.rng import substream
 
 
 def hamiltonian_from_energies(n_qubits, support, energies) -> ebm.ModularHamiltonian:
@@ -330,7 +331,7 @@ def batch_parameter_shift_gradient(ansatz, ham, q) -> np.ndarray:
 
 def _per_draw_probabilities(state, event, n_draws, rng):
     """(draw, support) routed probabilities and off-support mass, one row per draw."""
-    idx = draw_indices(bernoulli_index_samples(event, n_draws, rng))
+    idx = draw_indices(bernoulli_index_samples_reference(event.probs, n_draws, rng))
     u = qsim.ansatz_unitary(state.ansatz)
     on_support = (u * u)[state.hamiltonian.support][:, idx].T
     return on_support, 1.0 - on_support.sum(axis=1)
@@ -411,8 +412,19 @@ def generate_reference(w, ham, n_events: int, rng) -> np.ndarray:
 
 
 def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
-    """``embed.bernoulli_index_samples``: one multinomial over the event's Kronecker chain."""
-    return rng.multinomial(n_samples, exact_mixed_state_reference([probs]))
+    """``embed.bernoulli_index_samples``: one multinomial over the Kronecker chain of ``probs``."""
+    return rng.multinomial(n_samples, kronecker_chain(probs))
+
+
+def embed_events_reference(probs, n_samples: int, seed: int, tag: str) -> np.ndarray:
+    """``train._embed_events`` of an (E, n) stack, one Kronecker chain and draw per event."""
+    rows = []
+    for d, event_probs in enumerate(probs):
+        counts = bernoulli_index_samples_reference(
+            event_probs, n_samples, substream(seed, "embedding", tag, d)
+        )
+        rows.append(counts / counts.sum())
+    return np.array(rows)
 
 
 def basis_counts(indices, n_qubits: int) -> np.ndarray:
@@ -425,23 +437,90 @@ def draw_indices(counts) -> np.ndarray:
     return np.repeat(np.arange(len(counts)), counts)
 
 
-def exact_mixed_state_reference(events) -> np.ndarray:
-    """``embed.exact_mixed_state`` by one Kronecker chain per event, mixed uniformly."""
-    alpha = 1.0 / len(events)
-    diag = np.zeros(2 ** events[0].n_qubits)
-    for event in events:
-        dist = np.array([1.0])
-        for p in event.probs:
-            dist = np.kron(dist, np.array([1.0 - p, p]))
-        diag += alpha * dist
+def kronecker_chain(probs) -> np.ndarray:
+    """Product-Bernoulli distribution of one event's probabilities, qubit 0 most significant."""
+    dist = np.array([1.0])
+    for p in probs:
+        dist = np.kron(dist, np.array([1.0 - p, p]))
+    return dist
+
+
+def exact_mixed_state_reference(probs) -> np.ndarray:
+    """``embed.exact_mixed_state`` of an (E, n) stack by one Kronecker chain per event, mixed uniformly."""
+    alpha = 1.0 / len(probs)
+    diag = np.zeros(2 ** len(probs[0]))
+    for event_probs in probs:
+        diag += alpha * kronecker_chain(event_probs)
     return diag
 
 
 def deposit_blob_reference(grid, row, col, sigma, energy) -> None:
-    """``embed._deposit_blob`` with its own coordinate grid per blob."""
+    """One blob of ``embed._deposit_blobs`` on one canvas, with its own coordinate grid."""
     size = grid.shape[0]
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))
+
+
+def toy_jet_images_reference(n_events: int, kind: str, grid: int, rng) -> np.ndarray:
+    """``embed.toy_jet_images`` as a per-image loop: each canvas is built right after its draws."""
+    centre = (grid - 1) / 2.0
+    canvases = np.zeros((n_events, grid, grid))
+    for canvas in canvases:
+        energy = 40.0 * rng.lognormal(0.0, 0.1)
+        if kind == "background":
+            row = centre + 0.3 * rng.standard_normal()
+            col = centre + 0.3 * rng.standard_normal()
+            sigma = rng.uniform(2.0, 2.2)
+            deposit_blob_reference(canvas, row, col, sigma, energy)
+        else:
+            row = centre + 0.3 * rng.standard_normal()
+            col = centre + 0.3 * rng.standard_normal()
+            deposit_blob_reference(canvas, row, col, rng.uniform(2.0, 2.5), 0.38 * energy)
+            rotation = np.deg2rad(rng.normal(0.0, 9.0))
+            fractions = np.array([0.45, 0.275, 0.275]) + 0.03 * rng.standard_normal(3)
+            fractions = np.abs(fractions) / np.abs(fractions).sum()
+            radii = (rng.uniform(0.18, 0.22), rng.uniform(0.21, 0.26), rng.uniform(0.21, 0.26))
+            widths = (rng.uniform(1.6, 2.0), rng.uniform(1.7, 2.1), rng.uniform(1.7, 2.1))
+            for base_deg, frac, rad, sigma in zip((90.0, 210.0, 330.0), fractions, radii, widths):
+                angle = np.deg2rad(base_deg) + rotation
+                row = centre - rad * grid * np.sin(angle)
+                col = centre + rad * grid * np.cos(angle)
+                deposit_blob_reference(canvas, row, col, sigma, 2.1 * frac * energy)
+        canvas += np.abs(rng.normal(0.0, JET_NOISE, size=canvas.shape))
+    return canvases
+
+
+def crop_and_pool_reference(image, crop: int, pool: int, trim_remainder: bool) -> np.ndarray:
+    """``embed.pool_images`` of one 2-d image."""
+    h, w = image.shape
+    if 2 * crop >= h or 2 * crop >= w:
+        raise ValueError(f"crop {crop} exceeds image size {h}x{w}")
+    grid = image[crop : h - crop, crop : w - crop]
+    gh, gw = grid.shape
+    if gh % pool or gw % pool:
+        if not trim_remainder:
+            raise ValueError(f"cropped size {gh}x{gw} is not divisible by pool {pool}")
+        grid = grid[: gh - gh % pool, : gw - gw % pool]
+        gh, gw = grid.shape
+    return grid.reshape(gh // pool, pool, gw // pool, pool).mean(axis=(1, 3))
+
+
+def images_to_events_reference(
+    images, crop, pool, n_qubits, scale_max=None, layout=None, trim_remainder=True
+):
+    """``embed.images_to_events`` one image at a time: ``(probs, scale_max, layout)``."""
+    pooled = [crop_and_pool_reference(im, crop, pool, trim_remainder) for im in images]
+    if scale_max is None:
+        scale_max = max(float(im.max()) for im in pooled)
+    standardised = [np.clip(im / scale_max, 0.0, 1.0) * np.pi for im in pooled]
+    if layout is None:
+        layout = pixel_layout(standardised[0].shape[0], n_qubits)
+    # The package's logistic, 1 / (1 + exp(-x)) with NumPy's exp, as the loop used it.
+    probs = [
+        np.clip(1.0 / (1.0 + np.exp(-im.reshape(-1)[np.asarray(layout)])), PROB_FLOOR, 1.0 - PROB_FLOOR)
+        for im in standardised
+    ]
+    return np.array(probs), scale_max, list(layout)
 
 
 def batch_distribution_reference(groups, dim: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from qhbm.rng import substream
 
 from oracles import (
     basis_counts,
+    bernoulli_index_samples_reference,
     boltzmann_distribution,
     dense_entropy,
     dense_fidelity,
@@ -61,6 +62,7 @@ def _manual_state(model, ansatz, ham, seed=0):
         hamiltonian=ham,
         chain=chain,
         adam=train.AdamState.zeros_like(train.parameters(model, ansatz)),
+        lr_current=1e-2,
     )
 
 
@@ -328,7 +330,7 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     series = anomaly.time_evolution_series(
         state, event, 500.0, 0.1, substream(7, "generation"), 1, table=table
     )
-    draw = draw_indices(embed.bernoulli_index_samples(event, 1, substream(7, "generation")))[0]
+    draw = draw_indices(bernoulli_index_samples_reference(event.probs, 1, substream(7, "generation")))[0]
     psi0 = staircase_unitary(n, 2, angles)[:, draw]
     stepped = psi0
     deviation = abs(series[0] - 1.0)
@@ -432,7 +434,7 @@ def test_a9_identical_seeds_reproduce_bitwise(capsys, tmp_path):
         "preprocess", "--input", str(raw_train), "--out", str(train_data),
         "--crop", "2", "--pool", "2", "--n-qubits", "4",
     ]) == 0
-    _, meta = read_image_container(train_data)
+    _, _, meta = read_image_container(train_data)
     assert cli_main([
         "preprocess", "--input", str(raw_valid), "--out", str(valid_data),
         "--crop", "2", "--pool", "2", "--n-qubits", "4",

@@ -24,12 +24,13 @@ from qhbm.anomaly import (
     spectral_score,
     time_evolution_series,
 )
-from qhbm.embed import PixelProbabilities, bernoulli_index_samples
+from qhbm.embed import PixelProbabilities
 from qhbm.metrics import RocCurve, power_spectrum, roc_from_scores
 from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState, parameters
 
 from oracles import (
+    bernoulli_index_samples_reference,
     draw_indices,
     empty_hamiltonian,
     evolve_diagonal,
@@ -51,6 +52,7 @@ def make_state(ansatz, ham, rng_seed=0):
         hamiltonian=ham,
         chain=chain,
         adam=AdamState.zeros_like(parameters(model, ansatz)),
+        lr_current=1e-2,
     )
 
 
@@ -130,7 +132,9 @@ class TestTimeEvolutionSeries:
         event = PixelProbabilities(rng.uniform(0.3, 0.7, size=n))
         dt, steps = 0.1, 20
         series = own_table_series(state, event, steps * dt, dt, substream(11, "generation"), 1)
-        draw = draw_indices(bernoulli_index_samples(event, 1, substream(11, "generation")))[0]
+        draw = draw_indices(
+            bernoulli_index_samples_reference(event.probs, 1, substream(11, "generation"))
+        )[0]
         psi0 = staircase_unitary(n, 1, angles)[:, draw]
         for k in range(steps + 1):
             if k == 0:
@@ -584,7 +588,9 @@ class TestExpectationScore:
         event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
         got = own_table_score(state, event, substream(4, "generation"), 16)
 
-        draws = draw_indices(bernoulli_index_samples(event, 16, substream(4, "generation")))
+        draws = draw_indices(
+            bernoulli_index_samples_reference(event.probs, 16, substream(4, "generation"))
+        )
         u = staircase_unitary(n, 2, angles)
         probs = np.abs(u) ** 2
         expected = np.mean(

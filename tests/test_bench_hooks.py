@@ -20,7 +20,7 @@ import pytest
 import qhbm
 import qhbm.cli  # noqa: F401  (the tracer hooks the CLI commands too)
 from qhbm import anomaly, ebm, io, qsim, train
-from qhbm.embed import PixelImage, PixelProbabilities
+from qhbm.embed import PixelProbabilities
 
 from oracles import hamiltonian_from_energies
 from script_runner import load_bench_module
@@ -106,6 +106,7 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
         hamiltonian=hamiltonian_from_energies(3, [0, 5, 6], [0.1, 0.7, 1.3]),
         chain=ebm.initial_chain(model, np.random.default_rng(1)),
         adam=train.AdamState.zeros_like(train.parameters(model, ansatz)),
+        lr_current=1e-2,
     )
     events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(3)]
     anomaly.score_events(
@@ -177,7 +178,8 @@ def test_traced_anomaly_command_calls_every_cli_6q_hook(tmp_path):
     for name, split in (("signal", probs[:2]), ("background", probs[2:])):
         io.write_image_container(
             tmp_path / f"{name}.qhbimg",
-            [PixelImage(p.reshape(1, -1)) for p in split],
+            np.array(split)[:, None],
+            ["unlabelled"] * len(split),
             {"kind": "probabilities"},
         )
     argv = [

@@ -11,7 +11,6 @@ import pytest
 
 from qhbm import anomaly, cli, qsim
 from qhbm.cli import TRAIN_KEYS, build_parser, main
-from qhbm.embed import PixelImage
 from qhbm.io import load_checkpoint, read_image_container, write_image_container
 
 from checkpoint_faults import (
@@ -53,7 +52,7 @@ def pipeline(tmp_path_factory):
         "preprocess", "--input", str(paths["raw_train"]), "--out", str(paths["train"]),
         "--crop", "2", "--pool", "2", "--n-qubits", "4",
     ) == 0
-    _, meta = read_image_container(paths["train"])
+    _, _, meta = read_image_container(paths["train"])
     scale = str(meta["scale_max"])
     for raw, out in (
         (paths["raw_valid"], paths["valid"]),
@@ -78,10 +77,9 @@ def pipeline(tmp_path_factory):
 
 class TestSynth:
     def test_writes_container_with_meta(self, pipeline):
-        images, meta = read_image_container(pipeline["raw_train"])
-        assert len(images) == 8
-        assert all(im.intensities.shape == (12, 12) for im in images)
-        assert all(im.label == "background" for im in images)
+        images, labels, meta = read_image_container(pipeline["raw_train"])
+        assert images.shape == (8, 12, 12) and images.dtype == np.float64
+        assert labels.tolist() == ["background"] * 8
         assert meta["kind"] == "raw"
         assert meta["generator"] == "toy_jets"
 
@@ -111,8 +109,8 @@ class TestSynth:
             "synth", "--kind", "signal", "--n-events", "0", "--grid", "8",
             "--seed", "0", "--out", str(out),
         ) == 0
-        images, _ = read_image_container(out)
-        assert images == []
+        images, labels, _ = read_image_container(out)
+        assert images.shape == (0, 0, 0) and len(labels) == 0
 
     def test_invalid_parameters_exit_2(self, tmp_path):
         code = run(
@@ -124,17 +122,15 @@ class TestSynth:
 
 class TestPreprocess:
     def test_probability_events_and_meta(self, pipeline):
-        events, meta = read_image_container(pipeline["train"])
+        events, _, meta = read_image_container(pipeline["train"])
         assert meta["kind"] == "probabilities"
         assert (meta["crop"], meta["pool"]) == (2, 2)
         assert meta["pooled_side"] == 4
         assert meta["layout"] == [5, 6, 9, 10]
         assert meta["scale_max"] == pytest.approx(float(pipeline["scale_max"]))
-        assert len(events) == 8
-        for event in events:
-            assert event.intensities.shape == (1, 4)
-            assert np.all(event.intensities > 0.0)
-            assert np.all(event.intensities < 1.0)
+        assert events.shape == (8, 1, 4)
+        assert np.all(events > 0.0)
+        assert np.all(events < 1.0)
 
     def test_custom_layout(self, pipeline, tmp_path):
         out = tmp_path / "custom.qhbimg"
@@ -142,9 +138,9 @@ class TestPreprocess:
             "preprocess", "--input", str(pipeline["raw_train"]), "--out", str(out),
             "--crop", "2", "--pool", "2", "--layout", "0,1,2",
         ) == 0
-        events, meta = read_image_container(out)
+        events, _, meta = read_image_container(out)
         assert meta["layout"] == [0, 1, 2]
-        assert events[0].intensities.shape == (1, 3)
+        assert events.shape[1:] == (1, 3)
 
     def test_strict_mode_rejects_remainder(self, tmp_path):
         raw = tmp_path / "odd.qhbimg"
@@ -172,7 +168,7 @@ class TestPreprocess:
 
     def test_non_square_pooled_grid_exit_3(self, tmp_path, capsys):
         raw = tmp_path / "wide.qhbimg"
-        write_image_container(raw, [PixelImage(np.ones((12, 16)))], {"kind": "raw"})
+        write_image_container(raw, np.ones((1, 12, 16)), ["unlabelled"], {"kind": "raw"})
         out = tmp_path / "o.qhbimg"
         code = run("preprocess", "--input", str(raw), "--out", str(out), "--n-qubits", "4")
         assert code == 3
@@ -639,7 +635,7 @@ def test_bad_probability_rows_exit_3(pipeline, tmp_path, capsys, command, rows):
     values, bad_event = BAD_PROBABILITY_ROWS[rows]
     bad = tmp_path / "bad.qhbimg"
     write_image_container(
-        bad, [PixelImage(row.reshape(1, -1)) for row in values], {"kind": "probabilities"}
+        bad, values[:, None], ["unlabelled"] * len(values), {"kind": "probabilities"}
     )
     outdir = tmp_path / "out"
     checkpoint = str(pipeline["checkpoint"])
@@ -658,8 +654,8 @@ def test_bad_probability_rows_exit_3(pipeline, tmp_path, capsys, command, rows):
 # Containers that are not one row of probabilities per event: images and meta.
 NOT_PROBABILITY_CONTAINERS = {
     # Probabilities, but 2x2 images: four pixels that are not a preprocessed row.
-    "probabilities_2x2": ([PixelImage(np.full((2, 2), 0.5))] * 2, {"kind": "probabilities"}),
-    "raw_one_row": ([PixelImage(np.full((1, 4), 0.5))] * 2, {"kind": "raw"}),
+    "probabilities_2x2": (np.full((2, 2, 2), 0.5), {"kind": "probabilities"}),
+    "raw_one_row": (np.full((2, 1, 4), 0.5), {"kind": "raw"}),
 }
 
 
@@ -668,7 +664,7 @@ NOT_PROBABILITY_CONTAINERS = {
 def test_non_probability_container_exit_3(pipeline, tmp_path, capsys, command, container):
     images, meta = NOT_PROBABILITY_CONTAINERS[container]
     bad = tmp_path / "bad.qhbimg"
-    write_image_container(bad, images, meta)
+    write_image_container(bad, images, ["unlabelled"] * len(images), meta)
     outdir = tmp_path / "out"
     argv = {
         "train": ["--train-data", str(bad), "--valid-data", str(pipeline["valid"]),
@@ -687,9 +683,9 @@ def test_non_probability_container_exit_3(pipeline, tmp_path, capsys, command, c
 def test_weighted_sidecar_exit_3(pipeline, tmp_path, capsys, command):
     # Events mix uniformly in training and in the data state, so a stored
     # weight other than 1.0 is refused rather than read as 1.0.
-    images, meta = read_image_container(pipeline["valid"])
+    images, labels, meta = read_image_container(pipeline["valid"])
     weighted = tmp_path / "weighted.qhbimg"
-    write_image_container(weighted, images, meta)
+    write_image_container(weighted, images, labels, meta)
     sidecar = tmp_path / "weighted.qhbimg.json"
     weights = [2.0] + [1.0] * (len(images) - 1)
     sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"weights": weights}))

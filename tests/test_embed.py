@@ -4,40 +4,53 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter
 from scipy.special import expit, logit
 from scipy.stats import chisquare
 
-from qhbm import embed, metrics
+from qhbm import metrics
 from qhbm.embed import (
     PixelImage,
     PixelProbabilities,
     bernoulli_index_samples,
+    check_probabilities,
     crop_and_pool,
     exact_mixed_state,
     fit_scale_max,
     frequency_row,
     images_to_events,
     pixel_layout,
+    product_distributions,
     select_pixels,
     standardise,
     synth_toy_jets,
+    toy_jet_images,
 )
 from qhbm.errors import DataError, NumericError
 from qhbm.metrics import von_neumann_entropy
 from qhbm.qsim import index_bits
 from qhbm.rng import substream
-from qhbm.train import _batch_distribution
+from qhbm.train import _batch_distribution, _embed_events
 
 from oracles import (
     bernoulli_index_samples_reference,
-    deposit_blob_reference,
+    embed_events_reference,
     exact_mixed_state_reference,
+    images_to_events_reference,
+    kronecker_chain,
+    toy_jet_images_reference,
 )
 
 
 def flat_image(value, shape=(8, 8), label="unlabelled"):
     return PixelImage(np.full(shape, float(value)), label=label)
+
+
+def distribution(probs):
+    """One event's row of ``product_distributions``."""
+    return product_distributions(np.asarray(probs, dtype=float)[None])[0]
 
 
 class TestPixelImage:
@@ -82,11 +95,30 @@ class TestPixelProbabilities:
             PixelProbabilities(np.full(11, 0.5))
 
 
+class TestCheckProbabilities:
+    def test_accepts_a_valid_stack(self):
+        check_probabilities(np.full((3, 4), 0.5))
+        check_probabilities(np.zeros((0, 4)))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            (np.zeros((2, 0)), "event 0: need 1..10"),
+            (np.full((2, 11), 0.5), "event 0: need 1..10"),
+            (np.array([[0.5, 0.5], [0.5, 1.0], [np.nan, 0.5]]), "event 1: "),
+            (np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]]), "event 2: "),
+        ],
+    )
+    def test_names_the_first_bad_event(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            check_probabilities(probs)
+
+
 class TestDensityMatrix:
     """The data state diag(s) as a length-2**n vector, and the state checks the measures apply."""
 
     def test_properties(self, rng):
-        s = exact_mixed_state([PixelProbabilities(rng.uniform(0.1, 0.9, size=3))])
+        s = exact_mixed_state(rng.uniform(0.1, 0.9, size=(1, 3)))
         assert s.shape == (8,) and s.dtype == np.float64
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -155,6 +187,7 @@ class TestFitScaleMax:
     def test_takes_maximum_over_set(self):
         images = [flat_image(1.0), flat_image(7.25), flat_image(3.0)]
         assert fit_scale_max(images) == 7.25
+        assert fit_scale_max(np.array([im.intensities for im in images])) == 7.25
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
@@ -198,18 +231,7 @@ class TestPreprocess:
 
 
 class TestImagesToEvents:
-    """The one image-to-events recipe against the primitive chain it composes."""
-
-    @staticmethod
-    def primitive_chain(images, crop, pool, n_qubits, scale_max=None, layout=None,
-                        trim_remainder=True):
-        pooled = [crop_and_pool(im, crop, pool, trim_remainder) for im in images]
-        if scale_max is None:
-            scale_max = fit_scale_max(pooled)
-        if layout is None:
-            layout = pixel_layout(pooled[0].height, n_qubits)
-        events = [select_pixels(standardise(im, scale_max), layout) for im in pooled]
-        return events, scale_max, layout
+    """The stacked image-to-events recipe against the per-image loop it replaced."""
 
     @pytest.mark.parametrize(
         "grid, kwargs",
@@ -223,21 +245,100 @@ class TestImagesToEvents:
         ids=["fitted_scale", "given_scale", "explicit_layout", "strict", "trimmed"],
     )
     def test_matches_primitive_chain_bitwise(self, grid, kwargs):
-        images = synth_toy_jets(5, "signal", grid, substream(3, "synthesis", "signal"))
-        events, scale_max, layout = images_to_events(images, 2, 2, 6, **kwargs)
-        expected, expected_scale, expected_layout = self.primitive_chain(images, 2, 2, 6, **kwargs)
+        images = toy_jet_images(5, "signal", grid, substream(3, "synthesis", "signal"))
+        probs, scale_max, layout = images_to_events(images, 2, 2, 6, **kwargs)
+        expected, expected_scale, expected_layout = images_to_events_reference(images, 2, 2, 6, **kwargs)
         assert scale_max == expected_scale
         assert layout == expected_layout
-        assert len(events) == len(expected)
-        for got, want in zip(events, expected):
-            assert np.array_equal(got.probs, want.probs)
-            assert got.label == want.label
+        assert probs.shape == (5, len(layout))
+        assert np.array_equal(probs, expected)
+
+    def test_per_image_functions_are_the_one_image_case(self):
+        images = synth_toy_jets(4, "background", 16, substream(4, "synthesis"))
+        pooled = [crop_and_pool(im, 2, 2) for im in images]
+        scale_max = fit_scale_max(pooled)
+        layout = pixel_layout(pooled[0].height, 6)
+        events = [select_pixels(standardise(im, scale_max), layout) for im in pooled]
+        stack = np.array([im.intensities for im in images])
+        probs, stack_scale, _ = images_to_events(stack, 2, 2, 6)
+        assert stack_scale == scale_max
+        assert np.array_equal(np.array([e.probs for e in events]), probs)
+        assert {e.label for e in events} == {"background"}
 
     def test_rejects_non_square_grid_and_no_images(self):
         with pytest.raises(DataError, match="square grid"):
-            images_to_events([flat_image(1.0, (8, 12))], 0, 2, 4)
+            images_to_events(np.ones((1, 8, 12)), 0, 2, 4)
         with pytest.raises(ValueError):
-            images_to_events([], 0, 2, 4)
+            images_to_events(np.zeros((0, 8, 8)), 0, 2, 4)
+
+
+# Qubit counts of the property tests; n = 10 reads an explicit layout,
+# since pixel_layout stops at 8.
+QUBITS = st.sampled_from([4, 6, 8, 10])
+
+
+class TestStackedPathsMatchOracles:
+    """Every stacked step against the per-image or per-event loop, bit for bit."""
+
+    @given(
+        kind=st.sampled_from(["signal", "background"]),
+        seed=st.integers(0, 2**16),
+        grid=st.integers(8, 20),
+        n_events=st.integers(0, 5),
+    )
+    def test_synthesis(self, kind, seed, grid, n_events):
+        got = toy_jet_images(n_events, kind, grid, substream(seed, "synthesis"))
+        want = toy_jet_images_reference(n_events, kind, grid, substream(seed, "synthesis"))
+        assert got.shape == (n_events, grid, grid)
+        assert np.array_equal(got, want)
+
+    @given(
+        kind=st.sampled_from(["signal", "background"]),
+        seed=st.integers(0, 2**16),
+        grid=st.integers(8, 20),
+        crop=st.integers(0, 3),
+        pool=st.integers(1, 3),
+        n_qubits=QUBITS,
+        trim_remainder=st.booleans(),
+        given_scale=st.booleans(),
+    )
+    def test_preprocessing(self, kind, seed, grid, crop, pool, n_qubits, trim_remainder, given_scale):
+        images = toy_jet_images(3, kind, grid, substream(seed, "synthesis"))
+        side = (grid - 2 * crop) // pool
+        # An explicit 10-pixel layout needs 10 pixels; an empty grid has no mean.
+        assume(side >= (4 if n_qubits == 10 else 1))
+        kwargs = {"trim_remainder": trim_remainder, "scale_max": 30.0 if given_scale else None}
+        if n_qubits == 10:
+            kwargs["layout"] = list(range(0, side * side, max(1, side * side // 10)))[:10]
+        try:
+            want = images_to_events_reference(images, crop, pool, n_qubits, **kwargs)
+        except ValueError as exc:
+            # A crop larger than the grid, an indivisible strict crop, or a
+            # grid too small for the layout: the stacked path refuses it too.
+            with pytest.raises(ValueError, match=str(exc).split()[0]):
+                images_to_events(images, crop, pool, n_qubits, **kwargs)
+            return
+        probs, scale_max, layout = images_to_events(images, crop, pool, n_qubits, **kwargs)
+        assert (scale_max, layout) == want[1:]
+        assert np.array_equal(probs, want[0])
+
+    @given(n_qubits=QUBITS, n_events=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_product_distributions(self, n_qubits, n_events, seed):
+        probs = np.random.default_rng(seed).uniform(1e-6, 1 - 1e-6, size=(n_events, n_qubits))
+        got = product_distributions(probs)
+        assert np.array_equal(got, np.array([kronecker_chain(p) for p in probs]))
+
+    @given(
+        n_qubits=QUBITS,
+        n_events=st.integers(1, 6),
+        n_samples=st.integers(1, 600),
+        seed=st.integers(0, 2**16),
+    )
+    def test_embedded_draws(self, n_qubits, n_events, n_samples, seed):
+        probs = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n_events, n_qubits))
+        events = [PixelProbabilities(p) for p in probs]
+        got = _embed_events(events, n_samples, seed, "train")
+        assert np.array_equal(got, embed_events_reference(probs, n_samples, seed, "train"))
 
 
 class TestPixelLayout:
@@ -296,8 +397,8 @@ class TestSelectPixels:
 class TestBernoulliEmbed:
     def test_near_deterministic_limits(self):
         rng = np.random.default_rng(0)
-        low = PixelProbabilities(np.full(4, 1e-6))
-        high = PixelProbabilities(np.full(4, 1.0 - 1e-6))
+        low = distribution(np.full(4, 1e-6))
+        high = distribution(np.full(4, 1.0 - 1e-6))
         zeros = bernoulli_index_samples(low, 200, rng)
         ones = bernoulli_index_samples(high, 200, rng)
         assert zeros.dtype == np.int64 and zeros.shape == (16,)
@@ -305,8 +406,7 @@ class TestBernoulliEmbed:
 
     def test_empirical_means(self):
         rng = np.random.default_rng(99)
-        probs = PixelProbabilities(np.array([0.3, 0.7]))
-        counts = bernoulli_index_samples(probs, 100_000, rng)
+        counts = bernoulli_index_samples(distribution([0.3, 0.7]), 100_000, rng)
         bit_means = counts @ index_bits(np.arange(4), 2) / counts.sum()
         assert np.allclose(bit_means, [0.3, 0.7], atol=0.01)
 
@@ -316,9 +416,9 @@ class TestBernoulliEmbed:
         # The name is that of the index sampler's packing check; the counts
         # over the packed basis indices now match the multinomial over the
         # Kronecker chain, on the same stream and to the same end state.
-        probs = PixelProbabilities(np.random.default_rng(n_qubits).uniform(0.0, 1.0, n_qubits))
+        probs = np.random.default_rng(n_qubits).uniform(0.0, 1.0, n_qubits)
         rng, ref_rng = substream(n_qubits, "embedding"), substream(n_qubits, "embedding")
-        counts = bernoulli_index_samples(probs, n_samples, rng)
+        counts = bernoulli_index_samples(distribution(probs), n_samples, rng)
         expected = bernoulli_index_samples_reference(probs, n_samples, ref_rng)
         assert counts.dtype == np.int64 and counts.shape == (2**n_qubits,)
         assert counts.sum() == n_samples
@@ -328,19 +428,19 @@ class TestBernoulliEmbed:
     @pytest.mark.parametrize("n_qubits", range(1, 11))
     def test_pooled_counts_fit_the_product_distribution(self, n_qubits):
         gen = np.random.default_rng(500 + n_qubits)
-        event = PixelProbabilities(gen.uniform(0.05, 0.95, n_qubits))
+        event = gen.uniform(0.05, 0.95, (1, n_qubits))
         rng = substream(n_qubits, "embedding", "chi-square")
-        pooled = sum(bernoulli_index_samples(event, 2500, rng) for _ in range(40))
-        expected = exact_mixed_state([event]) * pooled.sum()
+        pooled = sum(bernoulli_index_samples(distribution(event[0]), 2500, rng) for _ in range(40))
+        expected = exact_mixed_state(event) * pooled.sum()
         assert chi_square_pvalue(pooled, expected) > 1e-3
         # The same test rejects the qubit-reversed distribution, which
         # differs whenever the probabilities are not a palindrome.
         if n_qubits > 1:
-            flipped = exact_mixed_state([PixelProbabilities(event.probs[::-1])]) * pooled.sum()
+            flipped = exact_mixed_state(event[:, ::-1]) * pooled.sum()
             assert chi_square_pvalue(pooled, flipped) < 1e-6
 
     def test_zero_samples_and_errors(self):
-        probs = PixelProbabilities(np.array([0.5]))
+        probs = distribution([0.5])
         counts = bernoulli_index_samples(probs, 0, np.random.default_rng(0))
         assert np.array_equal(counts, [0, 0])
         with pytest.raises(ValueError):
@@ -360,79 +460,68 @@ def chi_square_pvalue(counts, expected):
 
 
 def sampled_mixed_state(events, n_samples, rng):
-    """The training estimate of the dataset state: the mean of the events' draw distributions."""
+    """The training estimate of the dataset state: the mean of the (E, n) events' draw distributions."""
     rows = np.array(
-        [frequency_row(bernoulli_index_samples(e, n_samples, rng)) for e in events]
+        [frequency_row(bernoulli_index_samples(distribution(e), n_samples, rng)) for e in events]
     )
     return _batch_distribution(rows)
 
 
 class TestDatasetMixedState:
     def test_single_qubit_coin(self):
-        probs = PixelProbabilities(np.array([0.5]))
-        q = sampled_mixed_state([probs], 100_000, np.random.default_rng(1))
+        q = sampled_mixed_state(np.array([[0.5]]), 100_000, np.random.default_rng(1))
         assert np.allclose(q, [0.5, 0.5], atol=0.01)
 
     def test_always_valid_and_diagonal(self, rng):
-        events = [
-            PixelProbabilities(rng.uniform(0.05, 0.95, size=3)) for _ in range(4)
-        ]
+        events = rng.uniform(0.05, 0.95, size=(4, 3))
         q = sampled_mixed_state(events, 50, np.random.default_rng(2))
         assert q.shape == (8,) and np.all(q >= 0.0)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_exact_state(self):
-        events = [
-            PixelProbabilities(np.array([0.3, 0.8])),
-            PixelProbabilities(np.array([0.6, 0.4])),
-        ]
+        events = np.array([[0.3, 0.8], [0.6, 0.4]])
         sampled = sampled_mixed_state(events, 100_000, np.random.default_rng(17))
         assert np.abs(sampled - exact_mixed_state(events)).sum() < 0.02
 
     def test_rejects_bad_inputs(self):
-        probs = PixelProbabilities(np.array([0.5]))
         with pytest.raises(ValueError):
             _batch_distribution([])
         with pytest.raises(ValueError):
             frequency_row(np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
-            exact_mixed_state([probs, PixelProbabilities(np.array([0.5, 0.5]))])
+            exact_mixed_state([np.array([0.5]), np.array([0.5, 0.5])])
+        with pytest.raises(ValueError):
+            exact_mixed_state(np.array([0.5, 0.5]))
 
 
 class TestExactMixedState:
     def test_product_distribution_by_hand(self):
-        event = PixelProbabilities(np.array([0.3, 0.8]))
-        s = exact_mixed_state([event])
+        s = exact_mixed_state(np.array([[0.3, 0.8]]))
         assert np.allclose(s, [0.14, 0.56, 0.06, 0.24], atol=1e-12)
         assert von_neumann_entropy(s) == pytest.approx(1.1112667255930813, abs=1e-12)
 
     def test_mixture_weights(self):
         # Events mix uniformly: a repeated event counts once per copy.
-        a = PixelProbabilities(np.array([0.2]))
-        b = PixelProbabilities(np.array([0.9]))
-        s = exact_mixed_state([a, b, b, b])
+        s = exact_mixed_state(np.array([[0.2], [0.9], [0.9], [0.9]]))
         expected = 0.25 * np.array([0.8, 0.2]) + 0.75 * np.array([0.1, 0.9])
         assert np.allclose(s, expected, atol=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            exact_mixed_state([])
+            exact_mixed_state(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("n_qubits", range(1, 11))
     def test_matches_kronecker_chain_bitwise(self, rng, n_qubits):
-        events = [
-            PixelProbabilities(rng.uniform(0.01, 0.99, size=n_qubits))
-            for _ in range(int(rng.integers(1, 40)))
-        ]
+        events = rng.uniform(0.01, 0.99, size=(int(rng.integers(1, 40)), n_qubits))
         assert np.array_equal(exact_mixed_state(events), exact_mixed_state_reference(events))
 
     def test_chunks_of_events_match_kronecker_chain_bitwise(self, rng):
         # 150 ten-qubit events span three chunks of 64, the last one partial.
-        events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(150)]
+        events = rng.uniform(0.01, 0.99, size=(150, 10))
         assert np.array_equal(exact_mixed_state(events), exact_mixed_state_reference(events))
 
     def test_peak_memory_stays_within_a_chunk(self, rng):
-        events = [PixelProbabilities(rng.uniform(0.01, 0.99, size=10)) for _ in range(1000)]
+        events = rng.uniform(0.01, 0.99, size=(1000, 10))
         all_dists_bytes = len(events) * 2**10 * 8
         tracemalloc.start()
         try:
@@ -456,6 +545,7 @@ class TestSynthToyJets:
 
     def test_zero_events(self):
         assert synth_toy_jets(0, "signal", 16, np.random.default_rng(0)) == []
+        assert toy_jet_images(0, "signal", 16, np.random.default_rng(0)).shape == (0, 16, 16)
 
     def test_shapes_labels_nonnegative(self):
         images = synth_toy_jets(3, "signal", 12, np.random.default_rng(4))
@@ -472,15 +562,11 @@ class TestSynthToyJets:
             assert np.array_equal(x.intensities, y.intensities)
 
     @pytest.mark.parametrize("kind", ["signal", "background"])
-    def test_matches_per_blob_coordinate_grids_bitwise(self, monkeypatch, kind):
+    def test_matches_per_blob_coordinate_grids_bitwise(self, kind):
+        # The stacked canvases against one canvas and coordinate grid per blob.
         fast = synth_toy_jets(40, kind, 16, np.random.default_rng(12))
-        monkeypatch.setattr(
-            embed, "_deposit_blob",
-            lambda grid, rr, cc, *blob: deposit_blob_reference(grid, *blob),
-        )
-        slow = synth_toy_jets(40, kind, 16, np.random.default_rng(12))
-        for x, y in zip(fast, slow, strict=True):
-            assert np.array_equal(x.intensities, y.intensities)
+        slow = toy_jet_images_reference(40, kind, 16, np.random.default_rng(12))
+        assert np.array_equal(np.array([im.intensities for im in fast]), slow)
 
     def test_background_mean_peaks_centrally(self):
         images = synth_toy_jets(500, "background", 16, substream(1, "synthesis"))

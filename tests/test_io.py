@@ -11,7 +11,7 @@ import pytest
 
 import qhbm
 from qhbm import ebm
-from qhbm.embed import PixelImage, PixelProbabilities, frequency_row
+from qhbm.embed import PixelProbabilities, frequency_row
 from qhbm.errors import DataError
 from qhbm.io import (
     CKPT_MAGIC,
@@ -37,11 +37,11 @@ from oracles import read_csv_skip_provenance
 
 
 def sample_images():
+    """An (E, H, W) stack of three 4 x 5 images and their labels."""
     rng = np.random.default_rng(3)
     # Quarter-steps survive the f32 storage format bit-exactly.
     grids = np.round(rng.uniform(0, 8, size=(3, 4, 5)) * 4) / 4.0
-    labels = ["signal", "background", "unlabelled"]
-    return [PixelImage(g, lab) for g, lab in zip(grids, labels)]
+    return grids, ["signal", "background", "unlabelled"]
 
 
 # The retired protocol modes, circuit orientation, loss scales, initial
@@ -75,11 +75,24 @@ def _sidecar_with(**changes):
     return corrupt
 
 
-def _nan_first_pixel(path):
+def _set_pixel(path, index, value):
+    """Overwrite pixel ``index`` of the flat f32 payload with ``value``."""
     raw = bytearray(path.read_bytes())
-    start = len(IMAGE_MAGIC) + 12
-    raw[start : start + 4] = struct.pack("<f", np.nan)
+    start = len(IMAGE_MAGIC) + 12 + 4 * index
+    raw[start : start + 4] = struct.pack("<f", value)
     path.write_bytes(bytes(raw))
+
+
+def _nan_first_pixel(path):
+    _set_pixel(path, 0, np.nan)
+
+
+def _nonfinite_pixels(*pixels):
+    """Set each (flat index, value) of the payload; the images are 4 x 5 = 20 pixels."""
+    def corrupt(path):
+        for index, value in pixels:
+            _set_pixel(path, index, value)
+    return corrupt
 
 
 # Corruption of each malformed image container.
@@ -183,44 +196,57 @@ class TestJson:
 class TestImageContainer:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        images = sample_images()
-        write_image_container(path, images, {"note": "round trip"})
-        loaded, meta = read_image_container(path)
+        images, labels = sample_images()
+        write_image_container(path, images, labels, {"note": "round trip"})
+        loaded, loaded_labels, meta = read_image_container(path)
         assert meta == {"note": "round trip"}
-        assert len(loaded) == 3
-        for orig, back in zip(images, loaded):
-            assert np.array_equal(orig.intensities, back.intensities)
-            assert back.label == orig.label
+        assert loaded.shape == (3, 4, 5) and loaded.dtype == np.float64
+        assert np.array_equal(loaded, images)
+        assert loaded_labels.tolist() == labels
 
     def test_magic_and_sidecar(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {})
+        write_image_container(path, *sample_images(), {})
         assert path.read_bytes()[: len(IMAGE_MAGIC)] == IMAGE_MAGIC
         sidecar = json.loads((tmp_path / "events.qhbimg.json").read_text())
         assert sidecar["labels"] == ["signal", "background", "unlabelled"]
         assert sorted(sidecar) == ["height", "labels", "meta", "width"]
         assert sidecar["width"] == 5 and sidecar["height"] == 4
 
+    def test_payload_is_one_row_major_float32_stack(self, tmp_path):
+        path = tmp_path / "events.qhbimg"
+        images, labels = sample_images()
+        write_image_container(path, images, labels, {})
+        header = IMAGE_MAGIC + struct.pack("<III", 3, 5, 4)
+        assert path.read_bytes() == header + images.astype("<f4").tobytes()
+
     def test_legacy_unit_weights_load(self, tmp_path):
         # Builds that stored per-event weights wrote 1.0 for every event.
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {"kind": "raw"})
+        write_image_container(path, *sample_images(), {"kind": "raw"})
         _sidecar_with(weights=[1.0, 1.0, 1.0])(path)
-        loaded, meta = read_image_container(path)
-        assert [im.label for im in loaded] == ["signal", "background", "unlabelled"]
+        _, labels, meta = read_image_container(path)
+        assert labels.tolist() == ["signal", "background", "unlabelled"]
         assert meta == {"kind": "raw"}
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "none.qhbimg"
-        write_image_container(path, [], {"kind": "raw"})
-        loaded, meta = read_image_container(path)
-        assert loaded == []
+        write_image_container(path, np.zeros((0, 4, 4)), [], {"kind": "raw"})
+        # An empty dataset stores its shape as 0 x 0.
+        assert path.read_bytes() == IMAGE_MAGIC + struct.pack("<III", 0, 0, 0)
+        loaded, labels, meta = read_image_container(path)
+        assert loaded.shape == (0, 0, 0) and len(labels) == 0
         assert meta == {"kind": "raw"}
 
     def test_rejects_mixed_shapes(self, tmp_path):
-        images = [PixelImage(np.ones((2, 2))), PixelImage(np.ones((3, 3)))]
+        images = [np.ones((2, 2)), np.ones((3, 3))]
         with pytest.raises(DataError):
-            write_image_container(tmp_path / "bad.qhbimg", images, {})
+            write_image_container(tmp_path / "bad.qhbimg", images, ["signal"] * 2, {})
+        with pytest.raises(DataError):
+            write_image_container(tmp_path / "bad.qhbimg", np.ones((2, 2)), ["signal"] * 2, {})
+        with pytest.raises(DataError):
+            write_image_container(tmp_path / "bad.qhbimg", np.ones((2, 2, 2)), ["signal"], {})
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -234,7 +260,7 @@ class TestImageContainer:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {})
+        write_image_container(path, *sample_images(), {})
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(DataError):
@@ -242,50 +268,80 @@ class TestImageContainer:
 
     def test_sidecar_count_mismatch(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {})
+        write_image_container(path, *sample_images(), {})
         sidecar_path = tmp_path / "events.qhbimg.json"
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["labels"] = sidecar["labels"][:-1]
         sidecar_path.write_text(json.dumps(sidecar))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(f"{sidecar_path} does not match")):
             read_image_container(path)
 
     @pytest.mark.parametrize("failure", ["pixels", "meta"])
     def test_failed_write_keeps_earlier_files(self, tmp_path, failure):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {"note": "first"})
+        write_image_container(path, *sample_images(), {"note": "first"})
         before = [path.read_bytes(), (tmp_path / "events.qhbimg.json").read_bytes()]
-        images, meta = sample_images(), {"note": "second"}
+        (images, labels), meta = sample_images(), {"note": "second"}
         if failure == "pixels":
-            # The last image cannot be stored as float32, so the container
-            # fails after its header and the first images are written.
-            images.append(SimpleNamespace(
-                intensities=np.full((4, 5), object()), label="signal"
-            ))
+            # The last image cannot be stored as float32.
+            images = np.concatenate([images.astype(object), np.full((1, 4, 5), object())])
+            labels = [*labels, "signal"]
         else:
             meta["bad"] = object()
         with pytest.raises(TypeError):
-            write_image_container(path, images, meta)
+            write_image_container(path, images, labels, meta)
         assert [path.read_bytes(), (tmp_path / "events.qhbimg.json").read_bytes()] == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["events.qhbimg", "events.qhbimg.json"]
 
     def test_missing_sidecar_uses_defaults(self, tmp_path):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {})
+        write_image_container(path, *sample_images(), {})
         (tmp_path / "events.qhbimg.json").unlink()
-        loaded, meta = read_image_container(path)
-        assert [im.label for im in loaded] == ["unlabelled"] * 3
+        _, labels, meta = read_image_container(path)
+        assert labels.tolist() == ["unlabelled"] * 3
         assert meta == {}
+
+
+# Faults that the reader finds in a whole array, and the part of the
+# message that must locate them: the first bad image or label, in the
+# container or in its sidecar.
+LOCATED_FAULTS = {
+    "nan_in_images_1_and_2": (
+        _nonfinite_pixels((47, np.nan), (21, np.nan)), "{path}: image 1: intensities must be finite"
+    ),
+    "inf_in_last_image": (
+        _nonfinite_pixels((59, -np.inf)), "{path}: image 2: intensities must be finite"
+    ),
+    "unknown_labels_1_and_2": (
+        _sidecar_with(labels=["signal", "muon", "jet"]), "{sidecar}: image 1: label must be one of"
+    ),
+    "label_not_text": (
+        _sidecar_with(labels=["signal", "signal", 3]), "{sidecar}: image 2: label must be one of"
+    ),
+    "two_labels_for_three_images": (
+        _sidecar_with(labels=["signal", "signal"]), "{sidecar} does not match the container image count"
+    ),
+}
 
 
 class TestMalformedImageFiles:
     @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
     def test_raises_data_error_naming_the_file(self, tmp_path, case):
         path = tmp_path / "events.qhbimg"
-        write_image_container(path, sample_images(), {})
+        write_image_container(path, *sample_images(), {})
         MALFORMED_FILES[case](path)
         with pytest.raises(DataError, match=re.escape(str(path))):
             read_image_container(path)
+
+    @pytest.mark.parametrize("case", sorted(LOCATED_FAULTS))
+    def test_names_the_first_bad_image_or_label(self, tmp_path, case):
+        corrupt, message = LOCATED_FAULTS[case]
+        path = tmp_path / "events.qhbimg"
+        write_image_container(path, *sample_images(), {})
+        corrupt(path)
+        with pytest.raises(DataError) as err:
+            read_image_container(path)
+        assert message.format(path=path, sidecar=f"{path}.json") in str(err.value)
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from qhbm.embed import PixelProbabilities
+from qhbm.embed import product_distributions
 from qhbm.rng import substream
 
 from script_runner import load_script, run_script
@@ -29,10 +29,10 @@ def test_embedding_sweep_samples_are_nested():
     # the sample counts are given in.  Independent samples of 100 and
     # 101 draws would almost never be elementwise ordered.
     sweep = load_script("run_embedding_sweep")
-    event = PixelProbabilities(np.array([0.2, 0.5, 0.7, 0.9]))
+    (distribution,) = product_distributions(np.array([[0.2, 0.5, 0.7, 0.9]]))
     sizes = [500, 1, 50, 5000, 50, *range(109, 99, -1)]
     for seed in (101, 102, 103):
-        counts = sweep.nested_counts(event, sizes, substream(seed, "embedding", "sweep", 0))
+        counts = sweep.nested_counts(distribution, sizes, substream(seed, "embedding", "sweep", 0))
         assert sorted(counts) == sorted(set(sizes))
         for n, row in counts.items():
             assert row.shape == (16,) and row.sum() == n

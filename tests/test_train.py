@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 from qhbm import ebm, qsim, train
 from qhbm.anomaly import SCENARIOS, site_entropy_profile
-from qhbm.embed import PixelProbabilities, bernoulli_index_samples, frequency_row
+from qhbm.embed import PixelProbabilities, frequency_row
 from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
     AdamState,
@@ -33,6 +33,7 @@ from qhbm.rng import substream
 
 from oracles import (
     basis_counts,
+    bernoulli_index_samples_reference,
     batch_distribution_reference,
     batch_parameter_shift_gradient,
     boltzmann_distribution,
@@ -68,6 +69,7 @@ def manual_state(model, ansatz, ham, seed=0):
         hamiltonian=ham,
         chain=chain,
         adam=AdamState.zeros_like(train.parameters(model, ansatz)),
+        lr_current=TrainConfig(n_qubits=ansatz.n_qubits).learning_rate,
     )
 
 
@@ -292,7 +294,9 @@ class TestRowBatches:
         rows = _embed_events(events, 40, 9, "train")
         assert rows.shape == (5, 8)
         for d, (row, event) in enumerate(zip(rows, events)):
-            counts = bernoulli_index_samples(event, 40, substream(9, "embedding", "train", d))
+            counts = bernoulli_index_samples_reference(
+                event.probs, 40, substream(9, "embedding", "train", d)
+            )
             assert row.tobytes() == (counts / 40).tobytes()
 
     def test_fit_memory_does_not_grow_with_embedding_draws(self):
