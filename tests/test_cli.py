@@ -651,6 +651,54 @@ def test_bad_probability_rows_exit_3(pipeline, tmp_path, capsys, command, rows):
     assert not outdir.exists()
 
 
+# Containers that the reader refuses as a whole array: the fault, set on a
+# stack of three images, and the message it must give.
+def _nan_in_images_1_and_2(images, labels):
+    images[1, 0, -1] = images[2, 0, 0] = np.nan
+
+
+def _inf_in_last_image(images, labels):
+    images[2, -1, -1] = -np.inf
+
+
+def _unknown_label_2(images, labels):
+    labels[2] = "muon"
+
+
+BAD_CONTAINERS = {
+    "nan_in_images_1_and_2": (_nan_in_images_1_and_2, "{path}: image 1: intensities must be finite"),
+    "inf_in_last_image": (_inf_in_last_image, "{path}: image 2: intensities must be finite"),
+    "unknown_label_2": (_unknown_label_2, "{path}.json: image 2: label must be one of"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_CONTAINERS))
+@pytest.mark.parametrize("command", ["preprocess", "train", "anomaly"])
+def test_bad_container_exit_3_naming_the_first_bad_image(
+    pipeline, tmp_path, capsys, command, fault
+):
+    corrupt, message = BAD_CONTAINERS[fault]
+    bad = tmp_path / "bad.qhbimg"
+    if command == "preprocess":
+        images, labels, meta = read_image_container(pipeline["raw_valid"])
+    else:
+        images, labels, meta = read_image_container(pipeline["valid"])
+    images, labels = images[:3].copy(), labels[:3].tolist()
+    corrupt(images, labels)
+    write_image_container(bad, images, labels, meta)
+    outdir = tmp_path / "out"
+    argv = {
+        "preprocess": ["--input", str(bad), "--out", str(outdir), "--n-qubits", "4"],
+        "train": ["--train-data", str(bad), "--valid-data", str(pipeline["valid"]),
+                  "--n-qubits", "4", "--max-epochs", "1", "--outdir", str(outdir)],
+        "anomaly": ["--checkpoint", str(pipeline["checkpoint"]), "--signal", str(pipeline["signal"]),
+                    "--background", str(bad), "--outdir", str(outdir)],
+    }[command]
+    assert run(command, *argv) == 3
+    assert f"data error: {message.format(path=bad)}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 # Containers that are not one row of probabilities per event: images and meta.
 NOT_PROBABILITY_CONTAINERS = {
     # Probabilities, but 2x2 images: four pixels that are not a preprocessed row.
