@@ -122,7 +122,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "scale_max": scale_max,
         "crop": args.crop,
         "pool": args.pool,
-        # crop_and_pool's side (a remainder is trimmed or rejected); the grid is square.
+        # pool_images' side (a remainder is trimmed or rejected); the grid is square.
         "pooled_side": (images.shape[1] - 2 * args.crop) // args.pool,
         "layout": layout,
     }

@@ -82,8 +82,8 @@ def check_probabilities(probs: np.ndarray) -> None:
 
     The ValueError names the first bad event.
     """
-    if probs.ndim != 2 or not 1 <= probs.shape[1] <= MAX_QUBITS:
-        raise ValueError(f"event 0: need 1..{MAX_QUBITS} probabilities, got shape {probs.shape[1:]}")
+    if not 1 <= probs.shape[1] <= MAX_QUBITS:
+        raise ValueError(f"event 0: need 1..{MAX_QUBITS} probabilities, got {probs.shape[1]}")
     # Written so that NaN fails too: it compares false both ways.
     inside = ((probs > 0.0) & (probs < 1.0)).all(axis=1)
     if not inside.all():
@@ -267,20 +267,6 @@ def exact_mixed_state(probs: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _deposit_blobs(
-    canvases: np.ndarray,
-    rr: np.ndarray,
-    cc: np.ndarray,
-    blobs: np.ndarray,
-) -> None:
-    """Add one Gaussian blob to each canvas; ``rr`` and ``cc`` are the grid's row and column indices.
-
-    ``blobs`` holds each canvas's (row, column, 2 sigma**2, energy).
-    """
-    row, col, spread, energy = blobs.T[:, :, None, None]
-    canvases += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / spread)
-
-
 def toy_jet_images(
     n_events: int,
     kind: str,
@@ -306,7 +292,8 @@ def toy_jet_images(
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
     centre = (grid - 1) / 2.0
-    # (event, blob, (row, column, 2 sigma**2, energy)).
+    # (event, blob, (row, column, 2 sigma**2, energy)); 2 sigma**2 is taken
+    # in Python floats, as the per-image loop took it, so the canvases keep their bits.
     blobs = np.empty((n_events, 1 if kind == "background" else 4, 4))
     noise = np.empty((n_events, grid, grid))
     for blob, event_noise in zip(blobs, noise):
@@ -336,8 +323,9 @@ def toy_jet_images(
     # Row and column indices as a column and a row; they broadcast to the grid.
     rr, cc = np.ogrid[:grid, :grid]
     canvases = np.zeros((n_events, grid, grid))
-    for k in range(blobs.shape[1]):
-        _deposit_blobs(canvases, rr, cc, blobs[:, k])
+    # One Gaussian blob on every canvas at a time, each parameter an (E, 1, 1) column.
+    for row, col, spread, energy in blobs.transpose(1, 2, 0)[..., None, None]:
+        canvases += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / spread)
     canvases += np.abs(noise)
     return canvases
 

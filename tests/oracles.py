@@ -455,7 +455,7 @@ def exact_mixed_state_reference(probs) -> np.ndarray:
 
 
 def deposit_blob_reference(grid, row, col, sigma, energy) -> None:
-    """One blob of ``embed._deposit_blobs`` on one canvas, with its own coordinate grid."""
+    """Add one Gaussian blob to one canvas, with a coordinate grid of its own."""
     size = grid.shape[0]
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     grid += energy * np.exp(-((rr - row) ** 2 + (cc - col) ** 2) / (2.0 * sigma**2))
