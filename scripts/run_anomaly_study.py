@@ -15,10 +15,10 @@ from qhbm.rng import substream
 
 
 def jet_probs(kind, n_events, seed, n_qubits, grid, crop, pool, scale_max=None):
-    """Toy jets as events, one object each for training and scoring, and the scale fit."""
+    """Toy jets as an (E, n_qubits) probability stack, and the scale fit."""
     images = embed.toy_jet_images(n_events, kind, grid, substream(seed, "synthesis", kind))
     probs, scale_max, _ = embed.images_to_events(images, crop, pool, n_qubits, scale_max=scale_max)
-    return [embed.PixelProbabilities(p, kind) for p in probs], scale_max
+    return probs, scale_max
 
 
 def main(argv=None):

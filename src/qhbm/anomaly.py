@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qsim
 from .ebm import ModularHamiltonian
-from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row, product_distributions
+from .embed import bernoulli_index_samples, check_probabilities, frequency_row, product_distributions
 from .metrics import PowerSpectrum, RocCurve, power_spectrum, roc_from_scores, von_neumann_entropy
 from .train import TrainState
 
@@ -138,16 +138,20 @@ class RoutingTable:
         self._rows = None if dt is None else self._fill(probs)
 
     def draw(
-        self, state: TrainState, event: PixelProbabilities, n_draws: int, rng: np.random.Generator
+        self, state: TrainState, event: np.ndarray, n_draws: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(share of draws, basis index) of each distinct state ``n_draws`` embeddings hit."""
+        """(share of draws, basis index) of each distinct state that ``n_draws`` embeddings hit.
+
+        ``event`` is one event's (n,) probability row, checked with its set.
+        """
         if state is not self.state:
             raise ValueError("routing table was built for another model")
-        if event.n_qubits != (n_qubits := state.ansatz.n_qubits):
-            raise ValueError(f"event has {event.n_qubits} qubits but model has {n_qubits}")
+        probs = np.asarray(event, dtype=np.float64)
+        if probs.shape != (n_qubits := state.ansatz.n_qubits,):
+            raise ValueError(f"event has shape {probs.shape} but model has {n_qubits} qubits")
         if n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-        distribution = product_distributions(event.probs[None])[0]
+        distribution = product_distributions(probs[None])[0]
         row = frequency_row(bernoulli_index_samples(distribution, n_draws, rng))
         cols = np.flatnonzero(row)
         return row[cols], cols
@@ -198,7 +202,7 @@ class RoutingTable:
 
 def time_evolution_series(
     state: TrainState,
-    event: PixelProbabilities,
+    event: np.ndarray,
     total_time: float,
     dt: float,
     rng: np.random.Generator,
@@ -208,10 +212,10 @@ def time_evolution_series(
 ) -> np.ndarray:
     """Fidelity to the initial state along the quantised time grid, an (N,) array.
 
-    The event is embedded ``n_draws`` times; each draw's basis state is
-    routed through the circuit and evolved under the diagonal
-    Hamiltonian, and the per-draw series are averaged.  Because the
-    evolution is diagonal, the overlap at step k is
+    The event, one (n,) probability row, is embedded ``n_draws`` times;
+    each draw's basis state is routed through the circuit and evolved
+    under the diagonal Hamiltonian, and the per-draw series are averaged.
+    Because the evolution is diagonal, the overlap at step k is
 
         off_support_mass + sum_z p_z exp(i k dt E_z)
 
@@ -232,7 +236,7 @@ def time_evolution_series(
 
 def event_series(
     state: TrainState,
-    events: Sequence[PixelProbabilities],
+    events: np.ndarray | Sequence[np.ndarray],
     total_time: float,
     dt: float,
     rng: np.random.Generator,
@@ -240,9 +244,16 @@ def event_series(
     *,
     table: RoutingTable,
 ) -> np.ndarray:
-    """Fidelity series of each event in order, one row each, all read from one routing table."""
+    """Fidelity series of each event of an (E, n) probability stack, in order, one row each.
+
+    All are read from one routing table.  Each event reaches
+    ``time_evolution_series`` as the caller's own row object, and a
+    stack's rows are held for the whole pass: the benchmark traces tell
+    events apart by object identity.
+    """
+    check_probabilities(events, state.ansatz.n_qubits, "scored")
     stack = np.empty((len(events), check_time_grid(total_time, dt) + 1))
-    for row, event in zip(stack, events):
+    for row, event in zip(stack, list(events)):
         row[:] = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
     return stack
 
@@ -314,13 +325,13 @@ def series_moments(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def expectation_score(
     state: TrainState,
-    event: PixelProbabilities,
+    event: np.ndarray,
     rng: np.random.Generator,
     n_draws: int,
     *,
     table: RoutingTable,
 ) -> float:
-    """Mean <K> of the routed event at t = 0; empty support scores 0.
+    """Mean <K> of the routed event, one (n,) probability row, at t = 0; empty support scores 0.
 
     ``table`` is a routing table of ``state`` shared by the events of a run.
     """
@@ -341,7 +352,7 @@ def _is_spectral(
 
 def score_events(
     state: TrainState,
-    events: Sequence[PixelProbabilities],
+    events: np.ndarray | Sequence[np.ndarray],
     mode: str,
     rng: np.random.Generator,
     *,
@@ -351,7 +362,7 @@ def score_events(
     dt: float | None = None,
     table: RoutingTable | None = None,
 ) -> np.ndarray:
-    """Per-event anomaly scores in a fixed order, from one routing table.
+    """Per-event anomaly scores of an (E, n) probability stack, in order, from one routing table.
 
     Spectral mode needs ``f_min`` and the ``total_time``/``dt`` grid.
     ``table`` is a routing table of ``state`` (on that grid in spectral
@@ -359,6 +370,7 @@ def score_events(
     built for this call.
     """
     if not _is_spectral(mode, f_min, total_time, dt):
+        check_probabilities(events, state.ansatz.n_qubits, "scored")
         if table is None:
             table = RoutingTable(state)
         return np.array([expectation_score(state, e, rng, n_draws, table=table) for e in events])
@@ -372,8 +384,8 @@ def score_events(
 
 def discrimination_report(
     state: TrainState,
-    signal_events: Sequence[PixelProbabilities],
-    background_events: Sequence[PixelProbabilities],
+    signal_events: np.ndarray | Sequence[np.ndarray],
+    background_events: np.ndarray | Sequence[np.ndarray],
     mode: str,
     rng: np.random.Generator,
     *,

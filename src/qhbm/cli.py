@@ -82,21 +82,10 @@ def _load_probability_events(path: str | Path, n_qubits: int) -> tuple[np.ndarra
             f"{path} is not a preprocessed probability container (kind "
             "'probabilities', one row per event); run the preprocess command first"
         )
-    probs = images[:, 0]
     try:
-        embed.check_probabilities(probs)
+        return embed.check_probabilities(images[:, 0], n_qubits, str(path)), labels
     except ValueError as exc:
-        raise DataError(f"{path} {exc}") from exc
-    if probs.shape[1] != n_qubits:
-        raise DataError(
-            f"{path} holds {probs.shape[1]}-qubit events but the model expects {n_qubits}"
-        )
-    return probs, labels
-
-
-def _events(probs: np.ndarray, labels: np.ndarray) -> list[embed.PixelProbabilities]:
-    """One object per event, for ``train.fit`` and ``anomaly.score_events``."""
-    return [embed.PixelProbabilities(p, label) for p, label in zip(probs, labels)]
+        raise DataError(str(exc)) from exc
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -161,12 +150,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise DataError(f"dataset not found: {resolved[key]}")
     config = _train_config_from(resolved)
 
-    train_events = _events(*_load_probability_events(resolved["train_data"], config.n_qubits))
-    valid_probs, valid_labels = _load_probability_events(resolved["valid_data"], config.n_qubits)
+    train_probs, _ = _load_probability_events(resolved["train_data"], config.n_qubits)
+    valid_probs, _ = _load_probability_events(resolved["valid_data"], config.n_qubits)
 
-    best, history = train.fit(
-        config, train_events, _events(valid_probs, valid_labels), initial, history
-    )
+    best, history = train.fit(config, train_probs, valid_probs, initial, history)
 
     outdir = Path(resolved["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -289,8 +276,10 @@ def _repr_rows(*columns: np.ndarray):
 
 def cmd_anomaly(args: argparse.Namespace) -> int:
     state, config, _ = io.load_checkpoint(args.checkpoint)
-    signal = _events(*_load_probability_events(args.signal, config.n_qubits))
-    background = _events(*_load_probability_events(args.background, config.n_qubits))
+    # One row object per event for the whole run: the benchmark traces tell
+    # scored events apart by object identity.
+    signal = list(_load_probability_events(args.signal, config.n_qubits)[0])
+    background = list(_load_probability_events(args.background, config.n_qubits)[0])
     anomaly.check_spectral_args(args.total_time, args.dt, args.f_min)
     if args.n_draws < 1:
         raise ValueError(f"--n-draws must be >= 1, got {args.n_draws}")

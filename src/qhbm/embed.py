@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .qsim import MAX_QUBITS
 from .special import expit
 
 PROB_FLOOR = 1e-6
@@ -39,7 +38,7 @@ class PixelImage:
     """A rectangular intensity grid with an event label."""
 
     intensities: np.ndarray
-    label: str = "unlabelled"
+    label: str
 
     def __post_init__(self) -> None:
         self.intensities = np.asarray(self.intensities, dtype=np.float64)
@@ -59,35 +58,27 @@ class PixelImage:
         return self.intensities.shape[1]
 
 
-@dataclass
-class PixelProbabilities:
-    """Per-qubit Bernoulli probabilities for one event."""
+def check_probabilities(
+    events: np.ndarray | Sequence[np.ndarray], n_qubits: int, what: str
+) -> np.ndarray:
+    """``events`` as a float64 (E, n_qubits) stack with every probability strictly inside (0, 1).
 
-    probs: np.ndarray
-    label: str = "unlabelled"
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
-            raise ValueError(f"need 1..{MAX_QUBITS} probabilities, got shape {self.probs.shape}")
-        check_probabilities(self.probs[None])
-
-    @property
-    def n_qubits(self) -> int:
-        return self.probs.size
-
-
-def check_probabilities(probs: np.ndarray) -> None:
-    """Reject an (E, n) stack unless each event has 1..MAX_QUBITS probabilities inside (0, 1).
-
-    The ValueError names the first bad event.
+    A ValueError names the set ``what`` and, for a bad row, the first bad event.
     """
-    if not 1 <= probs.shape[1] <= MAX_QUBITS:
-        raise ValueError(f"event 0: need 1..{MAX_QUBITS} probabilities, got {probs.shape[1]}")
+    probs = np.asarray(events, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ValueError(f"{what}: need an (E, {n_qubits}) probability stack, got shape {probs.shape}")
+    if probs.shape[1] != n_qubits:
+        raise ValueError(
+            f"{what} event 0: has {probs.shape[1]} probabilities but the model has {n_qubits} qubits"
+        )
     # Written so that NaN fails too: it compares false both ways.
     inside = ((probs > 0.0) & (probs < 1.0)).all(axis=1)
     if not inside.all():
-        raise ValueError(f"event {np.argmin(inside)}: probabilities must lie strictly inside (0, 1)")
+        raise ValueError(
+            f"{what} event {np.argmin(inside)}: probabilities must lie strictly inside (0, 1)"
+        )
+    return probs
 
 
 def pool_images(
@@ -330,9 +321,9 @@ def toy_jet_images(
     return canvases
 
 
-# One image or event as an object, for the callers that still take them
-# (``train.fit``, ``anomaly.score_events``).  Each function below is the
-# E = 1 case of the stacked function it names.
+# One image as an object, for the benchmark workloads that still build
+# events image by image.  Each function below is the E = 1 case of the
+# stacked function it names.
 
 
 def crop_and_pool(
@@ -347,9 +338,9 @@ def standardise(image: PixelImage, scale_max: float) -> PixelImage:
     return PixelImage(standardise_images(image.intensities, scale_max), image.label)
 
 
-def select_pixels(image: PixelImage, layout: Sequence[int]) -> PixelProbabilities:
-    """``select_probabilities`` of one image."""
-    return PixelProbabilities(select_probabilities(image.intensities[None], layout)[0], image.label)
+def select_pixels(image: PixelImage, layout: Sequence[int]) -> np.ndarray:
+    """``select_probabilities`` of one image: its event's (n,) probability row."""
+    return select_probabilities(image.intensities[None], layout)[0]
 
 
 def synth_toy_jets(

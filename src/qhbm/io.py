@@ -77,8 +77,7 @@ def write_csv_with_provenance(
         fh.write(f"# qhbm {__version__} config={config_hash(config)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_json(path: str | Path, data: dict) -> None:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ebm, qsim
-from .embed import PixelProbabilities, bernoulli_index_samples, frequency_row, product_distributions
+from .embed import bernoulli_index_samples, check_probabilities, frequency_row, product_distributions
 from .errors import ConfigError, NumericError
 from .rng import substream
 
@@ -308,18 +308,13 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
     return stepped, loss
 
 
-def _embed_events(
-    events: Sequence[PixelProbabilities],
-    n_samples: int,
-    seed: int,
-    tag: str,
-) -> np.ndarray:
-    """One frequency row per event, from ``n_samples`` draws on the event's own substream.
+def _embed_events(probs: np.ndarray, n_samples: int, seed: int, tag: str) -> np.ndarray:
+    """One frequency row per event of an (E, n) stack, from ``n_samples`` draws on its own substream.
 
     The set's product distributions are built in one call; only the draws
     go event by event.
     """
-    rows = product_distributions(np.array([event.probs for event in events]))
+    rows = product_distributions(probs)
     # Each row's distribution gives way to its draws' frequencies.
     for d, distribution in enumerate(rows):
         rng = substream(seed, "embedding", tag, d)
@@ -355,13 +350,15 @@ HISTORY_KEYS = ("epoch", "train_loss", "validation_loss", "learning_rate")
 
 def fit(
     config: TrainConfig,
-    train_events: Sequence[PixelProbabilities],
-    valid_events: Sequence[PixelProbabilities],
+    train_events: np.ndarray | Sequence[np.ndarray],
+    valid_events: np.ndarray | Sequence[np.ndarray],
     initial: TrainState | None = None,
     initial_history: Sequence[dict] | None = None,
 ) -> tuple[TrainState, list[dict]]:
     """Full training run; returns the best-validation snapshot and history.
 
+    Each event set is an (E, n_qubits) stack of Bernoulli probabilities
+    (or a sequence of its rows), checked once before anything is sampled.
     Validation runs once per epoch.  The learning rate halves after
     ``lr_halve_patience`` epochs without improvement (counter resets on
     each halving) and training stops early after
@@ -373,19 +370,21 @@ def fit(
     held-out loss of the parameters at the epoch's end.
     """
     config.validate()
-    if not train_events or not valid_events:
+    if not len(train_events) or not len(valid_events):
         raise ValueError("need non-empty training and validation sets")
+    train_probs = check_probabilities(train_events, config.n_qubits, "training")
+    valid_probs = check_probabilities(valid_events, config.n_qubits, "validation")
     state = initial if initial is not None else init_train_state(config)
     history: list[dict] = list(initial_history) if initial_history else []
 
-    valid_rows = _embed_events(valid_events, config.n_embed_samples, config.seed, "valid")
-    train_rows = _embed_events(train_events, config.n_embed_samples, config.seed, "train")
+    valid_rows = _embed_events(valid_probs, config.n_embed_samples, config.seed, "valid")
+    train_rows = _embed_events(train_probs, config.n_embed_samples, config.seed, "train")
 
     best = snapshot(state)
     since_improve = 0
     since_improve_lr = 0
     for epoch in range(state.epoch, config.max_epochs):
-        order = substream(config.seed, "shuffle", epoch).permutation(len(train_events))
+        order = substream(config.seed, "shuffle", epoch).permutation(len(train_rows))
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = train_rows[order[start : start + config.batch_size]]

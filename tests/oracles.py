@@ -331,7 +331,7 @@ def batch_parameter_shift_gradient(ansatz, ham, q) -> np.ndarray:
 
 def _per_draw_probabilities(state, event, n_draws, rng):
     """(draw, support) routed probabilities and off-support mass, one row per draw."""
-    idx = draw_indices(bernoulli_index_samples_reference(event.probs, n_draws, rng))
+    idx = draw_indices(bernoulli_index_samples_reference(event, n_draws, rng))
     u = qsim.ansatz_unitary(state.ansatz)
     on_support = (u * u)[state.hamiltonian.support][:, idx].T
     return on_support, 1.0 - on_support.sum(axis=1)

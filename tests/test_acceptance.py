@@ -230,8 +230,7 @@ def test_a4_two_qubit_training_reaches_data_entropy(capsys):
     """Training on a two-pixel product-Bernoulli dataset drives the
     validation loss to within 0.1 nats of the analytic entropy."""
     t0 = time.monotonic()
-    event = embed.PixelProbabilities(probs=np.array([0.3, 0.8]))
-    events = [event] * 50
+    events = np.tile([0.3, 0.8], (50, 1))
     config = train.TrainConfig(
         n_qubits=2, n_mc_samples=250, n_embed_samples=400,
         max_epochs=40, batch_size=25, seed=11,
@@ -325,12 +324,12 @@ def test_a7_stepped_evolution_matches_one_shot(capsys):
     state = _manual_state(
         ebm.EnergyModel.initialize(n, 2 * n, gen), qsim.CircuitAnsatz(n, 2, angles), ham
     )
-    event = embed.PixelProbabilities(gen.uniform(0.2, 0.8, size=n))
+    event = gen.uniform(0.2, 0.8, size=n)
     table = anomaly.RoutingTable(state, 500.0, 0.1)
     series = anomaly.time_evolution_series(
         state, event, 500.0, 0.1, substream(7, "generation"), 1, table=table
     )
-    draw = draw_indices(bernoulli_index_samples_reference(event.probs, 1, substream(7, "generation")))[0]
+    draw = draw_indices(bernoulli_index_samples_reference(event, 1, substream(7, "generation")))[0]
     psi0 = staircase_unitary(n, 2, angles)[:, draw]
     stepped = psi0
     deviation = abs(series[0] - 1.0)

@@ -24,7 +24,6 @@ from qhbm.anomaly import (
     spectral_score,
     time_evolution_series,
 )
-from qhbm.embed import PixelProbabilities
 from qhbm.metrics import RocCurve, power_spectrum, roc_from_scores
 from qhbm.rng import substream
 from qhbm.train import AdamState, TrainState, parameters
@@ -61,9 +60,7 @@ def identity_ansatz(n):
 
 
 def sharp_event(bits):
-    return PixelProbabilities(
-        np.array([1.0 - 1e-6 if b else 1e-6 for b in bits])
-    )
+    return np.array([1.0 - 1e-6 if b else 1e-6 for b in bits])
 
 
 def ham_from(indices, energies, n):
@@ -93,7 +90,7 @@ class TestTimeEvolutionSeries:
         state = make_state(
             qsim.CircuitAnsatz(n, 1, angles), ham_from([1, 4, 6], rng.standard_normal(3), n)
         )
-        event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
+        event = rng.uniform(0.2, 0.8, size=n)
         series = own_table_series(state, event, 20.0, 0.1, np.random.default_rng(0), 4)
         assert series[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series >= -1e-9)
@@ -129,11 +126,11 @@ class TestTimeEvolutionSeries:
         ansatz = qsim.CircuitAnsatz(n, 1, angles)
         ham = ham_from([0, 2, 3], rng.standard_normal(3), n)
         state = make_state(ansatz, ham)
-        event = PixelProbabilities(rng.uniform(0.3, 0.7, size=n))
+        event = rng.uniform(0.3, 0.7, size=n)
         dt, steps = 0.1, 20
         series = own_table_series(state, event, steps * dt, dt, substream(11, "generation"), 1)
         draw = draw_indices(
-            bernoulli_index_samples_reference(event.probs, 1, substream(11, "generation"))
+            bernoulli_index_samples_reference(event, 1, substream(11, "generation"))
         )[0]
         psi0 = staircase_unitary(n, 1, angles)[:, draw]
         for k in range(steps + 1):
@@ -220,7 +217,7 @@ def random_scoring_state(n, support_size, e_max, seed):
     energies = gen.uniform(-e_max, e_max, size=support_size)
     ham = ham_from(support, energies, n) if support_size else empty_hamiltonian(n)
     state = make_state(qsim.CircuitAnsatz(n, 2, angles), ham)
-    return state, PixelProbabilities(gen.uniform(0.05, 0.95, size=n))
+    return state, gen.uniform(0.05, 0.95, size=n)
 
 
 class TestMatchesPerDrawOracle:
@@ -277,7 +274,7 @@ class TestSharedTableMatchesPerDrawOracle:
             if data.draw(st.booleans()):
                 events.append(events[data.draw(st.integers(0, len(events) - 1))])
             else:
-                events.append(PixelProbabilities(gen.uniform(0.05, 0.95, size=n)))
+                events.append(gen.uniform(0.05, 0.95, size=n))
         dt = min(0.1, 1000.0 / ((n_points - 1) * max(e_max, 1.0)))
         total_time = (n_points - 1) * dt
 
@@ -379,11 +376,11 @@ class TestTiledRowStore:
         total_time = (n_points - 1) * dt
         state, _ = random_scoring_state(n, 37, 20.0, 11)
         gen = np.random.default_rng(12)
-        events = [PixelProbabilities(gen.uniform(0.05, 0.95, size=n)) for _ in range(5)]
+        events = [gen.uniform(0.05, 0.95, size=n) for _ in range(5)]
         # Sparse reads of one or a few states around the one dense read
         # (400 draws).
-        events[0] = PixelProbabilities(np.full(n, 0.99))
-        events[1] = PixelProbabilities(np.array([0.99] * (n - 1) + [0.5]))
+        events[0] = np.full(n, 0.99)
+        events[1] = np.array([0.99] * (n - 1) + [0.5])
         table = RoutingTable(state, total_time, dt)
         fast_rng, slow_rng = np.random.default_rng(13), np.random.default_rng(13)
         for event, n_draws in zip(events, (1, 5, 3, 400, 2)):
@@ -401,7 +398,7 @@ class TestTiledRowStore:
         total_time = (n_points - 1) * dt
         state, event = random_scoring_state(n, 37, 20.0, 200 + seed)
         used = RoutingTable(state, total_time, dt)
-        sparse = PixelProbabilities(np.full(n, 0.99))
+        sparse = np.full(n, 0.99)
         time_evolution_series(
             state, sparse, total_time, dt, np.random.default_rng(seed), 1, table=used
         )
@@ -426,8 +423,8 @@ class TestTiledRowStore:
         table = RoutingTable(state, 50.0, 0.1)
         assert sorted(vars(table)) == ["_rows", "grid", "state", "t_zero"]
         assert table.t_zero.shape == (2**5,) and table._rows.shape == (2**5, 501)
-        with pytest.raises(ValueError, match="event has 4 qubits but model has 5"):
-            table.draw(state, PixelProbabilities(np.full(4, 0.5)), 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"event has shape \(4,\) but model has 5 qubits"):
+            table.draw(state, np.full(4, 0.5), 1, np.random.default_rng(0))
 
     def test_series_is_not_changed_by_the_next_call(self):
         state, event = random_scoring_state(5, 20, 20.0, 3)
@@ -435,7 +432,7 @@ class TestTiledRowStore:
         rng = np.random.default_rng(4)
         first = time_evolution_series(state, event, 50.0, 0.1, rng, 64, table=table)
         kept = first.copy()
-        other = PixelProbabilities(np.full(5, 0.9))
+        other = np.full(5, 0.9)
         second = time_evolution_series(state, other, 50.0, 0.1, rng, 64, table=table)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
@@ -446,7 +443,7 @@ class TestTiledRowStore:
         n, n_points = 6, 2001
         state, _ = random_scoring_state(n, 2**n, 20.0, 5)
         gen = np.random.default_rng(6)
-        events = [PixelProbabilities(gen.uniform(0.05, 0.95, size=n)) for _ in range(12)]
+        events = [gen.uniform(0.05, 0.95, size=n) for _ in range(12)]
         row_store_bytes = 2**n * n_points * 8
         tracemalloc.start()
         try:
@@ -585,11 +582,11 @@ class TestExpectationScore:
         support_idx = [1, 3, 4]
         energies = rng.standard_normal(3)
         state = make_state(ansatz, ham_from(support_idx, energies, n))
-        event = PixelProbabilities(rng.uniform(0.2, 0.8, size=n))
+        event = rng.uniform(0.2, 0.8, size=n)
         got = own_table_score(state, event, substream(4, "generation"), 16)
 
         draws = draw_indices(
-            bernoulli_index_samples_reference(event.probs, 16, substream(4, "generation"))
+            bernoulli_index_samples_reference(event, 16, substream(4, "generation"))
         )
         u = staircase_unitary(n, 2, angles)
         probs = np.abs(u) ** 2
@@ -609,7 +606,7 @@ class TestScoreEvents:
 
     def test_t_zero_matches_manual_loop(self, rng):
         state = self.setup_state(rng)
-        events = [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(4)]
+        events = [rng.uniform(0.2, 0.8, size=2) for _ in range(4)]
         got = score_events(state, events, "t_zero", substream(6, "generation"), n_draws=3)
         manual_rng = substream(6, "generation")
         manual = [own_table_score(state, e, manual_rng, 3) for e in events]
@@ -617,7 +614,7 @@ class TestScoreEvents:
 
     def test_spectral_matches_manual_loop(self, rng):
         state = self.setup_state(rng)
-        events = [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(3)]
+        events = [rng.uniform(0.2, 0.8, size=2) for _ in range(3)]
         got = score_events(
             state, events, "spectral", substream(7, "generation"),
             n_draws=1, f_min=0.05, total_time=20.0, dt=0.1,
@@ -633,13 +630,14 @@ class TestScoreEvents:
     def test_no_events_score_as_an_empty_array(self, rng, mode):
         state = self.setup_state(rng)
         gen = np.random.default_rng(0)
-        scores = score_events(state, [], mode, gen, n_draws=1, f_min=0.05, total_time=20.0, dt=0.1)
+        grid = dict(f_min=0.05, total_time=20.0, dt=0.1)
+        scores = score_events(state, np.empty((0, 2)), mode, gen, n_draws=1, **grid)
         assert isinstance(scores, np.ndarray) and scores.shape == (0,)
         assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_error_paths(self, rng):
         state = self.setup_state(rng)
-        events = [PixelProbabilities(np.array([0.5, 0.5]))]
+        events = [np.array([0.5, 0.5])]
         for missing in ("f_min", "total_time", "dt"):
             grid = dict(f_min=0.05, total_time=20.0, dt=0.1, n_draws=1)
             del grid[missing]
@@ -647,6 +645,27 @@ class TestScoreEvents:
                 score_events(state, events, "spectral", np.random.default_rng(0), **grid)
         with pytest.raises(ValueError):
             score_events(state, events, "entropy", np.random.default_rng(0), n_draws=1)
+        # A malformed set is refused as a whole in both modes, naming the
+        # first bad event: too wide for the model, one row, values on or
+        # outside the boundary of (0, 1), and an empty list, which has no width.
+        grid = dict(f_min=0.05, total_time=20.0, dt=0.1, n_draws=1)
+        bad_sets = [
+            (np.full((2, 3), 0.5), "scored event 0: has 3 probabilities but the model has 2"),
+            (np.full((2, 11), 0.5), "scored event 0: has 11 probabilities"),
+            (np.array([0.5, 0.5]), r"scored: need an \(E, 2\) probability stack"),
+            (np.full((1, 2, 2), 0.5), r"scored: need an \(E, 2\) probability stack"),
+            ([[0.5, 0.5], [0.0, 0.5]], "scored event 1: probabilities must lie strictly"),
+            ([[0.5, 1.0]], "scored event 0: probabilities must lie strictly"),
+            ([[0.5, 0.5], [0.5, 0.5], [0.5, np.nan]], "scored event 2: probabilities"),
+            ([[0.5, 0.5], [1.5, 0.5]], "scored event 1: probabilities"),
+            ([], r"scored: need an \(E, 2\) probability stack"),
+        ]
+        for mode in ("t_zero", "spectral"):
+            for bad, message in bad_sets:
+                gen = np.random.default_rng(0)
+                with pytest.raises(ValueError, match=message):
+                    score_events(state, bad, mode, gen, **grid)
+                assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestDiscriminationReport:
@@ -656,8 +675,8 @@ class TestDiscriminationReport:
             qsim.CircuitAnsatz(n, 1, rng.uniform(-1, 1, size=2)),
             ham_from([0, 3], [0.1, 2.0], n),
         )
-        signal = [PixelProbabilities(rng.uniform(0.6, 0.9, size=n)) for _ in range(8)]
-        background = [PixelProbabilities(rng.uniform(0.1, 0.4, size=n)) for _ in range(8)]
+        signal = [rng.uniform(0.6, 0.9, size=n) for _ in range(8)]
+        background = [rng.uniform(0.1, 0.4, size=n) for _ in range(8)]
         curve = discrimination_report(
             state, signal, background, "t_zero", np.random.default_rng(0), n_draws=8
         )
@@ -674,8 +693,8 @@ class TestDiscriminationReport:
     def test_both_classes_share_one_table(self, rng, monkeypatch, mode):
         n = 3
         state, _ = random_scoring_state(n, 5, 10.0, 8)
-        signal = [PixelProbabilities(rng.uniform(0.6, 0.9, size=n)) for _ in range(6)]
-        background = [PixelProbabilities(rng.uniform(0.1, 0.4, size=n)) for _ in range(6)]
+        signal = [rng.uniform(0.6, 0.9, size=n) for _ in range(6)]
+        background = [rng.uniform(0.1, 0.4, size=n) for _ in range(6)]
         kwargs = dict(f_min=0.5, total_time=30.0, dt=0.1, n_draws=16)
         # One table per class, as before the classes shared one.
         separate_rng = np.random.default_rng(9)

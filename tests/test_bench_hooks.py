@@ -20,7 +20,6 @@ import pytest
 import qhbm
 import qhbm.cli  # noqa: F401  (the tracer hooks the CLI commands too)
 from qhbm import anomaly, ebm, io, qsim, train
-from qhbm.embed import PixelProbabilities
 
 from oracles import hamiltonian_from_energies
 from script_runner import load_bench_module
@@ -108,7 +107,7 @@ def test_scoring_calls_each_per_event_hook_once_per_event(monkeypatch, mode):
         adam=train.AdamState.zeros_like(train.parameters(model, ansatz)),
         lr_current=1e-2,
     )
-    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(3)]
+    events = [np.array([0.2, 0.5, 0.8 - 0.1 * i]) for i in range(3)]
     anomaly.score_events(
         state, events, mode, np.random.default_rng(2),
         f_min=0.5, total_time=5.0, dt=0.1, n_draws=4,
@@ -133,7 +132,7 @@ def test_traced_fit_calls_every_train_8q_hook():
         n_qubits=3, n_layers=1, n_mc_samples=20, n_embed_samples=10, batch_size=2,
         max_epochs=1, seed=3,
     )
-    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8 - 0.1 * i])) for i in range(5)]
+    events = [np.array([0.2, 0.5, 0.8 - 0.1 * i]) for i in range(5)]
     with tracing.Tracer(qhbm) as tracer:
         train.fit(config, events[:3], events[3:])
     counts, _ = tracer.layer_stats()
@@ -172,7 +171,7 @@ def test_traced_anomaly_command_calls_every_cli_6q_hook(tmp_path):
         max_epochs=1, seed=3,
     )
     probs = [np.array([0.2, 0.5, 0.8 - 0.1 * i]) for i in range(5)]
-    events = [PixelProbabilities(p) for p in probs]
+    events = probs
     state, history = train.fit(config, events[:3], events[3:])
     io.save_checkpoint(tmp_path / "model.qhbm", state, config, history)
     for name, split in (("signal", probs[:2]), ("background", probs[2:])):
@@ -215,7 +214,7 @@ def test_repeated_traced_fits_agree_bitwise():
         n_qubits=4, n_layers=2, n_mc_samples=30, n_embed_samples=20, batch_size=2,
         max_epochs=2, seed=5,
     )
-    events = [PixelProbabilities(np.array([0.2, 0.5, 0.8, 0.3 + 0.1 * i])) for i in range(6)]
+    events = [np.array([0.2, 0.5, 0.8, 0.3 + 0.1 * i]) for i in range(6)]
     runs = []
     for _ in range(2):
         with tracing.Tracer(qhbm) as tracer:

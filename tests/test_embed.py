@@ -13,7 +13,6 @@ from scipy.stats import chisquare
 from qhbm import metrics
 from qhbm.embed import (
     PixelImage,
-    PixelProbabilities,
     bernoulli_index_samples,
     check_probabilities,
     crop_and_pool,
@@ -62,7 +61,7 @@ class TestPixelImage:
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
-            PixelImage(np.ones(4))
+            PixelImage(np.ones(4), label="unlabelled")
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
@@ -72,46 +71,48 @@ class TestPixelImage:
         grid = np.ones((2, 2))
         grid[0, 0] = np.inf
         with pytest.raises(ValueError):
-            PixelImage(grid)
+            PixelImage(grid, label="unlabelled")
 
-
-class TestPixelProbabilities:
-    def test_basic(self):
-        p = PixelProbabilities(np.array([0.2, 0.9]))
-        assert p.n_qubits == 2
-
-    def test_rejects_boundary_values(self):
-        with pytest.raises(ValueError):
-            PixelProbabilities(np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            PixelProbabilities(np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            PixelProbabilities(np.array([0.5, np.nan]))
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            PixelProbabilities(np.zeros((2, 2)) + 0.5)
-        with pytest.raises(ValueError):
-            PixelProbabilities(np.full(11, 0.5))
+    def test_label_is_required(self):
+        with pytest.raises(TypeError):
+            PixelImage(np.ones((2, 2)))
 
 
 class TestCheckProbabilities:
     def test_accepts_a_valid_stack(self):
-        check_probabilities(np.full((3, 4), 0.5))
-        check_probabilities(np.zeros((0, 4)))
+        stack = np.full((3, 4), 0.5)
+        assert check_probabilities(stack, 4, "set") is stack
+        check_probabilities(np.zeros((0, 4)), 4, "set")
+        # A sequence of rows becomes the float64 stack the set entries use.
+        rows = [np.array([0.2, 0.9], dtype=np.float32), [0.5, 0.5]]
+        probs = check_probabilities(rows, 2, "set")
+        assert probs.dtype == np.float64 and probs.shape == (2, 2)
+        assert np.array_equal(probs, np.array(rows, dtype=np.float64))
 
+    # Stacks that are not (E, n_qubits) probabilities strictly inside (0, 1),
+    # for a model of n_qubits, and the message, naming the first bad event.
     @pytest.mark.parametrize(
-        "probs, message",
+        "probs, n_qubits, message",
         [
-            (np.zeros((2, 0)), "event 0: need 1..10"),
-            (np.full((2, 11), 0.5), "event 0: need 1..10"),
-            (np.array([[0.5, 0.5], [0.5, 1.0], [np.nan, 0.5]]), "event 1: "),
-            (np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]]), "event 2: "),
+            (np.zeros((2, 0)), 4, "set event 0: has 0 probabilities but the model has 4 qubits"),
+            (np.full((2, 11), 0.5), 10, "set event 0: has 11 probabilities but the model has 10"),
+            (np.full((2, 4), 0.5), 3, "set event 0: has 4 probabilities but the model has 3"),
+            (np.full(2, 0.5), 2, r"set: need an \(E, 2\) probability stack, got shape \(2,\)"),
+            (np.full((1, 2, 2), 0.5), 2, r"set: need an \(E, 2\) probability stack"),
+            (np.array([[0.0, 0.5]]), 2, "set event 0: probabilities must lie strictly inside"),
+            (np.array([[0.5, 0.5], [0.5, 1.0]]), 2, "set event 1: probabilities must lie"),
+            (np.array([[0.5, 0.5], [0.5, np.nan]]), 2, "set event 1: probabilities must lie"),
+            (np.array([[0.5, 0.5], [0.5, 1.0], [np.nan, 0.5]]), 2, "set event 1: "),
+            (np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]]), 2, "set event 2: "),
+        ],
+        ids=[
+            "no_columns", "eleven_columns", "wider_than_model", "one_row", "three_d",
+            "zero", "one", "nan", "first_of_two_bad", "last_bad",
         ],
     )
-    def test_names_the_first_bad_event(self, probs, message):
+    def test_names_the_first_bad_event(self, probs, n_qubits, message):
         with pytest.raises(ValueError, match=message):
-            check_probabilities(probs)
+            check_probabilities(probs, n_qubits, "set")
 
 
 class TestDensityMatrix:
@@ -152,13 +153,13 @@ class TestCropAndPool:
 
     def test_block_means_by_hand(self):
         grid = np.arange(16, dtype=float).reshape(4, 4)
-        out = crop_and_pool(PixelImage(grid), crop=0, pool=2)
+        out = crop_and_pool(PixelImage(grid, label="unlabelled"), crop=0, pool=2)
         expected = np.array([[2.5, 4.5], [10.5, 12.5]])
         assert np.allclose(out.intensities, expected)
 
     def test_crop_then_pool_with_high_side_trim(self):
         grid = np.arange(37 * 37, dtype=float).reshape(37, 37)
-        out = crop_and_pool(PixelImage(grid), crop=12, pool=2)
+        out = crop_and_pool(PixelImage(grid, label="unlabelled"), crop=12, pool=2)
         # 37 - 24 = 13 per side; the odd remainder drops from the high side.
         inner = grid[12:25, 12:25][:12, :12]
         expected = inner.reshape(6, 2, 6, 2).mean(axis=(1, 3))
@@ -199,7 +200,7 @@ class TestFitScaleMax:
 class TestStandardise:
     def test_maps_fit_peak_to_pi(self):
         grid = np.array([[0.0, 2.0], [4.0, 8.0]])
-        out = standardise(PixelImage(grid), scale_max=8.0)
+        out = standardise(PixelImage(grid, label="unlabelled"), scale_max=8.0)
         assert np.allclose(out.intensities, grid / 8.0 * np.pi)
 
     def test_clips_above_fit(self):
@@ -217,11 +218,12 @@ class TestPreprocess:
 
     def test_composes_pool_and_scale(self):
         grid = np.arange(16, dtype=float).reshape(4, 4)
-        out = standardise(crop_and_pool(PixelImage(grid), 0, 2), 25.0)
+        out = standardise(crop_and_pool(PixelImage(grid, label="unlabelled"), 0, 2), 25.0)
         assert np.allclose(out.intensities, np.array([[2.5, 4.5], [10.5, 12.5]]) / 25.0 * np.pi)
 
     def test_self_scaling_puts_own_peak_at_pi(self):
-        pooled = crop_and_pool(PixelImage(np.arange(16, dtype=float).reshape(4, 4)), 0, 2)
+        grid = np.arange(16, dtype=float).reshape(4, 4)
+        pooled = crop_and_pool(PixelImage(grid, label="unlabelled"), 0, 2)
         out = standardise(pooled, fit_scale_max([pooled]))
         assert out.intensities.max() == pytest.approx(np.pi, abs=1e-12)
 
@@ -262,8 +264,8 @@ class TestImagesToEvents:
         stack = np.array([im.intensities for im in images])
         probs, stack_scale, _ = images_to_events(stack, 2, 2, 6)
         assert stack_scale == scale_max
-        assert np.array_equal(np.array([e.probs for e in events]), probs)
-        assert {e.label for e in events} == {"background"}
+        assert np.array_equal(np.array(events), probs)
+        assert {im.label for im in pooled} == {"background"}
 
     def test_rejects_non_square_grid_and_no_images(self):
         with pytest.raises(DataError, match="square grid"):
@@ -336,8 +338,7 @@ class TestStackedPathsMatchOracles:
     )
     def test_embedded_draws(self, n_qubits, n_events, n_samples, seed):
         probs = np.random.default_rng(seed).uniform(0.05, 0.95, size=(n_events, n_qubits))
-        events = [PixelProbabilities(p) for p in probs]
-        got = _embed_events(events, n_samples, seed, "train")
+        got = _embed_events(probs, n_samples, seed, "train")
         assert np.array_equal(got, embed_events_reference(probs, n_samples, seed, "train"))
 
 
@@ -360,23 +361,24 @@ class TestPixelLayout:
 class TestSelectPixels:
     def test_zero_intensity_gives_half(self):
         probs = select_pixels(flat_image(0.0, (4, 4)), [0, 5])
-        assert np.allclose(probs.probs, 0.5)
+        assert probs.shape == (2,) and probs.dtype == np.float64
+        assert np.allclose(probs, 0.5)
 
     def test_pi_intensity_value(self):
         probs = select_pixels(flat_image(np.pi, (4, 4)), [3])
-        assert probs.probs[0] == pytest.approx(0.9585761678336371, abs=1e-12)
+        assert probs[0] == pytest.approx(0.9585761678336371, abs=1e-12)
 
     def test_elementwise_logistic(self, rng):
         grid = rng.uniform(-3, 3, size=(5, 5))
         layout = [17, 2, 9]
-        probs = select_pixels(PixelImage(grid), layout)
-        assert np.allclose(probs.probs, expit(grid.reshape(-1)[layout]), atol=1e-12)
+        probs = select_pixels(PixelImage(grid, label="unlabelled"), layout)
+        assert np.allclose(probs, expit(grid.reshape(-1)[layout]), atol=1e-12)
 
     def test_clamps_extreme_intensities(self):
         probs = select_pixels(flat_image(50.0, (2, 2)), [0])
-        assert probs.probs[0] == 1.0 - 1e-6
+        assert probs[0] == 1.0 - 1e-6
         probs = select_pixels(flat_image(-50.0, (2, 2)), [0])
-        assert probs.probs[0] == 1e-6
+        assert probs[0] == 1e-6
 
     def test_rejects_bad_layouts(self):
         im = flat_image(0.0, (3, 3))
@@ -390,8 +392,8 @@ class TestSelectPixels:
     def test_logit_inverts_squash(self, rng):
         grid = rng.uniform(-5, 5, size=(4, 4))
         layout = [0, 7, 11, 13]
-        probs = select_pixels(PixelImage(grid), layout)
-        assert np.allclose(logit(probs.probs), grid.reshape(-1)[layout], atol=1e-10)
+        probs = select_pixels(PixelImage(grid, label="unlabelled"), layout)
+        assert np.allclose(logit(probs), grid.reshape(-1)[layout], atol=1e-10)
 
 
 class TestBernoulliEmbed:

@@ -11,7 +11,7 @@ import pytest
 
 import qhbm
 from qhbm import ebm
-from qhbm.embed import PixelProbabilities, frequency_row
+from qhbm.embed import frequency_row
 from qhbm.errors import DataError
 from qhbm.io import (
     CKPT_MAGIC,
@@ -109,8 +109,9 @@ MALFORMED_FILES = {
 
 
 def sample_events():
+    """A (4, 2) probability stack, one row drawn per event."""
     rng = np.random.default_rng(5)
-    return [PixelProbabilities(rng.uniform(0.2, 0.8, size=2)) for _ in range(4)]
+    return np.array([rng.uniform(0.2, 0.8, size=2) for _ in range(4)])
 
 
 def trained_state():

@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 from qhbm import ebm, qsim, train
 from qhbm.anomaly import SCENARIOS, site_entropy_profile
-from qhbm.embed import PixelProbabilities, frequency_row
+from qhbm.embed import frequency_row
 from qhbm.errors import ConfigError, NumericError
 from qhbm.train import (
     AdamState,
@@ -295,7 +295,7 @@ class TestRowBatches:
         assert rows.shape == (5, 8)
         for d, (row, event) in enumerate(zip(rows, events)):
             counts = bernoulli_index_samples_reference(
-                event.probs, 40, substream(9, "embedding", "train", d)
+                event, 40, substream(9, "embedding", "train", d)
             )
             assert row.tobytes() == (counts / 40).tobytes()
 
@@ -500,11 +500,9 @@ class TestTrainStep:
 class TestFit:
     @staticmethod
     def events(n, n_qubits, seed):
+        """An (n, n_qubits) probability stack, one row drawn per event."""
         rng = np.random.default_rng(seed)
-        return [
-            PixelProbabilities(rng.uniform(0.2, 0.8, size=n_qubits))
-            for _ in range(n)
-        ]
+        return np.array([rng.uniform(0.2, 0.8, size=n_qubits) for _ in range(n)])
 
     def test_single_epoch_history(self):
         cfg = small_config(max_epochs=1)
@@ -582,6 +580,21 @@ class TestFit:
             fit(cfg, [], self.events(2, 2, 0))
         with pytest.raises(ValueError):
             fit(cfg, self.events(2, 2, 0), [])
+        with pytest.raises(ValueError, match="non-empty"):
+            fit(cfg, np.empty((0, 2)), self.events(2, 2, 0))
+        # Malformed sets are refused up front, naming the set, before any
+        # sampling: a set wider than the model, one row, a probability of 1.
+        bad = self.events(3, 2, 0)
+        bad[1, 0] = 1.0
+        cases = [
+            (self.events(4, 3, 0), self.events(2, 2, 1), "training event 0: has 3 probabilities"),
+            (self.events(4, 2, 0), self.events(2, 4, 1), "validation event 0: has 4 probabilities"),
+            (self.events(4, 2, 0), self.events(1, 2, 1)[0], r"validation: need an \(E, 2\)"),
+            (bad, self.events(2, 2, 1), "training event 1: probabilities must lie strictly"),
+        ]
+        for train_events, valid_events, message in cases:
+            with pytest.raises(ValueError, match=message):
+                fit(cfg, train_events, valid_events)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_raises_numeric_error_with_context(self):
