@@ -83,6 +83,8 @@ class TestCheckProbabilities:
         stack = np.full((3, 4), 0.5)
         assert check_probabilities(stack, 4, "set") is stack
         check_probabilities(np.zeros((0, 4)), 4, "set")
+
+    def test_converts_rows_to_a_float64_stack(self):
         # A sequence of rows becomes the float64 stack the set entries use.
         rows = [np.array([0.2, 0.9], dtype=np.float32), [0.5, 0.5]]
         probs = check_probabilities(rows, 2, "set")
