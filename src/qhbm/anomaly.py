@@ -246,14 +246,11 @@ def event_series(
 ) -> np.ndarray:
     """Fidelity series of each event of an (E, n) probability stack, in order, one row each.
 
-    All are read from one routing table.  Each event reaches
-    ``time_evolution_series`` as the caller's own row object, and a
-    stack's rows are held for the whole pass: the benchmark traces tell
-    events apart by object identity.
+    All are read from one routing table.
     """
     check_probabilities(events, state.ansatz.n_qubits, "scored")
     stack = np.empty((len(events), check_time_grid(total_time, dt) + 1))
-    for row, event in zip(stack, list(events)):
+    for row, event in zip(stack, events):
         row[:] = time_evolution_series(state, event, total_time, dt, rng, n_draws, table=table)
     return stack
 
@@ -369,8 +366,9 @@ def score_events(
     mode) that may serve other passes of the same run; without it one is
     built for this call.
     """
-    if not _is_spectral(mode, f_min, total_time, dt):
-        check_probabilities(events, state.ansatz.n_qubits, "scored")
+    spectral = _is_spectral(mode, f_min, total_time, dt)
+    check_probabilities(events, state.ansatz.n_qubits, "scored")
+    if not spectral:
         if table is None:
             table = RoutingTable(state)
         return np.array([expectation_score(state, e, rng, n_draws, table=table) for e in events])

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .qsim import MAX_QUBITS
 from .special import expit
 
 PROB_FLOOR = 1e-6
@@ -63,14 +64,19 @@ def check_probabilities(
 ) -> np.ndarray:
     """``events`` as a float64 (E, n_qubits) stack with every probability strictly inside (0, 1).
 
-    A ValueError names the set ``what`` and, for a bad row, the first bad event.
+    An empty sequence is the empty stack.  A ValueError names the set
+    ``what`` and, for a bad row, the first bad event.
     """
     probs = np.asarray(events, dtype=np.float64)
+    if probs.shape == (0,):
+        probs = probs.reshape(0, n_qubits)
     if probs.ndim != 2:
         raise ValueError(f"{what}: need an (E, {n_qubits}) probability stack, got shape {probs.shape}")
+    if not 1 <= probs.shape[1] <= MAX_QUBITS:
+        raise ValueError(f"{what} event 0: need 1..{MAX_QUBITS} probabilities, got {probs.shape[1]}")
     if probs.shape[1] != n_qubits:
         raise ValueError(
-            f"{what} event 0: has {probs.shape[1]} probabilities but the model has {n_qubits} qubits"
+            f"{what}: has {probs.shape[1]} probabilities per event but the model has {n_qubits} qubits"
         )
     # Written so that NaN fails too: it compares false both ways.
     inside = ((probs > 0.0) & (probs < 1.0)).all(axis=1)

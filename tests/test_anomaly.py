@@ -631,8 +631,9 @@ class TestScoreEvents:
         state = self.setup_state(rng)
         gen = np.random.default_rng(0)
         grid = dict(f_min=0.05, total_time=20.0, dt=0.1)
-        scores = score_events(state, np.empty((0, 2)), mode, gen, n_draws=1, **grid)
-        assert isinstance(scores, np.ndarray) and scores.shape == (0,)
+        for events in ([], np.empty((0, 2))):
+            scores = score_events(state, events, mode, gen, n_draws=1, **grid)
+            assert isinstance(scores, np.ndarray) and scores.shape == (0,)
         assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_error_paths(self, rng):
@@ -647,18 +648,17 @@ class TestScoreEvents:
             score_events(state, events, "entropy", np.random.default_rng(0), n_draws=1)
         # A malformed set is refused as a whole in both modes, naming the
         # first bad event: too wide for the model, one row, values on or
-        # outside the boundary of (0, 1), and an empty list, which has no width.
+        # outside the boundary of (0, 1).
         grid = dict(f_min=0.05, total_time=20.0, dt=0.1, n_draws=1)
         bad_sets = [
-            (np.full((2, 3), 0.5), "scored event 0: has 3 probabilities but the model has 2"),
-            (np.full((2, 11), 0.5), "scored event 0: has 11 probabilities"),
+            (np.full((2, 3), 0.5), "scored: has 3 probabilities per event but the model has 2"),
+            (np.full((2, 11), 0.5), r"scored event 0: need 1\.\.10 probabilities, got 11"),
             (np.array([0.5, 0.5]), r"scored: need an \(E, 2\) probability stack"),
             (np.full((1, 2, 2), 0.5), r"scored: need an \(E, 2\) probability stack"),
             ([[0.5, 0.5], [0.0, 0.5]], "scored event 1: probabilities must lie strictly"),
             ([[0.5, 1.0]], "scored event 0: probabilities must lie strictly"),
             ([[0.5, 0.5], [0.5, 0.5], [0.5, np.nan]], "scored event 2: probabilities"),
             ([[0.5, 0.5], [1.5, 0.5]], "scored event 1: probabilities"),
-            ([], r"scored: need an \(E, 2\) probability stack"),
         ]
         for mode in ("t_zero", "spectral"):
             for bad, message in bad_sets:

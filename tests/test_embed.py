@@ -83,6 +83,7 @@ class TestCheckProbabilities:
         stack = np.full((3, 4), 0.5)
         assert check_probabilities(stack, 4, "set") is stack
         check_probabilities(np.zeros((0, 4)), 4, "set")
+        assert check_probabilities([], 4, "set").shape == (0, 4)
 
     def test_converts_rows_to_a_float64_stack(self):
         # A sequence of rows becomes the float64 stack the set entries use.
@@ -91,30 +92,32 @@ class TestCheckProbabilities:
         assert probs.dtype == np.float64 and probs.shape == (2, 2)
         assert np.array_equal(probs, np.array(rows, dtype=np.float64))
 
-    # Stacks that are not (E, n_qubits) probabilities strictly inside (0, 1),
-    # for a model of n_qubits, and the message, naming the first bad event.
+    # Stacks that are not (E, 2) probabilities strictly inside (0, 1), for a
+    # two-qubit model, and the message, naming the set and the first bad event.
     @pytest.mark.parametrize(
-        "probs, n_qubits, message",
+        "probs, message",
         [
-            (np.zeros((2, 0)), 4, "set event 0: has 0 probabilities but the model has 4 qubits"),
-            (np.full((2, 11), 0.5), 10, "set event 0: has 11 probabilities but the model has 10"),
-            (np.full((2, 4), 0.5), 3, "set event 0: has 4 probabilities but the model has 3"),
-            (np.full(2, 0.5), 2, r"set: need an \(E, 2\) probability stack, got shape \(2,\)"),
-            (np.full((1, 2, 2), 0.5), 2, r"set: need an \(E, 2\) probability stack"),
-            (np.array([[0.0, 0.5]]), 2, "set event 0: probabilities must lie strictly inside"),
-            (np.array([[0.5, 0.5], [0.5, 1.0]]), 2, "set event 1: probabilities must lie"),
-            (np.array([[0.5, 0.5], [0.5, np.nan]]), 2, "set event 1: probabilities must lie"),
-            (np.array([[0.5, 0.5], [0.5, 1.0], [np.nan, 0.5]]), 2, "set event 1: "),
-            (np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]]), 2, "set event 2: "),
-        ],
-        ids=[
-            "no_columns", "eleven_columns", "wider_than_model", "one_row", "three_d",
-            "zero", "one", "nan", "first_of_two_bad", "last_bad",
+            (np.zeros((2, 0)), "event 0: need 1..10"),
+            (np.full((2, 11), 0.5), "event 0: need 1..10"),
+            (np.array([[0.5, 0.5], [0.5, 1.0], [np.nan, 0.5]]), "event 1: "),
+            (np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 0.5]]), "event 2: "),
+            pytest.param(
+                np.full((2, 4), 0.5), "set: has 4 probabilities per event but the model has 2 qubits",
+                id="wider_than_model",
+            ),
+            pytest.param(
+                np.full(2, 0.5), r"set: need an \(E, 2\) probability stack, got shape \(2,\)",
+                id="one_row",
+            ),
+            pytest.param(np.full((1, 2, 2), 0.5), r"set: need an \(E, 2\) probability stack", id="three_d"),
+            pytest.param(np.array([[0.0, 0.5]]), "set event 0: probabilities must lie strictly", id="zero"),
+            pytest.param(np.array([[0.5, 0.5], [0.5, 1.0]]), "set event 1: probabilities", id="one"),
+            pytest.param(np.array([[0.5, 0.5], [0.5, np.nan]]), "set event 1: probabilities", id="nan"),
         ],
     )
-    def test_names_the_first_bad_event(self, probs, n_qubits, message):
+    def test_names_the_first_bad_event(self, probs, message):
         with pytest.raises(ValueError, match=message):
-            check_probabilities(probs, n_qubits, "set")
+            check_probabilities(probs, 2, "set")
 
 
 class TestDensityMatrix:

@@ -587,8 +587,8 @@ class TestFit:
         bad = self.events(3, 2, 0)
         bad[1, 0] = 1.0
         cases = [
-            (self.events(4, 3, 0), self.events(2, 2, 1), "training event 0: has 3 probabilities"),
-            (self.events(4, 2, 0), self.events(2, 4, 1), "validation event 0: has 4 probabilities"),
+            (self.events(4, 3, 0), self.events(2, 2, 1), "training: has 3 probabilities per event"),
+            (self.events(4, 2, 0), self.events(2, 4, 1), "validation: has 4 probabilities per"),
             (self.events(4, 2, 0), self.events(1, 2, 1)[0], r"validation: need an \(E, 2\)"),
             (bad, self.events(2, 2, 1), "training event 1: probabilities must lie strictly"),
         ]
