@@ -24,7 +24,6 @@ Checkpoint layout:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -71,13 +70,37 @@ def write_csv_with_provenance(
     rows: Iterable[Sequence],
     config: dict,
 ) -> None:
-    """CSV with a leading provenance comment (tool version, config hash), replaced atomically."""
+    """CSV with a leading provenance comment (tool version, config hash), replaced atomically.
+
+    Fields are written with ``str`` (callers pass floats as their ``repr``),
+    separated by commas, with CRLF line ends and no quoting: the bytes
+    ``csv.writer`` writes for such rows.  The whole text is built and
+    checked before the file is touched.  A row whose width differs from the
+    header's, a field holding a comma, a double quote or a line break, or an
+    empty field in a one-column file (each of which ``csv.writer`` would
+    quote) raises ValueError naming the file and leaves the earlier file in
+    place.
+    """
     path = Path(path)
+    table = [header, *rows]
+    width, n = len(header), len(table)
+    text = "\r\n".join([",".join(map(str, row)) for row in table]) + "\r\n"
+    if (
+        any(len(row) != width for row in table)
+        or '"' in text
+        or text.count(",") != (width - 1) * n
+        or text.count("\n") != n
+        or text.count("\r") != n
+        or text.startswith("\r\n")
+        or "\r\n\r\n" in text
+    ):
+        raise ValueError(
+            f"{path}: every row must hold {width} fields, none of them empty in a "
+            'one-column file or holding a comma, a double quote or a line break'
+        )
     with _replacing(path, "w", newline="") as fh:
         fh.write(f"# qhbm {__version__} config={config_hash(config)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def write_json(path: str | Path, data: dict) -> None:

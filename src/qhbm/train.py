@@ -241,7 +241,10 @@ def _phi_gradient(
     where ``u`` is the circuit matrix of ``ansatz`` and cols are the basis
     states with q > 0.  Phi and Lambda = K Phi are stacked in one
     C-contiguous (2, 2**n, m) array, and a backward sweep un-applies each
-    block M = CNOT.(RY(a) x RY(b)) from both with one M^T pass.  Just
+    block M = CNOT.(RY(a) x RY(b)) from both with one M^T pass.  That pair
+    and the spare the sweep writes into are the two halves of one block
+    allocated per call: Phi is taken from U straight into it and scaled in
+    place, and Lambda's rows are zeroed and filled in place.  Just
     before the block, df/da = <Lambda, (J x I) Phi> and
     df/db = <Lambda, (I x J) Phi> with J = [[0, -1], [1, 0]]
     (Jones & Gacon, arXiv:2009.02823); the two RYs commute, so both are
@@ -254,10 +257,13 @@ def _phi_gradient(
     if ham.support.size == 0 or cols.size == 0:
         return grad
     # pair[0] holds Phi and pair[1] Lambda, so each block is one call.
-    pair = np.zeros((2, 2**ansatz.n_qubits, cols.size))
-    pair[0] = u[:, cols] * np.sqrt(q[cols])
-    pair[1, ham.support] = ham.energies[:, None] * pair[0, ham.support]
-    spare = np.empty_like(pair)
+    pair, spare = np.empty((2, 2, 2**ansatz.n_qubits, cols.size))
+    phi, lam = pair
+    # cols are in range, so "clip" takes without the buffer "raise" copies through.
+    np.take(u, cols, axis=1, out=phi, mode="clip")
+    phi *= np.sqrt(q[cols])
+    lam.fill(0.0)
+    lam[ham.support] = ham.energies[:, None] * phi[ham.support]
     for qubit, ia, ib, m in reversed(qsim.circuit_blocks(ansatz)):
         pair, spare = qsim.apply_block(pair, qubit, m.T, spare, axis=1), pair
         phi, lam = pair.reshape(2, 2**qubit, 4, -1, copy=False)

@@ -1,13 +1,17 @@
 """Tests for containers, checkpoints, and provenance-stamped CSV files."""
 
+import csv
 import dataclasses
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qhbm
 from qhbm import ebm
@@ -169,6 +173,72 @@ class TestCsvProvenance:
             write_csv_with_provenance(path, ["x"], rows(), {"seed": 1})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @staticmethod
+    def tables(field):
+        """(header, rows) of one width, every field drawn from ``field``."""
+        return st.integers(min_value=1, max_value=4).flatmap(
+            lambda width: st.tuples(
+                st.lists(field(width), min_size=width, max_size=width),
+                st.lists(st.lists(field(width), min_size=width, max_size=width), max_size=6),
+            )
+        )
+
+    @staticmethod
+    def plain_field(width):
+        """A str or int field csv.writer leaves unquoted; empty only beside other fields."""
+        text = st.text(
+            st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+            min_size=0 if width > 1 else 1,
+            max_size=8,
+        )
+        return st.one_of(text, st.integers(min_value=-(10**20), max_value=10**20))
+
+    @given(table=tables(plain_field))
+    def test_bytes_match_csv_writer(self, table):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "out.csv", Path(tmp) / "reference.csv"
+            write_csv_with_provenance(path, header, rows, {"seed": 3})
+            with reference.open("w", newline="") as fh:
+                fh.write(f"# qhbm {qhbm.__version__} config={config_hash({'seed': 3})}\n")
+                csv.writer(fh).writerows([header, *rows])
+            assert path.read_bytes() == reference.read_bytes()
+
+    @given(
+        table=tables(plain_field),
+        bad=st.one_of(
+            st.tuples(st.just("field"), st.sampled_from([",", '"', "\r", "\n", "\r\n"]), st.text(max_size=3)),
+            st.tuples(st.just("width"), st.sampled_from([-1, 1]), st.just("")),
+        ),
+        where=st.integers(min_value=0),
+    )
+    def test_quoted_field_or_ragged_row_raises_and_keeps_earlier_file(self, table, bad, where):
+        header, rows = table
+        rows = [*rows, [*header]]
+        kind, what, extra = bad
+        row = rows[where % len(rows)]
+        if kind == "field":
+            row[where % len(row)] = f"{extra}{what}{extra}"
+        elif what < 0:
+            row.pop()
+        else:
+            row.append("1")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_csv_with_provenance(path, ["x"], [[1], [2]], {})
+            before = path.read_bytes()
+            with pytest.raises(ValueError, match="out.csv"):
+                write_csv_with_provenance(path, header, rows, {"seed": 1})
+            assert path.read_bytes() == before
+            assert [p.name for p in Path(tmp).iterdir()] == ["out.csv"]
+
+    def test_short_and_long_rows_do_not_pass_as_one_width(self, tmp_path):
+        # Their commas add up to two full rows' worth.
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="2 fields"):
+            write_csv_with_provenance(path, ["a", "b"], [["1"], ["2", "3", "4"]], {})
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -422,6 +422,38 @@ class TestPhiGradient:
         oracle = batch_parameter_shift_gradient(ansatz, ham, q)
         np.testing.assert_allclose(grad, oracle, rtol=0.0, atol=1e-12)
 
+    def test_alternating_inputs_with_a_shrinking_support_repeat_fresh_bits(self):
+        # Two circuits and data sets of one shape, called in turn while the
+        # support shrinks: a Lambda row left from an earlier, larger support
+        # or a view that writes into the caller's U or q would show here.
+        rng = np.random.default_rng(31)
+        n = 5
+        cases = []
+        for _ in range(2):
+            q_mask = np.zeros(2**n, dtype=bool)
+            q_mask[rng.choice(2**n, size=12, replace=False)] = True
+            ansatz, _, q = self.random_case(n, 2, np.ones(2**n, dtype=bool), q_mask, rng)
+            cases.append((ansatz, qsim.ansatz_unitary(ansatz), q))
+        support = rng.permutation(2**n)
+        calls = [
+            (*cases[k % 2], hamiltonian_from_energies(n, np.sort(support[:size]), rng.standard_normal(size)))
+            for k, size in enumerate([32, 24, 17, 9, 4, 1])
+        ]
+        # Fresh bits: each call on copies, with the support growing, so no
+        # earlier call's support reaches past a later one's.
+        fresh = [
+            _phi_gradient(ansatz, u.copy(), copy.deepcopy(ham), q.copy())
+            for ansatz, u, q, ham in reversed(calls)
+        ][::-1]
+        for (ansatz, u, q, ham), expected in zip(calls, fresh):
+            u_before, q_before = u.copy(), q.copy()
+            grad = _phi_gradient(ansatz, u, ham, q)
+            assert grad.tobytes() == expected.tobytes()
+            assert u.tobytes() == u_before.tobytes() and q.tobytes() == q_before.tobytes()
+            np.testing.assert_allclose(
+                grad, batch_parameter_shift_gradient(ansatz, ham, q), rtol=0.0, atol=1e-12
+            )
+
 
 class TestTrainStep:
     def test_deterministic(self):
