@@ -291,20 +291,34 @@ def _check_pcg64(rng_state: dict) -> None:
     as it is, instead of rejecting them, so a resumed chain would draw
     other numbers.
     """
-    if rng_state["bit_generator"] != "PCG64":
-        return
     fields = rng_state["state"] | {key: rng_state[key] for key in ("has_uint32", "uinteger")}
     for key, bits in (("state", 128), ("inc", 128), ("has_uint32", 1), ("uinteger", 32)):
         _count(fields[key], f"chain.rng_state {key}", bits)
 
 
-def _upgrade_v1(metadata: dict, arrays: dict[str, np.ndarray]) -> None:
+def _upgrade_v1(path: Path, metadata: dict, arrays: dict[str, np.ndarray]) -> None:
     """Rewrite a version-1 layout into version 2 in place.
 
     Version 1 kept two optimisers with a step count each (they must be equal),
     log Z (it must be the one the energies give) and the chain energy (unread).
+    Its config could also hold the retired protocol modes, circuit
+    orientation, loss scales, initial scales and Adam constants; only the
+    values that are now built in describe a model this build can represent.
     """
-    for name in [n for n in arrays if n.startswith(("adam_theta_", "adam_phi_"))]:
+    config = metadata["config"] = dict(metadata["config"])
+    retired = {"embed_mode": "presampled", "proposal": "uniform", "duplicate_mode": "dedupe",
+               "partition_mode": "support", "latent_mode": "thermal",
+               "adjoint_convention": False, "beta": 1.0, "k_beta": 1.0,
+               "weight_scale": 0.01, "angle_scale": 0.01, "adam_beta1": 0.9,
+               "adam_beta2": 0.999, "adam_eps": 1e-8}
+    for key, built_in in retired.items():
+        if (value := config.pop(key, built_in)) != built_in:
+            raise DataError(
+                f"{path}: stored config has {key}={value!r}; this build only runs {built_in!r}"
+            )
+    # A manifest name can be any JSON value; a wrong one fails the shape check.
+    legacy = ("adam_theta_", "adam_phi_")
+    for name in [n for n in arrays if isinstance(n, str) and n.startswith(legacy)]:
         arrays["adam_" + name.split("_", 2)[2]] = arrays.pop(name)
     steps = metadata["adam_t"]
     if steps != {"theta": steps["theta"], "phi": steps["theta"]}:
@@ -331,33 +345,17 @@ def _rebuild_state(
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
     if version == 1:
-        _upgrade_v1(metadata, arrays)
-
-    stored = dict(metadata["config"])
-    # Older checkpoints store the retired protocol modes, circuit
-    # orientation, loss scales, initial scales and Adam constants.  Only the
-    # values that are now built in describe a model this build can represent.
-    retired = {"embed_mode": "presampled", "proposal": "uniform", "duplicate_mode": "dedupe",
-               "partition_mode": "support", "latent_mode": "thermal",
-               "adjoint_convention": False, "beta": 1.0, "k_beta": 1.0,
-               "weight_scale": 0.01, "angle_scale": 0.01, "adam_beta1": 0.9,
-               "adam_beta2": 0.999, "adam_eps": 1e-8}
-    for key, built_in in retired.items():
-        value = stored.pop(key, built_in)
-        if value != built_in:
-            raise DataError(
-                f"{path}: stored config has {key}={value!r}; this build only runs {built_in!r}"
-            )
-    config = train.TrainConfig(**stored).validate()
-    model = ebm.EnergyModel(
-        arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"]
-    )
+        _upgrade_v1(path, metadata, arrays)
+    config = train.TrainConfig(**metadata["config"]).validate()
+    model = ebm.EnergyModel(arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"])
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, arrays["angles"])
     # Checked before the int64 cast, which would load an index of 2.5 as 2
-    # and one of inf or 1e300 as an arbitrary integer.
+    # and one of inf or 1e300 as an arbitrary integer.  Every build stores
+    # at least one sampled state.
     support = arrays.pop("support_indices")
-    if not ((support == np.trunc(support)) & (0 <= support) & (support < 2**config.n_qubits)).all():
-        raise ValueError(f"support_indices must be integers in [0, 2**{config.n_qubits})")
+    in_range = (support == np.trunc(support)) & (0 <= support) & (support < 2**config.n_qubits)
+    if not support.size or not in_range.all():
+        raise ValueError(f"support_indices must be one or more integers in [0, 2**{config.n_qubits})")
     ham = ebm.ModularHamiltonian(
         config.n_qubits, support.astype(np.int64), arrays.pop("support_energies")
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +53,8 @@ def index_bits(indices: int | Sequence[int] | np.ndarray, n_qubits: int) -> np.n
 class CircuitAnsatz:
     """Staircase circuit: ``n_layers`` layers of RY/RY/CNOT blocks.
 
-    ``angles`` holds 2*(n_qubits-1)*n_layers values.  Block b of layer l
-    uses angles[2*((n_qubits-1)*l + b)] on qubit b and the following
-    entry on qubit b+1.
+    ``angles`` holds 2*(n_qubits-1)*n_layers values, two per block in the
+    order ``circuit_blocks`` gives.
     """
 
     n_qubits: int
@@ -83,23 +82,16 @@ class CircuitAnsatz:
     def with_angles(self, angles: Sequence[float]) -> "CircuitAnsatz":
         return CircuitAnsatz(self.n_qubits, self.n_layers, np.asarray(angles))
 
-    def blocks(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (lower_qubit, angle_index_lower, angle_index_upper) in order."""
-        per_layer = self.n_qubits - 1
-        for layer in range(self.n_layers):
-            for b in range(per_layer):
-                base = 2 * (per_layer * layer + b)
-                yield b, base, base + 1
 
+def circuit_blocks(ansatz: CircuitAnsatz) -> list[tuple[int, np.ndarray]]:
+    """(qubit, M) for every block of U in order.
 
-def circuit_blocks(ansatz: CircuitAnsatz) -> list[tuple[int, int, int, np.ndarray]]:
-    """(qubit, angle index a, angle index b, M) for every block of U in order.
-
-    M is the real 4x4 CNOT.(RY(a) x RY(b)) on qubits (qubit, qubit + 1),
-    local index 2*bit(qubit) + bit(qubit + 1): the rows of RY(a) x RY(b)
-    with rows 2 and 3 swapped by the CNOT.  Block k takes angles 2k and
-    2k + 1, so all blocks are built at once from the half-angle cosines
-    and sines, each entry one product.
+    Block k acts on qubits (qubit, qubit + 1) with qubit = k mod (n - 1),
+    and M is the real 4x4 CNOT.(RY(a) x RY(b)) with a = angles[2k] and
+    b = angles[2k + 1], in local index 2*bit(qubit) + bit(qubit + 1): the
+    rows of RY(a) x RY(b) with rows 2 and 3 swapped by the CNOT.  All
+    blocks are built at once from the half-angle cosines and sines, each
+    entry one product.
     """
     half = ansatz.angles.reshape(-1, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
@@ -107,7 +99,7 @@ def circuit_blocks(ansatz: CircuitAnsatz) -> list[tuple[int, int, int, np.ndarra
     ry = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2, 2)
     kron = ry[:, 0, :, None, :, None] * ry[:, 1, None, :, None, :]
     m = kron.reshape(-1, 4, 4)[:, [0, 1, 3, 2]]
-    return [(q, ia, ib, mat) for (q, ia, ib), mat in zip(ansatz.blocks(), m)]
+    return [(k % (ansatz.n_qubits - 1), mat) for k, mat in enumerate(m)]
 
 
 def apply_block(
@@ -133,6 +125,6 @@ def ansatz_unitary(ansatz: CircuitAnsatz) -> np.ndarray:
     """Real orthogonal 2**n x 2**n matrix of the circuit (column x = U |x>)."""
     u = np.eye(2**ansatz.n_qubits)
     spare = np.empty_like(u)
-    for qubit, _, _, m in circuit_blocks(ansatz):
+    for qubit, m in circuit_blocks(ansatz):
         u, spare = apply_block(u, qubit, m, spare), u
     return u

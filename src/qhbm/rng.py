@@ -34,11 +34,12 @@ def generator_state(rng: np.random.Generator) -> dict:
 
 
 def restore_generator(state: dict) -> np.random.Generator:
-    """Rebuild a generator from a ``generator_state`` snapshot."""
-    name = state["bit_generator"]
-    bitgen_cls = getattr(np.random, name, None)
-    if bitgen_cls is None:
-        raise ValueError(f"unknown bit generator {name!r}")
-    bitgen = bitgen_cls()
+    """Rebuild a generator from a ``generator_state`` snapshot.
+
+    Only PCG64, the kind ``substream`` makes and every checkpoint stores, is rebuilt.
+    """
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(f"bit generator must be 'PCG64', got {state['bit_generator']!r}")
+    bitgen = np.random.PCG64()
     bitgen.state = state
     return np.random.Generator(bitgen)

@@ -264,12 +264,13 @@ def _phi_gradient(
     phi *= np.sqrt(q[cols])
     lam.fill(0.0)
     lam[ham.support] = ham.energies[:, None] * phi[ham.support]
-    for qubit, ia, ib, m in reversed(qsim.circuit_blocks(ansatz)):
+    # Row k holds the two angles of block k of ``circuit_blocks``.
+    per_block = grad.reshape(-1, 2)
+    for k, (qubit, m) in reversed(list(enumerate(qsim.circuit_blocks(ansatz)))):
         pair, spare = qsim.apply_block(pair, qubit, m.T, spare, axis=1), pair
         phi, lam = pair.reshape(2, 2**qubit, 4, -1, copy=False)
         g = (lam @ phi.transpose(0, 2, 1)).sum(axis=0)
-        grad[ia] = g[2, 0] + g[3, 1] - g[0, 2] - g[1, 3]
-        grad[ib] = g[1, 0] + g[3, 2] - g[0, 1] - g[2, 3]
+        per_block[k] = g[2, 0] + g[3, 1] - g[0, 2] - g[1, 3], g[1, 0] + g[3, 2] - g[0, 1] - g[2, 3]
     return grad
 
 

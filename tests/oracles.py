@@ -84,6 +84,20 @@ def staircase_unitary(n_qubits: int, n_layers: int, angles) -> np.ndarray:
     return u
 
 
+def blocks(ansatz) -> list[tuple[int, int, int]]:
+    """(lower qubit, angle index on it, angle index on the next qubit) per block, in order.
+
+    Each layer walks the pairs (0, 1), ..., (n-2, n-1), and the angles are
+    taken two at a time in that order.
+    """
+    per_layer = ansatz.n_qubits - 1
+    return [
+        (b, 2 * (per_layer * layer + b), 2 * (per_layer * layer + b) + 1)
+        for layer in range(ansatz.n_layers)
+        for b in range(per_layer)
+    ]
+
+
 def circuit_gates(ansatz) -> list[tuple[int, int, float]]:
     """(qubit, angle index, angle) triples of U in application order, one per gate.
 
@@ -91,7 +105,7 @@ def circuit_gates(ansatz) -> list[tuple[int, int, float]]:
     -1 is the CNOT with ``qubit`` as control and ``qubit + 1`` as target.
     """
     gates: list[tuple[int, int, float]] = []
-    for q, ia, ib in ansatz.blocks():
+    for q, ia, ib in blocks(ansatz):
         gates += [(q, ia, ansatz.angles[ia]), (q + 1, ib, ansatz.angles[ib]), (q, -1, 0.0)]
     return gates
 

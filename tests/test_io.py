@@ -33,7 +33,9 @@ from qhbm.train import TrainConfig, fit, init_train_state, snapshot, train_step
 from checkpoint_faults import (
     FAULTS,
     read_layout,
+    rewrite,
     save_with_stored_config,
+    set_field,
     write_corrupt_checkpoint,
     write_version_1,
 )
@@ -638,3 +640,67 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+# Each metadata or sidecar field the probe below sets, in turn, to each of these.
+PROBE_VALUES = [
+    None, "x", [], {}, -1, 1.5, True, 1e308, 0, [1], {"a": 1}, "PCG64", "seed", "MT19937",
+]
+
+
+def _probe_fields(metadata):
+    """Key paths of every top-level, config, chain and generator field of ``metadata``,
+    of the first history row and of the first payload-manifest entry."""
+    fields = [(key,) for key in metadata]
+    for parent in [("config",), ("chain",), ("chain", "rng_state"),
+                   ("chain", "rng_state", "state"), ("history", 0), ("payloads", 0)]:
+        target = metadata
+        for key in parent:
+            target = target[key]
+        fields += [(*parent, key) for key in target]
+    return fields + [("payloads", 0)]
+
+
+class TestLoaderProbe:
+    """Every probe value in every field loads or is a DataError, never another exception."""
+
+    def test_checkpoint_fields(self, tmp_path):
+        cfg = TrainConfig(n_qubits=3, n_layers=1, n_mc_samples=20, n_embed_samples=10,
+                          batch_size=2, max_epochs=1, seed=7)
+        events = np.random.default_rng(11).uniform(0.2, 0.8, size=(4, 3))
+        best, history = fit(cfg, events[:2], events[2:])
+        current = tmp_path / "model.qhbm"
+        save_checkpoint(current, best, cfg, history)
+        legacy = tmp_path / "legacy.qhbm"
+        write_version_1(current, legacy)
+        probed = tmp_path / "probed.qhbm"
+        escapes = []
+        for src in (current, legacy):
+            for keys in _probe_fields(read_layout(src)[1]):
+                for value in PROBE_VALUES:
+                    rewrite(src, probed, set_field(*keys, value=value))
+                    try:
+                        load_checkpoint(probed)
+                    except DataError:
+                        pass
+                    except Exception as exc:
+                        escapes.append((src.name, keys, value, repr(exc)))
+        assert escapes == []
+
+    def test_sidecar_fields(self, tmp_path):
+        path = tmp_path / "events.qhbimg"
+        write_image_container(path, *sample_images(), {"kind": "raw"})
+        sidecar = path.with_name(path.name + ".json")
+        stored = json.loads(sidecar.read_text())
+        escapes = []
+        # "weights" is the key that earlier builds also wrote.
+        for key in [*stored, "weights"]:
+            for value in PROBE_VALUES:
+                sidecar.write_text(json.dumps(stored | {key: value}))
+                try:
+                    read_image_container(path)
+                except DataError:
+                    pass
+                except Exception as exc:
+                    escapes.append((key, value, repr(exc)))
+        assert escapes == []

@@ -36,12 +36,12 @@ def run_blocks(blocks, amps):
 
 def apply(ansatz, amps):
     """The circuit applied to ``amps`` block by block."""
-    return run_blocks([(q, m) for q, _, _, m in qsim.circuit_blocks(ansatz)], amps)
+    return run_blocks(qsim.circuit_blocks(ansatz), amps)
 
 
 def apply_inverse(ansatz, amps):
     """The blocks reversed and transposed, as the angle gradient sweeps back."""
-    return run_blocks([(q, m.T) for q, _, _, m in reversed(qsim.circuit_blocks(ansatz))], amps)
+    return run_blocks([(q, m.T) for q, m in reversed(qsim.circuit_blocks(ansatz))], amps)
 
 
 def basis(index, n_qubits):
@@ -97,7 +97,7 @@ class TestCircuitAnsatz:
 
     def test_block_order_walks_pairs_within_each_layer(self):
         ansatz = qsim.CircuitAnsatz(3, 2, np.arange(8, dtype=np.float64))
-        blocks = list(ansatz.blocks())
+        blocks = oracles.blocks(ansatz)
         assert blocks == [(0, 0, 1), (1, 2, 3), (0, 4, 5), (1, 6, 7)]
 
     def test_shifted_touches_single_angle(self):
@@ -205,14 +205,14 @@ class TestBlockEngine:
     def test_block_matrix_is_cnot_after_ry_pair(self, rng):
         ansatz = random_ansatz(3, 2, rng, scale=3.0)
         cnot = oracles.cnot_matrix(2, 0, 1).real
-        for _, ia, ib, m in qsim.circuit_blocks(ansatz):
+        for (_, ia, ib), (_, m) in zip(oracles.blocks(ansatz), qsim.circuit_blocks(ansatz)):
             ry = [oracles.ry_matrix(ansatz.angles[k]).real for k in (ia, ib)]
             np.testing.assert_allclose(m, cnot @ np.kron(*ry), rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(m.T @ m, np.eye(4), atol=1e-15)
 
     def test_blocks_follow_ansatz_block_order(self):
         ansatz = qsim.CircuitAnsatz(3, 2, np.arange(8, dtype=np.float64))
-        assert [b[:3] for b in qsim.circuit_blocks(ansatz)] == list(ansatz.blocks())
+        assert [q for q, _ in qsim.circuit_blocks(ansatz)] == [q for q, _, _ in oracles.blocks(ansatz)]
         assert qsim.circuit_blocks(qsim.CircuitAnsatz(3, 0, np.zeros(0))) == []
 
     def test_stacked_axis_matches_each_slice(self, rng):
@@ -220,12 +220,12 @@ class TestBlockEngine:
         stack = rng.normal(size=(2, 16, 3))
         expected = [qsim.ansatz_unitary(ansatz) @ x for x in stack]
         out = np.empty_like(stack)
-        for qubit, _, _, m in qsim.circuit_blocks(ansatz):
+        for qubit, m in qsim.circuit_blocks(ansatz):
             stack, out = qsim.apply_block(stack, qubit, m, out, axis=1), stack
         np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-13)
 
     def test_rejects_non_contiguous_arrays(self, rng):
-        m = qsim.circuit_blocks(random_ansatz(3, 1, rng))[0][3]
+        m = qsim.circuit_blocks(random_ansatz(3, 1, rng))[0][1]
         arr = rng.normal(size=(8, 5))
         with pytest.raises(ValueError, match="C-contiguous"):
             qsim.apply_block(np.asfortranarray(arr), 0, m, np.empty_like(arr))

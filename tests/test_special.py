@@ -74,16 +74,20 @@ def test_expit_is_silent_and_bounded_beyond_overflow():
     assert expit(0.0) == 0.5
 
 
-def test_importing_the_package_loads_no_scipy():
-    """Start-up cost guard: the command line must not pull SciPy in."""
+def test_importing_the_cli_loads_only_numpy_and_the_standard_library():
+    """Start-up cost guard (README "Install"): the command line pulls no other package in.
+
+    SciPy, the tests' oracle, is the one most likely to slip in.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     code = (
-        "import sys, qhbm, qhbm.cli; "
+        "import sys; before = set(sys.modules); import qhbm, qhbm.cli; "
         "print(qhbm.__file__); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     path, loaded = proc.stdout.splitlines()
     assert Path(path).resolve().is_relative_to(SRC)
-    assert loaded == "[]", f"importing qhbm.cli loaded {loaded}"
+    others = set(loaded.split()) - sys.stdlib_module_names - {"numpy", "qhbm"}
+    assert not others, f"importing qhbm.cli loaded {sorted(others)}"
