@@ -1,9 +1,11 @@
 """Deterministic random-stream derivation.
 
 All randomness in the package flows from a single master seed.  Each
-consumer (Markov chain, Bernoulli embedding, event generation, synthetic
-data) pulls from a named substream so that seeding is reproducible and
-independent of call order.
+consumer (Markov chain, the Bernoulli embedding of an event set, event
+generation, synthetic data) pulls from a named substream so that seeding
+is reproducible and independent of the order in which consumers run.
+Within one substream the draws follow in order: an embedded set's events
+draw one after another from the set's generator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ def substream(seed: int, *tags: str | int) -> np.random.Generator:
     """Generator for the substream named by ``tags`` under ``seed``.
 
     Same (seed, tags) always yields the same stream; distinct tags yield
-    statistically independent streams.
+    statistically independent streams.  Each call seeds a fresh
+    ``SeedSequence`` and PCG64, so a loop over items takes one stream for
+    the whole loop, not one per item.
     """
     entropy = [int(seed)] + [_tag_entropy(t) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -316,15 +316,19 @@ def train_step(state: TrainState, batch: Batch, config: TrainConfig) -> tuple[Tr
 
 
 def _embed_events(probs: np.ndarray, n_samples: int, seed: int, tag: str) -> np.ndarray:
-    """One frequency row per event of an (E, n) stack, from ``n_samples`` draws on its own substream.
+    """One frequency row per event of an (E, n) stack, from ``n_samples`` draws each.
 
-    The set's product distributions are built in one call; only the draws
-    go event by event.
+    The whole set draws from one generator, ``substream(seed, "embedding",
+    tag)``, event after event, so an event's draws depend on the events
+    before it in the set.  The set's product distributions are built in
+    one call; the draws go one ``bernoulli_index_samples`` call per event,
+    which gives the same counts and leaves the generator where one
+    ``rng.multinomial(n_samples, rows)`` over the whole stack would.
     """
     rows = product_distributions(probs)
+    rng = substream(seed, "embedding", tag)
     # Each row's distribution gives way to its draws' frequencies.
-    for d, distribution in enumerate(rows):
-        rng = substream(seed, "embedding", tag, d)
+    for distribution in rows:
         distribution[:] = frequency_row(bernoulli_index_samples(distribution, n_samples, rng))
     return rows
 

@@ -431,12 +431,14 @@ def bernoulli_index_samples_reference(probs, n_samples: int, rng) -> np.ndarray:
 
 
 def embed_events_reference(probs, n_samples: int, seed: int, tag: str) -> np.ndarray:
-    """``train._embed_events`` of an (E, n) stack, one Kronecker chain and draw per event."""
+    """``train._embed_events`` of an (E, n) stack: one Kronecker chain and multinomial per event.
+
+    The events draw in order from the set's one ``embedding/<tag>`` generator.
+    """
+    rng = substream(seed, "embedding", tag)
     rows = []
-    for d, event_probs in enumerate(probs):
-        counts = bernoulli_index_samples_reference(
-            event_probs, n_samples, substream(seed, "embedding", tag, d)
-        )
+    for event_probs in probs:
+        counts = bernoulli_index_samples_reference(event_probs, n_samples, rng)
         rows.append(counts / counts.sum())
     return np.array(rows)
 

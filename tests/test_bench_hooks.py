@@ -139,6 +139,26 @@ def test_traced_fit_calls_every_train_8q_hook():
     assert {hook: counts[f"{hook}.calls"] for hook in sorted(hooks) if not counts[f"{hook}.calls"]} == {}
 
 
+def test_traced_fit_counts_one_embedding_call_per_event():
+    """The tracer counts ``n_samples`` draws per ``bernoulli_index_samples`` call.
+
+    ``fit`` draws each set from one generator but still makes one call per
+    event, so the traced calls and draws keep counting every embedded event.
+    """
+    tracing = load_tracing()
+    config = train.TrainConfig(
+        n_qubits=3, n_layers=1, n_mc_samples=20, n_embed_samples=10, batch_size=2,
+        max_epochs=1, seed=3,
+    )
+    events = [np.array([0.2, 0.5, 0.8 - 0.1 * i]) for i in range(7)]
+    n_train, n_valid = 4, 3
+    with tracing.Tracer(qhbm) as tracer:
+        train.fit(config, events[:n_train], events[n_train:])
+    counts, _ = tracer.layer_stats()
+    assert counts["embed.bernoulli_index_samples.calls"] == n_train + n_valid
+    assert counts["embed.bernoulli_index_samples.draws"] == (n_train + n_valid) * config.n_embed_samples
+
+
 # Hooks on the ``qhbm anomaly`` path, all of them placed on cli-6q.
 ANOMALY_COMMAND_HOOKS = {
     "cli.anomaly",

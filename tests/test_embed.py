@@ -346,6 +346,30 @@ class TestStackedPathsMatchOracles:
         got = _embed_events(probs, n_samples, seed, "train")
         assert np.array_equal(got, embed_events_reference(probs, n_samples, seed, "train"))
 
+    @given(
+        n_qubits=st.integers(1, 10),
+        n_events=st.integers(1, 12),
+        n_samples=st.integers(1, 5000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_draws_on_one_generator_are_one_stacked_multinomial(
+        self, n_qubits, n_events, n_samples, seed
+    ):
+        """The set's per-row draws are one ``multinomial`` over the stack, to the bit.
+
+        So the per-event loop in ``train._embed_events`` can become one call
+        without moving a value or the generator's position.
+        """
+        probs = np.random.default_rng(seed).uniform(0.01, 0.99, size=(n_events, n_qubits))
+        stack = product_distributions(probs)
+        per_row, stacked = (substream(seed, "embedding", "train") for _ in range(2))
+        counts = np.array([bernoulli_index_samples(row, n_samples, per_row) for row in stack])
+        want = stacked.multinomial(n_samples, stack)
+        assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
+        assert per_row.bit_generator.state == stacked.bit_generator.state
+        got = _embed_events(probs, n_samples, seed, "train")
+        assert got.tobytes() == (want / n_samples).tobytes()
+
 
 class TestPixelLayout:
     def test_frozen_layouts_on_side_six(self):

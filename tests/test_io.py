@@ -120,6 +120,10 @@ def sample_events():
     return np.array([rng.uniform(0.2, 0.8, size=2) for _ in range(4)])
 
 
+# Events of ``sample_events`` that ``trained_state`` trains on; the rest validate.
+N_TRAIN = 3
+
+
 def trained_state():
     cfg = TrainConfig(
         n_qubits=2,
@@ -131,7 +135,7 @@ def trained_state():
         seed=13,
     )
     events = sample_events()
-    best, history = fit(cfg, events[:3], events[3:])
+    best, history = fit(cfg, events[:N_TRAIN], events[N_TRAIN:])
     return best, cfg, history
 
 
@@ -462,7 +466,10 @@ class TestCheckpoint:
             "lr_current", "payloads",
         ]
         assert sorted(metadata["chain"]) == ["current_index", "rng_state"]
-        assert metadata["adam_t"] == state.adam.t == 2
+        # The saved state is the best epoch's, after that many epochs of steps.
+        best_epoch = min(history, key=lambda row: row["validation_loss"])["epoch"]
+        steps_per_epoch = -(-N_TRAIN // cfg.batch_size)
+        assert metadata["adam_t"] == state.adam.t == best_epoch * steps_per_epoch
         params = ["weights", "visible_bias", "hidden_bias", "angles"]
         moments = [f"adam_{kind}_{key}" for key in params for kind in "mv"]
         assert list(arrays) == params + ["support_indices", "support_energies"] + moments
@@ -599,7 +606,9 @@ class TestCheckpoint:
         for name in ("old", "fresh"):
             loaded, loaded_cfg, loaded_history = load_checkpoint(tmp_path / f"{name}.qhbm")
             longer = dataclasses.replace(loaded_cfg, max_epochs=4)
-            best, longer_history = fit(longer, events[:3], events[3:], loaded, loaded_history)
+            best, longer_history = fit(
+                longer, events[:N_TRAIN], events[N_TRAIN:], loaded, loaded_history
+            )
             save_checkpoint(tmp_path / f"{name}_resumed.qhbm", best, longer, longer_history)
         assert len(longer_history) == 4
         resumed = (tmp_path / "old_resumed.qhbm").read_bytes()

@@ -85,17 +85,30 @@ def recipe_digests(root: Path) -> dict[str, dict[str, str]]:
     return out
 
 
+def moved_outputs(pinned: dict[str, dict[str, str]], found: dict[str, dict[str, str]]) -> list[str]:
+    """``seed <s>: <file>`` for each output whose digest differs, or that one side lacks."""
+    return [
+        f"seed {seed}: {name}"
+        for seed in sorted(set(pinned) | set(found))
+        for name in sorted(set(pinned.get(seed, {})) | set(found.get(seed, {})))
+        if pinned.get(seed, {}).get(name) != found.get(seed, {}).get(name)
+    ]
+
+
 def test_toy_outputs_match_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text())
-    found = recipe_digests(tmp_path)
-    moved = [
-        f"seed {seed}: {name}"
-        for seed in sorted(set(manifest["seeds"]) | set(found))
-        for name in sorted(set(manifest["seeds"].get(seed, {})) | set(found.get(seed, {})))
-        if manifest["seeds"].get(seed, {}).get(name) != found.get(seed, {}).get(name)
-    ]
+    moved = moved_outputs(manifest["seeds"], recipe_digests(tmp_path))
     assert not moved, (
         f"{len(moved)} toy outputs differ from {MANIFEST.name} (made with numpy "
         f"{manifest['builds']['numpy']}, {manifest['builds']['blas']}; this run: numpy "
         f"{builds()['numpy']}, {builds()['blas']}):\n" + "\n".join(moved)
     )
+
+
+def test_moved_outputs_names_changed_missing_and_new_files():
+    pinned = {"11": {"a.csv": "1", "b.csv": "2", "gone.csv": "3"}}
+    found = {"11": {"a.csv": "1", "b.csv": "9", "new.csv": "4"}, "23": {"a.csv": "1"}}
+    assert moved_outputs(pinned, found) == [
+        "seed 11: b.csv", "seed 11: gone.csv", "seed 11: new.csv", "seed 23: a.csv",
+    ]
+    assert moved_outputs(found, found) == []

@@ -289,15 +289,19 @@ class TestRowBatches:
             q = _batch_distribution(row_batch(groups, n))
             assert q.tobytes() == batch_distribution_reference(groups, 2**n).tobytes()
 
-    def test_embedded_rows_are_the_draws_of_each_event_substream(self):
+    def test_embedded_rows_are_the_draws_of_one_set_stream(self):
         events = TestFit.events(5, 3, 21)
         rows = _embed_events(events, 40, 9, "train")
         assert rows.shape == (5, 8)
-        for d, (row, event) in enumerate(zip(rows, events)):
-            counts = bernoulli_index_samples_reference(
-                event, 40, substream(9, "embedding", "train", d)
-            )
+        rng = substream(9, "embedding", "train")
+        for row, event in zip(rows, events):
+            counts = bernoulli_index_samples_reference(event, 40, rng)
             assert row.tobytes() == (counts / 40).tobytes()
+        # An event's draws depend on the events before it in the set, and
+        # on nothing after it; the tag names the set's stream.
+        assert _embed_events(events[:3], 40, 9, "train").tobytes() == rows[:3].tobytes()
+        assert not np.array_equal(_embed_events(events[1:], 40, 9, "train"), rows[1:])
+        assert not np.array_equal(_embed_events(events, 40, 9, "valid"), rows)
 
     def test_fit_memory_does_not_grow_with_embedding_draws(self):
         """Each event is held as one row of 2**n shares, whatever the draw count."""
@@ -628,13 +632,39 @@ class TestFit:
             with pytest.raises(ValueError, match=message):
                 fit(cfg, train_events, valid_events)
 
+    def test_substream_calls_do_not_grow_with_the_events(self, monkeypatch):
+        """Each event set draws its embedding from one generator.
+
+        A fit builds three generators to initialise, one per embedded set,
+        and a shuffle and a validation chain per epoch, however many
+        events it trains on.
+        """
+        calls = []
+
+        def counted(*tags):
+            calls.append(tags)
+            return substream(*tags)
+
+        monkeypatch.setattr(train, "substream", counted)
+        cfg = small_config(max_epochs=2)
+        per_size = {}
+        for n_events in (3, 30):
+            calls.clear()
+            fit(cfg, self.events(n_events, 2, 14), self.events(n_events, 2, 15))
+            per_size[n_events] = len(calls)
+        assert per_size == dict.fromkeys((3, 30), 3 + 2 + 2 * cfg.max_epochs)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_raises_numeric_error_with_context(self):
-        cfg = small_config(learning_rate=1e308)
-        # The first update's huge weights cancel in every free energy of
-        # these draws; the second one overflows.
+        cfg = small_config(max_epochs=1)
+        train_events, valid_events = self.events(4, 2, 12), self.events(2, 2, 13)
+        state, history = fit(cfg, train_events, valid_events)
+        # One sound epoch, then a rate whose first update overflows the
+        # free energies: the blow-up is the resumed run's first step.
+        state.lr_current = 1e308
+        longer = dataclasses.replace(cfg, max_epochs=2)
         with pytest.raises(NumericError, match=r"^epoch 2 step 1: .*non-finite"):
-            fit(cfg, self.events(4, 2, 12), self.events(2, 2, 13))
+            fit(longer, train_events, valid_events, state, history)
 
 
 class TestModelDensityMatrix:
