@@ -241,22 +241,21 @@ def _phi_gradient(
     where ``u`` is the circuit matrix of ``ansatz`` and cols are the basis
     states with q > 0.  Phi and Lambda = K Phi are stacked in one
     C-contiguous (2, 2**n, m) array, and a backward sweep un-applies each
-    block M = CNOT.(RY(a) x RY(b)) from both with one M^T pass.  That pair
-    and the spare the sweep writes into are the two halves of one block
-    allocated per call: Phi is taken from U straight into it and scaled in
-    place, and Lambda's rows are zeroed and filled in place.  Just
-    before the block, df/da = <Lambda, (J x I) Phi> and
-    df/db = <Lambda, (I x J) Phi> with J = [[0, -1], [1, 0]]
-    (Jones & Gacon, arXiv:2009.02823); the two RYs commute, so both are
-    read at that one point.  Both come from the 4x4 Gram matrix
-    G = sum_i Lambda_i Phi_i^T over the block's (2**qubit, 4, rest) views,
-    one batched product per block: df/da = <G, J x I> and df/db = <G, I x J>.
+    group F of ``qsim.circuit_groups`` from both with one F^T pass.  That
+    pair and the spare the sweep writes into are the two halves of one
+    block allocated per call: Phi is taken from U straight into it and
+    scaled in place, and Lambda's rows are zeroed and filled in place.
+    At the group's input, df/dt = <Lambda, X_t Phi> for each of its angles
+    t, with X_t the angle's generator from ``circuit_groups`` (Jones &
+    Gacon, arXiv:2009.02823).  All of them come from the one d x d Gram
+    matrix G = sum_i Lambda_i Phi_i^T over the group's (2**qubit, d, rest)
+    views, one batched product per group: df/dt = <G, X_t>.
     """
     grad = np.zeros(ansatz.n_parameters)
     cols = np.flatnonzero(q > 0)
     if ham.support.size == 0 or cols.size == 0:
         return grad
-    # pair[0] holds Phi and pair[1] Lambda, so each block is one call.
+    # pair[0] holds Phi and pair[1] Lambda, so each group is one call.
     pair, spare = np.empty((2, 2, 2**ansatz.n_qubits, cols.size))
     phi, lam = pair
     # cols are in range, so "clip" takes without the buffer "raise" copies through.
@@ -264,13 +263,14 @@ def _phi_gradient(
     phi *= np.sqrt(q[cols])
     lam.fill(0.0)
     lam[ham.support] = ham.energies[:, None] * phi[ham.support]
-    # Row k holds the two angles of block k of ``circuit_blocks``.
-    per_block = grad.reshape(-1, 2)
-    for k, (qubit, m) in reversed(list(enumerate(qsim.circuit_blocks(ansatz)))):
-        pair, spare = qsim.apply_block(pair, qubit, m.T, spare, axis=1), pair
-        phi, lam = pair.reshape(2, 2**qubit, 4, -1, copy=False)
+    # Groups hold consecutive angles, so the sweep fills grad from its end.
+    end = grad.size
+    for qubit, f, x in reversed(qsim.circuit_groups(ansatz)):
+        pair, spare = qsim.apply_block(pair, qubit, f.T, spare, axis=1), pair
+        phi, lam = pair.reshape(2, 2**qubit, len(f), -1, copy=False)
         g = (lam @ phi.transpose(0, 2, 1)).sum(axis=0)
-        per_block[k] = g[2, 0] + g[3, 1] - g[0, 2] - g[1, 3], g[1, 0] + g[3, 2] - g[0, 1] - g[2, 3]
+        grad[end - len(x) : end] = x.reshape(len(x), -1) @ g.ravel()
+        end -= len(x)
     return grad
 
 

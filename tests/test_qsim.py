@@ -237,6 +237,56 @@ class TestBlockEngine:
             qsim.apply_block(cols, 0, m, np.empty(cols.shape))
 
 
+class TestGroupEngine:
+    """``circuit_groups`` against the blocks it fuses."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_groups_cover_every_block_once_in_order(self, n_qubits):
+        # n = 9 has pairs only, n = 10 a trailing single in every layer.
+        rng = np.random.default_rng(200 + n_qubits)
+        for n_layers in (0, 1, 3):
+            ansatz = random_ansatz(n_qubits, n_layers, rng, scale=3.0)
+            blocks = qsim.circuit_blocks(ansatz)
+            groups = qsim.circuit_groups(ansatz)
+            per_layer = [8] * ((n_qubits - 1) // 2) + [4] * ((n_qubits - 1) % 2)
+            assert [len(f) for _, f, _ in groups] == per_layer * n_layers
+            covered = []
+            for qubit, f, x in groups:
+                size = {8: 2, 4: 1}[len(f)]
+                assert f.shape == (len(f), len(f)) and x.shape == (2 * size, len(f), len(f))
+                mats = [m for _, m in blocks[len(covered) : len(covered) + size]]
+                covered.extend(qubit + j for j in range(size))
+                # Each block embedded on the group's qubits, applied in order.
+                expected = mats[0] if size == 1 else np.kron(np.eye(2), mats[1]) @ np.kron(mats[0], np.eye(2))
+                np.testing.assert_allclose(f, expected, rtol=0.0, atol=1e-15)
+            assert covered == [q for q, _ in blocks]
+            assert sum(len(x) for _, _, x in groups) == ansatz.n_parameters
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 9, 10])
+    def test_generators_give_each_angle_derivative(self, n_qubits):
+        # F is linear in cos(t/2) and sin(t/2) of each angle t, so
+        # dF/dt = (F(t + pi) - F(t - pi)) / 4 exactly, and X_t = 2 F^T dF/dt.
+        ansatz = random_ansatz(n_qubits, 2, np.random.default_rng(300 + n_qubits), scale=3.0)
+        groups = qsim.circuit_groups(ansatz)
+        start = 0
+        for index, (_, f, x) in enumerate(groups):
+            for j, generator in enumerate(x):
+                up = qsim.circuit_groups(oracles.shifted(ansatz, start + j, np.pi))[index][1]
+                down = qsim.circuit_groups(oracles.shifted(ansatz, start + j, -np.pi))[index][1]
+                np.testing.assert_allclose(2 * f.T @ (up - down) / 4, generator, rtol=0.0, atol=1e-14)
+            start += len(x)
+        assert start == ansatz.n_parameters
+
+    def test_stacked_axis_matches_each_slice(self, rng):
+        ansatz = random_ansatz(5, 2, rng)
+        stack = rng.normal(size=(2, 32, 3))
+        expected = [qsim.ansatz_unitary(ansatz) @ x for x in stack]
+        out = np.empty_like(stack)
+        for qubit, f, _ in qsim.circuit_groups(ansatz):
+            stack, out = qsim.apply_block(stack, qubit, f, out, axis=1), stack
+        np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-13)
+
+
 def mean_energy(ham, q, n_qubits):
     """The objective's mean <K> for basis draws distributed as ``q``, with no circuit."""
     return train._loss(np.eye(2**n_qubits), ham, q)[1]

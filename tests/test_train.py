@@ -402,6 +402,8 @@ class TestPhiGradient:
     )
     @example(n=2, n_layers=0, seed=0)
     @example(n=2, n_layers=1, seed=1)
+    @example(n=9, n_layers=2, seed=9)
+    @example(n=10, n_layers=1, seed=10)
     def test_fused_sweep_relative_error(self, n, n_layers, seed):
         # Dense support and data, so every block's Gram matrix is full.
         rng = np.random.default_rng(seed)
