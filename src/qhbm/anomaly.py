@@ -328,7 +328,7 @@ def expectation_score(
     *,
     table: RoutingTable,
 ) -> float:
-    """Mean <K> of the routed event, one (n,) probability row, at t = 0; empty support scores 0.
+    """Mean <K> of the routed event, one (n,) probability row, at t = 0.
 
     ``table`` is a routing table of ``state`` shared by the events of a run.
     """
@@ -422,8 +422,6 @@ def site_entropy_profile(ham: ModularHamiltonian, w: np.ndarray | None) -> np.nd
     column z of W ("dressed"), i.e. the ground space of W K W^T.
     Returns n_qubits - 1 entropies for pairs (0,1), ..., (n-2, n-1).
     """
-    if ham.support.size == 0:
-        raise ValueError("hamiltonian support is empty")
     ground_idx = ham.support[ham.energies <= ham.energies.min() + 1e-9]
     # The ground state is Phi Phi^T / k over the k ground states.
     if w is not None:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, index_bits
+from .qsim import MAX_QUBITS, _check_n_qubits, index_bits
 from .special import expit, logsumexp, softmax
 
 # Spread of the initial couplings.
@@ -142,9 +142,9 @@ def metropolis_sample(
 class ModularHamiltonian:
     """Diagonal operator K = sum_z E(z) |z><z| over a sampled support.
 
-    ``support`` holds distinct int64 basis indices and ``energies`` the
-    aligned E(z).  ``log_partition`` is derived from them: log sum_z
-    exp(-E(z)) over the stored support, -inf for an empty one.
+    ``support`` holds one or more distinct int64 basis indices and
+    ``energies`` the aligned E(z).  ``log_partition`` is derived from
+    them: log sum_z exp(-E(z)) over the stored support.
     """
 
     n_qubits: int
@@ -152,8 +152,7 @@ class ModularHamiltonian:
     energies: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        _check_n_qubits(self.n_qubits)
         self.support = np.asarray(self.support, dtype=np.int64)
         self.energies = np.asarray(self.energies, dtype=np.float64)
         if self.support.ndim != 1 or self.energies.shape != self.support.shape:
@@ -161,12 +160,14 @@ class ModularHamiltonian:
                 f"support shape {self.support.shape} and energy shape "
                 f"{self.energies.shape} do not match"
             )
+        if not self.support.size:
+            raise ValueError("support must hold at least one state")
         if not np.all(np.isfinite(self.energies)):
             raise ValueError("energies must be finite")
         _check_indices(self.support, self.n_qubits, "support")
         if np.unique(self.support).size != self.support.size:
             raise ValueError("support states must be unique")
-        self.log_partition = logsumexp(-self.energies) if self.energies.size else -np.inf
+        self.log_partition = logsumexp(-self.energies)
 
 
 def build_hamiltonian(
@@ -177,10 +178,9 @@ def build_hamiltonian(
 
     The support keeps unique indices in first-appearance order, and each
     state enters once at its free energy, however often it was sampled.
+    No samples give an empty support, which ``ModularHamiltonian`` refuses.
     """
     samples = np.asarray(samples, dtype=np.int64)
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
     _check_indices(samples, model.n_visible, "sample")
     unique, first = np.unique(samples, return_index=True)
     support = unique[np.argsort(first)]
@@ -199,8 +199,6 @@ def theta_gradient(
     contributes through the Boltzmann distribution over the support, so
     the gradient vanishes when the weights equal softmax(-E).
     """
-    if ham.support.size == 0:
-        raise ValueError("hamiltonian support is empty")
     w = np.asarray(support_weights, dtype=np.float64)
     if w.shape != ham.support.shape:
         raise ValueError(f"{ham.support.size} support states but weight shape {w.shape}")
@@ -217,8 +215,6 @@ def theta_gradient(
 
 def thermal_state(ham: ModularHamiltonian) -> np.ndarray:
     """Spectrum p of exp(-K) / Z: Boltzmann weights on the support, zero elsewhere."""
-    if ham.support.size == 0:
-        raise ValueError("hamiltonian support is empty")
     p = np.zeros(2**ham.n_qubits)
     p[ham.support] = np.exp(-ham.energies - ham.log_partition)
     return p

@@ -350,12 +350,11 @@ def _rebuild_state(
     model = ebm.EnergyModel(arrays["weights"], arrays["visible_bias"], arrays["hidden_bias"])
     ansatz = qsim.CircuitAnsatz(config.n_qubits, config.n_layers, arrays["angles"])
     # Checked before the int64 cast, which would load an index of 2.5 as 2
-    # and one of inf or 1e300 as an arbitrary integer.  Every build stores
-    # at least one sampled state.
+    # and one of inf or 1e300 as an arbitrary integer.
     support = arrays.pop("support_indices")
     in_range = (support == np.trunc(support)) & (0 <= support) & (support < 2**config.n_qubits)
-    if not support.size or not in_range.all():
-        raise ValueError(f"support_indices must be one or more integers in [0, 2**{config.n_qubits})")
+    if not in_range.all():
+        raise ValueError(f"support_indices must be integers in [0, 2**{config.n_qubits})")
     ham = ebm.ModularHamiltonian(
         config.n_qubits, support.astype(np.int64), arrays.pop("support_energies")
     )

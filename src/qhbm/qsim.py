@@ -15,8 +15,8 @@ engine works on real float64 arrays: ``ansatz_unitary`` returns U as a
 real matrix.  The engine works on groups of blocks: ``circuit_groups``
 splits each layer into runs of two consecutive blocks, each one real 8x8
 operator F on its three qubits, and a trailing odd block that stays its
-own 4x4 M = CNOT.(RY(a) x RY(b)) (``circuit_blocks`` gives every block's
-M).  ``apply_block`` applies a d x d operator through a (..., 2**q, d,
+own 4x4 M = CNOT.(RY(a) x RY(b)) (``tests/oracles.circuit_blocks`` builds
+each M densely).  ``apply_block`` applies a d x d operator through a (..., 2**q, d,
 rest) view that puts its qubits on one axis, so a group is one product
 instead of two block passes or six gate passes.  F is orthogonal, so
 applying the groups in reverse with F^T undoes the circuit, which is
@@ -58,8 +58,10 @@ def index_bits(indices: int | Sequence[int] | np.ndarray, n_qubits: int) -> np.n
 class CircuitAnsatz:
     """Staircase circuit: ``n_layers`` layers of RY/RY/CNOT blocks.
 
-    ``angles`` holds 2*(n_qubits-1)*n_layers values, two per block in the
-    order ``circuit_blocks`` gives.
+    ``angles`` holds 2*(n_qubits-1)*n_layers values, two per block: block
+    k acts on qubits (k mod (n - 1), k mod (n - 1) + 1) with RY(angles[2k])
+    and RY(angles[2k + 1]).  ``circuit_groups`` fuses the blocks in this
+    order, and ``tests/oracles.circuit_blocks`` lists them one by one.
     """
 
     n_qubits: int
@@ -96,7 +98,12 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _block_matrices(angles: np.ndarray) -> np.ndarray:
-    """(B, 4, 4) stack of every block's M = CNOT.(RY(a) x RY(b)), in block order."""
+    """(B, 4, 4) stack of every block's M = CNOT.(RY(a) x RY(b)), in block order.
+
+    Block k takes a = angles[2k] and b = angles[2k + 1].  M is in local
+    index 2*bit(qubit) + bit(qubit + 1): the rows of RY(a) x RY(b) with
+    rows 2 and 3 swapped by the CNOT.
+    """
     half = angles.reshape(-1, 2) / 2.0
     c, s = np.cos(half), np.sin(half)
     # ry[k, j] is RY of block k's qubit j (0 the lower index, 1 the next).
@@ -105,20 +112,6 @@ def _block_matrices(angles: np.ndarray) -> np.ndarray:
     ry[..., 1, 0] = s
     np.negative(s, out=ry[..., 0, 1])
     return _kron(ry[:, 0], ry[:, 1])[:, [0, 1, 3, 2]]
-
-
-def circuit_blocks(ansatz: CircuitAnsatz) -> list[tuple[int, np.ndarray]]:
-    """(qubit, M) for every block of U in order.
-
-    Block k acts on qubits (qubit, qubit + 1) with qubit = k mod (n - 1),
-    and M is the real 4x4 CNOT.(RY(a) x RY(b)) with a = angles[2k] and
-    b = angles[2k + 1], in local index 2*bit(qubit) + bit(qubit + 1): the
-    rows of RY(a) x RY(b) with rows 2 and 3 swapped by the CNOT.  All
-    blocks are built at once from the half-angle cosines and sines, each
-    entry one product.
-    """
-    m = _block_matrices(ansatz.angles)
-    return [(k % (ansatz.n_qubits - 1), mat) for k, mat in enumerate(m)]
 
 
 # J generates RY: d RY(a)/da = J RY(a) / 2.

@@ -253,8 +253,6 @@ def _phi_gradient(
     """
     grad = np.zeros(ansatz.n_parameters)
     cols = np.flatnonzero(q > 0)
-    if ham.support.size == 0 or cols.size == 0:
-        return grad
     # pair[0] holds Phi and pair[1] Lambda, so each group is one call.
     pair, spare = np.empty((2, 2, 2**ansatz.n_qubits, cols.size))
     phi, lam = pair
@@ -458,8 +456,6 @@ def generate(
     """
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
-    if ham.support.size == 0:
-        raise ValueError("hamiltonian support is empty")
     latent_probs = np.exp(-ham.energies - ham.log_partition)
     latent_probs = latent_probs / latent_probs.sum()
     # Column x of W**2 is the output distribution for latent state x.

@@ -25,14 +25,7 @@ from qhbm.rng import substream
 
 def hamiltonian_from_energies(n_qubits, support, energies) -> ebm.ModularHamiltonian:
     """A modular Hamiltonian straight from basis indices and their energies."""
-    if len(support) == 0:
-        raise ValueError("need at least one support state")
     return ebm.ModularHamiltonian(n_qubits, support, energies)
-
-
-def empty_hamiltonian(n_qubits) -> ebm.ModularHamiltonian:
-    """A modular Hamiltonian with no support states (log Z = -inf)."""
-    return ebm.ModularHamiltonian(n_qubits, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -95,6 +88,18 @@ def blocks(ansatz) -> list[tuple[int, int, int]]:
         (b, 2 * (per_layer * layer + b), 2 * (per_layer * layer + b) + 1)
         for layer in range(ansatz.n_layers)
         for b in range(per_layer)
+    ]
+
+
+def circuit_blocks(ansatz) -> list[tuple[int, np.ndarray]]:
+    """(lower qubit, M) per block in order, M = CNOT.(RY(a) x RY(b)) as a dense 4x4 product.
+
+    M is in the block's local big-endian index 2*bit(lower) + bit(lower + 1).
+    """
+    cnot = cnot_matrix(2, 0, 1).real
+    return [
+        (q, cnot @ np.kron(ry_matrix(ansatz.angles[ia]).real, ry_matrix(ansatz.angles[ib]).real))
+        for q, ia, ib in blocks(ansatz)
     ]
 
 
@@ -333,8 +338,6 @@ def distribution_expectation(ansatz, ham, q) -> float:
 def batch_parameter_shift_gradient(ansatz, ham, q) -> np.ndarray:
     """Parameter-shift gradient of ``distribution_expectation`` over every angle."""
     grad = np.zeros(ansatz.n_parameters)
-    if ham.support.size == 0:
-        return grad
     half_pi = np.pi / 2.0
     for k in range(ansatz.n_parameters):
         up = distribution_expectation(shifted(ansatz, k, +half_pi), ham, q)

@@ -31,7 +31,6 @@ from qhbm.train import AdamState, TrainState, parameters
 from oracles import (
     bernoulli_index_samples_reference,
     draw_indices,
-    empty_hamiltonian,
     evolve_diagonal,
     expectation_score_per_draw,
     hamiltonian_from_energies,
@@ -101,12 +100,6 @@ class TestTimeEvolutionSeries:
         rng = np.random.default_rng(1)
         series = own_table_series(state, sharp_event((1, 0)), 50.0, 0.1, rng, 1)
         assert np.allclose(series, 1.0, atol=1e-9)
-
-    def test_empty_support_is_flat(self):
-        state = make_state(identity_ansatz(2), empty_hamiltonian(2))
-        rng = np.random.default_rng(2)
-        series = own_table_series(state, sharp_event((0, 1)), 10.0, 0.1, rng, 1)
-        assert np.allclose(series, 1.0, atol=1e-12)
 
     def test_two_level_beat(self):
         # Angles (pi/2, 0) rotate |00> into (|00> + |11>)/sqrt(2), so the
@@ -215,7 +208,7 @@ def random_scoring_state(n, support_size, e_max, seed):
     angles = gen.uniform(-np.pi, np.pi, size=2 * 2 * (n - 1))
     support = gen.choice(2**n, size=support_size, replace=False)
     energies = gen.uniform(-e_max, e_max, size=support_size)
-    ham = ham_from(support, energies, n) if support_size else empty_hamiltonian(n)
+    ham = ham_from(support, energies, n)
     state = make_state(qsim.CircuitAnsatz(n, 2, angles), ham)
     return state, gen.uniform(0.05, 0.95, size=n)
 
@@ -232,7 +225,7 @@ class TestMatchesPerDrawOracle:
         st.data(),
     )
     def test_series_and_t_zero(self, n, n_draws, n_points, e_max, seed, data):
-        support_size = data.draw(st.integers(0, 2**n))
+        support_size = data.draw(st.integers(1, 2**n))
         state, event = random_scoring_state(n, support_size, e_max, seed)
         # |t E| stays below 1000, where both phase grids agree to ~1e-13.
         dt = min(0.1, 1000.0 / ((n_points - 1) * max(e_max, 1.0)))
@@ -265,7 +258,7 @@ class TestSharedTableMatchesPerDrawOracle:
         st.data(),
     )
     def test_events_share_one_table(self, n, n_draws, n_points, e_max, seed, data):
-        support_size = data.draw(st.integers(0, 2**n))
+        support_size = data.draw(st.integers(1, 2**n))
         state, first = random_scoring_state(n, support_size, e_max, seed)
         # Repeated events hit the same states again; fresh ones add new states.
         gen = np.random.default_rng(seed + 1)
@@ -352,7 +345,7 @@ class TestTiledRowStore:
     # Short grids have one coarse block per tile, long ones several.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("limit", [100, 2100])
-    @pytest.mark.parametrize("n, support_size", [(7, 37), (8, 256), (8, 37), (4, 0)])
+    @pytest.mark.parametrize("n, support_size", [(7, 37), (8, 256), (8, 37), (4, 1)])
     def test_series_match_per_draw_oracle(self, n, support_size, limit, offset):
         assert 2**7 == _TILE_STATES
         n_points = self.block_end(n, support_size + 1, limit) + offset
@@ -569,11 +562,6 @@ class TestExpectationScore:
         state = make_state(identity_ansatz(2), ham_from([2], [2.4], 2))
         got = own_table_score(state, sharp_event((1, 0)), np.random.default_rng(0), 1)
         assert got == pytest.approx(2.4, abs=1e-9)
-
-    def test_empty_support_scores_zero(self):
-        state = make_state(identity_ansatz(2), empty_hamiltonian(2))
-        got = own_table_score(state, sharp_event((0, 1)), np.random.default_rng(0), 1)
-        assert got == 0.0
 
     def test_matches_dense_oracle(self, rng):
         n = 3
@@ -824,10 +812,6 @@ class TestSiteEntropyProfile:
                 expected = -np.sum(vals * np.log(vals))
                 assert profiles[given is None][pair] == pytest.approx(expected, abs=1e-12)
         assert not np.allclose(profiles[True], profiles[False], atol=1e-3)
-
-    def test_error_paths(self):
-        with pytest.raises(ValueError):
-            site_entropy_profile(empty_hamiltonian(2), None)
 
 
 class TestScenarios:

@@ -19,7 +19,7 @@ from qhbm.ebm import (
     theta_gradient,
     thermal_state,
 )
-from qhbm.qsim import index_bits
+from qhbm.qsim import _check_n_qubits, index_bits
 from qhbm.rng import substream
 from qhbm.train import TrainConfig
 
@@ -28,7 +28,6 @@ from oracles import (
     build_hamiltonian_reference,
     conditional_hidden_prob,
     conditional_visible_prob,
-    empty_hamiltonian,
     free_energy_enumerated,
     hamiltonian_from_energies,
     metropolis_sample_reference,
@@ -321,10 +320,17 @@ class TestModularHamiltonian:
         assert ham.log_partition == pytest.approx(np.log(2), abs=1e-12)
 
     def test_empty_constructor(self):
-        ham = empty_hamiltonian(3)
-        assert ham.support.shape == (0,)
-        assert ham.energies.size == 0
-        assert ham.log_partition == -np.inf
+        # Every K holds at least one sampled state, so log Z is finite.
+        with pytest.raises(ValueError, match="^support must hold at least one state$"):
+            ModularHamiltonian(3, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 11])
+    def test_rejects_qubit_count_with_qsims_message(self, n_qubits):
+        with pytest.raises(ValueError) as expected:
+            _check_n_qubits(n_qubits)
+        with pytest.raises(ValueError) as got:
+            ModularHamiltonian(n_qubits, [0], [0.0])
+        assert str(got.value) == str(expected.value)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -509,10 +515,8 @@ class TestThetaGradient:
         assert np.allclose(first["visible_bias"], last["visible_bias"], rtol=0.0, atol=1e-15)
         assert np.allclose(first["hidden_bias"], last["hidden_bias"], rtol=0.0, atol=1e-15)
 
-    def test_rejects_empty_support(self, rng):
+    def test_rejects_misaligned_weights(self, rng):
         model = random_model(2, 2, rng)
-        with pytest.raises(ValueError):
-            theta_gradient(model, empty_hamiltonian(2), [])
         with pytest.raises(ValueError):
             theta_gradient(model, build_hamiltonian(model, [0, 1]), [0.5])
 
@@ -535,7 +539,3 @@ class TestThermalState:
         off = np.setdiff1d(np.arange(8), [1, 4, 6])
         assert np.all(p[off] == 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            thermal_state(empty_hamiltonian(2))

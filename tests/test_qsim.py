@@ -36,12 +36,12 @@ def run_blocks(blocks, amps):
 
 def apply(ansatz, amps):
     """The circuit applied to ``amps`` block by block."""
-    return run_blocks(qsim.circuit_blocks(ansatz), amps)
+    return run_blocks(oracles.circuit_blocks(ansatz), amps)
 
 
 def apply_inverse(ansatz, amps):
     """The blocks reversed and transposed, as the angle gradient sweeps back."""
-    return run_blocks([(q, m.T) for q, m in reversed(qsim.circuit_blocks(ansatz))], amps)
+    return run_blocks([(q, m.T) for q, m in reversed(oracles.circuit_blocks(ansatz))], amps)
 
 
 def basis(index, n_qubits):
@@ -204,28 +204,31 @@ class TestBlockEngine:
 
     def test_block_matrix_is_cnot_after_ry_pair(self, rng):
         ansatz = random_ansatz(3, 2, rng, scale=3.0)
-        cnot = oracles.cnot_matrix(2, 0, 1).real
-        for (_, ia, ib), (_, m) in zip(oracles.blocks(ansatz), qsim.circuit_blocks(ansatz)):
-            ry = [oracles.ry_matrix(ansatz.angles[k]).real for k in (ia, ib)]
-            np.testing.assert_allclose(m, cnot @ np.kron(*ry), rtol=0.0, atol=1e-15)
+        stack = qsim._block_matrices(ansatz.angles)
+        assert stack.shape == (4, 4, 4)
+        for (_, expected), m in zip(oracles.circuit_blocks(ansatz), stack):
+            np.testing.assert_allclose(m, expected, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(m.T @ m, np.eye(4), atol=1e-15)
 
     def test_blocks_follow_ansatz_block_order(self):
+        # Distinct angles, so a block built from another block's pair shows.
         ansatz = qsim.CircuitAnsatz(3, 2, np.arange(8, dtype=np.float64))
-        assert [q for q, _ in qsim.circuit_blocks(ansatz)] == [q for q, _, _ in oracles.blocks(ansatz)]
-        assert qsim.circuit_blocks(qsim.CircuitAnsatz(3, 0, np.zeros(0))) == []
+        expected = [m for _, m in oracles.circuit_blocks(ansatz)]
+        np.testing.assert_allclose(qsim._block_matrices(ansatz.angles), expected, rtol=0.0, atol=1e-15)
+        assert [q for q, _ in oracles.circuit_blocks(ansatz)] == [0, 1, 0, 1]
+        assert qsim._block_matrices(np.zeros(0)).shape == (0, 4, 4)
 
     def test_stacked_axis_matches_each_slice(self, rng):
         ansatz = random_ansatz(4, 2, rng)
         stack = rng.normal(size=(2, 16, 3))
         expected = [qsim.ansatz_unitary(ansatz) @ x for x in stack]
         out = np.empty_like(stack)
-        for qubit, m in qsim.circuit_blocks(ansatz):
+        for qubit, m in oracles.circuit_blocks(ansatz):
             stack, out = qsim.apply_block(stack, qubit, m, out, axis=1), stack
         np.testing.assert_allclose(stack, expected, rtol=0.0, atol=1e-13)
 
     def test_rejects_non_contiguous_arrays(self, rng):
-        m = qsim.circuit_blocks(random_ansatz(3, 1, rng))[0][1]
+        m = oracles.circuit_blocks(random_ansatz(3, 1, rng))[0][1]
         arr = rng.normal(size=(8, 5))
         with pytest.raises(ValueError, match="C-contiguous"):
             qsim.apply_block(np.asfortranarray(arr), 0, m, np.empty_like(arr))
@@ -246,7 +249,7 @@ class TestGroupEngine:
         rng = np.random.default_rng(200 + n_qubits)
         for n_layers in (0, 1, 3):
             ansatz = random_ansatz(n_qubits, n_layers, rng, scale=3.0)
-            blocks = qsim.circuit_blocks(ansatz)
+            blocks = oracles.circuit_blocks(ansatz)
             groups = qsim.circuit_groups(ansatz)
             per_layer = [8] * ((n_qubits - 1) // 2) + [4] * ((n_qubits - 1) % 2)
             assert [len(f) for _, f, _ in groups] == per_layer * n_layers
@@ -301,10 +304,6 @@ class TestDiagonalExpectation:
         ham = make_ham(2, [0], [2.0])
         assert mean_energy(ham, basis(3, 2), 2) == 0.0
 
-    def test_empty_support_scores_zero(self, rng):
-        ham = oracles.empty_hamiltonian(3)
-        assert mean_energy(ham, np.abs(random_state(3, rng)) ** 2, 3) == 0.0
-
     def test_matches_dense_quadratic_form(self, rng):
         for _ in range(20):
             n_qubits = int(rng.integers(2, 5))
@@ -349,11 +348,6 @@ def routed_energy(index, ansatz, ham):
 
 
 class TestParameterShiftGradient:
-    def test_empty_hamiltonian_gives_zero_vector(self, rng):
-        ansatz = random_ansatz(3, 2, rng)
-        grad = oracles.parameter_shift_gradient(0, ansatz, oracles.empty_hamiltonian(3))
-        np.testing.assert_array_equal(grad, np.zeros(8))
-
     def test_matches_central_finite_differences(self, rng):
         step = 1e-5
         for _ in range(10):
@@ -396,12 +390,6 @@ class TestParameterShiftGradient:
 
 class TestEvolveDiagonal:
     """The stepped-evolution reference that A7 and the series tests compare against."""
-
-    def test_empty_hamiltonian_is_identity(self, rng):
-        state = random_state(2, rng)
-        out, actual = oracles.evolve_diagonal(state, oracles.empty_hamiltonian(2), 3.0, 0.1)
-        np.testing.assert_allclose(out, state)
-        assert actual == pytest.approx(3.0)
 
     def test_eigenstate_picks_up_global_phase(self):
         ham = make_ham(2, [3], [np.pi])
